@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 domain error (typed message on stderr), 2 usage.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -116,9 +117,9 @@ def _cmd_extract(args, cfg: dict, manifest: RunManifest) -> None:
             fh.write(json.dumps(_segment_to_record(seg)) + "\n")
     if args.rejects:
         with open(args.rejects, "w", encoding="utf-8", newline="") as fh:
-            fh.write("session_id,code,detail\n")
-            for sid, code, detail in rejected:
-                fh.write(f"{sid},{code},{detail}\n")
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(("session_id", "code", "detail"))
+            writer.writerows(rejected)
     manifest.stop("extract")
     manifest.counts["extract"] = {"accepted": len(accepted),
                                   "rejected": len(rejected)}

@@ -479,10 +479,6 @@ def _group_token(group: dict) -> str:
     return json.dumps(group, sort_keys=True)
 
 
-def _metric_value(cell: CellResult, metric: str) -> Optional[float]:
-    return getattr(cell, metric if metric != "positive_f1" else "positive_f1")
-
-
 def summarize_cells(cells: Sequence[CellResult]) -> tuple[SummaryRow, ...]:
     """Mean and population std per (group, classifier, metric).
 
@@ -504,9 +500,9 @@ def summarize_cells(cells: Sequence[CellResult]) -> tuple[SummaryRow, ...]:
         for metric in metrics:
             rep_means = []
             for rep in sorted({c.repetition for c in group_cells}):
-                values = [_metric_value(c, metric) for c in group_cells
+                values = [getattr(c, metric) for c in group_cells
                           if c.repetition == rep and c.status == "ok"
-                          and _metric_value(c, metric) is not None]
+                          and getattr(c, metric) is not None]
                 if values:
                     rep_means.append(float(np.mean(values)))
             if not rep_means:

@@ -10,6 +10,7 @@ short series, empty spectra) map to 0 rather than NaN.
 
 from __future__ import annotations
 
+import csv
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -373,18 +374,18 @@ def featurize_corpus(corpus, filter_params=None, tail_params=None):
 
 def write_feature_csv(matrix: FeatureMatrix, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(("session_id", "ev_label") + matrix.names) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("session_id", "ev_label") + matrix.names)
         for sid, lab, row in zip(matrix.session_ids, matrix.labels, matrix.x):
-            fh.write(",".join([sid, lab] + [repr(float(v)) for v in row]) + "\n")
+            writer.writerow([sid, lab] + [repr(float(v)) for v in row])
 
 
 def read_feature_csv(path: str) -> FeatureMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split(",")
-        names = tuple(header[2:])
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        names = tuple(next(reader)[2:])
         ids, labels, rows = [], [], []
-        for line in fh:
-            parts = line.rstrip("\n").split(",")
+        for parts in reader:
             ids.append(parts[0])
             labels.append(parts[1])
             rows.append([float(v) for v in parts[2:]])

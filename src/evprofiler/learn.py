@@ -4,6 +4,8 @@ splitting, grid search with k-fold cross-validation, and metrics.
 Everything is deterministic for a given (data, spec, seed): tie-breaking is
 lexicographic on class labels, first-encountered on split costs and grid
 order, and forest tree seeds derive from the training seed by tree index.
+Grid search shares fits across combinations (one forest per depth, one tree
+per criterion, one distance matrix per metric) with unchanged scores.
 """
 
 from __future__ import annotations
@@ -191,19 +193,40 @@ def _grow_tree(x: np.ndarray, y: np.ndarray, n_classes: int, criterion: str,
     return root
 
 
-def _tree_predict(node: _TreeNode, x: np.ndarray) -> np.ndarray:
+def _tree_predict(node: _TreeNode, x: np.ndarray,
+                  max_depth: Optional[int] = None) -> np.ndarray:
+    """Leaf class codes per row.
+
+    With ``max_depth``, a node at that depth answers with its own label. A
+    tree grown with that cap is the full tree cut there, so this predicts
+    exactly what the capped tree would.
+    """
     out = np.empty(x.shape[0], dtype=np.int64)
-    stack = [(node, np.arange(x.shape[0]))]
+    stack = [(node, np.arange(x.shape[0]), 0)]
     while stack:
-        cur, idx = stack.pop()
+        cur, idx, depth = stack.pop()
         if idx.size == 0:
             continue
-        if cur.feature == _LEAF:
+        if cur.feature == _LEAF or (max_depth is not None and depth >= max_depth):
             out[idx] = cur.label
             continue
         mask = x[idx, cur.feature] <= cur.threshold
-        stack.append((cur.left, idx[mask]))
-        stack.append((cur.right, idx[~mask]))
+        stack.append((cur.left, idx[mask], depth + 1))
+        stack.append((cur.right, idx[~mask], depth + 1))
+    return out
+
+
+def _forest_codes(forest: Sequence[_TreeNode], x: np.ndarray, n_classes: int,
+                  sizes: set) -> dict[int, np.ndarray]:
+    """Majority-vote class codes of the first ``n`` trees, for each n in
+    ``sizes``; vote ties go to the lowest class code."""
+    rows = np.arange(x.shape[0])
+    votes = np.zeros((x.shape[0], n_classes), dtype=np.int64)
+    out = {}
+    for n, tree in enumerate(forest[:max(sizes)], 1):
+        votes[rows, _tree_predict(tree, x)] += 1
+        if n in sizes:
+            out[n] = np.argmax(votes, axis=1)
     return out
 
 
@@ -281,40 +304,72 @@ def _distances(metric: str, queries: np.ndarray, train_x: np.ndarray) -> np.ndar
     return 1.0 - sim
 
 
+def _neighbours(model: TrainedModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distances from each query to the training rows, and the training rows
+    in stable nearest-first order."""
+    if x.shape[1] != model.knn_x.shape[1]:
+        raise ValueError("query columns do not match the training matrix")
+    dist = _distances(model.spec.hyperparameters.get("metric", "euclidean"),
+                      x, model.knn_x)
+    return dist, np.argsort(dist, axis=1, kind="stable")
+
+
+def _knn_vote_params(model: TrainedModel) -> tuple[int, bool]:
+    """(neighbours that vote, whether votes are distance-weighted)."""
+    hp = model.spec.hyperparameters
+    return (min(hp.get("n_neighbors", 5), model.knn_x.shape[0]),
+            hp.get("weights", "uniform") == "distance")
+
+
+def _knn_codes(dist: np.ndarray, nearest: np.ndarray, train_y: np.ndarray,
+               n_classes: int, ks: set, weighted: bool) -> dict[int, np.ndarray]:
+    """Vote winners among the k nearest neighbours, for each k in ``ks``.
+
+    Votes are added neighbour by neighbour in rank order, so the running sum
+    at rank k is bit-identical to a bincount over the first k. Under distance
+    weights, a prefix that holds exact-zero distances counts only those
+    neighbours. Vote ties go to the lowest class code.
+    """
+    rows = np.arange(dist.shape[0])
+    votes = np.zeros((dist.shape[0], n_classes))
+    exact = np.zeros_like(votes)
+    any_exact = np.zeros(dist.shape[0], dtype=bool)
+    out = {}
+    for rank in range(max(ks)):
+        idx = nearest[:, rank]
+        ny = train_y[idx]
+        if weighted:
+            nd = dist[rows, idx]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                votes[rows, ny] += 1.0 / nd
+            exact[rows, ny] += nd == 0.0
+            any_exact |= nd == 0.0
+        else:
+            votes[rows, ny] += 1.0
+        if rank + 1 in ks:
+            final = np.where(any_exact[:, None], exact, votes)
+            out[rank + 1] = np.argmax(final, axis=1)
+    return out
+
+
+def _decode(classes: tuple[str, ...], codes: np.ndarray) -> np.ndarray:
+    return np.array([classes[c] for c in codes])
+
+
 def predict(model: TrainedModel, x: np.ndarray) -> np.ndarray:
     """Predicted labels for each row; deterministic tie-breaking throughout."""
     x = np.asarray(x, dtype=np.float64)
     n_classes = len(model.classes)
     if model.spec.family == "knn":
-        if x.shape[1] != model.knn_x.shape[1]:
-            raise ValueError("query columns do not match the training matrix")
-        hp = model.spec.hyperparameters
-        k = min(hp.get("n_neighbors", 5), model.knn_x.shape[0])
-        dist = _distances(hp.get("metric", "euclidean"), x, model.knn_x)
-        nearest = np.argsort(dist, axis=1, kind="stable")[:, :k]
-        codes = np.empty(x.shape[0], dtype=np.int64)
-        weighted = hp.get("weights", "uniform") == "distance"
-        for i in range(x.shape[0]):
-            nd = dist[i, nearest[i]]
-            ny = model.knn_y[nearest[i]]
-            if weighted:
-                exact = nd == 0.0
-                if exact.any():
-                    votes = np.bincount(ny[exact], minlength=n_classes).astype(float)
-                else:
-                    votes = np.bincount(ny, weights=1.0 / nd, minlength=n_classes)
-            else:
-                votes = np.bincount(ny, minlength=n_classes).astype(float)
-            codes[i] = int(np.argmax(votes))
-        return np.array([model.classes[c] for c in codes])
-    if model.spec.family == "decision-tree":
+        dist, nearest = _neighbours(model, x)
+        k, weighted = _knn_vote_params(model)
+        codes = _knn_codes(dist, nearest, model.knn_y, n_classes, {k}, weighted)[k]
+    elif model.spec.family == "decision-tree":
         codes = _tree_predict(model.tree, x)
-        return np.array([model.classes[c] for c in codes])
-    votes = np.zeros((x.shape[0], n_classes), dtype=np.int64)
-    for tree in model.forest:
-        codes = _tree_predict(tree, x)
-        votes[np.arange(x.shape[0]), codes] += 1
-    return np.array([model.classes[c] for c in np.argmax(votes, axis=1)])
+    else:
+        n = len(model.forest)
+        codes = _forest_codes(model.forest, x, n_classes, {n})[n]
+    return _decode(model.classes, codes)
 
 
 # ---------------------------------------------------------------------------
@@ -443,13 +498,101 @@ def expand_grid(family: str, grid: dict) -> list[ClassifierSpec]:
     return [ClassifierSpec(family, dict(zip(keys, values))) for values in combos]
 
 
+def _group(specs: Sequence[ClassifierSpec], param: str, default) -> list[list[int]]:
+    """Spec indices grouped by one hyper-parameter's value, first seen first."""
+    groups: dict = {}
+    for i, spec in enumerate(specs):
+        groups.setdefault(spec.hyperparameters.get(param, default), []).append(i)
+    return list(groups.values())
+
+
+# A fold predictor takes (specs, train x, train labels, test x, seed) and
+# returns, per spec, its predicted test labels or the TrainingError its fit
+# raised. Each one fits as little as the grid allows.
+
+def _knn_fold(specs, x_train, y_train, x_test, seed) -> list:
+    """One distance matrix and one neighbour ranking per metric.
+
+    ``train`` still runs once per spec: for kNN it is only a copy, and a
+    failure stays with its own combination.
+    """
+    out: list = [None] * len(specs)
+    for members in _group(specs, "metric", "euclidean"):
+        ref, params = None, {}
+        for i in members:
+            try:
+                model = train(specs[i], x_train, y_train, seed)
+            except TrainingError as exc:
+                out[i] = exc
+                continue
+            params[i] = _knn_vote_params(model)
+            if ref is None:
+                ref = model
+        if ref is None:
+            continue
+        dist, nearest = _neighbours(ref, x_test)
+        codes = {w: _knn_codes(dist, nearest, ref.knn_y, len(ref.classes),
+                               {k for k, v in params.values() if v == w}, w)
+                 for w in {w for _, w in params.values()}}
+        for i, (k, w) in params.items():
+            out[i] = _decode(ref.classes, codes[w][k])
+    return out
+
+
+def _tree_fold(specs, x_train, y_train, x_test, seed) -> list:
+    """One unlimited-depth tree per criterion, predicted at each depth cap."""
+    out: list = [None] * len(specs)
+    for members in _group(specs, "criterion", "gini"):
+        full = ClassifierSpec("decision-tree", {**specs[members[0]].hyperparameters,
+                                                "max_depth": None})
+        try:
+            model = train(full, x_train, y_train, seed)
+        except TrainingError as exc:
+            for i in members:
+                out[i] = exc
+            continue
+        for i in members:
+            codes = _tree_predict(model.tree, x_test,
+                                  specs[i].hyperparameters.get("max_depth"))
+            out[i] = _decode(model.classes, codes)
+    return out
+
+
+def _forest_fold(specs, x_train, y_train, x_test, seed) -> list:
+    """One forest per depth, as large as the depth's largest tree count.
+
+    Tree seeds come from ``SeedSequence(seed).spawn(n)``, whose first k
+    children are ``spawn(k)``, so the first k trees are the k-tree forest.
+    """
+    out: list = [None] * len(specs)
+    for members in _group(specs, "max_depth", None):
+        sizes = [specs[i].hyperparameters.get("n_estimators", 10) for i in members]
+        try:
+            model = train(specs[members[int(np.argmax(sizes))]],
+                          x_train, y_train, seed)
+        except TrainingError as exc:
+            for i in members:
+                out[i] = exc
+            continue
+        codes = _forest_codes(model.forest, x_test, len(model.classes), set(sizes))
+        for i, n in zip(members, sizes):
+            out[i] = _decode(model.classes, codes[n])
+    return out
+
+
+_FOLD_PREDICTORS = {"knn": _knn_fold, "decision-tree": _tree_fold,
+                    "random-forest": _forest_fold}
+
+
 def grid_search(family: str, grid: dict, x: np.ndarray, labels: Sequence[str],
                 k: int = 5, scoring: str = "accuracy", seed: int = 0,
                 positive_label: Optional[str] = None) -> GridSearchResult:
     """Best grid combination by mean k-fold CV score, refitted on all rows.
 
-    A combination whose training fails scores -inf instead of aborting the
-    search; ties keep the earliest grid combination.
+    Each fold shares fits across the grid; the scores equal fitting every
+    combination on its own. A combination whose training fails scores -inf
+    at that fold and skips its later folds instead of aborting the search;
+    ties keep the earliest grid combination.
     """
     if scoring not in ("accuracy", "f1-positive"):
         raise ValueError(f"unknown scoring {scoring!r}")
@@ -460,40 +603,42 @@ def grid_search(family: str, grid: dict, x: np.ndarray, labels: Sequence[str],
     specs = expand_grid(family, grid)
     x = np.asarray(x, dtype=np.float64)
     labels = list(labels)
+    mode = "binary" if scoring == "f1-positive" else "multiclass"
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         folds = stratified_kfold(labels, k, seed)
     all_rows = np.arange(len(labels))
-    table: list[CvCell] = []
-    best_spec, best_mean = None, -np.inf
-    for spec in specs:
-        scores = []
-        failed = False
-        for fold_id, fold in enumerate(folds):
-            if fold.size == 0:
+    cells: list[list[CvCell]] = [[] for _ in specs]
+    live = list(range(len(specs)))
+    for fold_id, fold in enumerate(folds):
+        if fold.size == 0 or not live:
+            continue
+        train_rows = np.setdiff1d(all_rows, fold)
+        y_test = [labels[i] for i in fold]
+        outcomes = _FOLD_PREDICTORS[family](
+            [specs[i] for i in live], x[train_rows],
+            [labels[i] for i in train_rows], x[fold], seed)
+        failed = set()
+        for i, outcome in zip(live, outcomes):
+            if isinstance(outcome, TrainingError):
+                cells[i].append(CvCell(specs[i], fold_id, -np.inf, str(outcome)))
+                failed.add(i)
                 continue
-            train_rows = np.setdiff1d(all_rows, fold)
-            try:
-                model = train(spec, x[train_rows],
-                              [labels[i] for i in train_rows], seed)
-                report = evaluate(model, x[fold], [labels[i] for i in fold],
-                                  "binary" if scoring == "f1-positive" else "multiclass",
-                                  positive_label)
-                score = (report.positive_f1 if scoring == "f1-positive"
-                         else report.accuracy)
-                table.append(CvCell(spec, fold_id, score))
-                scores.append(score)
-            except (TrainingError, ValueError) as exc:
-                table.append(CvCell(spec, fold_id, -np.inf, str(exc)))
-                failed = True
-                break
-        mean = -np.inf if failed or not scores else float(np.mean(scores))
+            report = score_predictions(y_test, list(outcome), mode, positive_label)
+            score = report.positive_f1 if scoring == "f1-positive" else report.accuracy
+            cells[i].append(CvCell(specs[i], fold_id, score))
+        live = [i for i in live if i not in failed]
+    best_spec, best_mean = None, -np.inf
+    for i, spec in enumerate(specs):
+        scores = [cell.score for cell in cells[i]]
+        mean = -np.inf if i not in live or not scores else float(np.mean(scores))
         if mean > best_mean:
             best_mean, best_spec = mean, spec
     if best_spec is None or not np.isfinite(best_mean):
         best_spec = specs[0]
     model = train(best_spec, x, labels, seed)
-    return GridSearchResult(best_spec, model, best_mean, tuple(table))
+    table = tuple(cell for spec_cells in cells for cell in spec_cells)
+    return GridSearchResult(best_spec, model, best_mean, table)
 
 
 def write_cv_table(result: GridSearchResult, path: str) -> None:

@@ -66,6 +66,28 @@ class TestStages:
         assert len(first["delta"]) == first["tStart"]
         assert open(pipeline["rejects"]).readline().startswith("session_id,")
 
+    def test_rejects_keep_commas_and_quotes(self, tmp_path):
+        import csv
+        import dataclasses
+
+        from evprofiler.ingest import Corpus, write_sessions
+        from evprofiler.synth import SynthOptions, generate_corpus
+
+        corpus = generate_corpus(1, 3, 2, SynthOptions(truncate_prob=1.0))
+        ids = ['a,b', 'say "hi"', 'plain']
+        sessions = [dataclasses.replace(s, session_id=sid)
+                    for s, sid in zip(corpus.sessions, ids)]
+        raw = str(tmp_path / "raw.jsonl")
+        write_sessions(Corpus(tuple(sessions)), raw, "acn-json")
+        rejects = str(tmp_path / "rejects.csv")
+        assert run_cli("extract", "--sessions", raw, "--out",
+                       str(tmp_path / "seg.jsonl"), "--rejects", rejects) == 0
+        with open(rejects, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["session_id", "code", "detail"]
+        assert [r[0] for r in rows[1:]] == ids
+        assert all(len(r) == 3 for r in rows)
+
     def test_featurize_writes_matrix(self, pipeline):
         header = open(pipeline["features"]).readline().strip().split(",")
         assert header[:2] == ["session_id", "ev_label"]

@@ -301,3 +301,19 @@ class TestMatrixIo:
         assert back.session_ids == matrix.session_ids
         assert back.labels == matrix.labels
         np.testing.assert_array_equal(back.x, matrix.x)
+
+    def test_csv_round_trip_keeps_commas_and_quotes(self, tmp_path):
+        rng = np.random.default_rng(5)
+        ids = ['plain', 'a,b', 'say "hi"', '"x",y']
+        segments = [SegmentPair(sid, f'EV,"{i % 2}"',
+                                TimeSeries(rng.uniform(1, 30, 40)),
+                                TimeSeries(rng.uniform(0, 3, 60)), 60, 100)
+                    for i, sid in enumerate(ids)]
+        matrix = matrix_from_vectors([extract_features(s) for s in segments])
+        path = tmp_path / "features.csv"
+        write_feature_csv(matrix, str(path))
+        back = read_feature_csv(str(path))
+        assert back.session_ids == matrix.session_ids
+        assert back.labels == matrix.labels
+        np.testing.assert_array_equal(back.x, matrix.x)
+        assert path.read_text().splitlines()[1].startswith("plain,")
