@@ -24,16 +24,17 @@ from .experiments import (CellResult, DistributionParams,
                           subsample_distribution, subsample_multiclass,
                           summarize_cells, write_cells_csv, write_summary_csv,
                           write_summary_md)
-from .features import (extract_features, matrix_from_vectors, read_feature_csv,
+from .features import (N_FEATURES, featurize_segments, read_feature_csv,
                        write_feature_csv)
 from .ingest import (TimeSeries, apply_primary_filters, parse_sessions,
                      write_sessions)
 from .synth import SynthOptions, generate_corpus
-from .tail import SegmentPair, segment_session
+from .tail import REJECTION_CODES, SegmentPair, segment_corpus
 
 FAMILY_ALIASES = {"rf": "random-forest", "dt": "decision-tree", "knn": "knn",
                   "random-forest": "random-forest",
                   "decision-tree": "decision-tree"}
+ALL_FEATURES_HELP = f"features kept by selection (default: all {N_FEATURES})"
 
 
 class DomainError(RuntimeError):
@@ -105,37 +106,29 @@ def _cmd_extract(args, cfg: dict, manifest: RunManifest) -> None:
     tail_params = tail_params_from(cfg)
     manifest.start("extract")
     corpus = parse_sessions(args.sessions, "acn-json")
-    accepted, rejected = [], []
-    for session in corpus.sessions:
-        result = segment_session(session, filter_params, tail_params)
-        if isinstance(result, SegmentPair):
-            accepted.append(result)
-        else:
-            rejected.append((session.session_id, result.code, result.detail))
+    segments, rejected = segment_corpus(corpus, filter_params, tail_params)
     with open(args.out, "w", encoding="utf-8") as fh:
-        for seg in accepted:
+        for seg in segments:
             fh.write(json.dumps(_segment_to_record(seg)) + "\n")
     if args.rejects:
         with open(args.rejects, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(("session_id", "code", "detail"))
-            writer.writerows(rejected)
+            writer.writerows((sid, reason.code, reason.detail)
+                             for sid, reason in rejected)
     manifest.stop("extract")
-    manifest.counts["extract"] = {"accepted": len(accepted),
-                                  "rejected": len(rejected)}
+    manifest.counts["extract"] = {
+        "accepted": len(corpus) - len(rejected), "rejected": len(rejected),
+        "rejected_by_code": {code: sum(r.code == code for _, r in rejected)
+                             for code in REJECTION_CODES}}
 
 
 def _cmd_featurize(args, cfg: dict, manifest: RunManifest) -> None:
     manifest.add_input(args.segments)
     manifest.start("featurize")
-    vectors = []
     with open(args.segments, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                vectors.append(extract_features(_segment_from_record(json.loads(line))))
-    if not vectors:
-        raise DomainError("no segments to featurize")
-    matrix = matrix_from_vectors(vectors)
+        matrix = featurize_segments(_segment_from_record(json.loads(line))
+                                    for line in fh if line.strip())
     write_feature_csv(matrix, args.out)
     manifest.stop("featurize")
     manifest.counts["featurize"] = {"rows": matrix.n_rows,
@@ -197,7 +190,7 @@ def _cmd_experiment(args, cfg: dict, manifest: RunManifest) -> None:
                     np.random.SeedSequence([args.seed, n_evs, samples]))
                 reports.append(run_multiclass_suite(config, subset))
         cells = tuple(c for r in reports for c in r.cells)
-        report = ExperimentReport("fixed-grid", cells, summarize_cells(cells))
+        report = ExperimentReport(cells, summarize_cells(cells))
     else:  # distribution
         params = DistributionParams(n_evs=args.n_evs, bins=args.bins,
                                     per_bin=args.per_bin)
@@ -269,7 +262,7 @@ def _cmd_report(args, cfg: dict, manifest: RunManifest) -> None:
         _write_pivot(path, ["distribution", "classifier", "mean_accuracy",
                             "std_accuracy"], rows)
         written.append(path)
-    report = ExperimentReport("report", tuple(cells), summarize_cells(cells))
+    report = ExperimentReport(tuple(cells), summarize_cells(cells))
     write_summary_md(report, os.path.join(out, "summary.md"))
     written.append(os.path.join(out, "summary.md"))
     manifest.stop("report")
@@ -337,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", default="complete",
                    choices=["small", "medium", "large", "complete"])
     p.add_argument("--classifiers", default="rf,dt,knn")
-    p.add_argument("--nof", type=int, default=200)
+    p.add_argument("--nof", type=int, default=N_FEATURES, help=ALL_FEATURES_HELP)
     p.add_argument("--reps", type=int, default=5)
     p.add_argument("--out", required=True)
 
@@ -346,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--evs", default="50,100,150,200")
     p.add_argument("--samples", default="10,25,50,75")
     p.add_argument("--classifier", default="rf")
-    p.add_argument("--nof", type=int, default=200)
+    p.add_argument("--nof", type=int, default=N_FEATURES, help=ALL_FEATURES_HELP)
     p.add_argument("--reps", type=int, default=5)
     p.add_argument("--out", required=True)
 
@@ -354,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True)
     p.add_argument("--shape", required=True, choices=["normal", "uniform"])
     p.add_argument("--classifiers", default="rf,dt,knn")
-    p.add_argument("--nof", type=int, default=200)
+    p.add_argument("--nof", type=int, default=N_FEATURES, help=ALL_FEATURES_HELP)
     p.add_argument("--n-evs", type=int, default=119)
     p.add_argument("--bins", type=int, default=20)
     p.add_argument("--per-bin", type=int, default=6)

@@ -43,10 +43,6 @@ class DistributionError(ValueError):
     pass
 
 
-class AggregationError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class BalanceConfig:
     """Dataset imbalance knob for one-vs-all suites.
@@ -103,16 +99,6 @@ class ExperimentConfig:
             if fam not in DEFAULT_GRIDS:
                 raise ValueError(f"unknown classifier family {fam!r}")
 
-    def key(self) -> str:
-        doc = {"suite": self.suite, "families": list(self.families),
-               "nof": self.nof, "scorer": self.scorer,
-               "balance_mode": self.balance_mode,
-               "balance_values": list(self.balance_values),
-               "dataset_size": list(self.dataset_size)
-               if isinstance(self.dataset_size, tuple) else self.dataset_size,
-               "distribution": self.distribution}
-        return json.dumps(doc, sort_keys=True)
-
 
 @dataclass(frozen=True)
 class CellResult:
@@ -143,7 +129,6 @@ class SummaryRow:
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    config_key: str
     cells: tuple[CellResult, ...]
     summary: tuple[SummaryRow, ...]
 
@@ -437,7 +422,7 @@ def run_binary_suite(config: ExperimentConfig, features: FeatureMatrix,
     nested = _map_jobs(_binary_cell_job, jobs, features, config, audit,
                        config.workers)
     cells = tuple(cell for batch in nested for cell in batch)
-    return ExperimentReport(config.key(), cells, summarize_cells(cells))
+    return ExperimentReport(cells, summarize_cells(cells))
 
 
 def _multiclass_cell_job(job: tuple[dict, int]) -> list[CellResult]:
@@ -469,7 +454,7 @@ def run_multiclass_suite(config: ExperimentConfig, features: FeatureMatrix,
     nested = _map_jobs(_multiclass_cell_job, jobs, features, config, audit,
                        config.workers)
     cells = tuple(cell for batch in nested for cell in batch)
-    return ExperimentReport(config.key(), cells, summarize_cells(cells))
+    return ExperimentReport(cells, summarize_cells(cells))
 
 
 # ---------------------------------------------------------------------------
@@ -512,17 +497,6 @@ def summarize_cells(cells: Sequence[CellResult]) -> tuple[SummaryRow, ...]:
                                    float(np.std(rep_means)),
                                    len(rep_means), n_failed))
     return tuple(rows)
-
-
-def aggregate_reports(runs: Sequence[ExperimentReport]) -> ExperimentReport:
-    """Merge reports sharing a configuration key and re-aggregate."""
-    if not runs:
-        raise AggregationError("no runs to aggregate")
-    keys = {r.config_key for r in runs}
-    if len(keys) != 1:
-        raise AggregationError(f"mixed configuration keys: {sorted(keys)}")
-    cells = tuple(cell for r in runs for cell in r.cells)
-    return ExperimentReport(runs[0].config_key, cells, summarize_cells(cells))
 
 
 # ---------------------------------------------------------------------------

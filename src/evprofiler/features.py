@@ -13,11 +13,11 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .tail import SegmentPair
+from .tail import SegmentPair, segment_corpus
 
 
 def _diffs(x: np.ndarray) -> np.ndarray:
@@ -352,24 +352,18 @@ def matrix_from_vectors(vectors: Sequence[FeatureVector]) -> FeatureMatrix:
         np.array([v.values for v in vectors]).reshape(len(vectors), N_FEATURES))
 
 
-def featurize_corpus(corpus, filter_params=None, tail_params=None):
-    """Segment every session and extract features; returns (matrix, rejects).
-
-    Rejects are (session_id, RejectionReason) pairs for sessions that failed
-    tail extraction or validation.
-    """
-    from .tail import segment_session
-
-    vectors, rejects = [], []
-    for session in corpus.sessions:
-        result = segment_session(session, filter_params, tail_params)
-        if isinstance(result, SegmentPair):
-            vectors.append(extract_features(result))
-        else:
-            rejects.append((session.session_id, result))
+def featurize_segments(segments: Iterable[SegmentPair]) -> FeatureMatrix:
+    """Feature matrix over segment pairs, one row per pair in input order."""
+    vectors = [extract_features(seg) for seg in segments]
     if not vectors:
-        raise ValueError("no sessions survived segmentation")
-    return matrix_from_vectors(vectors), rejects
+        raise ValueError("no segments to featurize")
+    return matrix_from_vectors(vectors)
+
+
+def featurize_corpus(corpus, filter_params=None, tail_params=None):
+    """Segment and featurize a corpus; returns (matrix, segment_corpus rejects)."""
+    segments, rejects = segment_corpus(corpus, filter_params, tail_params)
+    return featurize_segments(segments), rejects
 
 
 def write_feature_csv(matrix: FeatureMatrix, path: str) -> None:
@@ -496,7 +490,6 @@ class SelectionModel:
     selected_idx: tuple[int, ...]
     scaler: MinMaxScaler
     scorer: str
-    scores: np.ndarray
 
     def transform(self, matrix: FeatureMatrix) -> FeatureMatrix:
         source = apply_minmax(matrix, self.scaler) if self.scorer == "chi2" else matrix
@@ -529,4 +522,4 @@ def fit_selection(train: FeatureMatrix, labels: Sequence[str],
         scores = anova_f_scores(train, labels)
     idx = select_k_best(scores, config.nof, train.names)
     return SelectionModel(tuple(train.names[i] for i in idx), idx,
-                          scaler, config.scorer, scores)
+                          scaler, config.scorer)

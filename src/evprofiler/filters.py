@@ -95,25 +95,15 @@ def low_pass_values(values: np.ndarray, alpha: float) -> np.ndarray:
     return out
 
 
-def moving_average(series: TimeSeries, n: int) -> TimeSeries:
-    return TimeSeries(moving_average_values(series.values, n), series.sample_period)
-
-
-def moving_median(series: TimeSeries, n: int) -> TimeSeries:
-    return TimeSeries(moving_median_values(series.values, n), series.sample_period)
-
-
-def low_pass(series: TimeSeries, alpha: float) -> TimeSeries:
-    return TimeSeries(low_pass_values(series.values, alpha), series.sample_period)
-
-
 def smooth_current(series: TimeSeries, params: FilterParams) -> TimeSeries:
     """Apply the configured current filter (moving average on the default path)."""
     if params.kind == "moving-average":
-        return moving_average(series, params.window)
-    if params.kind == "moving-median":
-        return moving_median(series, params.window)
-    return low_pass(series, params.low_pass_alpha)
+        values = moving_average_values(series.values, params.window)
+    elif params.kind == "moving-median":
+        values = moving_median_values(series.values, params.window)
+    else:
+        values = low_pass_values(series.values, params.low_pass_alpha)
+    return TimeSeries(values, series.sample_period)
 
 
 def delta_series_values(pilot: np.ndarray, current: np.ndarray, n: int,
@@ -134,8 +124,3 @@ def delta_series_values(pilot: np.ndarray, current: np.ndarray, n: int,
     med = moving_median_values(current, n)
     return pilot[:cc_end] - med[:cc_end]
 
-
-def delta_series(pilot: TimeSeries, current: TimeSeries, n: int,
-                 cc_end: int) -> TimeSeries:
-    values = delta_series_values(pilot.values, current.values, n, cc_end)
-    return TimeSeries(values, pilot.sample_period)

@@ -1,4 +1,4 @@
-"""Charging-session corpus loading, admission filters, and composition summary.
+"""Charging-session corpus loading and admission filters.
 
 Two on-disk formats are supported:
 
@@ -17,7 +17,8 @@ import csv
 import io
 import json
 import os
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 import numpy as np
@@ -92,9 +93,9 @@ class Corpus:
 
     def __post_init__(self):
         sessions = tuple(self.sessions)
-        ids = [s.session_id for s in sessions]
-        if len(set(ids)) != len(ids):
-            dup = sorted({i for i in ids if ids.count(i) > 1})
+        counts = Counter(s.session_id for s in sessions)
+        if len(counts) != len(sessions):
+            dup = sorted(i for i, n in counts.items() if n > 1)
             raise ParseError(f"duplicate session_id(s): {dup[:5]}")
         object.__setattr__(self, "sessions", sessions)
 
@@ -264,35 +265,3 @@ def apply_primary_filters(corpus: Corpus, min_points: int = 100,
         counts[s.ev_label] = counts.get(s.ev_label, 0) + 1
     kept = tuple(s for s in long_enough if counts[s.ev_label] >= min_sessions)
     return Corpus(kept, corpus.provenance)
-
-
-@dataclass(frozen=True)
-class CorpusSummary:
-    bin_width: int
-    bins: tuple[tuple[int, int, int], ...]  # (lo, hi, ev_count) half-open bins
-    n_sessions: int
-    n_evs: int
-    mean_sessions_per_ev: float
-
-
-def dataset_summary(corpus: Corpus, bin_width: int) -> CorpusSummary:
-    """Histogram of EVs per sessions-per-EV bin, with corpus totals."""
-    if bin_width <= 0:
-        raise ValueError("bin_width must be positive")
-    per_ev = corpus.by_label()
-    counts = [len(v) for v in per_ev.values()]
-    n_evs = len(counts)
-    if n_evs == 0:
-        return CorpusSummary(bin_width, (), 0, 0, 0.0)
-    top = max(counts)
-    n_bins = top // bin_width + 1
-    hist = [0] * n_bins
-    for c in counts:
-        hist[c // bin_width] += 1
-    bins = tuple((i * bin_width, (i + 1) * bin_width, hist[i]) for i in range(n_bins))
-    return CorpusSummary(bin_width, bins, sum(counts), n_evs,
-                         sum(counts) / n_evs)
-
-
-def relabel(session: ChargingSession, label: Optional[str]) -> ChargingSession:
-    return replace(session, ev_label=label)

@@ -11,10 +11,9 @@ per criterion, one distance matrix per metric) with unchanged scores.
 from __future__ import annotations
 
 import itertools
-import json
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -69,9 +68,6 @@ class ClassifierSpec:
                 raise ValueError("max_depth must be None or >= 1")
             if self.family == "random-forest" and hp.get("n_estimators", 10) < 1:
                 raise ValueError("n_estimators must be >= 1")
-
-    def key(self) -> str:
-        return json.dumps({"family": self.family, **self.hyperparameters}, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -243,11 +239,11 @@ class TrainedModel:
     knn_y: Optional[np.ndarray] = None
     tree: Optional[_TreeNode] = None
     forest: Optional[list] = None
-    selection: Optional[object] = None  # features.SelectionModel, when bundled
 
 
 def train(spec: ClassifierSpec, x: np.ndarray, labels: Sequence[str],
-          seed: int = 0, rf_max_features: Union[str, None] = "sqrt") -> TrainedModel:
+          seed: int = 0) -> TrainedModel:
+    """Fit one classifier; a forest's trees see ceil(sqrt(d)) features per split."""
     x = np.asarray(x, dtype=np.float64)
     labels = list(labels)
     if x.ndim != 2 or x.shape[0] != len(labels) or x.shape[0] == 0:
@@ -269,9 +265,7 @@ def train(spec: ClassifierSpec, x: np.ndarray, labels: Sequence[str],
                                 hp.get("max_depth"), None, None)
     else:
         n_estimators = hp.get("n_estimators", 10)
-        n_candidates = None
-        if rf_max_features == "sqrt":
-            n_candidates = int(np.ceil(np.sqrt(x.shape[1])))
+        n_candidates = int(np.ceil(np.sqrt(x.shape[1])))
         seeds = np.random.SeedSequence(seed).spawn(n_estimators)
         model.forest = []
         for tree_seed in seeds:
@@ -431,17 +425,6 @@ class MetricsReport:
     f1: dict
     macro_f1: float
     positive_f1: Optional[float] = None
-
-
-def evaluate(model: TrainedModel, x_test: np.ndarray, y_test: Sequence[str],
-             mode: str = "multiclass",
-             positive_label: Optional[str] = None) -> MetricsReport:
-    if len(y_test) == 0:
-        raise ValueError("test set must be non-empty")
-    if mode not in ("binary", "multiclass"):
-        raise ValueError(f"unknown mode {mode!r}")
-    predicted = predict(model, np.asarray(x_test, dtype=np.float64))
-    return score_predictions(list(y_test), list(predicted), mode, positive_label)
 
 
 def score_predictions(y_true: Sequence[str], y_pred: Sequence[str],
@@ -639,78 +622,3 @@ def grid_search(family: str, grid: dict, x: np.ndarray, labels: Sequence[str],
     model = train(best_spec, x, labels, seed)
     table = tuple(cell for spec_cells in cells for cell in spec_cells)
     return GridSearchResult(best_spec, model, best_mean, table)
-
-
-def write_cv_table(result: GridSearchResult, path: str) -> None:
-    """CV table as CSV: family,params,fold,score."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("family,params,fold,score\n")
-        for cell in result.table:
-            params = json.dumps(cell.spec.hyperparameters, sort_keys=True)
-            fh.write(f'{cell.spec.family},"{params}",{cell.fold},'
-                     f'{repr(cell.score)}\n')
-
-
-# ---------------------------------------------------------------------------
-# persistence
-
-def _node_to_dict(node: _TreeNode) -> dict:
-    if node.feature == _LEAF:
-        return {"label": node.label}
-    return {"feature": node.feature, "threshold": node.threshold,
-            "left": _node_to_dict(node.left), "right": _node_to_dict(node.right)}
-
-
-def _node_from_dict(doc: dict) -> _TreeNode:
-    if "feature" not in doc:
-        return _TreeNode(label=doc["label"])
-    return _TreeNode(feature=doc["feature"], threshold=doc["threshold"],
-                     left=_node_from_dict(doc["left"]),
-                     right=_node_from_dict(doc["right"]))
-
-
-def model_to_document(model: TrainedModel) -> dict:
-    doc = {
-        "family": model.spec.family,
-        "hyperparameters": model.spec.hyperparameters,
-        "classes": list(model.classes),
-        "seed": model.seed,
-    }
-    if model.knn_x is not None:
-        doc["neighbors"] = {"x": model.knn_x.tolist(),
-                            "y": model.knn_y.tolist()}
-    if model.tree is not None:
-        doc["tree"] = _node_to_dict(model.tree)
-    if model.forest is not None:
-        doc["forest"] = [_node_to_dict(t) for t in model.forest]
-    if model.selection is not None:
-        sel = model.selection
-        doc["selection"] = {
-            "names": list(sel.selected_names),
-            "indices": list(sel.selected_idx),
-            "scaler_low": sel.scaler.low.tolist(),
-            "scaler_high": sel.scaler.high.tolist(),
-            "scorer": sel.scorer,
-        }
-    return doc
-
-
-def model_from_document(doc: dict) -> TrainedModel:
-    from .features import MinMaxScaler, SelectionModel
-
-    spec = ClassifierSpec(doc["family"], dict(doc["hyperparameters"]))
-    model = TrainedModel(spec=spec, classes=tuple(doc["classes"]), seed=doc["seed"])
-    if "neighbors" in doc:
-        model.knn_x = np.array(doc["neighbors"]["x"], dtype=np.float64)
-        model.knn_y = np.array(doc["neighbors"]["y"], dtype=np.int64)
-    if "tree" in doc:
-        model.tree = _node_from_dict(doc["tree"])
-    if "forest" in doc:
-        model.forest = [_node_from_dict(t) for t in doc["forest"]]
-    if "selection" in doc:
-        sel = doc["selection"]
-        model.selection = SelectionModel(
-            tuple(sel["names"]), tuple(sel["indices"]),
-            MinMaxScaler(np.array(sel["scaler_low"]), np.array(sel["scaler_high"])),
-            sel["scorer"], np.zeros(len(sel["scaler_low"])))
-    return model

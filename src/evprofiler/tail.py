@@ -10,12 +10,12 @@ phase for the delta series.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
 from .filters import FilterParams, delta_series_values, smooth_current
-from .ingest import ChargingSession, TimeSeries
+from .ingest import ChargingSession, Corpus, TimeSeries
 
 REJECTION_CODES = (
     "no-zero-anchor", "tail-too-short", "tail-too-long",
@@ -191,3 +191,26 @@ def segment_session(session: ChargingSession,
         t_start=t_start,
         t_s=t_s,
     )
+
+
+def segment_corpus(corpus: Corpus,
+                   filter_params: Optional[FilterParams] = None,
+                   tail_params: Optional[TailParams] = None,
+                   ) -> tuple[Iterator[SegmentPair], list[tuple[str, RejectionReason]]]:
+    """Segment every session in corpus order; returns (segments, rejects).
+
+    ``segments`` is a one-pass iterator, so callers need not hold every
+    segment at once. ``rejects`` gets a (session_id, RejectionReason) pair per session
+    that fails, and is complete once ``segments`` is exhausted.
+    """
+    rejects: list[tuple[str, RejectionReason]] = []
+
+    def accepted() -> Iterator[SegmentPair]:
+        for session in corpus.sessions:
+            result = segment_session(session, filter_params, tail_params)
+            if isinstance(result, SegmentPair):
+                yield result
+            else:
+                rejects.append((session.session_id, result))
+
+    return accepted(), rejects

@@ -88,6 +88,29 @@ class TestStages:
         assert [r[0] for r in rows[1:]] == ids
         assert all(len(r) == 3 for r in rows)
 
+    def test_extract_manifest_counts_rejections_per_code(self, tmp_path):
+        import csv
+        from collections import Counter
+
+        from evprofiler.tail import REJECTION_CODES
+
+        raw = str(tmp_path / "raw.jsonl")
+        rejects = str(tmp_path / "out" / "rejects.csv")
+        assert run_cli("synth", "--evs", "2", "--sessions", "8", "--seed", "3",
+                       "--truncate-prob", "0.5", "--out", raw) == 0
+        os.makedirs(os.path.dirname(rejects))
+        assert run_cli("extract", "--sessions", raw, "--out",
+                       str(tmp_path / "out" / "seg.jsonl"),
+                       "--rejects", rejects) == 0
+        counts = json.load(open(tmp_path / "out" / "manifest.json"))["counts"]["extract"]
+        by_code = counts["rejected_by_code"]
+        assert counts["rejected"] > 0
+        assert set(by_code) <= set(REJECTION_CODES)
+        assert sum(by_code.values()) == counts["rejected"]
+        with open(rejects, newline="", encoding="utf-8") as fh:
+            written = Counter(row["code"] for row in csv.DictReader(fh))
+        assert {c: n for c, n in by_code.items() if n} == dict(written)
+
     def test_featurize_writes_matrix(self, pipeline):
         header = open(pipeline["features"]).readline().strip().split(",")
         assert header[:2] == ["session_id", "ev_label"]
@@ -103,6 +126,16 @@ class TestStages:
         pivot = open(os.path.join(out, "f1_vs_balance.csv")).read().splitlines()
         assert pivot[0] == "balance_mode,balance_value,classifier,mean_f1,std_f1"
         assert len(pivot) == 2
+
+    def test_multiclass_default_nof_keeps_every_column_without_warning(
+            self, pipeline, tmp_path):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("experiment", "multiclass", "--features",
+                           pipeline["features"], "--classifiers", "dt",
+                           "--reps", "1", "--out", str(tmp_path / "exp")) == 0
 
     def test_report_without_cells_fails(self, tmp_path):
         assert run_cli("report", "--in", str(tmp_path)) == 1

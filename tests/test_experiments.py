@@ -4,11 +4,9 @@ aggregation math, leakage audit, and determinism across worker counts."""
 import numpy as np
 import pytest
 
-from evprofiler.experiments import (AggregationError, BalanceConfig,
-                                    BalanceError, CellResult,
+from evprofiler.experiments import (BalanceConfig, BalanceError, CellResult,
                                     DistributionError, DistributionParams,
-                                    ExperimentConfig, ExperimentReport,
-                                    SubsampleError, aggregate_reports,
+                                    ExperimentConfig, SubsampleError,
                                     build_binary_dataset, run_binary_suite,
                                     run_multiclass_suite,
                                     subsample_distribution,
@@ -279,22 +277,3 @@ class TestAggregation:
         acc = next(r for r in summarize_cells(cells) if r.metric == "accuracy")
         assert acc.mean == pytest.approx(0.8)
         assert acc.n_failed == 1
-
-    def test_aggregate_reports_merges_same_key(self):
-        r1 = ExperimentReport("k", (self.cell(0.8, rep=0),),
-                              summarize_cells([self.cell(0.8, rep=0)]))
-        r2 = ExperimentReport("k", (self.cell(0.9, rep=1),),
-                              summarize_cells([self.cell(0.9, rep=1)]))
-        merged = aggregate_reports([r1, r2])
-        acc = next(r for r in merged.summary if r.metric == "accuracy")
-        assert acc.mean == pytest.approx(0.85)
-
-    def test_mixed_keys_is_error(self):
-        r1 = ExperimentReport("k1", (), ())
-        r2 = ExperimentReport("k2", (), ())
-        with pytest.raises(AggregationError):
-            aggregate_reports([r1, r2])
-
-    def test_empty_is_error(self):
-        with pytest.raises(AggregationError):
-            aggregate_reports([])

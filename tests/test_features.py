@@ -10,7 +10,8 @@ import pytest
 from evprofiler.features import (CATALOG, FEATURE_NAMES, FeatureMatrix,
                                  SelectionConfig, SelectionError,
                                  anova_f_scores, apply_minmax, chi2_scores,
-                                 extract_features, fit_minmax, fit_selection,
+                                 extract_features, featurize_segments,
+                                 fit_minmax, fit_selection,
                                  matrix_from_vectors, read_feature_csv,
                                  select_k_best, series_features,
                                  write_feature_csv)
@@ -71,6 +72,17 @@ class TestCatalog:
         vec = extract_features(segment)
         assert vec.values.shape == (134,)
         assert np.all(np.isfinite(vec.values))
+
+    def test_featurize_segments_keeps_input_order(self):
+        segments = [SegmentPair(f"S{i}", "EV", TimeSeries(np.full(30, 4.0 + i)),
+                                TimeSeries(np.arange(1.0, 41.0)), 40, 70)
+                    for i in range(3)]
+        matrix = featurize_segments(iter(segments))
+        assert matrix.session_ids == ("S0", "S1", "S2")
+        np.testing.assert_array_equal(matrix.x[1],
+                                      extract_features(segments[1]).values)
+        with pytest.raises(ValueError, match="no segments"):
+            featurize_segments([])
 
     def test_known_values_spot_checks(self):
         assert feature([3, 1, 2], "median") == 2.0

@@ -3,8 +3,8 @@ replaced.
 
 ``oracle_grid_search`` fits every grid combination on every fold on its own
 and predicts with the per-row kNN vote and the tree-by-tree forest vote. The
-shared search must give the same CV table bytes, the same chosen spec and the
-same refitted model.
+shared search must give the same CV table, the same chosen spec and the
+same refitted model, compared through ``model_document``.
 """
 
 import json
@@ -16,9 +16,33 @@ import pytest
 import evprofiler.learn as learn
 from evprofiler.learn import (DEFAULT_GRIDS, ClassifierSpec, CvCell,
                               GridSearchResult, TrainingError, expand_grid,
-                              grid_search, model_to_document, predict,
-                              score_predictions, stratified_kfold, train,
-                              write_cv_table)
+                              grid_search, predict, score_predictions,
+                              stratified_kfold, train)
+
+
+# ---------------------------------------------------------------------------
+# structural model document
+
+def _node_document(node):
+    if node.feature == learn._LEAF:
+        return {"label": node.label}
+    return {"feature": node.feature, "threshold": node.threshold,
+            "left": _node_document(node.left), "right": _node_document(node.right)}
+
+
+def model_document(model):
+    """JSON-ready dump of everything a trained model holds; models with
+    equal documents predict alike on every input."""
+    doc = {"family": model.spec.family,
+           "hyperparameters": model.spec.hyperparameters,
+           "classes": list(model.classes), "seed": model.seed}
+    if model.knn_x is not None:
+        doc["neighbors"] = {"x": model.knn_x.tolist(), "y": model.knn_y.tolist()}
+    if model.tree is not None:
+        doc["tree"] = _node_document(model.tree)
+    if model.forest is not None:
+        doc["forest"] = [_node_document(t) for t in model.forest]
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -128,17 +152,14 @@ def with_duplicates(seed=0):
     return x, labels
 
 
-def assert_same_search(tmp_path, family, grid, x, labels, **kwargs):
+def assert_same_search(family, grid, x, labels, **kwargs):
     got = grid_search(family, grid, x, labels, **kwargs)
     want = oracle_grid_search(family, grid, x, labels, **kwargs)
-    write_cv_table(got, str(tmp_path / "got.csv"))
-    write_cv_table(want, str(tmp_path / "want.csv"))
-    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
     assert got.table == want.table
     assert got.best_spec == want.best_spec
     assert got.best_score == want.best_score
-    assert (json.dumps(model_to_document(got.model), sort_keys=True)
-            == json.dumps(model_to_document(want.model), sort_keys=True))
+    assert (json.dumps(model_document(got.model), sort_keys=True)
+            == json.dumps(model_document(want.model), sort_keys=True))
     return got
 
 
@@ -151,9 +172,9 @@ SCORINGS = [("accuracy", {}),
 
 @pytest.mark.parametrize("family", ["knn", "decision-tree", "random-forest"])
 @pytest.mark.parametrize("scoring,extra", SCORINGS)
-def test_default_grids_match_oracle(tmp_path, family, scoring, extra):
+def test_default_grids_match_oracle(family, scoring, extra):
     x, labels = overlapping(seed=1) if scoring == "accuracy" else binary(seed=2)
-    result = assert_same_search(tmp_path, family, DEFAULT_GRIDS[family], x,
+    result = assert_same_search(family, DEFAULT_GRIDS[family], x,
                                 labels, scoring=scoring, seed=3, **extra)
     scores = {cell.score for cell in result.table}
     assert len(scores) > 1  # the data tells combinations apart
@@ -183,17 +204,17 @@ AWKWARD_GRIDS = [
 
 
 @pytest.mark.parametrize("family,grid", AWKWARD_GRIDS)
-def test_awkward_grids_match_oracle(tmp_path, family, grid):
+def test_awkward_grids_match_oracle(family, grid):
     x, labels = overlapping(n_per_class=9, seed=4)
-    assert_same_search(tmp_path, family, grid, x, labels, seed=5)
+    assert_same_search(family, grid, x, labels, seed=5)
 
 
 @pytest.mark.parametrize("metric", ["euclidean", "manhattan", "cosine"])
-def test_exact_zero_distances_match_oracle(tmp_path, metric):
+def test_exact_zero_distances_match_oracle(metric):
     x, labels = with_duplicates(seed=6)
     grid = {"n_neighbors": [1, 2, 3, 5, 9], "metric": [metric],
             "weights": ["distance", "uniform"]}
-    assert_same_search(tmp_path, "knn", grid, x, labels, seed=7)
+    assert_same_search("knn", grid, x, labels, seed=7)
 
 
 @pytest.mark.parametrize("family,hp", [
@@ -223,7 +244,7 @@ def test_depth_capped_prediction_equals_capped_tree(depth, criterion):
                                   learn._tree_predict(capped.tree, probe))
 
 
-def test_failed_criterion_scores_neg_inf_and_other_wins(tmp_path, monkeypatch):
+def test_failed_criterion_scores_neg_inf_and_other_wins(monkeypatch):
     original = learn.train
 
     def no_gini(spec, *args, **kwargs):
@@ -233,7 +254,7 @@ def test_failed_criterion_scores_neg_inf_and_other_wins(tmp_path, monkeypatch):
 
     monkeypatch.setattr(learn, "train", no_gini)
     x, labels = overlapping(seed=13)
-    result = assert_same_search(tmp_path, "decision-tree",
+    result = assert_same_search("decision-tree",
                                 DEFAULT_GRIDS["decision-tree"], x, labels)
     gini = [c for c in result.table if c.spec.hyperparameters["criterion"] == "gini"]
     assert len(gini) == 4  # one failed fold per combination, later folds skipped

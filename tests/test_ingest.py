@@ -1,4 +1,4 @@
-"""Ingestion tests: parsing rules, admission filters, summary, round-trips."""
+"""Ingestion tests: parsing rules, admission filters, round-trips."""
 
 import json
 
@@ -7,7 +7,7 @@ import pytest
 
 from evprofiler.ingest import (ChargingSession, Corpus, ParseError,
                                Provenance, TimeSeries, apply_primary_filters,
-                               dataset_summary, parse_sessions, write_sessions)
+                               parse_sessions, write_sessions)
 
 
 def record(sid="S1", user="EV7", points=120, period=4.0, **overrides):
@@ -65,6 +65,14 @@ class TestParseSessions:
         text = jsonl(record(sid="S1"), record(sid="S1"))
         with pytest.raises(ParseError):
             parse_sessions(text, "acn-json")
+        # more than five duplicated ids, given out of order: the message
+        # lists the first five in sorted order
+        sids = ["S7", "S3", "S9", "S1", "S5", "S3", "S2", "S8", "S1", "S9",
+                "S6", "S5", "S7", "S4", "S2", "S8", "S6", "S7"]
+        with pytest.raises(ParseError) as info:
+            parse_sessions(jsonl(*(record(sid=s) for s in sids)), "acn-json")
+        assert str(info.value) == \
+            "duplicate session_id(s): ['S1', 'S2', 'S3', 'S5', 'S6']"
 
     def test_negative_current_clamped(self):
         rec = record(chargingCurrent=[1.0, -0.5, 2.0] + [3.0] * 117)
@@ -171,38 +179,3 @@ class TestPrimaryFilters:
             twice = apply_primary_filters(once)
             assert [s.session_id for s in once.sessions] == \
                 [s.session_id for s in twice.sessions]
-
-
-class TestDatasetSummary:
-    def test_hand_binned_example(self):
-        sessions = []
-        for ev, count in (("A", 5), ("B", 7), ("C", 30)):
-            sessions += [session(f"{ev}{i}", ev) for i in range(count)]
-        summary = dataset_summary(Corpus(tuple(sessions)), 25)
-        assert summary.bins[0][2] == 2 and summary.bins[1][2] == 1
-        assert summary.mean_sessions_per_ev == 14
-        assert summary.n_sessions == 42
-
-    def test_empty_corpus(self):
-        summary = dataset_summary(Corpus(()), 10)
-        assert summary.n_evs == 0 and summary.n_sessions == 0
-
-    def test_single_ev_mean(self):
-        corpus = Corpus(tuple(session(f"E{i}", "E") for i in range(50)))
-        assert dataset_summary(corpus, 25).mean_sessions_per_ev == 50
-
-    def test_totals_match_direct_counts(self):
-        rng = np.random.default_rng(123)
-        for trial in range(100):
-            sessions = []
-            for ev in range(int(rng.integers(1, 8))):
-                for k in range(int(rng.integers(1, 12))):
-                    sessions.append(session(f"U{trial}-{ev}-{k}", f"EV{ev}"))
-            corpus = Corpus(tuple(sessions))
-            summary = dataset_summary(corpus, int(rng.integers(1, 10)))
-            assert sum(b[2] for b in summary.bins) == summary.n_evs
-            assert summary.n_sessions == len(sessions)
-
-    def test_zero_bin_width(self):
-        with pytest.raises(ValueError):
-            dataset_summary(Corpus(()), 0)

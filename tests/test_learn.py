@@ -1,16 +1,16 @@
 """Classifier, split, grid-search, and metrics tests."""
 
-import json
 import warnings
 
 import numpy as np
 import pytest
 
 from evprofiler.learn import (DEFAULT_GRIDS, ClassifierSpec, SplitError,
-                              TrainingError, evaluate, expand_grid,
-                              grid_search, model_from_document,
-                              model_to_document, predict, score_predictions,
-                              stratified_kfold, stratified_split, train)
+                              TrainingError, expand_grid, grid_search,
+                              predict, score_predictions, stratified_kfold,
+                              stratified_split, train)
+
+from test_grid_sharing import model_document
 
 
 def column(values):
@@ -129,20 +129,23 @@ class TestRandomForest:
         spec = ClassifierSpec("random-forest", {"n_estimators": 5})
         m1 = train(spec, x, y, seed=1)
         m2 = train(spec, x, y, seed=2)
-        assert (model_to_document(m1)["forest"] != model_to_document(m2)["forest"])
+        assert model_document(m1)["forest"] != model_document(m2)["forest"]
 
     def test_single_tree_full_features_equals_tree_on_bootstrap(self):
+        # with 2 columns, ceil(sqrt(2)) = 2 candidates already cover every
+        # feature, so the forest draws nothing from its RNG after the rows
         rng = np.random.default_rng(5)
-        x = rng.normal(0, 1, (50, 4))
-        y = ["A" if v[0] > 0 else "B" for v in x]
+        x = rng.normal(0, 1, (50, 2))
+        y = ["A" if v[0] + 0.5 * v[1] > 0 else "B" for v in x]
         seed = 7
         forest = train(ClassifierSpec("random-forest", {"n_estimators": 1}),
-                       x, y, seed=seed, rf_max_features=None)
+                       x, y, seed=seed)
         tree_seed = np.random.SeedSequence(seed).spawn(1)[0]
         rows = np.random.default_rng(tree_seed).integers(0, 50, size=50)
         tree = train(ClassifierSpec("decision-tree"),
                      x[rows], [y[i] for i in rows], seed=seed)
-        probe = rng.normal(0, 1, (40, 4))
+        assert model_document(forest)["forest"][0] == model_document(tree)["tree"]
+        probe = rng.normal(0, 1, (40, 2))
         np.testing.assert_array_equal(predict(forest, probe),
                                       predict(tree, probe))
 
@@ -284,21 +287,20 @@ class TestGridSearch:
         assert result.best_spec.hyperparameters["n_neighbors"] == 1
         member_means = {}
         for cell in result.table:
-            member_means.setdefault(cell.spec.key(), []).append(cell.score)
+            member_means.setdefault(repr(cell.spec), []).append(cell.score)
         for scores in member_means.values():
             assert result.best_score >= np.mean(scores) - 1e-12
 
     def test_full_knn_grid_has_42_combinations(self):
         specs = expand_grid("knn", DEFAULT_GRIDS["knn"])
         assert len(specs) == 42
-        assert len({s.key() for s in specs}) == 42
+        assert len({repr(s) for s in specs}) == 42
 
     def test_best_spec_always_inside_grid(self):
         x, y = self._blobs(seed=2)
         grid = {"criterion": ["gini", "entropy"], "max_depth": [None, 6]}
         result = grid_search("decision-tree", grid, x, y, seed=2)
-        assert result.best_spec.key() in {s.key() for s in expand_grid(
-            "decision-tree", grid)}
+        assert result.best_spec in expand_grid("decision-tree", grid)
 
     def test_failed_combination_scores_neg_inf_not_abort(self, monkeypatch):
         x, y = self._blobs()
@@ -322,48 +324,12 @@ class TestGridSearch:
 
 
 class TestCvTable:
-    def test_csv_shape(self, tmp_path):
+    def test_table_shape(self):
         rng = np.random.default_rng(12)
         x = rng.normal(0, 1, (30, 3))
         x[:15, 0] += 4.0
         y = ["A"] * 15 + ["B"] * 15
         result = grid_search("decision-tree", {"max_depth": [6, 10]}, x, y)
-        from evprofiler.learn import write_cv_table
-        path = tmp_path / "cv.csv"
-        write_cv_table(result, str(path))
-        lines = path.read_text().splitlines()
-        assert lines[0] == "family,params,fold,score"
-        assert len(lines) == 1 + 2 * 5  # 2 combos x 5 folds
-
-
-class TestEvaluateApi:
-    def test_evaluate_end_to_end(self):
-        x = column([0.0, 1.0, 10.0, 11.0, 0.5, 10.5])
-        y = ["A", "A", "B", "B", "A", "B"]
-        model = train(ClassifierSpec("decision-tree"), x[:4], y[:4])
-        report = evaluate(model, x[4:], y[4:])
-        assert report.accuracy == 1.0
-
-    def test_empty_test_is_error(self):
-        x = column([0.0, 10.0])
-        model = train(ClassifierSpec("knn", {"n_neighbors": 1}), x, ["A", "B"])
-        with pytest.raises(ValueError):
-            evaluate(model, np.zeros((0, 1)), [])
-
-
-class TestPersistence:
-    @pytest.mark.parametrize("family,hp", [
-        ("knn", {"n_neighbors": 3, "metric": "manhattan"}),
-        ("decision-tree", {"max_depth": 6}),
-        ("random-forest", {"n_estimators": 5}),
-    ])
-    def test_document_round_trip_preserves_predictions(self, family, hp):
-        rng = np.random.default_rng(11)
-        x = rng.normal(0, 1, (50, 6))
-        y = ["A" if v[0] > 0 else ("B" if v[1] > 0 else "C") for v in x]
-        model = train(ClassifierSpec(family, hp), x, y, seed=3)
-        doc = json.loads(json.dumps(model_to_document(model)))
-        back = model_from_document(doc)
-        probe = rng.normal(0, 1, (30, 6))
-        np.testing.assert_array_equal(predict(model, probe),
-                                      predict(back, probe))
+        assert len(result.table) == 2 * 5  # 2 combos x 5 folds
+        assert [(c.spec.hyperparameters["max_depth"], c.fold)
+                for c in result.table] == [(d, f) for d in (6, 10) for f in range(5)]

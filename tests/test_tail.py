@@ -9,8 +9,8 @@ from evprofiler.ingest import TimeSeries
 from evprofiler.synth import (SynthOptions, generate_corpus,
                               generate_signature, planted_boundaries)
 from evprofiler.tail import (RejectionReason, SegmentPair, TailParams,
-                             extract_tail, find_zero_anchor, segment_session,
-                             validate_segments)
+                             extract_tail, find_zero_anchor, segment_corpus,
+                             segment_session, validate_segments)
 
 
 def params(**overrides):
@@ -164,6 +164,21 @@ class TestSegmentSession:
             # terminal region of the smoothed current is near zero
             smoothed = smooth_current(s.current, FilterParams())
             assert np.all(smoothed.values[got.t_s:] <= tp.zero_eps + 1e-9)
+
+
+class TestSegmentCorpus:
+    def test_same_outcomes_as_segment_session_in_corpus_order(self):
+        corpus = generate_corpus(3, 4, seed=21,
+                                 options=SynthOptions(truncate_prob=0.5))
+        want = [(s.session_id, segment_session(s)) for s in corpus.sessions]
+        segments, rejects = segment_corpus(corpus)
+        assert rejects == []  # filled only as segments are consumed
+        got = [(seg.session_id, seg.t_start, seg.t_s) for seg in segments]
+        assert got == [(sid, r.t_start, r.t_s) for sid, r in want
+                       if isinstance(r, SegmentPair)]
+        assert rejects == [(sid, r) for sid, r in want
+                           if isinstance(r, RejectionReason)]
+        assert got and rejects
 
 
 class TestPlantedBoundaryRecovery:
