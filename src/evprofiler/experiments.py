@@ -203,6 +203,18 @@ def _count_strata(counts: dict[str, int], n_strata: int = 4) -> list[list[str]]:
     return strata
 
 
+def _trim_to_targets(by_label: dict[str, list[int]],
+                     matched: Sequence[tuple[str, int]], rng) -> list[int]:
+    """Rows of each (EV, target) pair in order, each EV trimmed to ``target``
+    rows drawn without replacement and kept in row order."""
+    rows: list[int] = []
+    for ev, target in matched:
+        ev_rows = np.array(by_label[ev])
+        take = rng.choice(ev_rows.size, size=target, replace=False)
+        rows.extend(int(ev_rows[j]) for j in sorted(take))
+    return rows
+
+
 def subsample_multiclass(features: FeatureMatrix,
                          size: Union[str, tuple[int, int]],
                          seed) -> FeatureMatrix:
@@ -240,12 +252,8 @@ def subsample_multiclass(features: FeatureMatrix,
             f"{n_evs} EVs with >= {samples_per_ev} rows requested, "
             f"only {len(eligible)} available")
     picks = rng.choice(len(eligible), size=n_evs, replace=False)
-    rows: list[int] = []
-    for i in sorted(picks):
-        ev_rows = np.array(by_label[eligible[i]])
-        take = rng.choice(ev_rows.size, size=samples_per_ev, replace=False)
-        rows.extend(int(ev_rows[j]) for j in sorted(take))
-    return features.take(rows)
+    matched = [(eligible[i], samples_per_ev) for i in sorted(picks)]
+    return features.take(_trim_to_targets(by_label, matched, rng))
 
 
 def subsample_distribution(features: FeatureMatrix, shape: str,
@@ -281,12 +289,7 @@ def subsample_distribution(features: FeatureMatrix, shape: str,
                     f"no unused EV with >= {target} rows for the normal shape")
             used.add(pick)
             matched.append((pick, target))
-        rows: list[int] = []
-        for ev, target in sorted(matched):
-            ev_rows = np.array(by_label[ev])
-            take = rng.choice(ev_rows.size, size=target, replace=False)
-            rows.extend(int(ev_rows[j]) for j in sorted(take))
-        return features.take(rows)
+        return features.take(_trim_to_targets(by_label, sorted(matched), rng))
     if shape != "uniform":
         raise DistributionError(f"unknown shape {shape!r}")
     lo, hi = min(counts.values()), max(counts.values())
@@ -308,22 +311,29 @@ def subsample_distribution(features: FeatureMatrix, shape: str,
         matched.extend((eligible[i], target) for i in sorted(picks))
     if deficits:
         raise DistributionError("unfillable bins: " + "; ".join(deficits))
-    rows = []
-    for ev, target in sorted(matched):
-        ev_rows = np.array(by_label[ev])
-        take = rng.choice(ev_rows.size, size=target, replace=False)
-        rows.extend(int(ev_rows[j]) for j in sorted(take))
-    return features.take(rows)
+    return features.take(_trim_to_targets(by_label, sorted(matched), rng))
 
 
 # ---------------------------------------------------------------------------
 # single experiment cell: split, fit, search, evaluate
 
+def _failed_cells(group: dict, target_ev: str, repetition: int,
+                  families: Sequence[str], error: str, n_train: int = 0,
+                  n_test: int = 0) -> list[CellResult]:
+    return [CellResult(group, target_ev, repetition, family, {}, 0.0, 0.0, None,
+                       n_train, n_test, status="failed", error=error)
+            for family in families]
+
+
 def run_cell(features: FeatureMatrix, labels: Sequence[str], group: dict,
              target_ev: str, repetition: int, config: ExperimentConfig,
-             seed: np.random.SeedSequence, scoring: str,
+             seed: np.random.SeedSequence, positive_label: Optional[str],
              audit: AuditHook = None) -> list[CellResult]:
-    """One (dataset, repetition) cell: one result per classifier family."""
+    """One (dataset, repetition) cell: one result per classifier family.
+
+    Grid search scores the F1 of ``positive_label`` when one is given
+    (one-vs-all cells), else accuracy.
+    """
     labels = list(labels)
     split_seed, search_seed = (_seed_int(s) for s in seed.spawn(2))
     train_idx, test_idx = stratified_split(labels, config.test_fraction, split_seed)
@@ -340,26 +350,22 @@ def run_cell(features: FeatureMatrix, labels: Sequence[str], group: dict,
     x_train = selection.transform(train).x
     x_test = selection.transform(test).x
     results = []
-    positive = "target" if scoring == "f1-positive" else None
     for family in config.families:
         if audit is not None:
             audit(f"grid-search:{family}", train.session_ids)
         try:
             search = grid_search(family, config.grids[family], x_train, y_train,
-                                 config.cv_folds, scoring, search_seed, positive)
-            mode = "binary" if scoring == "f1-positive" else "multiclass"
+                                 config.cv_folds, search_seed, positive_label)
             predicted = predict(search.model, x_test)
-            report = score_predictions(y_test, list(predicted), mode, positive)
+            scores = score_predictions(y_test, list(predicted), positive_label)
             results.append(CellResult(
                 group, target_ev, repetition, family,
                 search.best_spec.hyperparameters,
-                report.accuracy, report.macro_f1, report.positive_f1,
+                scores.accuracy, scores.macro_f1, scores.positive_f1,
                 len(train_idx), len(test_idx)))
         except ValueError as exc:
-            results.append(CellResult(group, target_ev, repetition, family,
-                                      {}, 0.0, 0.0, None,
-                                      len(train_idx), len(test_idx),
-                                      status="failed", error=str(exc)))
+            results.extend(_failed_cells(group, target_ev, repetition, [family],
+                                         str(exc), len(train_idx), len(test_idx)))
     return results
 
 
@@ -385,11 +391,9 @@ def _binary_cell_job(job: tuple[str, float, int]) -> list[CellResult]:
     try:
         dataset, labels = build_binary_dataset(features, ev, balance, seed.spawn(1)[0])
         return run_cell(dataset, labels, group, ev, rep, config, seed,
-                        "f1-positive", _WORKER.get("audit"))
+                        "target", _WORKER.get("audit"))
     except ValueError as exc:
-        return [CellResult(group, ev, rep, family, {}, 0.0, 0.0, None, 0, 0,
-                           status="failed", error=str(exc))
-                for family in config.families]
+        return _failed_cells(group, ev, rep, config.families, str(exc))
 
 
 def _map_jobs(job_fn, jobs, features, config, audit, workers):
@@ -432,11 +436,9 @@ def _multiclass_cell_job(job: tuple[dict, int]) -> list[CellResult]:
     seed = _cell_seed(config.master_seed, rep, json.dumps(group, sort_keys=True))
     try:
         return run_cell(features, list(features.labels), group, "", rep,
-                        config, seed, "accuracy", _WORKER.get("audit"))
+                        config, seed, None, _WORKER.get("audit"))
     except ValueError as exc:
-        return [CellResult(group, "", rep, family, {}, 0.0, 0.0, None, 0, 0,
-                           status="failed", error=str(exc))
-                for family in config.families]
+        return _failed_cells(group, "", rep, config.families, str(exc))
 
 
 def run_multiclass_suite(config: ExperimentConfig, features: FeatureMatrix,

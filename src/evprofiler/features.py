@@ -377,12 +377,14 @@ def write_feature_csv(matrix: FeatureMatrix, path: str) -> None:
 def read_feature_csv(path: str) -> FeatureMatrix:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        names = tuple(next(reader)[2:])
+        names = tuple(next(reader, [])[2:])
         ids, labels, rows = [], [], []
         for parts in reader:
             ids.append(parts[0])
             labels.append(parts[1])
             rows.append([float(v) for v in parts[2:]])
+    if not ids:
+        raise ValueError(f"{path}: no feature rows")
     x = np.array(rows, dtype=np.float64).reshape(len(ids), len(names))
     return FeatureMatrix(tuple(ids), tuple(labels), x, names)
 

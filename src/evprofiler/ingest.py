@@ -184,7 +184,7 @@ def _records_from_csv(text: str) -> Iterable[tuple[str, dict]]:
 
 
 def parse_sessions(source, fmt: str) -> Corpus:
-    """Parse a corpus from a path, file object, or text/bytes blob.
+    """Parse a corpus from a path to an existing file, or from its text.
 
     Records missing the session id, pilot, or current series are dropped and
     counted; mismatched pilot/current lengths are truncated to the shorter
@@ -198,13 +198,6 @@ def parse_sessions(source, fmt: str) -> Corpus:
         name = os.fspath(source)
         with open(name, "r", encoding="utf-8") as fh:
             text = fh.read()
-    elif hasattr(source, "read"):
-        text = source.read()
-        name = getattr(source, "name", name)
-        if isinstance(text, bytes):
-            text = text.decode("utf-8")
-    elif isinstance(source, bytes):
-        text = source.decode("utf-8")
     else:
         text = str(source)
 

@@ -4,8 +4,10 @@ splitting, grid search with k-fold cross-validation, and metrics.
 Everything is deterministic for a given (data, spec, seed): tie-breaking is
 lexicographic on class labels, first-encountered on split costs and grid
 order, and forest tree seeds derive from the training seed by tree index.
-Grid search shares fits across combinations (one forest per depth, one tree
-per criterion, one distance matrix per metric) with unchanged scores.
+Grid search shares fits across combinations: per fold, one kNN fit with one
+distance matrix per metric, one full tree per criterion, and one forest per
+depth. It scores integer class codes, and a training failure, which depends
+only on the fold's rows, ends the search with -inf for every combination.
 """
 
 from __future__ import annotations
@@ -298,21 +300,14 @@ def _distances(metric: str, queries: np.ndarray, train_x: np.ndarray) -> np.ndar
     return 1.0 - sim
 
 
-def _neighbours(model: TrainedModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _neighbours(metric: str, x: np.ndarray,
+                train_x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distances from each query to the training rows, and the training rows
     in stable nearest-first order."""
-    if x.shape[1] != model.knn_x.shape[1]:
+    if x.shape[1] != train_x.shape[1]:
         raise ValueError("query columns do not match the training matrix")
-    dist = _distances(model.spec.hyperparameters.get("metric", "euclidean"),
-                      x, model.knn_x)
+    dist = _distances(metric, x, train_x)
     return dist, np.argsort(dist, axis=1, kind="stable")
-
-
-def _knn_vote_params(model: TrainedModel) -> tuple[int, bool]:
-    """(neighbours that vote, whether votes are distance-weighted)."""
-    hp = model.spec.hyperparameters
-    return (min(hp.get("n_neighbors", 5), model.knn_x.shape[0]),
-            hp.get("weights", "uniform") == "distance")
 
 
 def _knn_codes(dist: np.ndarray, nearest: np.ndarray, train_y: np.ndarray,
@@ -355,9 +350,11 @@ def predict(model: TrainedModel, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     n_classes = len(model.classes)
     if model.spec.family == "knn":
-        dist, nearest = _neighbours(model, x)
-        k, weighted = _knn_vote_params(model)
-        codes = _knn_codes(dist, nearest, model.knn_y, n_classes, {k}, weighted)[k]
+        hp = model.spec.hyperparameters
+        dist, nearest = _neighbours(hp.get("metric", "euclidean"), x, model.knn_x)
+        k = min(hp.get("n_neighbors", 5), model.knn_x.shape[0])
+        codes = _knn_codes(dist, nearest, model.knn_y, n_classes, {k},
+                           hp.get("weights", "uniform") == "distance")[k]
     elif model.spec.family == "decision-tree":
         codes = _tree_predict(model.tree, x)
     else:
@@ -416,43 +413,50 @@ def stratified_kfold(labels: Sequence[str], k: int = 5,
 # metrics
 
 @dataclass(frozen=True)
-class MetricsReport:
-    labels: tuple[str, ...]
-    confusion: np.ndarray  # rows true, columns predicted
+class Scores:
     accuracy: float
-    precision: dict
-    recall: dict
-    f1: dict
     macro_f1: float
-    positive_f1: Optional[float] = None
+    positive_f1: Optional[float]
+
+
+def _label_index(labels: Sequence[str],
+                 positive_label: Optional[str]) -> dict[str, int]:
+    """Sorted label -> class code; a positive label always gets a code."""
+    found = set(labels)
+    if positive_label is not None:
+        found.add(positive_label)
+    return {label: i for i, label in enumerate(sorted(found))}
+
+
+def _scores(y_true: np.ndarray, y_pred: np.ndarray, n_classes: int,
+            positive: Optional[int]) -> Scores:
+    """Scores of integer class codes in ``range(n_classes)``.
+
+    Macro F1 averages the classes seen in ``y_true`` or ``y_pred``; a
+    ``positive`` code seen in neither scores an F1 of 0.0.
+    """
+    confusion = np.bincount(y_true * n_classes + y_pred,
+                            minlength=n_classes * n_classes
+                            ).reshape(n_classes, n_classes)
+    tp = np.diag(confusion)
+    p_den = confusion.sum(axis=0)
+    r_den = confusion.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = np.where(p_den > 0, tp / p_den, 0.0)
+        r = np.where(r_den > 0, tp / r_den, 0.0)
+        f1 = np.where(p + r > 0, 2 * p * r / (p + r), 0.0)
+    return Scores(float(tp.sum() / confusion.sum()),
+                  float(np.mean(f1[(p_den + r_den) > 0])),
+                  None if positive is None else float(f1[positive]))
 
 
 def score_predictions(y_true: Sequence[str], y_pred: Sequence[str],
-                      mode: str = "multiclass",
-                      positive_label: Optional[str] = None) -> MetricsReport:
-    labels = tuple(sorted(set(y_true) | set(y_pred)))
-    lookup = {l: i for i, l in enumerate(labels)}
-    confusion = np.zeros((len(labels), len(labels)), dtype=np.int64)
-    for t, p in zip(y_true, y_pred):
-        confusion[lookup[t], lookup[p]] += 1
-    accuracy = float(np.trace(confusion) / confusion.sum())
-    precision, recall, f1 = {}, {}, {}
-    for i, lab in enumerate(labels):
-        tp = confusion[i, i]
-        p_den = confusion[:, i].sum()
-        r_den = confusion[i, :].sum()
-        p = tp / p_den if p_den else 0.0
-        r = tp / r_den if r_den else 0.0
-        precision[lab], recall[lab] = float(p), float(r)
-        f1[lab] = float(2 * p * r / (p + r)) if (p + r) else 0.0
-    macro = float(np.mean([f1[l] for l in labels]))
-    positive = None
-    if mode == "binary":
-        if positive_label is None:
-            raise ValueError("binary mode needs a positive_label")
-        positive = f1.get(positive_label, 0.0)
-    return MetricsReport(labels, confusion, accuracy, precision, recall,
-                         f1, macro, positive)
+                      positive_label: Optional[str] = None) -> Scores:
+    """Accuracy, macro F1, and the F1 of ``positive_label`` (None without one)."""
+    lookup = _label_index([*y_true, *y_pred], positive_label)
+    return _scores(np.array([lookup[l] for l in y_true], dtype=np.int64),
+                   np.array([lookup[l] for l in y_pred], dtype=np.int64),
+                   len(lookup), lookup.get(positive_label))
 
 
 # ---------------------------------------------------------------------------
@@ -490,58 +494,43 @@ def _group(specs: Sequence[ClassifierSpec], param: str, default) -> list[list[in
 
 
 # A fold predictor takes (specs, train x, train labels, test x, seed) and
-# returns, per spec, its predicted test labels or the TrainingError its fit
-# raised. Each one fits as little as the grid allows.
+# returns the fitted class labels and, per spec, the predicted test class
+# codes. Each one fits as little as the grid allows; a TrainingError depends
+# only on the rows, so it fails the whole fold.
 
-def _knn_fold(specs, x_train, y_train, x_test, seed) -> list:
-    """One distance matrix and one neighbour ranking per metric.
-
-    ``train`` still runs once per spec: for kNN it is only a copy, and a
-    failure stays with its own combination.
-    """
+def _knn_fold(specs, x_train, y_train, x_test, seed):
+    """One fit, and one distance matrix and neighbour ranking per metric."""
+    model = train(specs[0], x_train, y_train, seed)
+    n_train = model.knn_x.shape[0]
     out: list = [None] * len(specs)
     for members in _group(specs, "metric", "euclidean"):
-        ref, params = None, {}
-        for i in members:
-            try:
-                model = train(specs[i], x_train, y_train, seed)
-            except TrainingError as exc:
-                out[i] = exc
-                continue
-            params[i] = _knn_vote_params(model)
-            if ref is None:
-                ref = model
-        if ref is None:
-            continue
-        dist, nearest = _neighbours(ref, x_test)
-        codes = {w: _knn_codes(dist, nearest, ref.knn_y, len(ref.classes),
-                               {k for k, v in params.values() if v == w}, w)
-                 for w in {w for _, w in params.values()}}
-        for i, (k, w) in params.items():
-            out[i] = _decode(ref.classes, codes[w][k])
-    return out
+        metric = specs[members[0]].hyperparameters.get("metric", "euclidean")
+        dist, nearest = _neighbours(metric, x_test, model.knn_x)
+        votes = {i: (min(specs[i].hyperparameters.get("n_neighbors", 5), n_train),
+                     specs[i].hyperparameters.get("weights", "uniform") == "distance")
+                 for i in members}
+        codes = {w: _knn_codes(dist, nearest, model.knn_y, len(model.classes),
+                               {k for k, v in votes.values() if v == w}, w)
+                 for w in {w for _, w in votes.values()}}
+        for i, (k, w) in votes.items():
+            out[i] = codes[w][k]
+    return model.classes, out
 
 
-def _tree_fold(specs, x_train, y_train, x_test, seed) -> list:
+def _tree_fold(specs, x_train, y_train, x_test, seed):
     """One unlimited-depth tree per criterion, predicted at each depth cap."""
     out: list = [None] * len(specs)
     for members in _group(specs, "criterion", "gini"):
         full = ClassifierSpec("decision-tree", {**specs[members[0]].hyperparameters,
                                                 "max_depth": None})
-        try:
-            model = train(full, x_train, y_train, seed)
-        except TrainingError as exc:
-            for i in members:
-                out[i] = exc
-            continue
+        model = train(full, x_train, y_train, seed)
         for i in members:
-            codes = _tree_predict(model.tree, x_test,
-                                  specs[i].hyperparameters.get("max_depth"))
-            out[i] = _decode(model.classes, codes)
-    return out
+            out[i] = _tree_predict(model.tree, x_test,
+                                   specs[i].hyperparameters.get("max_depth"))
+    return model.classes, out
 
 
-def _forest_fold(specs, x_train, y_train, x_test, seed) -> list:
+def _forest_fold(specs, x_train, y_train, x_test, seed):
     """One forest per depth, as large as the depth's largest tree count.
 
     Tree seeds come from ``SeedSequence(seed).spawn(n)``, whose first k
@@ -550,17 +539,11 @@ def _forest_fold(specs, x_train, y_train, x_test, seed) -> list:
     out: list = [None] * len(specs)
     for members in _group(specs, "max_depth", None):
         sizes = [specs[i].hyperparameters.get("n_estimators", 10) for i in members]
-        try:
-            model = train(specs[members[int(np.argmax(sizes))]],
-                          x_train, y_train, seed)
-        except TrainingError as exc:
-            for i in members:
-                out[i] = exc
-            continue
+        model = train(specs[members[int(np.argmax(sizes))]], x_train, y_train, seed)
         codes = _forest_codes(model.forest, x_test, len(model.classes), set(sizes))
         for i, n in zip(members, sizes):
-            out[i] = _decode(model.classes, codes[n])
-    return out
+            out[i] = codes[n]
+    return model.classes, out
 
 
 _FOLD_PREDICTORS = {"knn": _knn_fold, "decision-tree": _tree_fold,
@@ -568,57 +551,49 @@ _FOLD_PREDICTORS = {"knn": _knn_fold, "decision-tree": _tree_fold,
 
 
 def grid_search(family: str, grid: dict, x: np.ndarray, labels: Sequence[str],
-                k: int = 5, scoring: str = "accuracy", seed: int = 0,
+                k: int = 5, seed: int = 0,
                 positive_label: Optional[str] = None) -> GridSearchResult:
     """Best grid combination by mean k-fold CV score, refitted on all rows.
 
-    Each fold shares fits across the grid; the scores equal fitting every
-    combination on its own. A combination whose training fails scores -inf
-    at that fold and skips its later folds instead of aborting the search;
+    The score is the F1 of ``positive_label`` when one is given, else
+    accuracy. Each fold shares fits across the grid; the scores equal
+    fitting every combination on its own. A fit that raises TrainingError
+    scores -inf for every combination at that fold and ends the search;
     ties keep the earliest grid combination.
     """
-    if scoring not in ("accuracy", "f1-positive"):
-        raise ValueError(f"unknown scoring {scoring!r}")
-    if scoring == "f1-positive" and positive_label is None:
-        raise ValueError("f1-positive scoring needs a positive_label")
     if not grid:
         raise ValueError("empty grid")
     specs = expand_grid(family, grid)
     x = np.asarray(x, dtype=np.float64)
     labels = list(labels)
-    mode = "binary" if scoring == "f1-positive" else "multiclass"
+    lookup = _label_index(labels, positive_label)
+    y = np.array([lookup[l] for l in labels], dtype=np.int64)
+    positive = lookup.get(positive_label)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         folds = stratified_kfold(labels, k, seed)
     all_rows = np.arange(len(labels))
     cells: list[list[CvCell]] = [[] for _ in specs]
-    live = list(range(len(specs)))
     for fold_id, fold in enumerate(folds):
-        if fold.size == 0 or not live:
+        if fold.size == 0:
             continue
         train_rows = np.setdiff1d(all_rows, fold)
-        y_test = [labels[i] for i in fold]
-        outcomes = _FOLD_PREDICTORS[family](
-            [specs[i] for i in live], x[train_rows],
-            [labels[i] for i in train_rows], x[fold], seed)
-        failed = set()
-        for i, outcome in zip(live, outcomes):
-            if isinstance(outcome, TrainingError):
-                cells[i].append(CvCell(specs[i], fold_id, -np.inf, str(outcome)))
-                failed.add(i)
-                continue
-            report = score_predictions(y_test, list(outcome), mode, positive_label)
-            score = report.positive_f1 if scoring == "f1-positive" else report.accuracy
-            cells[i].append(CvCell(specs[i], fold_id, score))
-        live = [i for i in live if i not in failed]
-    best_spec, best_mean = None, -np.inf
-    for i, spec in enumerate(specs):
-        scores = [cell.score for cell in cells[i]]
-        mean = -np.inf if i not in live or not scores else float(np.mean(scores))
-        if mean > best_mean:
-            best_mean, best_spec = mean, spec
-    if best_spec is None or not np.isfinite(best_mean):
-        best_spec = specs[0]
-    model = train(best_spec, x, labels, seed)
+        try:
+            classes, predicted = _FOLD_PREDICTORS[family](
+                specs, x[train_rows], [labels[i] for i in train_rows],
+                x[fold], seed)
+        except TrainingError as exc:
+            for spec, spec_cells in zip(specs, cells):
+                spec_cells.append(CvCell(spec, fold_id, -np.inf, str(exc)))
+            break
+        to_search = np.array([lookup[c] for c in classes])
+        for spec, spec_cells, codes in zip(specs, cells, predicted):
+            scores = _scores(y[fold], to_search[codes], len(lookup), positive)
+            spec_cells.append(CvCell(spec, fold_id, scores.accuracy if positive is None
+                                     else scores.positive_f1))
+    means = [float(np.mean([cell.score for cell in spec_cells])) if spec_cells
+             else -np.inf for spec_cells in cells]
+    best = int(np.argmax(means))  # first maximum; specs[0] when all are -inf
+    model = train(specs[best], x, labels, seed)
     table = tuple(cell for spec_cells in cells for cell in spec_cells)
-    return GridSearchResult(best_spec, model, best_mean, table)
+    return GridSearchResult(specs[best], model, means[best], table)

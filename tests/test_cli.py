@@ -166,6 +166,16 @@ class TestExitCodes:
         assert run_cli("extract", "--sessions", missing,
                        "--out", str(tmp_path / "o.jsonl")) == 1
 
+    @pytest.mark.parametrize("content", ["", "session_id,ev_label,f0\n"],
+                             ids=["empty", "header-only"])
+    def test_feature_file_without_rows_is_1(self, tmp_path, capsys, content):
+        path = tmp_path / "features.csv"
+        path.write_text(content)
+        assert run_cli("experiment", "multiclass", "--features", str(path),
+                       "--out", str(tmp_path / "exp")) == 1
+        err = capsys.readouterr().err
+        assert f"error: ValueError: {path}: no feature rows" in err
+
 
 class TestDeterminism:
     def test_pipeline_rerun_is_byte_identical(self, tmp_path):

@@ -1,9 +1,10 @@
 """The shared-fit grid search is pinned to the per-combination loop it
 replaced.
 
-``oracle_grid_search`` fits every grid combination on every fold on its own
-and predicts with the per-row kNN vote and the tree-by-tree forest vote. The
-shared search must give the same CV table, the same chosen spec and the
+``oracle_grid_search`` fits every grid combination on every fold on its own,
+predicts with the per-row kNN vote and the tree-by-tree forest vote, and
+scores label strings with ``reference_scores``, the per-row confusion loop.
+The shared search must give the same CV table, the same chosen spec and the
 same refitted model, compared through ``model_document``.
 """
 
@@ -15,9 +16,9 @@ import pytest
 
 import evprofiler.learn as learn
 from evprofiler.learn import (DEFAULT_GRIDS, ClassifierSpec, CvCell,
-                              GridSearchResult, TrainingError, expand_grid,
-                              grid_search, predict, score_predictions,
-                              stratified_kfold, train)
+                              GridSearchResult, Scores, TrainingError,
+                              expand_grid, grid_search, predict,
+                              score_predictions, stratified_kfold, train)
 
 
 # ---------------------------------------------------------------------------
@@ -47,6 +48,27 @@ def model_document(model):
 
 # ---------------------------------------------------------------------------
 # the per-combination oracle
+
+def reference_scores(y_true, y_pred, positive_label=None):
+    """Scores from a label confusion matrix filled row by row."""
+    labels = tuple(sorted(set(y_true) | set(y_pred)))
+    lookup = {l: i for i, l in enumerate(labels)}
+    confusion = np.zeros((len(labels), len(labels)), dtype=np.int64)
+    for t, p in zip(y_true, y_pred):
+        confusion[lookup[t], lookup[p]] += 1
+    accuracy = float(np.trace(confusion) / confusion.sum())
+    f1 = {}
+    for i, lab in enumerate(labels):
+        tp = confusion[i, i]
+        p_den = confusion[:, i].sum()
+        r_den = confusion[i, :].sum()
+        p = tp / p_den if p_den else 0.0
+        r = tp / r_den if r_den else 0.0
+        f1[lab] = float(2 * p * r / (p + r)) if (p + r) else 0.0
+    macro = float(np.mean([f1[l] for l in labels]))
+    positive = None if positive_label is None else f1.get(positive_label, 0.0)
+    return Scores(accuracy, macro, positive)
+
 
 def oracle_predict(model, x):
     x = np.asarray(x, dtype=np.float64)
@@ -82,8 +104,8 @@ def oracle_predict(model, x):
     return np.array([model.classes[c] for c in codes])
 
 
-def oracle_grid_search(family, grid, x, labels, k=5, scoring="accuracy",
-                       seed=0, positive_label=None):
+def oracle_grid_search(family, grid, x, labels, k=5, seed=0,
+                       positive_label=None):
     specs = expand_grid(family, grid)
     x = np.asarray(x, dtype=np.float64)
     labels = list(labels)
@@ -91,7 +113,6 @@ def oracle_grid_search(family, grid, x, labels, k=5, scoring="accuracy",
         warnings.simplefilter("ignore")
         folds = stratified_kfold(labels, k, seed)
     all_rows = np.arange(len(labels))
-    mode = "binary" if scoring == "f1-positive" else "multiclass"
     table = []
     best_spec, best_mean = None, -np.inf
     for spec in specs:
@@ -109,10 +130,10 @@ def oracle_grid_search(family, grid, x, labels, k=5, scoring="accuracy",
                 failed = True
                 break
             predicted = oracle_predict(model, x[fold])
-            report = score_predictions([labels[i] for i in fold],
-                                       list(predicted), mode, positive_label)
-            score = (report.positive_f1 if scoring == "f1-positive"
-                     else report.accuracy)
+            fold_scores = reference_scores([labels[i] for i in fold],
+                                           list(predicted), positive_label)
+            score = (fold_scores.accuracy if positive_label is None
+                     else fold_scores.positive_f1)
             table.append(CvCell(spec, fold_id, score))
             scores.append(score)
         mean = -np.inf if failed or not scores else float(np.mean(scores))
@@ -175,7 +196,7 @@ SCORINGS = [("accuracy", {}),
 def test_default_grids_match_oracle(family, scoring, extra):
     x, labels = overlapping(seed=1) if scoring == "accuracy" else binary(seed=2)
     result = assert_same_search(family, DEFAULT_GRIDS[family], x,
-                                labels, scoring=scoring, seed=3, **extra)
+                                labels, seed=3, **extra)
     scores = {cell.score for cell in result.table}
     assert len(scores) > 1  # the data tells combinations apart
 
@@ -244,23 +265,17 @@ def test_depth_capped_prediction_equals_capped_tree(depth, criterion):
                                   learn._tree_predict(capped.tree, probe))
 
 
-def test_failed_criterion_scores_neg_inf_and_other_wins(monkeypatch):
-    original = learn.train
-
-    def no_gini(spec, *args, **kwargs):
-        if spec.hyperparameters.get("criterion", "gini") == "gini":
-            raise TrainingError("gini unavailable")
-        return original(spec, *args, **kwargs)
-
-    monkeypatch.setattr(learn, "train", no_gini)
-    x, labels = overlapping(seed=13)
-    result = assert_same_search("decision-tree",
-                                DEFAULT_GRIDS["decision-tree"], x, labels)
-    gini = [c for c in result.table if c.spec.hyperparameters["criterion"] == "gini"]
-    assert len(gini) == 4  # one failed fold per combination, later folds skipped
-    assert all(c.score == -np.inf and c.error == "gini unavailable" for c in gini)
-    assert result.best_spec.hyperparameters["criterion"] == "entropy"
-    assert np.isfinite(result.best_score)
+@pytest.mark.parametrize("family", ["knn", "decision-tree", "random-forest"])
+def test_failed_fold_scores_neg_inf_for_every_spec(family):
+    # the one-row class sits in fold 0, so that fold trains on one class
+    x, labels = overlapping(n_per_class=10, n_classes=2, seed=13)
+    x, labels = x[:11], labels[:11]
+    result = assert_same_search(family, DEFAULT_GRIDS[family], x, labels)
+    specs = expand_grid(family, DEFAULT_GRIDS[family])
+    assert [c.spec for c in result.table] == specs
+    assert all(c.fold == 0 and c.score == -np.inf
+               and c.error == "need at least two classes" for c in result.table)
+    assert result.best_spec == specs[0] and result.best_score == -np.inf
 
 
 def test_shared_fits_per_fold(monkeypatch):
@@ -280,6 +295,9 @@ def test_shared_fits_per_fold(monkeypatch):
     learn.grid_search("decision-tree", DEFAULT_GRIDS["decision-tree"], x, labels)
     assert len(fits) == 2 * 5 + 1
     assert all(s.hyperparameters["max_depth"] is None for s in fits[:-1])
+    fits.clear()
+    learn.grid_search("knn", DEFAULT_GRIDS["knn"], x, labels)
+    assert len(fits) == 5 + 1  # one training copy per fold serves every spec
 
 
 def test_column_mismatch_propagates(monkeypatch):
@@ -292,3 +310,13 @@ def test_column_mismatch_propagates(monkeypatch):
     x, labels = overlapping(seed=15)
     with pytest.raises(ValueError, match="query columns"):
         learn.grid_search("knn", {"n_neighbors": [3]}, x, labels)
+
+
+@pytest.mark.parametrize("positive", [None, "L0", "L3", "absent"])
+def test_scores_equal_reference_loop(positive):
+    rng = np.random.default_rng(16)
+    for _ in range(200):
+        n = int(rng.integers(1, 40))
+        y = [f"L{v}" for v in rng.integers(0, int(rng.integers(1, 5)), n)]
+        p = [f"L{v}" for v in rng.integers(0, int(rng.integers(1, 5)), n)]
+        assert score_predictions(y, p, positive) == reference_scores(y, p, positive)

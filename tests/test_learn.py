@@ -226,23 +226,24 @@ class TestStratifiedKfold:
 
 class TestMetrics:
     def test_hand_confusion(self):
-        # TP=2, FP=1, FN=1 for the positive class
-        report = score_predictions(["P", "P", "P", "N", "N"],
-                                   ["P", "P", "N", "P", "N"],
-                                   "binary", positive_label="P")
-        assert report.precision["P"] == pytest.approx(2 / 3)
-        assert report.recall["P"] == pytest.approx(2 / 3)
-        assert report.positive_f1 == pytest.approx(2 / 3)
+        # TP=2, FP=1, FN=1 for the positive class; N has TP=1, FP=1, FN=1
+        scores = score_predictions(["P", "P", "P", "N", "N"],
+                                   ["P", "P", "N", "P", "N"], positive_label="P")
+        assert scores.accuracy == pytest.approx(3 / 5)
+        assert scores.positive_f1 == pytest.approx(2 / 3)
+        assert scores.macro_f1 == pytest.approx((2 / 3 + 1 / 2) / 2)
 
     def test_perfect_predictions(self):
-        report = score_predictions(["A", "B"], ["A", "B"])
-        assert report.accuracy == 1.0 and report.macro_f1 == 1.0
+        scores = score_predictions(["A", "B"], ["A", "B"])
+        assert scores.accuracy == 1.0 and scores.macro_f1 == 1.0
+        assert scores.positive_f1 is None
 
     def test_degenerate_single_prediction_class(self):
-        report = score_predictions(["A", "A", "B", "B"], ["A"] * 4)
-        assert report.accuracy == 0.5
-        assert report.f1["A"] == pytest.approx(2 / 3)
-        assert report.f1["B"] == 0.0
+        y, p = ["A", "A", "B", "B"], ["A"] * 4
+        assert score_predictions(y, p).accuracy == 0.5
+        assert score_predictions(y, p, "A").positive_f1 == pytest.approx(2 / 3)
+        assert score_predictions(y, p, "B").positive_f1 == 0.0
+        assert score_predictions(y, p).macro_f1 == pytest.approx(1 / 3)
 
     def test_accuracy_equals_trace_over_total(self):
         rng = np.random.default_rng(8)
@@ -250,16 +251,15 @@ class TestMetrics:
             n = int(rng.integers(2, 40))
             y = [f"C{rng.integers(3)}" for _ in range(n)]
             p = [f"C{rng.integers(4)}" for _ in range(n)]
-            report = score_predictions(y, p)
-            assert report.accuracy == pytest.approx(
-                np.trace(report.confusion) / report.confusion.sum())
-            np.testing.assert_array_equal(report.confusion.sum(axis=1),
-                                          [y.count(l) for l in report.labels])
+            scores = score_predictions(y, p)
+            assert scores.accuracy == pytest.approx(
+                sum(a == b for a, b in zip(y, p)) / n)
 
     def test_unseen_test_label_gets_confusion_row(self):
-        report = score_predictions(["A", "B", "X"], ["A", "B", "A"])
-        assert "X" in report.labels
-        assert report.accuracy == pytest.approx(2 / 3)
+        # X is never predicted: its F1 of 0 still counts in the macro mean
+        scores = score_predictions(["A", "B", "X"], ["A", "B", "A"])
+        assert scores.accuracy == pytest.approx(2 / 3)
+        assert scores.macro_f1 == pytest.approx((2 / 3 + 1 + 0) / 3)
 
 
 class TestGridSearch:
@@ -301,22 +301,6 @@ class TestGridSearch:
         grid = {"criterion": ["gini", "entropy"], "max_depth": [None, 6]}
         result = grid_search("decision-tree", grid, x, y, seed=2)
         assert result.best_spec in expand_grid("decision-tree", grid)
-
-    def test_failed_combination_scores_neg_inf_not_abort(self, monkeypatch):
-        x, y = self._blobs()
-        calls = {"n": 0}
-        import evprofiler.learn as learn_mod
-        original = learn_mod.train
-
-        def flaky(spec, *args, **kwargs):
-            if spec.hyperparameters.get("n_neighbors") == 3:
-                raise TrainingError("boom")
-            return original(spec, *args, **kwargs)
-
-        monkeypatch.setattr(learn_mod, "train", flaky)
-        result = learn_mod.grid_search("knn", {"n_neighbors": [3, 5]}, x, y)
-        assert result.best_spec.hyperparameters["n_neighbors"] == 5
-        assert any(c.error for c in result.table)
 
     def test_empty_grid_is_error(self):
         with pytest.raises(ValueError):
