@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -18,9 +19,9 @@ import numpy as np
 from . import __version__
 from .config import (ConfigError, RunManifest, filter_params_from,
                      parse_config_file, tail_params_from)
-from .experiments import (CellResult, DistributionParams,
-                          ExperimentConfig, ExperimentReport, read_cells_csv,
-                          run_binary_suite, run_multiclass_suite,
+from .experiments import (DistributionParams, ExperimentConfig,
+                          ExperimentReport, SummaryRow, binary_jobs, grid_rows,
+                          multiclass_jobs, read_cells_csv, run_cells,
                           subsample_distribution, subsample_multiclass,
                           summarize_cells, write_cells_csv, write_summary_csv,
                           write_summary_md)
@@ -160,61 +161,57 @@ def _cmd_experiment(args, cfg: dict, manifest: RunManifest) -> None:
     manifest.add_input(args.features)
     features = read_feature_csv(args.features)
     manifest.start("experiment")
+    config = ExperimentConfig(
+        families=_parse_families(args.classifiers),
+        nof=args.nof, repetitions=args.reps, master_seed=args.seed,
+        workers=args.workers)
     if args.mode == "binary":
-        config = ExperimentConfig(
-            suite="binary", families=_parse_families(args.classifiers),
-            nof=args.nof, balance_mode=args.balance,
+        config = dataclasses.replace(
+            config, balance_mode=args.balance,
             balance_values=tuple(float(v) for v in args.values.split(",")),
-            min_target_samples=args.min_target,
-            repetitions=args.reps, master_seed=args.seed, workers=args.workers)
-        report = run_binary_suite(config, features)
+            min_target_samples=args.min_target)
+        jobs = binary_jobs(config, features)
     elif args.mode == "multiclass":
-        config = ExperimentConfig(
-            suite="multiclass", families=_parse_families(args.classifiers),
-            nof=args.nof, dataset_size=args.size,
-            repetitions=args.reps, master_seed=args.seed, workers=args.workers)
-        subset = subsample_multiclass(features, args.size,
-                                      np.random.SeedSequence([args.seed, 0xD5]))
-        report = run_multiclass_suite(config, subset)
+        features = subsample_multiclass(features, args.size,
+                                        np.random.SeedSequence([args.seed, 0xD5]))
+        jobs = multiclass_jobs(config, features, "multiclass", dataset=args.size)
     elif args.mode == "grid":
-        reports = []
+        jobs = []
         for n_evs in (int(v) for v in args.evs.split(",")):
             for samples in (int(v) for v in args.samples.split(",")):
-                config = ExperimentConfig(
-                    suite="fixed-grid", families=_parse_families(args.classifier),
-                    nof=args.nof, dataset_size=(n_evs, samples),
-                    repetitions=args.reps, master_seed=args.seed,
-                    workers=args.workers)
-                subset = subsample_multiclass(
-                    features, (n_evs, samples),
-                    np.random.SeedSequence([args.seed, n_evs, samples]))
-                reports.append(run_multiclass_suite(config, subset))
-        cells = tuple(c for r in reports for c in r.cells)
-        report = ExperimentReport(cells, summarize_cells(cells))
+                rows = grid_rows(features, n_evs, samples,
+                                 np.random.SeedSequence([args.seed, n_evs, samples]))
+                jobs += multiclass_jobs(config, features, "fixed-grid", rows,
+                                        n_evs=n_evs, samples_per_ev=samples)
     else:  # distribution
         params = DistributionParams(n_evs=args.n_evs, bins=args.bins,
                                     per_bin=args.per_bin)
-        config = ExperimentConfig(
-            suite="distribution", families=_parse_families(args.classifiers),
-            nof=args.nof, distribution=args.shape, distribution_params=params,
-            repetitions=args.reps, master_seed=args.seed, workers=args.workers)
-        subset = subsample_distribution(features, args.shape, params,
-                                        np.random.SeedSequence([args.seed, 0xD1]))
-        report = run_multiclass_suite(config, subset)
+        features = subsample_distribution(features, args.shape, params,
+                                          np.random.SeedSequence([args.seed, 0xD1]))
+        jobs = multiclass_jobs(config, features, "distribution",
+                               distribution=args.shape)
+    report = run_cells(config, features, jobs)
     manifest.stop("experiment")
     _write_report(report, args.out, manifest, "experiment")
 
 
-def _pivot_rows(cells: Sequence[CellResult], metric: str,
+PIVOTS = (  # (metric, group dims, file name, header)
+    ("positive_f1", ("balance_mode", "balance_value"), "f1_vs_balance.csv",
+     ("balance_mode", "balance_value", "classifier", "mean_f1", "std_f1")),
+    ("accuracy", ("dataset", "n_classes"), "accuracy_vs_dataset.csv",
+     ("dataset", "n_classes", "classifier", "mean_accuracy", "std_accuracy")),
+    ("accuracy", ("n_evs", "samples_per_ev"), "accuracy_grid.csv",
+     ("n_evs", "samples_per_ev", "classifier", "mean_accuracy", "std_accuracy")),
+    ("accuracy", ("distribution",), "accuracy_vs_distribution.csv",
+     ("distribution", "classifier", "mean_accuracy", "std_accuracy")),
+)
+
+
+def _pivot_rows(summary: Sequence[SummaryRow], metric: str,
                 dims: Sequence[str]) -> list[tuple]:
-    rows = []
-    for summary in summarize_cells(cells):
-        if summary.metric != metric:
-            continue
-        if not all(d in summary.group for d in dims):
-            continue
-        rows.append(tuple(summary.group[d] for d in dims)
-                    + (summary.classifier, summary.mean, summary.std))
+    rows = [tuple(row.group[d] for d in dims) + (row.classifier, row.mean, row.std)
+            for row in summary
+            if row.metric == metric and all(d in row.group for d in dims)]
     return sorted(rows, key=lambda r: tuple(str(v) for v in r))
 
 
@@ -237,36 +234,16 @@ def _cmd_report(args, cfg: dict, manifest: RunManifest) -> None:
     manifest.start("report")
     out = args.out or args.in_dir
     _ensure_dir(out)
-    written = []
-    rows = _pivot_rows(cells, "positive_f1", ["balance_mode", "balance_value"])
-    if rows:
-        path = os.path.join(out, "f1_vs_balance.csv")
-        _write_pivot(path, ["balance_mode", "balance_value", "classifier",
-                            "mean_f1", "std_f1"], rows)
-        written.append(path)
-    rows = _pivot_rows(cells, "accuracy", ["dataset", "n_classes"])
-    if rows:
-        path = os.path.join(out, "accuracy_vs_dataset.csv")
-        _write_pivot(path, ["dataset", "n_classes", "classifier",
-                            "mean_accuracy", "std_accuracy"], rows)
-        written.append(path)
-    rows = _pivot_rows(cells, "accuracy", ["n_evs", "samples_per_ev"])
-    if rows:
-        path = os.path.join(out, "accuracy_grid.csv")
-        _write_pivot(path, ["n_evs", "samples_per_ev", "classifier",
-                            "mean_accuracy", "std_accuracy"], rows)
-        written.append(path)
-    rows = _pivot_rows(cells, "accuracy", ["distribution"])
-    if rows:
-        path = os.path.join(out, "accuracy_vs_distribution.csv")
-        _write_pivot(path, ["distribution", "classifier", "mean_accuracy",
-                            "std_accuracy"], rows)
-        written.append(path)
     report = ExperimentReport(tuple(cells), summarize_cells(cells))
+    written = 1  # summary.md
+    for metric, dims, name, header in PIVOTS:
+        rows = _pivot_rows(report.summary, metric, dims)
+        if rows:
+            _write_pivot(os.path.join(out, name), header, rows)
+            written += 1
     write_summary_md(report, os.path.join(out, "summary.md"))
-    written.append(os.path.join(out, "summary.md"))
     manifest.stop("report")
-    manifest.counts["report"] = {"pivots": len(written)}
+    manifest.counts["report"] = {"pivots": written}
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True)
     p.add_argument("--evs", default="50,100,150,200")
     p.add_argument("--samples", default="10,25,50,75")
-    p.add_argument("--classifier", default="rf")
+    p.add_argument("--classifier", dest="classifiers", default="rf")
     p.add_argument("--nof", type=int, default=N_FEATURES, help=ALL_FEATURES_HELP)
     p.add_argument("--reps", type=int, default=5)
     p.add_argument("--out", required=True)
@@ -363,8 +340,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _manifest_dir(args) -> str:
-    out = getattr(args, "out", None) or getattr(args, "in_dir", None) or "."
-    return out if os.path.isdir(out) or not os.path.splitext(out)[1] else os.path.dirname(out) or "."
+    """The manifest goes into the output directory of ``experiment`` and
+    ``report`` and beside the output file of every other command."""
+    if args.command == "experiment":
+        return args.out
+    if args.command == "report":
+        return args.out or args.in_dir
+    return os.path.dirname(args.out) or "."
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

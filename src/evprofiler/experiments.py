@@ -2,6 +2,12 @@
 scaling suites, fixed EV-by-samples grids, and distribution-shaped
 sub-sampling, with repetition and aggregation.
 
+Every mode is a list of ``CellJob``s over one shared feature matrix:
+``binary_jobs`` builds the one-vs-all cells, ``multiclass_jobs`` the
+repetitions of one multi-class dataset (a fixed grid adds one such list per
+grid point, each naming its rows of the matrix). ``run_cells`` runs any list
+through one job function and at most one worker pool, in job order.
+
 Every cell ((target EV, balance value, repetition) or (dataset, repetition))
 derives its own seed from the master seed, so cells are independent,
 reproducible, and order-insensitive; parallel execution cannot change any
@@ -12,6 +18,7 @@ stage saw, so tests can prove the absence of test-set leakage.
 
 from __future__ import annotations
 
+import csv
 import json
 import multiprocessing
 import statistics
@@ -25,7 +32,6 @@ from .features import FeatureMatrix, SelectionConfig, fit_selection
 from .learn import (DEFAULT_GRIDS, grid_search, predict,
                     score_predictions, stratified_split)
 
-SUITES = ("binary", "multiclass", "fixed-grid", "distribution")
 SIZE_PRESETS = {"small": 25, "medium": 75, "large": 140, "complete": None}
 
 AuditHook = Optional[Callable[[str, tuple[str, ...]], None]]
@@ -73,26 +79,20 @@ class DistributionParams:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    suite: str
     families: tuple[str, ...] = ("random-forest", "decision-tree", "knn")
     grids: dict = field(default_factory=lambda: dict(DEFAULT_GRIDS))
     nof: int = 100
-    scorer: str = "chi2"
     balance_mode: str = "q-prime"
     balance_values: tuple[float, ...] = (1.0, 2.0, 3.0, 4.0, 5.0)
     min_target_samples: int = 50
-    dataset_size: Union[str, tuple[int, int], None] = None
-    distribution: Optional[str] = None
-    distribution_params: DistributionParams = field(default_factory=DistributionParams)
     repetitions: int = 5
     master_seed: int = 0
-    test_fraction: float = 0.2
     cv_folds: int = 5
     workers: int = 1
 
     def __post_init__(self):
-        if self.suite not in SUITES:
-            raise ValueError(f"unknown suite {self.suite!r}")
+        if self.nof < 1:
+            raise ValueError("nof must be >= 1")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         for fam in self.families:
@@ -215,37 +215,11 @@ def _trim_to_targets(by_label: dict[str, list[int]],
     return rows
 
 
-def subsample_multiclass(features: FeatureMatrix,
-                         size: Union[str, tuple[int, int]],
-                         seed) -> FeatureMatrix:
-    """Preset sizes select EVs stratified by session count and keep all their
-    rows; an explicit (n_evs, samples_per_ev) pair samples exactly that grid.
-    """
-    by_label = features.by_label()
+def grid_rows(features: FeatureMatrix, n_evs: int, samples_per_ev: int,
+              seed) -> list[int]:
+    """Rows of ``n_evs`` EVs drawn from those with at least ``samples_per_ev``
+    rows, each EV trimmed to exactly that many."""
     rng = np.random.default_rng(seed)
-    if isinstance(size, str):
-        if size not in SIZE_PRESETS:
-            raise SubsampleError(f"unknown size preset {size!r}")
-        n_evs = SIZE_PRESETS[size]
-        if n_evs is None:
-            return features
-        if n_evs > len(by_label):
-            raise SubsampleError(
-                f"requested {n_evs} EVs, corpus has {len(by_label)}")
-        counts = {ev: len(rows) for ev, rows in by_label.items()}
-        strata = _count_strata(counts)
-        total = len(counts)
-        chosen: list[str] = []
-        quotas = [n_evs * len(s) // total for s in strata]
-        while sum(quotas) < n_evs:  # largest strata absorb the remainder
-            quotas[int(np.argmax([len(s) - q for s, q in zip(strata, quotas)]))] += 1
-        for stratum, quota in zip(strata, quotas):
-            picks = rng.choice(len(stratum), size=min(quota, len(stratum)),
-                               replace=False)
-            chosen.extend(stratum[i] for i in sorted(picks))
-        rows = [i for ev in sorted(chosen) for i in by_label[ev]]
-        return features.take(rows)
-    n_evs, samples_per_ev = size
     eligible = evs_with_min_rows(features, samples_per_ev)
     if len(eligible) < n_evs:
         raise SubsampleError(
@@ -253,7 +227,41 @@ def subsample_multiclass(features: FeatureMatrix,
             f"only {len(eligible)} available")
     picks = rng.choice(len(eligible), size=n_evs, replace=False)
     matched = [(eligible[i], samples_per_ev) for i in sorted(picks)]
-    return features.take(_trim_to_targets(by_label, matched, rng))
+    return _trim_to_targets(features.by_label(), matched, rng)
+
+
+def subsample_multiclass(features: FeatureMatrix,
+                         size: Union[str, tuple[int, int]],
+                         seed) -> FeatureMatrix:
+    """Preset sizes select EVs stratified by session count and keep all their
+    rows; an explicit (n_evs, samples_per_ev) pair samples exactly that grid.
+    """
+    if not isinstance(size, str):
+        n_evs, samples_per_ev = size
+        return features.take(grid_rows(features, n_evs, samples_per_ev, seed))
+    if size not in SIZE_PRESETS:
+        raise SubsampleError(f"unknown size preset {size!r}")
+    n_evs = SIZE_PRESETS[size]
+    if n_evs is None:
+        return features
+    by_label = features.by_label()
+    if n_evs > len(by_label):
+        raise SubsampleError(
+            f"requested {n_evs} EVs, corpus has {len(by_label)}")
+    rng = np.random.default_rng(seed)
+    counts = {ev: len(rows) for ev, rows in by_label.items()}
+    strata = _count_strata(counts)
+    total = len(counts)
+    chosen: list[str] = []
+    quotas = [n_evs * len(s) // total for s in strata]
+    while sum(quotas) < n_evs:  # largest strata absorb the remainder
+        quotas[int(np.argmax([len(s) - q for s, q in zip(strata, quotas)]))] += 1
+    for stratum, quota in zip(strata, quotas):
+        picks = rng.choice(len(stratum), size=min(quota, len(stratum)),
+                           replace=False)
+        chosen.extend(stratum[i] for i in sorted(picks))
+    rows = [i for ev in sorted(chosen) for i in by_label[ev]]
+    return features.take(rows)
 
 
 def subsample_distribution(features: FeatureMatrix, shape: str,
@@ -336,7 +344,7 @@ def run_cell(features: FeatureMatrix, labels: Sequence[str], group: dict,
     """
     labels = list(labels)
     split_seed, search_seed = (_seed_int(s) for s in seed.spawn(2))
-    train_idx, test_idx = stratified_split(labels, config.test_fraction, split_seed)
+    train_idx, test_idx = stratified_split(labels, seed=split_seed)
     train = features.take(train_idx)
     test = features.take(test_idx)
     y_train = [labels[i] for i in train_idx]
@@ -345,8 +353,7 @@ def run_cell(features: FeatureMatrix, labels: Sequence[str], group: dict,
         audit("held-out", test.session_ids)
         audit("scaler", train.session_ids)
         audit("selection", train.session_ids)
-    selection = fit_selection(train, y_train,
-                              SelectionConfig(config.nof, config.scorer))
+    selection = fit_selection(train, y_train, SelectionConfig(config.nof))
     x_train = selection.transform(train).x
     x_test = selection.transform(test).x
     results = []
@@ -370,7 +377,50 @@ def run_cell(features: FeatureMatrix, labels: Sequence[str], group: dict,
 
 
 # ---------------------------------------------------------------------------
-# suites
+# suites: every mode is a list of cell jobs run through one worker pool
+
+@dataclass(frozen=True)
+class CellJob:
+    """One cell over the suite's shared feature matrix.
+
+    A one-vs-all cell (``target_ev`` set) builds its balanced dataset from
+    the whole matrix; a multi-class cell uses ``rows`` of it, or every row
+    when ``rows`` is None.
+    """
+
+    group: dict
+    target_ev: str
+    repetition: int
+    rows: Optional[tuple[int, ...]] = None
+
+
+def binary_jobs(config: ExperimentConfig,
+                features: FeatureMatrix) -> list[CellJob]:
+    """One-vs-all cells over every qualifying EV, balance value, repetition."""
+    qualifying = evs_with_min_rows(features, config.min_target_samples)
+    if len(qualifying) < 2:
+        raise BalanceError(
+            f"need >= 2 EVs with {config.min_target_samples}+ rows, "
+            f"got {len(qualifying)}")
+    return [CellJob({"suite": "binary", "balance_mode": config.balance_mode,
+                     "balance_value": value}, ev, rep)
+            for value in config.balance_values
+            for ev in qualifying
+            for rep in range(config.repetitions)]
+
+
+def multiclass_jobs(config: ExperimentConfig, features: FeatureMatrix,
+                    suite: str, rows: Optional[Sequence[int]] = None,
+                    **dims) -> list[CellJob]:
+    """Every repetition of one multi-class dataset: ``rows`` of ``features``
+    (all of them when None), grouped by suite, class count and ``dims``."""
+    if rows is not None:
+        rows = tuple(rows)
+    labels = features.labels if rows is None else [features.labels[i]
+                                                  for i in rows]
+    group = {"suite": suite, "n_classes": len(set(labels)), **dims}
+    return [CellJob(group, "", rep, rows) for rep in range(config.repetitions)]
+
 
 _WORKER: dict = {}
 
@@ -380,81 +430,46 @@ def _init_worker(features: FeatureMatrix, config: ExperimentConfig) -> None:
     _WORKER["config"] = config
 
 
-def _binary_cell_job(job: tuple[str, float, int]) -> list[CellResult]:
-    ev, value, rep = job
+def _cell_job(job: CellJob) -> list[CellResult]:
     features: FeatureMatrix = _WORKER["features"]
     config: ExperimentConfig = _WORKER["config"]
-    group = {"suite": "binary", "balance_mode": config.balance_mode,
-             "balance_value": value}
-    seed = _cell_seed(config.master_seed, rep, f"{ev}|{value}")
-    balance = BalanceConfig(config.balance_mode, value, config.min_target_samples)
+    group, ev, rep = job.group, job.target_ev, job.repetition
     try:
-        dataset, labels = build_binary_dataset(features, ev, balance, seed.spawn(1)[0])
+        if ev:
+            value = group["balance_value"]
+            seed = _cell_seed(config.master_seed, rep, f"{ev}|{value}")
+            balance = BalanceConfig(config.balance_mode, value,
+                                    config.min_target_samples)
+            dataset, labels = build_binary_dataset(features, ev, balance,
+                                                   seed.spawn(1)[0])
+        else:
+            seed = _cell_seed(config.master_seed, rep,
+                              json.dumps(group, sort_keys=True))
+            dataset = features if job.rows is None else features.take(job.rows)
+            labels = dataset.labels
         return run_cell(dataset, labels, group, ev, rep, config, seed,
-                        "target", _WORKER.get("audit"))
+                        "target" if ev else None, _WORKER.get("audit"))
     except ValueError as exc:
         return _failed_cells(group, ev, rep, config.families, str(exc))
 
 
-def _map_jobs(job_fn, jobs, features, config, audit, workers):
-    if audit is not None:
-        workers = 1  # hooks are in-process test instrumentation
-    if workers <= 1:
+def _map_jobs(jobs, features, config, audit):
+    if audit is not None or config.workers <= 1:  # hooks are in-process only
         _init_worker(features, config)
         _WORKER["audit"] = audit
         try:
-            return [job_fn(job) for job in jobs]
+            return [_cell_job(job) for job in jobs]
         finally:
             _WORKER.clear()
-    with multiprocessing.Pool(workers, initializer=_init_worker,
+    with multiprocessing.Pool(config.workers, initializer=_init_worker,
                               initargs=(features, config)) as pool:
-        return pool.map(job_fn, jobs, chunksize=1)
+        return pool.map(_cell_job, jobs, chunksize=1)
 
 
-def run_binary_suite(config: ExperimentConfig, features: FeatureMatrix,
-                     audit: AuditHook = None) -> ExperimentReport:
-    """One-vs-all suite over every qualifying EV, balance value, repetition."""
-    qualifying = evs_with_min_rows(features, config.min_target_samples)
-    if len(qualifying) < 2:
-        raise BalanceError(
-            f"need >= 2 EVs with {config.min_target_samples}+ rows, "
-            f"got {len(qualifying)}")
-    jobs = [(ev, value, rep)
-            for value in config.balance_values
-            for ev in qualifying
-            for rep in range(config.repetitions)]
-    nested = _map_jobs(_binary_cell_job, jobs, features, config, audit,
-                       config.workers)
-    cells = tuple(cell for batch in nested for cell in batch)
-    return ExperimentReport(cells, summarize_cells(cells))
-
-
-def _multiclass_cell_job(job: tuple[dict, int]) -> list[CellResult]:
-    group, rep = job
-    features: FeatureMatrix = _WORKER["features"]
-    config: ExperimentConfig = _WORKER["config"]
-    seed = _cell_seed(config.master_seed, rep, json.dumps(group, sort_keys=True))
-    try:
-        return run_cell(features, list(features.labels), group, "", rep,
-                        config, seed, None, _WORKER.get("audit"))
-    except ValueError as exc:
-        return _failed_cells(group, "", rep, config.families, str(exc))
-
-
-def run_multiclass_suite(config: ExperimentConfig, features: FeatureMatrix,
-                         audit: AuditHook = None) -> ExperimentReport:
-    """Repeated multi-class evaluation of an already sub-sampled dataset."""
-    group = {"suite": config.suite, "n_classes": len(set(features.labels))}
-    if config.dataset_size is not None:
-        if isinstance(config.dataset_size, tuple):
-            group["n_evs"], group["samples_per_ev"] = config.dataset_size
-        else:
-            group["dataset"] = config.dataset_size
-    if config.distribution is not None:
-        group["distribution"] = config.distribution
-    jobs = [(group, rep) for rep in range(config.repetitions)]
-    nested = _map_jobs(_multiclass_cell_job, jobs, features, config, audit,
-                       config.workers)
+def run_cells(config: ExperimentConfig, features: FeatureMatrix,
+              jobs: Sequence[CellJob], audit: AuditHook = None) -> ExperimentReport:
+    """Run ``jobs`` over ``features`` in one worker pool; cells keep job order."""
+    nested = _map_jobs(jobs, features, config, audit)
     cells = tuple(cell for batch in nested for cell in batch)
     return ExperimentReport(cells, summarize_cells(cells))
 
@@ -510,10 +525,8 @@ CELL_COLUMNS = ("suite", "group", "target_ev", "repetition", "classifier",
 
 
 def write_cells_csv(report: ExperimentReport, path: str) -> None:
-    import csv as _csv
-
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(CELL_COLUMNS)
         for c in report.cells:
             writer.writerow([
@@ -525,11 +538,9 @@ def write_cells_csv(report: ExperimentReport, path: str) -> None:
 
 
 def read_cells_csv(path: str) -> list[CellResult]:
-    import csv as _csv
-
     cells = []
     with open(path, "r", encoding="utf-8") as fh:
-        reader = _csv.DictReader(fh)
+        reader = csv.DictReader(fh)
         if reader.fieldnames is None or tuple(reader.fieldnames) != CELL_COLUMNS:
             raise ValueError(f"{path}: not a cells.csv file")
         for row in reader:
@@ -545,10 +556,8 @@ def read_cells_csv(path: str) -> list[CellResult]:
 
 
 def write_summary_csv(report: ExperimentReport, path: str) -> None:
-    import csv as _csv
-
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(["group", "classifier", "metric", "mean", "std",
                          "n_runs", "n_failed"])
         for row in report.summary:

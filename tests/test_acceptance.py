@@ -11,8 +11,9 @@ import warnings
 import numpy as np
 import pytest
 
-from evprofiler.experiments import (ExperimentConfig, run_binary_suite,
-                                    run_multiclass_suite, subsample_multiclass,
+from evprofiler.experiments import (ExperimentConfig, binary_jobs,
+                                    multiclass_jobs, run_cells,
+                                    subsample_multiclass,
                                     build_binary_dataset, BalanceConfig)
 from evprofiler.features import (FeatureMatrix, anova_f_scores, chi2_scores,
                                  featurize_corpus)
@@ -165,10 +166,11 @@ def test_criterion_4_multiclass_accuracy():
     corpus = generate_corpus(25, 50, seed=100)
     features, rejects = featurize_corpus(corpus)
     assert not rejects, f"{len(rejects)} sessions unexpectedly rejected"
-    config = ExperimentConfig(suite="multiclass", families=("random-forest",),
+    config = ExperimentConfig(families=("random-forest",),
                               grids=RF_GRID, nof=200, repetitions=2,
                               master_seed=100)
-    report = quiet(run_multiclass_suite, config, features)
+    report = quiet(run_cells, config, features,
+                   multiclass_jobs(config, features, "multiclass"))
     mean_accuracy = float(np.mean([c.accuracy for c in report.cells]))
     elapsed = time.perf_counter() - start
     assert mean_accuracy >= 0.90, f"RF accuracy {mean_accuracy:.3f} < 0.90"
@@ -184,11 +186,12 @@ def _fixed_grid_accuracy(features, n_evs, samples_per_ev, seed):
     subset = subsample_multiclass(features, (n_evs, samples_per_ev),
                                   np.random.SeedSequence([seed, n_evs,
                                                           samples_per_ev]))
-    config = ExperimentConfig(suite="fixed-grid", families=("random-forest",),
+    config = ExperimentConfig(families=("random-forest",),
                               grids=RF_GRID, nof=200,
-                              dataset_size=(n_evs, samples_per_ev),
                               repetitions=1, master_seed=seed)
-    report = quiet(run_multiclass_suite, config, subset)
+    jobs = multiclass_jobs(config, subset, "fixed-grid", n_evs=n_evs,
+                           samples_per_ev=samples_per_ev)
+    report = quiet(run_cells, config, subset, jobs)
     cell = report.cells[0]
     assert cell.status == "ok", cell.error
     return cell.accuracy
@@ -252,12 +255,12 @@ def test_criterion_7_q_prime_trend():
             assert labels.count("target") == n_t
             assert labels.count("other") == int(value * n_t)
 
-    config = ExperimentConfig(suite="binary", families=("random-forest",),
+    config = ExperimentConfig(families=("random-forest",),
                               grids=RF_GRID, nof=100,
                               balance_values=(1.0, 2.0, 3.0, 4.0, 5.0),
                               min_target_samples=50, repetitions=5,
                               master_seed=400)
-    report = quiet(run_binary_suite, config, features)
+    report = quiet(run_cells, config, features, binary_jobs(config, features))
     assert all(c.status == "ok" for c in report.cells)
     f1_by_value = {row.group["balance_value"]: row.mean
                    for row in report.summary if row.metric == "positive_f1"}
@@ -289,15 +292,17 @@ def test_criterion_8_no_leakage():
     features, _ = featurize_corpus(corpus)
 
     recorder = LeakageRecorder()
-    config = ExperimentConfig(suite="multiclass", families=("random-forest",),
+    config = ExperimentConfig(families=("random-forest",),
                               grids=RF_GRID, nof=50, repetitions=3,
                               master_seed=500)
-    quiet(run_multiclass_suite, config, features, audit=recorder)
-    config = ExperimentConfig(suite="binary", families=("random-forest",),
+    quiet(run_cells, config, features,
+          multiclass_jobs(config, features, "multiclass"), audit=recorder)
+    config = ExperimentConfig(families=("random-forest",),
                               grids=RF_GRID, nof=50, balance_values=(1.0, 2.0),
                               min_target_samples=50, repetitions=2,
                               master_seed=501)
-    quiet(run_binary_suite, config, features, audit=recorder)
+    quiet(run_cells, config, features, binary_jobs(config, features),
+          audit=recorder)
 
     violations = 0
     fits = 0

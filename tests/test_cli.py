@@ -176,6 +176,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"error: ValueError: {path}: no feature rows" in err
 
+    def test_nof_below_one_is_1(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "exp"
+        assert run_cli("experiment", "multiclass", "--features",
+                       pipeline["features"], "--classifiers", "dt",
+                       "--nof", "0", "--reps", "1", "--out", str(out)) == 1
+        assert "error: ValueError: nof must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_output_file_without_extension(self, tmp_path):
+        out = tmp_path / "raw"
+        assert run_cli("synth", "--evs", "2", "--sessions", "2",
+                       "--out", str(out)) == 0
+        assert out.is_file()
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["command"] == "synth"
+
 
 class TestDeterminism:
     def test_pipeline_rerun_is_byte_identical(self, tmp_path):

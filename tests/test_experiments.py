@@ -7,15 +7,14 @@ import pytest
 from evprofiler.experiments import (BalanceConfig, BalanceError, CellResult,
                                     DistributionError, DistributionParams,
                                     ExperimentConfig, SubsampleError,
-                                    build_binary_dataset, run_binary_suite,
-                                    run_multiclass_suite,
+                                    binary_jobs, build_binary_dataset,
+                                    multiclass_jobs, run_cells,
                                     subsample_distribution,
                                     subsample_multiclass, summarize_cells)
 
 
 def tiny_config(**overrides):
     defaults = dict(
-        suite="multiclass",
         families=("random-forest",),
         grids={"random-forest": {"n_estimators": [10], "max_depth": [None]},
                "decision-tree": {"max_depth": [6]},
@@ -24,6 +23,11 @@ def tiny_config(**overrides):
     )
     defaults.update(overrides)
     return ExperimentConfig(**defaults)
+
+
+def run_multiclass(config, features, audit=None):
+    return run_cells(config, features,
+                     multiclass_jobs(config, features, "multiclass"), audit)
 
 
 class TestBuildBinaryDataset:
@@ -171,9 +175,9 @@ class TestSuites:
     def test_binary_suite_shape_and_ratios(self, feature_matrix_builder):
         features = feature_matrix_builder(
             {"T": 60, "U": 60, "V": 60, "W": 60}, seed=5)
-        config = tiny_config(suite="binary", balance_values=(1.0, 2.0),
-                             repetitions=2, min_target_samples=50)
-        report = run_binary_suite(config, features)
+        config = tiny_config(balance_values=(1.0, 2.0), repetitions=2,
+                             min_target_samples=50)
+        report = run_cells(config, features, binary_jobs(config, features))
         # 4 EVs x 2 values x 2 reps x 1 family
         assert len(report.cells) == 16
         assert all(c.status == "ok" for c in report.cells)
@@ -184,21 +188,20 @@ class TestSuites:
     def test_binary_suite_needs_two_qualifying(self, feature_matrix_builder):
         features = feature_matrix_builder({"T": 60, "U": 10})
         with pytest.raises(BalanceError):
-            run_binary_suite(tiny_config(suite="binary"), features)
+            binary_jobs(tiny_config(), features)
 
     def test_multiclass_suite_runs(self, feature_matrix_builder):
         features = feature_matrix_builder({f"EV{i}": 12 for i in range(5)},
                                           seed=6)
-        report = run_multiclass_suite(tiny_config(), features)
+        report = run_multiclass(tiny_config(), features)
         assert len(report.cells) == 2
         assert all(c.accuracy > 0.9 for c in report.cells)
 
     def test_failed_cells_are_visible_not_dropped(self, feature_matrix_builder):
         features = feature_matrix_builder({"T": 60, "U": 51, "V": 51}, seed=7)
         # Q'=5 needs 300 negatives; only 102 available -> every cell fails
-        config = tiny_config(suite="binary", balance_values=(5.0,),
-                             repetitions=1)
-        report = run_binary_suite(config, features)
+        config = tiny_config(balance_values=(5.0,), repetitions=1)
+        report = run_cells(config, features, binary_jobs(config, features))
         assert len(report.cells) == 3
         assert all(c.status == "failed" for c in report.cells)
         assert all("pool" in c.error for c in report.cells)
@@ -206,8 +209,8 @@ class TestSuites:
     def test_worker_counts_do_not_change_results(self, feature_matrix_builder):
         features = feature_matrix_builder({f"EV{i}": 12 for i in range(4)},
                                           seed=8)
-        r1 = run_multiclass_suite(tiny_config(workers=1), features)
-        r2 = run_multiclass_suite(tiny_config(workers=3), features)
+        r1 = run_multiclass(tiny_config(workers=1), features)
+        r2 = run_multiclass(tiny_config(workers=3), features)
         assert r1 == r2
 
 
@@ -217,8 +220,8 @@ class TestNoLeakageAudit:
                                           seed=9)
         seen: list[tuple[str, tuple[str, ...]]] = []
         config = tiny_config(repetitions=2)
-        report = run_multiclass_suite(config, features,
-                                      audit=lambda stage, ids: seen.append((stage, ids)))
+        report = run_multiclass(config, features,
+                                audit=lambda stage, ids: seen.append((stage, ids)))
         assert report.cells
         assert seen
         stages = {s for s, _ in seen}
@@ -236,10 +239,9 @@ class TestNoLeakageAudit:
     def test_binary_audit(self, feature_matrix_builder):
         features = feature_matrix_builder({"T": 55, "U": 55, "V": 55}, seed=10)
         seen = []
-        config = tiny_config(suite="binary", balance_values=(1.0,),
-                             repetitions=1)
-        run_binary_suite(config, features,
-                         audit=lambda stage, ids: seen.append((stage, ids)))
+        config = tiny_config(balance_values=(1.0,), repetitions=1)
+        run_cells(config, features, binary_jobs(config, features),
+                  audit=lambda stage, ids: seen.append((stage, ids)))
         assert seen
         for stage, ids in seen:
             assert len(ids) == len(set(ids))

@@ -129,7 +129,8 @@ class TestGenerateCorpus:
 class TestSeparabilityMonotonicity:
     def test_well_separated_at_least_as_accurate_as_overlapping(self):
         import warnings
-        from evprofiler.experiments import ExperimentConfig, run_multiclass_suite
+        from evprofiler.experiments import (ExperimentConfig, multiclass_jobs,
+                                            run_cells)
         from evprofiler.features import featurize_corpus
 
         grids = {"random-forest": {"n_estimators": [10], "max_depth": [None]}}
@@ -139,11 +140,12 @@ class TestSeparabilityMonotonicity:
                 30, 12, seed=55, options=SynthOptions(separation=separation))
             features, _ = featurize_corpus(corpus)
             config = ExperimentConfig(
-                suite="multiclass", families=("random-forest",), grids=grids,
+                families=("random-forest",), grids=grids,
                 nof=134, repetitions=2, master_seed=55)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                report = run_multiclass_suite(config, features)
+                report = run_cells(config, features, multiclass_jobs(
+                    config, features, "multiclass"))
             scores[separation] = np.mean([c.accuracy for c in report.cells])
         assert scores["well-separated"] >= scores["overlapping"] - 1e-9
         assert scores["well-separated"] >= 0.9
