@@ -12,7 +12,8 @@ Every cell ((target EV, balance value, repetition) or (dataset, repetition))
 derives its own seed from the master seed, so cells are independent,
 reproducible, and order-insensitive; parallel execution cannot change any
 result. Scalers, selection scores, and CV folds are fitted on training rows
-only; an optional audit hook observes exactly which session ids each fitted
+only, and a cell whose dataset repeats a session fails with ``LeakageError``;
+an optional audit hook observes exactly which session ids each fitted
 stage saw, so tests can prove the absence of test-set leakage.
 """
 
@@ -23,6 +24,7 @@ import json
 import multiprocessing
 import statistics
 import zlib
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
@@ -47,6 +49,11 @@ class SubsampleError(ValueError):
 
 class DistributionError(ValueError):
     pass
+
+
+class LeakageError(ValueError):
+    """A cell's dataset holds a session more than once, so the session could
+    sit in both the training and the held-out rows."""
 
 
 @dataclass(frozen=True)
@@ -272,7 +279,9 @@ def subsample_distribution(features: FeatureMatrix, shape: str,
     Normal(mean, sigma); targets are matched largest-first to EVs with at
     least that many rows and each matched EV is trimmed to its target.
     uniform: the session-count range is split into equal-width bins and
-    per_bin EVs are drawn per bin, each trimmed to the bin midpoint.
+    per_bin EVs are drawn per bin, each trimmed to the bin midpoint. An EV is
+    eligible for one bin only, and a bin with fewer than per_bin eligible
+    EVs raises ``DistributionError``.
     """
     by_label = features.by_label()
     counts = {ev: len(rows) for ev, rows in by_label.items()}
@@ -308,9 +317,11 @@ def subsample_distribution(features: FeatureMatrix, shape: str,
         b_lo = lo + b * width
         b_hi = lo + (b + 1) * width
         target = max(1, int((b_lo + b_hi) / 2.0))
+        # the half-open bin holding an EV's count, or the last bin for the
+        # largest count (for every EV, when all counts are equal)
         eligible = sorted(ev for ev, c in counts.items()
-                          if c >= target and b_lo <= c < b_hi
-                          or (b == params.bins - 1 and c == hi and c >= target))
+                          if c >= target and (b == params.bins - 1 if c == hi
+                                              else b_lo <= c < b_hi))
         if len(eligible) < params.per_bin:
             deficits.append(f"bin {b} [{b_lo:.1f}, {b_hi:.1f}): "
                             f"{len(eligible)}/{params.per_bin}")
@@ -340,8 +351,14 @@ def run_cell(features: FeatureMatrix, labels: Sequence[str], group: dict,
     """One (dataset, repetition) cell: one result per classifier family.
 
     Grid search scores the F1 of ``positive_label`` when one is given
-    (one-vs-all cells), else accuracy.
+    (one-vs-all cells), else accuracy. A dataset that repeats a session id
+    raises ``LeakageError``.
     """
+    repeated = sorted(sid for sid, n in Counter(features.session_ids).items()
+                      if n > 1)
+    if repeated:
+        raise LeakageError(f"{len(repeated)} session id(s) repeat in one cell, "
+                           f"first {repeated[0]!r}")
     labels = list(labels)
     split_seed, search_seed = (_seed_int(s) for s in seed.spawn(2))
     train_idx, test_idx = stratified_split(labels, seed=split_seed)

@@ -8,6 +8,11 @@ Grid search shares fits across combinations: per fold, one kNN fit with one
 distance matrix per metric, one full tree per criterion, and one forest per
 depth. It scores integer class codes, and a training failure, which depends
 only on the fold's rows, ends the search with -inf for every combination.
+
+A tree node scores all its candidate columns in one numpy pass (in chunks
+of columns under a fixed element budget): integer class prefix counts give
+exactly the costs, thresholds and tie-breaks of scoring one column at a
+time, so every tree is the same as a per-feature search would grow.
 """
 
 from __future__ import annotations
@@ -85,70 +90,82 @@ def _entropy(counts: np.ndarray, total: np.ndarray) -> np.ndarray:
     return -np.sum(terms, axis=-1)
 
 
-def _cumcount(codes: np.ndarray) -> np.ndarray:
-    """Per-position count of earlier occurrences of the same code."""
-    m = codes.size
-    order = np.argsort(codes, kind="stable")
-    grouped = codes[order]
-    starts = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
-    lengths = np.diff(np.r_[starts, m])
-    within = np.arange(m) - np.repeat(starts, lengths)
-    out = np.empty(m, dtype=np.int64)
-    out[order] = within
-    return out
+# Upper bound on the elements of one split search's per-column scratch
+# arrays (rows x columns, times classes for entropy's one-hot): candidate
+# columns are scored in chunks this size, at least one column per chunk.
+_CHUNK_ELEMENTS = 1 << 15
 
 
-def _gini_cut_costs(y_sorted: np.ndarray, cut: np.ndarray, m: int) -> np.ndarray:
-    # weighted gini = (m - sum_c l_c^2/p - sum_c r_c^2/(m-p)) / m, built from
-    # prefix identities: adding a class-c sample bumps sum l^2 by 2*count+1.
-    totals = np.bincount(y_sorted)
-    left_sq = np.cumsum(2 * _cumcount(y_sorted) + 1)
-    left_dot = np.cumsum(totals[y_sorted])  # sum_c total_c * left_c
-    t2 = float(np.sum(totals.astype(np.float64) ** 2))
-    p = (cut + 1).astype(np.float64)
-    a = left_sq[cut].astype(np.float64)
-    right_sq = t2 - 2.0 * left_dot[cut] + a
-    return (m - a / p - right_sq / (m - p)) / m
-
-
-def _entropy_cut_costs(y_sorted: np.ndarray, cut: np.ndarray, m: int,
-                       n_classes: int) -> np.ndarray:
-    onehot = np.zeros((m, n_classes))
-    onehot[np.arange(m), y_sorted] = 1.0
-    total_counts = onehot.sum(axis=0)
-    left_counts = np.cumsum(onehot, axis=0)[cut]
-    left_n = (cut + 1).astype(np.float64)
-    right_n = m - left_n
-    return (left_n * _entropy(left_counts, left_n)
-            + right_n * _entropy(total_counts - left_counts, right_n)) / m
+def _cut_costs(ys: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+               totals: np.ndarray, criterion: str) -> np.ndarray:
+    """Weighted child impurity of each cut between row ``rows[k]`` and the
+    next of column ``cols[k]``; ``ys`` holds the node's class codes with each
+    column in ascending order of its feature values."""
+    m, w = ys.shape
+    rank = np.arange(m)[:, None]
+    column = np.arange(w)
+    p = (rows + 1).astype(np.float64)
+    if criterion == "gini":
+        # weighted gini = (m - sum_c l_c^2/p - sum_c r_c^2/(m-p)) / m, built
+        # from integer prefix identities: adding a class-c sample bumps
+        # sum_c l_c^2 by 2*(earlier class-c samples)+1 and sum_c total_c*l_c
+        # by total_c. A stable sort of each column's codes groups the
+        # (column, class) pairs with rows ascending, so a row's rank in its
+        # group counts its earlier samples of the same class.
+        order = np.argsort(ys, axis=0, kind="stable")
+        grouped = ys[order, column]
+        starts = np.zeros(ys.shape, dtype=np.int64)
+        starts[1:] = np.where(grouped[1:] != grouped[:-1], rank[1:], 0)
+        earlier = np.empty_like(starts)
+        earlier[order, column] = rank - np.maximum.accumulate(starts, axis=0)
+        a = np.cumsum(2 * earlier + 1, axis=0)[rows, cols].astype(np.float64)
+        left_dot = np.cumsum(totals[ys], axis=0)[rows, cols]
+        t2 = float(np.sum(totals.astype(np.float64) ** 2))
+        right_sq = t2 - 2.0 * left_dot + a
+        return (m - a / p - right_sq / (m - p)) / m
+    # left class counts are integers, so the float cumsum of a one-hot is exact
+    onehot = np.zeros((m, w, totals.size))
+    onehot[rank, column, ys] = 1.0
+    left_counts = np.cumsum(onehot, axis=0)[rows, cols]
+    right_n = m - p
+    return (p * _entropy(left_counts, p)
+            + right_n * _entropy(totals - left_counts, right_n)) / m
 
 
 def _best_split(x: np.ndarray, y: np.ndarray, feature_ids: np.ndarray,
                 n_classes: int, criterion: str):
     """Lowest weighted child impurity over midpoint thresholds.
 
-    Returns (feature, threshold) or None; ties keep the earliest feature in
+    All candidate columns are scored in one pass per chunk of columns: one
+    stable sort per column, costs only where the sorted value changes, then
+    the first minimum per column and the first column minimum. Returns
+    (feature, threshold) or None; ties keep the earliest feature in
     ``feature_ids`` order and the smallest threshold.
     """
     m = y.size
+    totals = np.bincount(y, minlength=n_classes)
+    per_column = m * (n_classes if criterion == "entropy" else 1)
+    width = max(1, _CHUNK_ELEMENTS // per_column)
     best = None
     best_cost = np.inf
-    for f in feature_ids:
-        col = x[:, f]
-        order = np.argsort(col, kind="stable")
-        col_sorted = col[order]
-        cut = np.nonzero(col_sorted[1:] != col_sorted[:-1])[0]
-        if cut.size == 0:
+    for start in range(0, feature_ids.size, width):
+        ids = feature_ids[start:start + width]
+        block = x[:, ids]
+        column = np.arange(ids.size)
+        order = np.argsort(block, axis=0, kind="stable")
+        values = block[order, column]
+        rows, cols = np.nonzero(values[1:] != values[:-1])
+        if rows.size == 0:
             continue
-        if criterion == "gini":
-            cost = _gini_cut_costs(y[order], cut, m)
-        else:
-            cost = _entropy_cut_costs(y[order], cut, m, n_classes)
-        j = int(np.argmin(cost))
-        if cost[j] < best_cost:
-            best_cost = cost[j]
+        cost = np.full((m - 1, ids.size), np.inf)
+        cost[rows, cols] = _cut_costs(y[order], rows, cols, totals, criterion)
+        cut = np.argmin(cost, axis=0)
+        column_cost = cost[cut, column]
+        j = int(np.argmin(column_cost))
+        if column_cost[j] < best_cost:
+            best_cost = column_cost[j]
             i = cut[j]
-            best = (int(f), float((col_sorted[i] + col_sorted[i + 1]) / 2.0))
+            best = (int(ids[j]), float((values[i, j] + values[i + 1, j]) / 2.0))
     return best
 
 

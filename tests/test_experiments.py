@@ -6,9 +6,10 @@ import pytest
 
 from evprofiler.experiments import (BalanceConfig, BalanceError, CellResult,
                                     DistributionError, DistributionParams,
-                                    ExperimentConfig, SubsampleError,
-                                    binary_jobs, build_binary_dataset,
-                                    multiclass_jobs, run_cells,
+                                    ExperimentConfig, LeakageError,
+                                    SubsampleError, binary_jobs,
+                                    build_binary_dataset,
+                                    multiclass_jobs, run_cell, run_cells,
                                     subsample_distribution,
                                     subsample_multiclass, summarize_cells)
 
@@ -164,6 +165,31 @@ class TestSubsampleDistribution:
         with pytest.raises(DistributionError, match="bin"):
             subsample_distribution(features, "uniform", params, seed=0)
 
+    def test_uniform_equal_counts_use_one_bin_per_ev(self, feature_matrix_builder):
+        # every EV has the largest count, so each is eligible for the last
+        # bin only and bin 0 cannot be filled
+        features = feature_matrix_builder({f"EV{i}": 20 for i in range(6)})
+        params = DistributionParams(bins=2, per_bin=1)
+        with pytest.raises(DistributionError, match="bin 0 .*0/1"):
+            subsample_distribution(features, "uniform", params, seed=5)
+        subset = subsample_distribution(features, "uniform",
+                                        DistributionParams(bins=1, per_bin=2),
+                                        seed=5)
+        assert len(subset.by_label()) == 2
+        assert len(set(subset.session_ids)) == subset.n_rows == 40
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_uniform_draws_distinct_evs_and_sessions(self, feature_matrix_builder,
+                                                     seed):
+        rng = np.random.default_rng(seed)
+        counts = {f"EV{i:02d}": int(c)
+                  for i, c in enumerate(rng.integers(10, 40, 30))}
+        features = feature_matrix_builder(counts)
+        subset = subsample_distribution(
+            features, "uniform", DistributionParams(bins=2, per_bin=3), seed)
+        assert len(subset.by_label()) == 6
+        assert len(set(subset.session_ids)) == subset.n_rows
+
     def test_normal_infeasible_target(self, feature_matrix_builder):
         features = feature_matrix_builder({"A": 5, "B": 5, "C": 5})
         params = DistributionParams(n_evs=3, mean=50, sigma=1)
@@ -245,6 +271,21 @@ class TestNoLeakageAudit:
         assert seen
         for stage, ids in seen:
             assert len(ids) == len(set(ids))
+
+    def test_repeated_session_fails_the_cell(self, feature_matrix_builder):
+        features = feature_matrix_builder({f"EV{i}": 12 for i in range(4)},
+                                          seed=11)
+        config = tiny_config(repetitions=1)
+        rows = list(range(features.n_rows)) + [5]
+        report = run_cells(config, features,
+                           multiclass_jobs(config, features, "multiclass", rows))
+        assert [c.status for c in report.cells] == ["failed"]
+        assert report.cells[0].error == (
+            "1 session id(s) repeat in one cell, first 'EV0-0005'")
+        dataset = features.take(rows)
+        with pytest.raises(LeakageError):
+            run_cell(dataset, dataset.labels, {}, "", 0, config,
+                     np.random.SeedSequence(0), None)
 
 
 class TestAggregation:

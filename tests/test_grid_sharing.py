@@ -6,6 +6,10 @@ predicts with the per-row kNN vote and the tree-by-tree forest vote, and
 scores label strings with ``reference_scores``, the per-row confusion loop.
 The shared search must give the same CV table, the same chosen spec and the
 same refitted model, compared through ``model_document``.
+
+``reference_best_split`` is the per-feature split search that the one-pass
+``learn._best_split`` replaced; both must pick the same (feature, threshold)
+at every node, so both grow the same trees.
 """
 
 import json
@@ -143,6 +147,71 @@ def oracle_grid_search(family, grid, x, labels, k=5, seed=0,
         best_spec = specs[0]
     model = learn.train(best_spec, x, labels, seed)
     return GridSearchResult(best_spec, model, best_mean, tuple(table))
+
+
+# ---------------------------------------------------------------------------
+# the per-feature split search
+
+def _cumcount(codes):
+    """Per-position count of earlier occurrences of the same code."""
+    m = codes.size
+    order = np.argsort(codes, kind="stable")
+    grouped = codes[order]
+    starts = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
+    lengths = np.diff(np.r_[starts, m])
+    within = np.arange(m) - np.repeat(starts, lengths)
+    out = np.empty(m, dtype=np.int64)
+    out[order] = within
+    return out
+
+
+def _gini_cut_costs(y_sorted, cut, m):
+    # weighted gini = (m - sum_c l_c^2/p - sum_c r_c^2/(m-p)) / m, built from
+    # prefix identities: adding a class-c sample bumps sum l^2 by 2*count+1.
+    totals = np.bincount(y_sorted)
+    left_sq = np.cumsum(2 * _cumcount(y_sorted) + 1)
+    left_dot = np.cumsum(totals[y_sorted])  # sum_c total_c * left_c
+    t2 = float(np.sum(totals.astype(np.float64) ** 2))
+    p = (cut + 1).astype(np.float64)
+    a = left_sq[cut].astype(np.float64)
+    right_sq = t2 - 2.0 * left_dot[cut] + a
+    return (m - a / p - right_sq / (m - p)) / m
+
+
+def _entropy_cut_costs(y_sorted, cut, m, n_classes):
+    onehot = np.zeros((m, n_classes))
+    onehot[np.arange(m), y_sorted] = 1.0
+    total_counts = onehot.sum(axis=0)
+    left_counts = np.cumsum(onehot, axis=0)[cut]
+    left_n = (cut + 1).astype(np.float64)
+    right_n = m - left_n
+    return (left_n * learn._entropy(left_counts, left_n)
+            + right_n * learn._entropy(total_counts - left_counts, right_n)) / m
+
+
+def reference_best_split(x, y, feature_ids, n_classes, criterion):
+    """One feature at a time: stable sort, costs at value changes, keep the
+    first minimum and replace it only by a strictly lower cost."""
+    m = y.size
+    best = None
+    best_cost = np.inf
+    for f in feature_ids:
+        col = x[:, f]
+        order = np.argsort(col, kind="stable")
+        col_sorted = col[order]
+        cut = np.nonzero(col_sorted[1:] != col_sorted[:-1])[0]
+        if cut.size == 0:
+            continue
+        if criterion == "gini":
+            cost = _gini_cut_costs(y[order], cut, m)
+        else:
+            cost = _entropy_cut_costs(y[order], cut, m, n_classes)
+        j = int(np.argmin(cost))
+        if cost[j] < best_cost:
+            best_cost = cost[j]
+            i = cut[j]
+            best = (int(f), float((col_sorted[i] + col_sorted[i + 1]) / 2.0))
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -320,3 +389,127 @@ def test_scores_equal_reference_loop(positive):
         y = [f"L{v}" for v in rng.integers(0, int(rng.integers(1, 5)), n)]
         p = [f"L{v}" for v in rng.integers(0, int(rng.integers(1, 5)), n)]
         assert score_predictions(y, p, positive) == reference_scores(y, p, positive)
+
+
+# ---------------------------------------------------------------------------
+# the one-pass split search against the per-feature one
+
+def awkward_matrix(rng, m, d, n_classes):
+    """Rounded values (ties within and across columns), a constant column
+    and a duplicated column when there is room, labels from n_classes."""
+    x = np.round(rng.normal(0.0, 1.0, (m, d)), int(rng.integers(0, 3)))
+    if d > 1:
+        x[:, rng.integers(0, d)] = 0.5
+    if d > 2:
+        x[:, 2] = x[:, 0]
+    y = rng.integers(0, n_classes, m)
+    return x, y
+
+
+def assert_same_split(x, y, feature_ids, n_classes, criterion):
+    feature_ids = np.asarray(feature_ids)
+    assert (learn._best_split(x, y, feature_ids, n_classes, criterion)
+            == reference_best_split(x, y, feature_ids, n_classes, criterion))
+
+
+@pytest.mark.parametrize("criterion", ["gini", "entropy"])
+def test_split_equals_per_feature_search(criterion):
+    rng = np.random.default_rng(17)
+    found = 0
+    for _ in range(400):
+        m, d = int(rng.integers(2, 60)), int(rng.integers(1, 12))
+        n_classes = int(rng.integers(2, 41))
+        x, y = awkward_matrix(rng, m, d, n_classes)
+        for feature_ids in (np.arange(d),
+                            np.sort(rng.choice(d, int(rng.integers(1, d + 1)),
+                                               replace=False)),
+                            [int(rng.integers(0, d))]):
+            assert_same_split(x, y, feature_ids, n_classes, criterion)
+        found += reference_best_split(x, y, np.arange(d), n_classes,
+                                      criterion) is not None
+    assert found > 300  # most cases have a split to agree on
+
+
+@pytest.mark.parametrize("criterion", ["gini", "entropy"])
+def test_split_of_constant_columns_is_none(criterion):
+    x = np.full((12, 4), 3.0)
+    y = np.arange(12) % 3
+    assert learn._best_split(x, y, np.arange(4), 3, criterion) is None
+    assert reference_best_split(x, y, np.arange(4), 3, criterion) is None
+
+
+@pytest.mark.parametrize("m,n_classes,d,columns_in_budget", [
+    (400, 120, 3, 0),    # one column alone exceeds the element budget
+    (100, 30, 25, 10),   # chunks of 10 columns, the last one of 5
+])
+def test_entropy_chunks_equal_per_feature_search(m, n_classes, d,
+                                                 columns_in_budget):
+    assert learn._CHUNK_ELEMENTS // (m * n_classes) == columns_in_budget
+    rng = np.random.default_rng(18)
+    x, y = awkward_matrix(rng, m, d, n_classes)
+    for criterion in ("gini", "entropy"):
+        assert_same_split(x, y, np.arange(d), n_classes, criterion)
+        for k in range(d):
+            # the class codes themselves make column k the best one
+            planted = x.copy()
+            planted[:, k] = y
+            assert_same_split(planted, y, np.arange(d), n_classes, criterion)
+
+
+def test_split_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    hnp = pytest.importorskip("hypothesis.extra.numpy")
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(data=st.data(), m=st.integers(2, 25), d=st.integers(1, 6),
+                      n_classes=st.integers(2, 8),
+                      criterion=st.sampled_from(["gini", "entropy"]))
+    def check(data, m, d, n_classes, criterion):
+        # few distinct values, so ties are common
+        values = st.sampled_from([-1.5, -0.0, 0.0, 0.25, 1.0, 1e-300, 7.0])
+        x = data.draw(hnp.arrays(np.float64, (m, d), elements=values))
+        y = data.draw(hnp.arrays(np.int64, m,
+                                 elements=st.integers(0, n_classes - 1)))
+        feature_ids = np.array(sorted(data.draw(st.sets(
+            st.integers(0, d - 1), min_size=1))))
+        assert_same_split(x, y, feature_ids, n_classes, criterion)
+
+    check()
+
+
+TREE_SPECS = [("decision-tree", {"criterion": c, "max_depth": depth})
+              for c in ("gini", "entropy") for depth in (None, 3)]
+TREE_SPECS += [("random-forest", {"n_estimators": 6, "max_depth": depth})
+               for depth in (None, 4)]
+
+
+@pytest.mark.parametrize("family,hp", TREE_SPECS)
+@pytest.mark.parametrize("data", ["overlapping", "rounded"])
+def test_trees_equal_per_feature_trees(monkeypatch, family, hp, data):
+    x, labels = overlapping(n_per_class=15, n_classes=4, d=7, seed=19)
+    if data == "rounded":
+        x = np.round(x, 0)
+        x[:, 3] = x[:, 1]
+    spec = ClassifierSpec(family, hp)
+    got = model_document(train(spec, x, labels, seed=20))
+    monkeypatch.setattr(learn, "_best_split", reference_best_split)
+    want = model_document(train(spec, x, labels, seed=20))
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+@pytest.mark.parametrize("max_depth", [None, 4])
+def test_entropy_forest_trees_equal_per_feature_trees(monkeypatch, max_depth):
+    # forests take no criterion; grow forest-style entropy trees directly
+    x, labels = overlapping(n_per_class=15, n_classes=5, d=9, seed=21)
+    y = np.array([int(l[2:]) for l in labels])
+
+    def grow():
+        rng = np.random.default_rng(22)
+        return [_node_document(learn._grow_tree(x, y, 5, "entropy", max_depth,
+                                                rng, 3))
+                for _ in range(4)]
+
+    got = grow()
+    monkeypatch.setattr(learn, "_best_split", reference_best_split)
+    assert got == grow()
