@@ -5,9 +5,11 @@ Everything is deterministic for a given (data, spec, seed): tie-breaking is
 lexicographic on class labels, first-encountered on split costs and grid
 order, and forest tree seeds derive from the training seed by tree index.
 Grid search shares fits across combinations: per fold, one kNN fit with one
-distance matrix per metric, one full tree per criterion, and one forest per
-depth. It scores integer class codes, and a training failure, which depends
-only on the fold's rows, ends the search with -inf for every combination.
+distance matrix per metric, one full tree per criterion, and forest trees
+grown once at the largest depth cap and regrown at a smaller cap only when
+that cap cuts them. It scores integer class codes, and a training failure,
+which depends only on the fold's rows, ends the search with -inf for every
+combination.
 
 A tree node scores all its candidate columns in one numpy pass (in chunks
 of columns under a fixed element budget): integer class prefix counts give
@@ -176,11 +178,20 @@ class _TreeNode:
     label: int = 0
     left: Optional["_TreeNode"] = None
     right: Optional["_TreeNode"] = None
+    # set on the root by _grow_tree: the deepest depth at which a node drew
+    # candidates or searched for a split, -1 if none did
+    reach: int = -1
 
 
 def _grow_tree(x: np.ndarray, y: np.ndarray, n_classes: int, criterion: str,
                max_depth: Optional[int], rng: Optional[np.random.Generator],
                n_candidates: Optional[int]) -> _TreeNode:
+    """Grow one tree; the root's ``reach`` records how deep growth searched.
+
+    ``rng`` is drawn from only at nodes that pass the stop tests. A cap d
+    with ``reach < d <= max_depth`` changes no stop test and no draw, so
+    growing with cap d gives this same tree.
+    """
     root = _TreeNode()
     # explicit stack instead of recursion: unlimited-depth trees can exceed
     # the interpreter recursion limit on large nodes
@@ -192,6 +203,7 @@ def _grow_tree(x: np.ndarray, y: np.ndarray, n_classes: int, criterion: str,
         if (np.count_nonzero(counts) <= 1 or ny.size < 2
                 or (max_depth is not None and depth >= max_depth)):
             continue
+        root.reach = max(root.reach, depth)
         d = nx.shape[1]
         if n_candidates is not None and n_candidates < d:
             feature_ids = np.sort(rng.choice(d, size=n_candidates, replace=False))
@@ -283,17 +295,37 @@ def train(spec: ClassifierSpec, x: np.ndarray, labels: Sequence[str],
         model.tree = _grow_tree(x, y, len(classes), hp.get("criterion", "gini"),
                                 hp.get("max_depth"), None, None)
     else:
-        n_estimators = hp.get("n_estimators", 10)
-        n_candidates = int(np.ceil(np.sqrt(x.shape[1])))
-        seeds = np.random.SeedSequence(seed).spawn(n_estimators)
-        model.forest = []
-        for tree_seed in seeds:
-            rng = np.random.default_rng(tree_seed)
-            rows = rng.integers(0, x.shape[0], size=x.shape[0])
-            model.forest.append(_grow_tree(
-                x[rows], y[rows], len(classes), hp.get("criterion", "gini"),
-                hp.get("max_depth"), rng, n_candidates))
+        model.forest = _grow_forest(x, y, len(classes), seed,
+                                    hp.get("n_estimators", 10), hp.get("max_depth"))
     return model
+
+
+def _cap(max_depth: Optional[int]) -> float:
+    return np.inf if max_depth is None else max_depth
+
+
+def _grow_forest(x: np.ndarray, y: np.ndarray, n_classes: int, seed: int,
+                 n_estimators: int, max_depth: Optional[int],
+                 grown: Sequence[_TreeNode] = ()) -> list[_TreeNode]:
+    """Bootstrap gini trees on ceil(sqrt(d)) candidate features per split.
+
+    Tree t draws its rows and candidates from ``SeedSequence(seed).spawn(n)[t]``.
+    ``grown[t]``, if given, is tree t of this seed grown with a cap of at
+    least ``max_depth``; it is kept when its reach is under ``max_depth``,
+    because it is then the tree this cap grows.
+    """
+    n_candidates = int(np.ceil(np.sqrt(x.shape[1])))
+    seeds = np.random.SeedSequence(seed).spawn(n_estimators)
+    forest = []
+    for t, tree_seed in enumerate(seeds):
+        if t < len(grown) and grown[t].reach < _cap(max_depth):
+            forest.append(grown[t])
+            continue
+        rng = np.random.default_rng(tree_seed)
+        rows = rng.integers(0, x.shape[0], size=x.shape[0])
+        forest.append(_grow_tree(x[rows], y[rows], n_classes, "gini", max_depth,
+                                 rng, n_candidates))
+    return forest
 
 
 def _distances(metric: str, queries: np.ndarray, train_x: np.ndarray) -> np.ndarray:
@@ -548,16 +580,33 @@ def _tree_fold(specs, x_train, y_train, x_test, seed):
 
 
 def _forest_fold(specs, x_train, y_train, x_test, seed):
-    """One forest per depth, as large as the depth's largest tree count.
+    """One forest per depth, as large as the depth's largest tree count, with
+    each tree grown once and regrown only at a cap that cuts it.
 
     Tree seeds come from ``SeedSequence(seed).spawn(n)``, whose first k
     children are ``spawn(k)``, so the first k trees are the k-tree forest.
+    Depths go from the largest cap down, ``None`` first, and each tree index
+    keeps its latest tree, grown at a cap at least the current one: that
+    tree serves every smaller cap above its reach.
     """
     out: list = [None] * len(specs)
-    for members in _group(specs, "max_depth", None):
+    groups = sorted(_group(specs, "max_depth", None), key=lambda members:
+                    -_cap(specs[members[0]].hyperparameters.get("max_depth")))
+    model, latest = None, []
+    for members in groups:
         sizes = [specs[i].hyperparameters.get("n_estimators", 10) for i in members]
-        model = train(specs[members[int(np.argmax(sizes))]], x_train, y_train, seed)
-        codes = _forest_codes(model.forest, x_test, len(model.classes), set(sizes))
+        spec = specs[members[int(np.argmax(sizes))]]
+        if model is None:
+            # the largest cap: train also checks the rows and codes the labels
+            model = train(spec, x_train, y_train, seed)
+            lookup = {c: i for i, c in enumerate(model.classes)}
+            y = np.array([lookup[l] for l in y_train])
+            forest = model.forest
+        else:
+            forest = _grow_forest(x_train, y, len(model.classes), seed, max(sizes),
+                                  spec.hyperparameters.get("max_depth"), latest)
+        latest = forest + latest[len(forest):]
+        codes = _forest_codes(forest, x_test, len(model.classes), set(sizes))
         for i, n in zip(members, sizes):
             out[i] = codes[n]
     return model.classes, out

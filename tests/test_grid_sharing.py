@@ -10,6 +10,10 @@ same refitted model, compared through ``model_document``.
 ``reference_best_split`` is the per-feature split search that the one-pass
 ``learn._best_split`` replaced; both must pick the same (feature, threshold)
 at every node, so both grow the same trees.
+
+The forest fold grows each tree once at the largest depth cap and keeps it
+at every smaller cap above its reach; the forests it builds per cap are
+pinned to ``train`` and the reach argument itself to a property test.
 """
 
 import json
@@ -253,6 +257,29 @@ def assert_same_search(family, grid, x, labels, **kwargs):
     return got
 
 
+def record_tree_growth(monkeypatch):
+    """Log (cap, reach) of every tree ``_grow_tree`` grows, and the slice of
+    that log each forest fold made."""
+    calls, per_fold = [], []
+    grow_tree = learn._grow_tree
+    forest_fold = learn._FOLD_PREDICTORS["random-forest"]
+
+    def logged_tree(*args):
+        tree = grow_tree(*args)
+        calls.append((args[4], tree.reach))
+        return tree
+
+    def logged_fold(*args):
+        start = len(calls)
+        result = forest_fold(*args)
+        per_fold.append(calls[start:])
+        return result
+
+    monkeypatch.setattr(learn, "_grow_tree", logged_tree)
+    monkeypatch.setitem(learn._FOLD_PREDICTORS, "random-forest", logged_fold)
+    return calls, per_fold
+
+
 SCORINGS = [("accuracy", {}),
             ("f1-positive", {"positive_label": "target"})]
 
@@ -357,9 +384,21 @@ def test_shared_fits_per_fold(monkeypatch):
 
     monkeypatch.setattr(learn, "train", counting)
     x, labels = overlapping(seed=14)
+    calls, per_fold = record_tree_growth(monkeypatch)
     learn.grid_search("random-forest", DEFAULT_GRIDS["random-forest"], x, labels)
-    assert len(fits) == 6 * 5 + 1  # one 50-tree forest per depth per fold
-    assert all(s.hyperparameters["n_estimators"] == 50 for s in fits[:-1])
+    assert len(per_fold) == 5
+    for fold_calls in per_fold:
+        # 50 uncapped trees, then a regrowth for each tree a smaller cap cuts
+        assert [cap for cap, _ in fold_calls[:50]] == [None] * 50
+        reach = [r for _, r in fold_calls[:50]]
+        regrown = iter(fold_calls[50:])
+        for cap in (25, 15, 10, 5, 3):
+            for t in range(50):
+                if reach[t] >= cap:
+                    got_cap, reach[t] = next(regrown)
+                    assert got_cap == cap
+        assert next(regrown, None) is None
+        assert 50 < len(fold_calls) < 6 * 50
     fits.clear()
     learn.grid_search("decision-tree", DEFAULT_GRIDS["decision-tree"], x, labels)
     assert len(fits) == 2 * 5 + 1
@@ -513,3 +552,121 @@ def test_entropy_forest_trees_equal_per_feature_trees(monkeypatch, max_depth):
     got = grow()
     monkeypatch.setattr(learn, "_best_split", reference_best_split)
     assert got == grow()
+
+
+# ---------------------------------------------------------------------------
+# forest trees reused across depth caps
+
+def tree_depths(root):
+    """Depth of every split node."""
+    depths, stack = [], [(root, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if node.feature != learn._LEAF:
+            depths.append(depth)
+            stack += [(node.left, depth + 1), (node.right, depth + 1)]
+    return depths
+
+
+@pytest.mark.parametrize("n_classes", [2, 10])
+@pytest.mark.parametrize("data", ["overlapping", "rounded"])
+def test_fold_forests_equal_trained_forests(monkeypatch, n_classes, data):
+    x, labels = overlapping(n_per_class=60 // n_classes, n_classes=n_classes,
+                            d=9, seed=23)
+    if data == "rounded":
+        x = np.round(x, 0)
+    forests = []
+    grow_forest = learn._grow_forest
+
+    def logged_forest(*args):
+        forest = grow_forest(*args)
+        forests.append((args[5], forest))
+        return forest
+
+    monkeypatch.setattr(learn, "_grow_forest", logged_forest)
+    calls, per_fold = record_tree_growth(monkeypatch)
+    specs = expand_grid("random-forest", DEFAULT_GRIDS["random-forest"])
+    learn._FOLD_PREDICTORS["random-forest"](specs, x, labels, x[:5], 24)
+    monkeypatch.undo()
+    assert [cap for cap, _ in forests] == [None, 25, 15, 10, 5, 3]
+    distinct = {id(tree) for _, forest in forests for tree in forest}
+    assert len(distinct) == len(calls) == len(per_fold[0])
+    assert len(calls) < 6 * 50  # some caps reused a tree
+    assert len(calls) > 50  # some cap cut a tree and regrew it
+    for cap, forest in forests:
+        for n in (5, 50):
+            spec = ClassifierSpec("random-forest", {"n_estimators": n, "max_depth": cap})
+            want = model_document(train(spec, x, labels, seed=24))["forest"]
+            assert [_node_document(tree) for tree in forest[:n]] == want
+
+
+FOREST_GRIDS = [
+    {"max_depth": [4, None, 2], "n_estimators": [3, 8]},  # None in the middle
+    {"n_estimators": [6, 2], "max_depth": [2, 6, 3]},  # no uncapped group
+    {"n_estimators": [3, 7], "max_depth": [1, 9, None, 5]},
+]
+
+
+@pytest.mark.parametrize("grid", FOREST_GRIDS)
+@pytest.mark.parametrize("data", ["overlapping", "failed-fold"])
+def test_forest_grid_orders_match_oracle(grid, data):
+    x, labels = overlapping(n_per_class=10, n_classes=4, d=6, seed=25)
+    if data == "failed-fold":
+        # the one-row class sits in fold 0, so that fold trains on one class
+        x, labels = x[:11], labels[:11]
+    result = assert_same_search("random-forest", grid, x, labels, seed=26)
+    assert (data == "failed-fold") == (result.best_score == -np.inf)
+
+
+def test_forest_groups_with_different_tree_counts():
+    x, labels = overlapping(n_per_class=10, n_classes=4, d=6, seed=27)
+    test = stratified_kfold(labels, 5, 28)[0]
+    rows = np.setdiff1d(np.arange(len(labels)), test)
+    train_labels = [labels[i] for i in rows]
+    # groups past the first grow more trees than any group before them
+    specs = [ClassifierSpec("random-forest", {"n_estimators": n, "max_depth": cap})
+             for n, cap in [(3, None), (7, 4), (5, 2), (2, 6), (7, 1), (1, 2)]]
+    classes, codes = learn._forest_fold(specs, x[rows], train_labels, x[test], 29)
+    for spec, spec_codes in zip(specs, codes):
+        model = train(spec, x[rows], train_labels, seed=29)
+        np.testing.assert_array_equal(np.array(classes)[spec_codes],
+                                      oracle_predict(model, x[test]))
+
+
+def test_reach_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    hnp = pytest.importorskip("hypothesis.extra.numpy")
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(data=st.data(), m=st.integers(2, 30), d=st.integers(1, 5),
+                      n_classes=st.integers(2, 4), n_candidates=st.integers(1, 3),
+                      seed=st.integers(0, 2 ** 32 - 1))
+    def check(data, m, d, n_classes, n_candidates, seed):
+        # few distinct values, so nodes often search and find no split
+        values = st.sampled_from([-1.0, 0.0, 0.5, 2.0])
+        x = data.draw(hnp.arrays(np.float64, (m, d), elements=values))
+        y = data.draw(hnp.arrays(np.int64, m,
+                                 elements=st.integers(0, n_classes - 1)))
+
+        def grow(cap):
+            rng = np.random.default_rng(seed)
+            tree = learn._grow_tree(x, y, n_classes, "gini", cap, rng, n_candidates)
+            return tree, rng.bit_generator.state
+
+        full, _ = grow(None)
+        assert max(tree_depths(full), default=-1) <= full.reach
+        caps = [None, *range(1, full.reach + 3)]
+        grown = {cap: grow(cap) for cap in caps}
+        for cap, (tree, _) in grown.items():
+            assert max(tree_depths(tree), default=-1) <= tree.reach
+            assert tree.reach < learn._cap(cap)
+        # a tree grown at any cap, with reach under a smaller cap, is the tree
+        # grown with that cap, down to the generator state after the draws
+        for big, (tree, drawn) in grown.items():
+            for cap in caps[1:]:
+                if tree.reach < cap <= learn._cap(big):
+                    assert _node_document(tree) == _node_document(grown[cap][0])
+                    assert drawn == grown[cap][1]
+
+    check()
