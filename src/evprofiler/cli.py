@@ -17,8 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .config import (ConfigError, RunManifest, filter_params_from,
-                     parse_config_file, tail_params_from)
+from .config import ConfigError, RunManifest, params_from, parse_config_file
 from .experiments import (DistributionParams, ExperimentConfig,
                           ExperimentReport, SummaryRow, binary_jobs, grid_rows,
                           multiclass_jobs, read_cells_csv, run_cells,
@@ -103,8 +102,8 @@ def _segment_from_record(rec: dict) -> SegmentPair:
 
 def _cmd_extract(args, cfg: dict, manifest: RunManifest) -> None:
     manifest.add_input(args.sessions)
-    filter_params = filter_params_from(cfg)
-    tail_params = tail_params_from(cfg)
+    filter_params = params_from("filter", cfg)
+    tail_params = params_from("tail", cfg)
     manifest.start("extract")
     corpus = parse_sessions(args.sessions, "acn-json")
     segments, rejected = segment_corpus(corpus, filter_params, tail_params)

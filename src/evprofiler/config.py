@@ -12,26 +12,17 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Optional
 
 from . import __version__
 from .filters import FilterParams
 from .tail import TailParams
 
-CONFIG_KEYS = {
-    "filter.kind": str,
-    "filter.window": int,
-    "filter.delta_window": int,
-    "filter.low_pass_alpha": float,
-    "tail.zero_eps": float,
-    "tail.min_zero_run": int,
-    "tail.max_spike_len": int,
-    "tail.epsilon": float,
-    "tail.t_max": int,
-    "tail.min_len": int,
-    "tail.max_len": int,
-}
+# section -> params class; its dataclass defaults are the config defaults
+_SECTIONS = {"filter": FilterParams, "tail": TailParams}
+CONFIG_KEYS = {f"{section}.{f.name}": type(f.default)
+               for section, cls in _SECTIONS.items() for f in fields(cls)}
 
 
 class ConfigError(ValueError):
@@ -57,25 +48,11 @@ def parse_config_file(path: str) -> dict[str, Any]:
     return values
 
 
-def filter_params_from(values: dict[str, Any]) -> FilterParams:
-    return FilterParams(
-        window=values.get("filter.window", 5),
-        kind=values.get("filter.kind", "moving-average"),
-        delta_window=values.get("filter.delta_window", 7),
-        low_pass_alpha=values.get("filter.low_pass_alpha", 0.3),
-    )
-
-
-def tail_params_from(values: dict[str, Any]) -> TailParams:
-    return TailParams(
-        zero_eps=values.get("tail.zero_eps", 0.5),
-        min_zero_run=values.get("tail.min_zero_run", 5),
-        max_spike_len=values.get("tail.max_spike_len", 3),
-        epsilon=values.get("tail.epsilon", 0.2),
-        t_max=values.get("tail.t_max", 4),
-        min_len=values.get("tail.min_len", 20),
-        max_len=values.get("tail.max_len", 2000),
-    )
+def params_from(section: str, values: dict[str, Any]):
+    """The section's params object from the keys present in ``values``."""
+    cls = _SECTIONS[section]
+    return cls(**{f.name: values[key] for f in fields(cls)
+                  if (key := f"{section}.{f.name}") in values})
 
 
 def file_digest(path: str) -> str:

@@ -30,7 +30,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .features import FeatureMatrix, SelectionConfig, fit_selection
+from .features import FeatureMatrix, fit_selection
 from .learn import (DEFAULT_GRIDS, grid_search, predict,
                     score_predictions, stratified_split)
 
@@ -370,7 +370,7 @@ def run_cell(features: FeatureMatrix, labels: Sequence[str], group: dict,
         audit("held-out", test.session_ids)
         audit("scaler", train.session_ids)
         audit("selection", train.session_ids)
-    selection = fit_selection(train, y_train, SelectionConfig(config.nof))
+    selection = fit_selection(train, y_train, config.nof)
     x_train = selection.transform(train).x
     x_test = selection.transform(test).x
     results = []

@@ -30,7 +30,7 @@ def _moments(x: np.ndarray) -> tuple[float, float]:
 
 def _skewness(x: np.ndarray) -> float:
     mu, var = _moments(x)
-    if var == 0:
+    if var ** 2 == 0:  # var is 0, or its square underflows
         return 0.0
     return float(np.mean((x - mu) ** 3) / var ** 1.5)
 
@@ -38,7 +38,7 @@ def _skewness(x: np.ndarray) -> float:
 def _kurtosis(x: np.ndarray) -> float:
     # excess kurtosis; 0 for zero-variance series
     mu, var = _moments(x)
-    if var == 0:
+    if var ** 2 == 0:  # var is 0, or its square underflows
         return 0.0
     return float(np.mean((x - mu) ** 4) / var ** 2 - 3.0)
 
@@ -103,7 +103,9 @@ def _peak_count(x: np.ndarray, support: int) -> float:
 
 
 def _binned_entropy(x: np.ndarray, bins: int = 10) -> float:
-    if np.min(x) == np.max(x):
+    # 0 for a range too narrow for distinct float edges, constant included
+    edges = np.linspace(np.min(x), np.max(x), bins + 1)
+    if not np.all(edges[:-1] < edges[1:]):
         return 0.0
     hist, _ = np.histogram(x, bins=bins)
     p = hist[hist > 0] / x.size
@@ -245,7 +247,7 @@ def series_features(values: np.ndarray) -> np.ndarray:
     out[2] = float(np.median(x))
     out[3] = var
     out[4] = std
-    if var == 0:
+    if var ** 2 == 0:
         out[5] = out[6] = 0.0
     else:
         out[5] = float(np.mean(centered ** 3) / var ** 1.5)
@@ -473,30 +475,17 @@ def anova_f_scores(matrix: FeatureMatrix, labels: Sequence[str]) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SelectionConfig:
-    nof: int = 100
-    scorer: str = "chi2"  # or "anova-f"
-
-    def __post_init__(self):
-        if self.nof < 1:
-            raise ValueError("nof must be >= 1")
-        if self.scorer not in ("chi2", "anova-f"):
-            raise ValueError(f"unknown scorer {self.scorer!r}")
-
-
-@dataclass(frozen=True)
 class SelectionModel:
     """Fitted selector: chosen columns plus the train-set min/max scaler."""
 
     selected_names: tuple[str, ...]
     selected_idx: tuple[int, ...]
     scaler: MinMaxScaler
-    scorer: str
 
     def transform(self, matrix: FeatureMatrix) -> FeatureMatrix:
-        source = apply_minmax(matrix, self.scaler) if self.scorer == "chi2" else matrix
+        scaled = apply_minmax(matrix, self.scaler)
         return FeatureMatrix(matrix.session_ids, matrix.labels,
-                             source.x[:, list(self.selected_idx)],
+                             scaled.x[:, list(self.selected_idx)],
                              self.selected_names)
 
 
@@ -511,17 +500,10 @@ def select_k_best(scores: np.ndarray, nof: int,
 
 
 def fit_selection(train: FeatureMatrix, labels: Sequence[str],
-                  config: SelectionConfig) -> SelectionModel:
-    """Fit scaler + scorer + top-k choice on training rows only.
-
-    The chi2 path scores min-max-scaled features; the ANOVA path scores raw
-    features. Either way the scaler is fitted so transform() is total.
-    """
+                  nof: int) -> SelectionModel:
+    """Fit the min-max scaler and the top-``nof`` chi-square choice on
+    training rows only."""
     scaler = fit_minmax(train)
-    if config.scorer == "chi2":
-        scores = chi2_scores(apply_minmax(train, scaler), labels)
-    else:
-        scores = anova_f_scores(train, labels)
-    idx = select_k_best(scores, config.nof, train.names)
-    return SelectionModel(tuple(train.names[i] for i in idx), idx,
-                          scaler, config.scorer)
+    idx = select_k_best(chi2_scores(apply_minmax(train, scaler), labels),
+                        nof, train.names)
+    return SelectionModel(tuple(train.names[i] for i in idx), idx, scaler)

@@ -1,6 +1,8 @@
 """Charging-session corpus loading and admission filters.
 
-Two on-disk formats are supported:
+``parse_sessions`` takes the path of a session file and reads it record by
+record, so no copy of the whole file is held as one string. Two on-disk
+formats are supported:
 
 * ``acn-json`` — newline-delimited JSON, one object per session:
   ``{"sessionID": str, "userID": str|null, "stationID": str,
@@ -14,9 +16,7 @@ Two on-disk formats are supported:
 from __future__ import annotations
 
 import csv
-import io
 import json
-import os
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
@@ -77,10 +77,8 @@ class ChargingSession:
 
 @dataclass(frozen=True)
 class Provenance:
-    """Where a corpus came from and what was dropped or repaired on the way."""
+    """What ingestion dropped or repaired on the way in."""
 
-    source: str
-    format: str = "memory"
     dropped_missing_field: int = 0
     truncated_mismatched: int = 0
     clamped_negative: int = 0
@@ -89,7 +87,7 @@ class Provenance:
 @dataclass(frozen=True)
 class Corpus:
     sessions: tuple[ChargingSession, ...]
-    provenance: Provenance = field(default_factory=lambda: Provenance("memory"))
+    provenance: Provenance = field(default_factory=Provenance)
 
     def __post_init__(self):
         sessions = tuple(self.sessions)
@@ -104,13 +102,6 @@ class Corpus:
 
     def labels(self) -> list[str]:
         return sorted({s.ev_label for s in self.sessions if s.ev_label})
-
-    def by_label(self) -> dict[str, list[ChargingSession]]:
-        out: dict[str, list[ChargingSession]] = {}
-        for s in self.sessions:
-            if s.ev_label:
-                out.setdefault(s.ev_label, []).append(s)
-        return out
 
 
 def _parse_float_list(raw, where: str) -> np.ndarray:
@@ -156,8 +147,8 @@ def _session_from_record(rec: dict, where: str, stats: dict) -> Optional[Chargin
     )
 
 
-def _records_from_json(text: str) -> Iterable[tuple[str, dict]]:
-    for lineno, line in enumerate(text.splitlines(), start=1):
+def _records_from_json(lines: Iterable[str]) -> Iterable[tuple[str, dict]]:
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
@@ -169,8 +160,8 @@ def _records_from_json(text: str) -> Iterable[tuple[str, dict]]:
         yield f"line {lineno}", rec
 
 
-def _records_from_csv(text: str) -> Iterable[tuple[str, dict]]:
-    reader = csv.DictReader(io.StringIO(text))
+def _records_from_csv(lines: Iterable[str]) -> Iterable[tuple[str, dict]]:
+    reader = csv.DictReader(lines)
     if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != CSV_HEADER:
         raise ParseError(f"csv header must be {','.join(CSV_HEADER)}")
     for rowno, row in enumerate(reader, start=2):
@@ -183,8 +174,8 @@ def _records_from_csv(text: str) -> Iterable[tuple[str, dict]]:
         yield f"row {rowno}", rec
 
 
-def parse_sessions(source, fmt: str) -> Corpus:
-    """Parse a corpus from a path to an existing file, or from its text.
+def parse_sessions(path, fmt: str) -> Corpus:
+    """Parse the session file at ``path``, reading it record by record.
 
     Records missing the session id, pilot, or current series are dropped and
     counted; mismatched pilot/current lengths are truncated to the shorter
@@ -193,22 +184,16 @@ def parse_sessions(source, fmt: str) -> Corpus:
     """
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
-    name = "<stream>"
-    if isinstance(source, (str, os.PathLike)) and os.path.exists(os.fspath(source)):
-        name = os.fspath(source)
-        with open(name, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = str(source)
-
-    records = _records_from_json(text) if fmt == "acn-json" else _records_from_csv(text)
     stats = {"dropped_missing_field": 0, "truncated_mismatched": 0, "clamped_negative": 0}
     sessions = []
-    for where, rec in records:
-        session = _session_from_record(rec, where, stats)
-        if session is not None:
-            sessions.append(session)
-    return Corpus(tuple(sessions), Provenance(source=name, format=fmt, **stats))
+    # csv reads its own line endings; JSON lines use universal newlines
+    with open(path, "r", encoding="utf-8", newline="" if fmt == "csv" else None) as fh:
+        records = _records_from_json(fh) if fmt == "acn-json" else _records_from_csv(fh)
+        for where, rec in records:
+            session = _session_from_record(rec, where, stats)
+            if session is not None:
+                sessions.append(session)
+    return Corpus(tuple(sessions), Provenance(**stats))
 
 
 def _session_record(s: ChargingSession) -> dict:

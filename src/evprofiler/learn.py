@@ -243,15 +243,16 @@ def _tree_predict(node: _TreeNode, x: np.ndarray,
     return out
 
 
-def _forest_codes(forest: Sequence[_TreeNode], x: np.ndarray, n_classes: int,
+def _forest_codes(tree_codes: Sequence[np.ndarray], n_classes: int,
                   sizes: set) -> dict[int, np.ndarray]:
     """Majority-vote class codes of the first ``n`` trees, for each n in
-    ``sizes``; vote ties go to the lowest class code."""
-    rows = np.arange(x.shape[0])
-    votes = np.zeros((x.shape[0], n_classes), dtype=np.int64)
+    ``sizes``, from each tree's predicted codes; vote ties go to the lowest
+    class code."""
+    rows = np.arange(tree_codes[0].size)
+    votes = np.zeros((rows.size, n_classes), dtype=np.int64)
     out = {}
-    for n, tree in enumerate(forest[:max(sizes)], 1):
-        votes[rows, _tree_predict(tree, x)] += 1
+    for n, codes in enumerate(tree_codes[:max(sizes)], 1):
+        votes[rows, codes] += 1
         if n in sizes:
             out[n] = np.argmax(votes, axis=1)
     return out
@@ -408,7 +409,8 @@ def predict(model: TrainedModel, x: np.ndarray) -> np.ndarray:
         codes = _tree_predict(model.tree, x)
     else:
         n = len(model.forest)
-        codes = _forest_codes(model.forest, x, n_classes, {n})[n]
+        codes = _forest_codes([_tree_predict(t, x) for t in model.forest],
+                              n_classes, {n})[n]
     return _decode(model.classes, codes)
 
 
@@ -587,12 +589,13 @@ def _forest_fold(specs, x_train, y_train, x_test, seed):
     children are ``spawn(k)``, so the first k trees are the k-tree forest.
     Depths go from the largest cap down, ``None`` first, and each tree index
     keeps its latest tree, grown at a cap at least the current one: that
-    tree serves every smaller cap above its reach.
+    tree serves every smaller cap above its reach. Each tree predicts the
+    test rows once; a kept tree keeps its codes.
     """
     out: list = [None] * len(specs)
     groups = sorted(_group(specs, "max_depth", None), key=lambda members:
                     -_cap(specs[members[0]].hyperparameters.get("max_depth")))
-    model, latest = None, []
+    model, latest, latest_codes = None, [], []
     for members in groups:
         sizes = [specs[i].hyperparameters.get("n_estimators", 10) for i in members]
         spec = specs[members[int(np.argmax(sizes))]]
@@ -605,8 +608,11 @@ def _forest_fold(specs, x_train, y_train, x_test, seed):
         else:
             forest = _grow_forest(x_train, y, len(model.classes), seed, max(sizes),
                                   spec.hyperparameters.get("max_depth"), latest)
+        tree_codes = [latest_codes[t] if t < len(latest) and tree is latest[t]
+                      else _tree_predict(tree, x_test) for t, tree in enumerate(forest)]
         latest = forest + latest[len(forest):]
-        codes = _forest_codes(forest, x_test, len(model.classes), set(sizes))
+        latest_codes = tree_codes + latest_codes[len(forest):]
+        codes = _forest_codes(tree_codes, len(model.classes), set(sizes))
         for i, n in zip(members, sizes):
             out[i] = codes[n]
     return model.classes, out

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .ingest import ChargingSession, Corpus, Provenance, TimeSeries
+from .ingest import ChargingSession, Corpus, TimeSeries
 
 # Decay ends at this current (amperes); the signal is exactly zero after.
 TERMINATION_CURRENT = 2.2
@@ -209,5 +209,4 @@ def generate_corpus(n_evs: int, sessions_per_ev: int, seed: int,
                 session_id=f"{label}-{k:04d}", ev_label=label,
                 connect_time=f"2021-{1 + k % 12:02d}-01T08:00:00",
             ))
-    return Corpus(tuple(sessions),
-                  Provenance(source=f"synth(seed={seed})", format="synth"))
+    return Corpus(tuple(sessions))

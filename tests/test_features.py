@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from evprofiler.features import (CATALOG, FEATURE_NAMES, FeatureMatrix,
-                                 SelectionConfig, SelectionError,
+                                 SelectionError,
                                  anova_f_scores, apply_minmax, chi2_scores,
                                  extract_features, featurize_segments,
                                  fit_minmax, fit_selection,
@@ -112,6 +112,34 @@ class TestCatalog:
             np.testing.assert_allclose(series_features(x),
                                        series_features_reference(x),
                                        rtol=1e-12, atol=1e-12)
+
+    def test_total_and_matches_reference_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        hnp = pytest.importorskip("hypothesis.extra.numpy")
+        from evprofiler.features import series_features_reference
+        # any finite value whose fourth power, summed over the series, is
+        # still a float: subnormals and both zeros included
+        value = st.floats(-1e60, 1e60)
+        lengths = st.integers(1, 60)
+        series = st.one_of(
+            hnp.arrays(np.float64, lengths, elements=value),
+            st.builds(np.full, lengths, value),
+            hnp.arrays(np.float64, lengths, elements=st.sampled_from([-0.0, 0.0])))
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(x=series)
+        @hypothesis.example(x=np.array([-0.0]))
+        @hypothesis.example(x=np.array([0.0, -0.0]))
+        @hypothesis.example(x=np.array([5e-324, 0.0]))  # no 10 distinct bins
+        @hypothesis.example(x=np.full(13, 3.5e-85))     # var ** 2 underflows
+        def check(x):
+            values = series_features(x)
+            assert np.all(np.isfinite(values))
+            np.testing.assert_allclose(values, series_features_reference(x),
+                                       rtol=1e-12, atol=1e-12)
+
+        check()
 
     def test_scale_properties(self):
         rng = np.random.default_rng(17)
@@ -276,27 +304,18 @@ class TestFitSelection:
         x = rng.uniform(0, 1, (30, 10))
         labels = ["A" if i < 15 else "B" for i in range(30)]
         train = small_matrix(x, labels)
-        model1 = fit_selection(train, labels, SelectionConfig(nof=4))
+        model1 = fit_selection(train, labels, 4)
         # a perturbed disjoint "test" matrix must not matter
-        model2 = fit_selection(train, labels, SelectionConfig(nof=4))
+        model2 = fit_selection(train, labels, 4)
         assert model1.selected_names == model2.selected_names
 
     def test_chi2_path_scales_transform(self):
         x = np.array([[0.0, 10.0], [5.0, 20.0], [10.0, 30.0], [2.0, 12.0]])
         labels = ["A", "A", "B", "B"]
         train = small_matrix(x, labels)
-        model = fit_selection(train, labels, SelectionConfig(nof=2, scorer="chi2"))
+        model = fit_selection(train, labels, 2)
         out = model.transform(train)
         assert out.x.min() >= 0.0 and out.x.max() <= 1.0
-
-    def test_anova_path_keeps_raw_values(self):
-        x = np.array([[0.0, 10.0], [5.0, 20.0], [10.0, 30.0], [2.0, 12.0]])
-        labels = ["A", "A", "B", "B"]
-        train = small_matrix(x, labels)
-        model = fit_selection(train, labels,
-                              SelectionConfig(nof=2, scorer="anova-f"))
-        out = model.transform(train)
-        assert out.x.max() > 1.0
 
 
 class TestMatrixIo:

@@ -146,6 +146,25 @@ class TestProperties:
                 assert np.all(y >= np.min(x) - 1e-12)
                 assert np.all(y <= np.max(x) + 1e-12)
 
+    def test_length_preserving_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        hnp = pytest.importorskip("hypothesis.extra.numpy")
+
+        @hypothesis.settings(max_examples=200, deadline=None)
+        @hypothesis.given(
+            x=hnp.arrays(np.float64, st.integers(1, 60),
+                         elements=st.floats(allow_nan=False, allow_infinity=False)),
+            n=st.integers(1, 15).map(lambda k: 2 * k + 1),
+            alpha=st.floats(0.0, 1.0, exclude_min=True))
+        def check(x, n, alpha):
+            with np.errstate(over="ignore", invalid="ignore"):
+                for y in (moving_average_values(x, n), moving_median_values(x, n),
+                          low_pass_values(x, alpha)):
+                    assert y.shape == x.shape
+
+        check()
+
     def test_shift_commutes(self):
         rng = np.random.default_rng(8)
         for _ in range(25):

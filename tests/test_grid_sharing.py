@@ -385,9 +385,28 @@ def test_shared_fits_per_fold(monkeypatch):
     monkeypatch.setattr(learn, "train", counting)
     x, labels = overlapping(seed=14)
     calls, per_fold = record_tree_growth(monkeypatch)
+    predicted, predicted_per_fold = [], []
+    tree_predict = learn._tree_predict
+    forest_fold = learn._FOLD_PREDICTORS["random-forest"]
+
+    def logged_predict(tree, *args):
+        predicted.append(tree)
+        return tree_predict(tree, *args)
+
+    def logged_fold(*args):
+        start = len(predicted)
+        result = forest_fold(*args)
+        predicted_per_fold.append(predicted[start:])
+        return result
+
+    monkeypatch.setattr(learn, "_tree_predict", logged_predict)
+    monkeypatch.setitem(learn._FOLD_PREDICTORS, "random-forest", logged_fold)
     learn.grid_search("random-forest", DEFAULT_GRIDS["random-forest"], x, labels)
-    assert len(per_fold) == 5
-    for fold_calls in per_fold:
+    assert len(per_fold) == len(predicted_per_fold) == 5
+    for fold_calls, fold_predicted in zip(per_fold, predicted_per_fold):
+        # each tree the fold grows predicts the test rows once
+        assert len({id(tree) for tree in fold_predicted}) == len(fold_predicted)
+        assert len(fold_predicted) == len(fold_calls)
         # 50 uncapped trees, then a regrowth for each tree a smaller cap cuts
         assert [cap for cap, _ in fold_calls[:50]] == [None] * 50
         reach = [r for _, r in fold_calls[:50]]

@@ -1,5 +1,6 @@
 """Ingestion tests: parsing rules, admission filters, round-trips."""
 
+import itertools
 import json
 
 import numpy as np
@@ -24,6 +25,18 @@ def jsonl(*records):
     return "\n".join(json.dumps(r) for r in records) + "\n"
 
 
+@pytest.fixture
+def as_file(tmp_path):
+    """Write corpus text byte for byte to a new file; return its path."""
+    names = (tmp_path / f"corpus{i}.jsonl" for i in itertools.count())
+
+    def write(text):
+        path = next(names)
+        path.write_bytes(text.encode("utf-8"))
+        return str(path)
+    return write
+
+
 def session(sid, label, points=120):
     return ChargingSession(sid, label, "ST", "2021-01-01T00:00:00",
                            TimeSeries(np.full(points, 32.0)),
@@ -46,63 +59,94 @@ class TestTimeSeries:
 
 
 class TestParseSessions:
-    def test_single_record(self):
-        corpus = parse_sessions(jsonl(record()), "acn-json")
+    def test_single_record(self, as_file):
+        corpus = parse_sessions(as_file(jsonl(record())), "acn-json")
         assert len(corpus) == 1
         s = corpus.sessions[0]
         assert s.ev_label == "EV7"
         assert len(s.pilot) == 120
         assert s.pilot.sample_period == 4.0
 
-    def test_missing_pilot_dropped_and_counted(self):
+    def test_missing_pilot_dropped_and_counted(self, as_file):
         rec = record()
         del rec["pilotSignal"]
-        corpus = parse_sessions(jsonl(rec, record(sid="S2")), "acn-json")
+        corpus = parse_sessions(as_file(jsonl(rec, record(sid="S2"))), "acn-json")
         assert len(corpus) == 1
         assert corpus.provenance.dropped_missing_field == 1
 
-    def test_duplicate_session_id_fatal(self):
+    def test_duplicate_session_id_fatal(self, as_file):
         text = jsonl(record(sid="S1"), record(sid="S1"))
         with pytest.raises(ParseError):
-            parse_sessions(text, "acn-json")
+            parse_sessions(as_file(text), "acn-json")
         # more than five duplicated ids, given out of order: the message
         # lists the first five in sorted order
         sids = ["S7", "S3", "S9", "S1", "S5", "S3", "S2", "S8", "S1", "S9",
                 "S6", "S5", "S7", "S4", "S2", "S8", "S6", "S7"]
         with pytest.raises(ParseError) as info:
-            parse_sessions(jsonl(*(record(sid=s) for s in sids)), "acn-json")
+            parse_sessions(as_file(jsonl(*(record(sid=s) for s in sids))),
+                           "acn-json")
         assert str(info.value) == \
             "duplicate session_id(s): ['S1', 'S2', 'S3', 'S5', 'S6']"
 
-    def test_negative_current_clamped(self):
+    def test_negative_current_clamped(self, as_file):
         rec = record(chargingCurrent=[1.0, -0.5, 2.0] + [3.0] * 117)
-        corpus = parse_sessions(jsonl(rec), "acn-json")
+        corpus = parse_sessions(as_file(jsonl(rec)), "acn-json")
         assert corpus.sessions[0].current.values[1] == 0.0
         assert corpus.provenance.clamped_negative == 1
 
-    def test_mismatched_lengths_truncated(self):
+    def test_mismatched_lengths_truncated(self, as_file):
         rec = record(pilotSignal=[32.0] * 10, chargingCurrent=[30.0] * 8)
-        corpus = parse_sessions(jsonl(rec), "acn-json")
+        corpus = parse_sessions(as_file(jsonl(rec)), "acn-json")
         assert len(corpus.sessions[0].pilot) == 8
         assert corpus.provenance.truncated_mismatched == 1
 
-    def test_null_user_id_means_unlabeled(self):
-        corpus = parse_sessions(jsonl(record(user=None)), "acn-json")
+    def test_null_user_id_means_unlabeled(self, as_file):
+        corpus = parse_sessions(as_file(jsonl(record(user=None))), "acn-json")
         assert corpus.sessions[0].ev_label is None
 
-    def test_invalid_json_names_line(self):
+    def test_invalid_json_names_line(self, as_file):
         with pytest.raises(ParseError, match="line 2"):
-            parse_sessions(jsonl(record()) + "{broken\n", "acn-json")
+            parse_sessions(as_file(jsonl(record()) + "{broken\n"), "acn-json")
 
-    def test_unknown_format(self):
+    def test_unknown_format(self, as_file):
         with pytest.raises(ValueError):
-            parse_sessions("", "xml")
+            parse_sessions(as_file(""), "xml")
+
+    def test_unicode_line_separators_inside_strings(self, as_file):
+        # valid NDJSON: only \n ends a record, so raw U+2028 and U+0085 in a
+        # string value are part of that value
+        rec = record(user="EV\u00857", stationID="CT\u2028-01")
+        text = json.dumps(rec, ensure_ascii=False) + "\n"
+        assert "\u2028" in text and "\u0085" in text
+        corpus = parse_sessions(as_file(text), "acn-json")
+        assert len(corpus) == 1
+        assert corpus.sessions[0].station_id == "CT\u2028-01"
+        assert corpus.sessions[0].ev_label == "EV\u00857"
+
+    def test_missing_path_is_not_parsed(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            parse_sessions(str(tmp_path / "missing.jsonl"), "acn-json")
+
+    def test_crlf_matches_lf(self, as_file):
+        text = jsonl(record(), record(sid="S2", user=None),
+                     record(sid="S3", pilotSignal=[32.0] * 10,
+                            chargingCurrent=[30.0] * 8))
+        lf = parse_sessions(as_file(text), "acn-json")
+        crlf = parse_sessions(as_file(text.replace("\n", "\r\n")), "acn-json")
+        assert crlf.provenance == lf.provenance
+        assert len(crlf) == len(lf) == 3
+        for a, b in zip(lf.sessions, crlf.sessions):
+            assert (a.session_id, a.ev_label, a.station_id, a.connect_time) == \
+                (b.session_id, b.ev_label, b.station_id, b.connect_time)
+            for x, y in ((a.pilot, b.pilot), (a.current, b.current)):
+                assert x.sample_period == y.sample_period
+                np.testing.assert_array_equal(x.values, y.values)
 
 
 class TestCsvFormat:
-    def test_round_trip_matches_json(self, tmp_path):
-        corpus = parse_sessions(jsonl(record(), record(sid="S2", user=None)),
-                                "acn-json")
+    def test_round_trip_matches_json(self, tmp_path, as_file):
+        corpus = parse_sessions(
+            as_file(jsonl(record(), record(sid="S2", user=None))), "acn-json")
         path = tmp_path / "corpus.csv"
         write_sessions(corpus, str(path), "csv")
         back = parse_sessions(str(path), "csv")
@@ -128,7 +172,7 @@ class TestJsonRoundTrip:
             sessions.append(ChargingSession(
                 f"S{i}", f"EV{i % 2}", "ST", "2021-01-01T00:00:00",
                 TimeSeries(values), TimeSeries(np.abs(values))))
-        corpus = Corpus(tuple(sessions), Provenance("test"))
+        corpus = Corpus(tuple(sessions), Provenance())
         p1 = tmp_path / "a.jsonl"
         p2 = tmp_path / "b.jsonl"
         write_sessions(corpus, str(p1))
