@@ -18,7 +18,8 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, RunManifest, params_from, parse_config_file
-from .experiments import (DistributionParams, ExperimentConfig,
+from .experiments import (BALANCE_MODES, DISTRIBUTION_SHAPES, SIZE_PRESETS,
+                          DistributionParams, ExperimentConfig,
                           ExperimentReport, SummaryRow, binary_jobs, grid_rows,
                           multiclass_jobs, read_cells_csv, run_cells,
                           subsample_distribution, subsample_multiclass,
@@ -26,9 +27,9 @@ from .experiments import (DistributionParams, ExperimentConfig,
                           write_summary_md)
 from .features import (N_FEATURES, featurize_segments, read_feature_csv,
                        write_feature_csv)
-from .ingest import (TimeSeries, apply_primary_filters, parse_sessions,
-                     write_sessions)
-from .synth import SynthOptions, generate_corpus
+from .ingest import (FORMATS, TimeSeries, apply_primary_filters,
+                     parse_sessions, write_sessions)
+from .synth import SEPARATIONS, SynthOptions, generate_corpus
 from .tail import REJECTION_CODES, SegmentPair, segment_corpus
 
 FAMILY_ALIASES = {"rf": "random-forest", "dt": "decision-tree", "knn": "knn",
@@ -264,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--evs", type=int, required=True)
     p.add_argument("--sessions", type=int, required=True)
     p.add_argument("--separation", default="well-separated",
-                   choices=["well-separated", "overlapping"])
+                   choices=SEPARATIONS)
     p.add_argument("--truncate-prob", type=float, default=0.0)
     p.add_argument("--noise-sigma", type=float, default=None)
     p.add_argument("--out", required=True)
@@ -272,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", parents=[common],
                        help="parse and filter a charging-session corpus")
     p.add_argument("--input", required=True)
-    p.add_argument("--format", required=True, choices=["acn-json", "csv"])
+    p.add_argument("--format", required=True, choices=FORMATS)
     p.add_argument("--min-points", type=int, default=100)
     p.add_argument("--min-sessions", type=int, default=10)
     p.add_argument("--out", required=True)
@@ -290,45 +291,36 @@ def build_parser() -> argparse.ArgumentParser:
 
     exp = sub.add_parser("experiment", help="run an experiment suite")
     exp_sub = exp.add_subparsers(dest="mode", required=True)
+    suite = argparse.ArgumentParser(add_help=False, parents=[common])
+    suite.add_argument("--features", required=True)
+    suite.add_argument("--reps", type=int, default=5)
+    suite.add_argument("--out", required=True)
 
-    p = exp_sub.add_parser("binary", parents=[common])
-    p.add_argument("--features", required=True)
-    p.add_argument("--balance", default="q-prime", choices=["q", "q-prime"])
+    p = exp_sub.add_parser("binary", parents=[suite])
+    p.add_argument("--balance", default="q-prime", choices=BALANCE_MODES)
     p.add_argument("--values", default="1,2,3,4,5")
     p.add_argument("--classifiers", default="rf,dt,knn")
     p.add_argument("--nof", type=int, default=100)
     p.add_argument("--min-target", type=int, default=50)
-    p.add_argument("--reps", type=int, default=5)
-    p.add_argument("--out", required=True)
 
-    p = exp_sub.add_parser("multiclass", parents=[common])
-    p.add_argument("--features", required=True)
-    p.add_argument("--size", default="complete",
-                   choices=["small", "medium", "large", "complete"])
+    p = exp_sub.add_parser("multiclass", parents=[suite])
+    p.add_argument("--size", default="complete", choices=SIZE_PRESETS)
     p.add_argument("--classifiers", default="rf,dt,knn")
     p.add_argument("--nof", type=int, default=N_FEATURES, help=ALL_FEATURES_HELP)
-    p.add_argument("--reps", type=int, default=5)
-    p.add_argument("--out", required=True)
 
-    p = exp_sub.add_parser("grid", parents=[common])
-    p.add_argument("--features", required=True)
+    p = exp_sub.add_parser("grid", parents=[suite])
     p.add_argument("--evs", default="50,100,150,200")
     p.add_argument("--samples", default="10,25,50,75")
     p.add_argument("--classifier", dest="classifiers", default="rf")
     p.add_argument("--nof", type=int, default=N_FEATURES, help=ALL_FEATURES_HELP)
-    p.add_argument("--reps", type=int, default=5)
-    p.add_argument("--out", required=True)
 
-    p = exp_sub.add_parser("distribution", parents=[common])
-    p.add_argument("--features", required=True)
-    p.add_argument("--shape", required=True, choices=["normal", "uniform"])
+    p = exp_sub.add_parser("distribution", parents=[suite])
+    p.add_argument("--shape", required=True, choices=DISTRIBUTION_SHAPES)
     p.add_argument("--classifiers", default="rf,dt,knn")
     p.add_argument("--nof", type=int, default=N_FEATURES, help=ALL_FEATURES_HELP)
     p.add_argument("--n-evs", type=int, default=119)
     p.add_argument("--bins", type=int, default=20)
     p.add_argument("--per-bin", type=int, default=6)
-    p.add_argument("--reps", type=int, default=5)
-    p.add_argument("--out", required=True)
 
     p = sub.add_parser("report", parents=[common],
                        help="pivot cells.csv into figure-shaped tables")

@@ -2,11 +2,16 @@
 scaling suites, fixed EV-by-samples grids, and distribution-shaped
 sub-sampling, with repetition and aggregation.
 
-Every mode is a list of ``CellJob``s over one shared feature matrix:
-``binary_jobs`` builds the one-vs-all cells, ``multiclass_jobs`` the
-repetitions of one multi-class dataset (a fixed grid adds one such list per
-grid point, each naming its rows of the matrix). ``run_cells`` runs any list
-through one job function and at most one worker pool, in job order.
+A suite's settings live in one ``ExperimentConfig``, checked when it is
+built, so a bad balance mode or value stops the suite before any cell runs;
+the sub-samplers check their sizes the same way (``DistributionParams`` when
+built, ``grid_rows`` on entry). Every mode is a list of ``CellJob``s over one
+shared feature matrix: ``binary_jobs`` builds the one-vs-all cells,
+``multiclass_jobs`` the repetitions of one multi-class dataset (a fixed grid
+adds one such list per grid point, each naming its rows of the matrix).
+``run_cells`` runs any list through one job function and at most one worker
+pool, in job order, and ``run_cell`` reads a cell's group, target EV and
+repetition from its job.
 
 Every cell ((target EV, balance value, repetition) or (dataset, repetition))
 derives its own seed from the master seed, so cells are independent,
@@ -26,7 +31,7 @@ import statistics
 import zlib
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -35,6 +40,8 @@ from .learn import (DEFAULT_GRIDS, grid_search, predict,
                     score_predictions, stratified_split)
 
 SIZE_PRESETS = {"small": 25, "medium": 75, "large": 140, "complete": None}
+BALANCE_MODES = ("q", "q-prime")
+DISTRIBUTION_SHAPES = ("normal", "uniform")
 
 AuditHook = Optional[Callable[[str, tuple[str, ...]], None]]
 
@@ -57,25 +64,6 @@ class LeakageError(ValueError):
 
 
 @dataclass(frozen=True)
-class BalanceConfig:
-    """Dataset imbalance knob for one-vs-all suites.
-
-    q-prime: negatives = floor(value * n_target) drawn from all other EVs.
-    q (the predecessor convention): negatives = floor(n_target / value).
-    """
-
-    mode: str = "q-prime"
-    value: float = 1.0
-    min_target_samples: int = 50
-
-    def __post_init__(self):
-        if self.mode not in ("q", "q-prime"):
-            raise ValueError(f"unknown balance mode {self.mode!r}")
-        if not 1.0 <= self.value <= 5.0:
-            raise ValueError("balance value must be in [1, 5]")
-
-
-@dataclass(frozen=True)
 class DistributionParams:
     n_evs: int = 119          # normal shape
     mean: Optional[float] = None
@@ -83,9 +71,23 @@ class DistributionParams:
     bins: int = 20            # uniform shape
     per_bin: int = 6
 
+    def __post_init__(self):
+        for name in ("n_evs", "bins", "per_bin"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One suite's settings, checked once before any cell runs.
+
+    A one-vs-all cell keeps all rows of a target EV with at least
+    ``min_target_samples`` rows and draws negatives from the other EVs for
+    each ``balance_values`` entry v in [1, 5]:
+    q-prime: negatives = floor(v * n_target);
+    q (the predecessor convention): negatives = floor(n_target / v).
+    """
+
     families: tuple[str, ...] = ("random-forest", "decision-tree", "knn")
     grids: dict = field(default_factory=lambda: dict(DEFAULT_GRIDS))
     nof: int = 100
@@ -102,6 +104,11 @@ class ExperimentConfig:
             raise ValueError("nof must be >= 1")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
+        if self.balance_mode not in BALANCE_MODES:
+            raise ValueError(f"unknown balance mode {self.balance_mode!r}")
+        for value in self.balance_values:
+            if not 1.0 <= value <= 5.0:
+                raise ValueError(f"balance value {value} must be in [1, 5]")
         for fam in self.families:
             if fam not in DEFAULT_GRIDS:
                 raise ValueError(f"unknown classifier family {fam!r}")
@@ -158,9 +165,10 @@ def evs_with_min_rows(features: FeatureMatrix, min_rows: int) -> list[str]:
 
 
 def build_binary_dataset(features: FeatureMatrix, target_ev: str,
-                         balance: BalanceConfig, seed,
+                         config: ExperimentConfig, value: float, seed,
                          ) -> tuple[FeatureMatrix, list[str]]:
-    """All target rows as the positive class plus balanced negatives.
+    """All target rows as the positive class plus negatives balanced to
+    ``value`` under ``config.balance_mode``.
 
     Negatives are drawn round-robin over the other EVs (order and per-EV row
     order shuffled by the seed) so no single EV dominates the negative pool.
@@ -170,13 +178,13 @@ def build_binary_dataset(features: FeatureMatrix, target_ev: str,
         raise BalanceError(f"unknown target EV {target_ev!r}")
     target_rows = by_label[target_ev]
     n_t = len(target_rows)
-    if n_t < balance.min_target_samples:
+    if n_t < config.min_target_samples:
         raise BalanceError(
-            f"target {target_ev} has {n_t} rows < {balance.min_target_samples}")
-    if balance.mode == "q-prime":
-        needed = int(balance.value * n_t)
+            f"target {target_ev} has {n_t} rows < {config.min_target_samples}")
+    if config.balance_mode == "q-prime":
+        needed = int(value * n_t)
     else:
-        needed = int(n_t / balance.value)
+        needed = int(n_t / value)
     rng = np.random.default_rng(seed)
     others = sorted(ev for ev in by_label if ev != target_ev)
     order = list(rng.permutation(len(others)))
@@ -226,6 +234,9 @@ def grid_rows(features: FeatureMatrix, n_evs: int, samples_per_ev: int,
               seed) -> list[int]:
     """Rows of ``n_evs`` EVs drawn from those with at least ``samples_per_ev``
     rows, each EV trimmed to exactly that many."""
+    if n_evs < 1 or samples_per_ev < 1:
+        raise SubsampleError(f"n_evs and samples_per_ev must be >= 1, "
+                             f"got {n_evs} and {samples_per_ev}")
     rng = np.random.default_rng(seed)
     eligible = evs_with_min_rows(features, samples_per_ev)
     if len(eligible) < n_evs:
@@ -237,15 +248,10 @@ def grid_rows(features: FeatureMatrix, n_evs: int, samples_per_ev: int,
     return _trim_to_targets(features.by_label(), matched, rng)
 
 
-def subsample_multiclass(features: FeatureMatrix,
-                         size: Union[str, tuple[int, int]],
+def subsample_multiclass(features: FeatureMatrix, size: str,
                          seed) -> FeatureMatrix:
-    """Preset sizes select EVs stratified by session count and keep all their
-    rows; an explicit (n_evs, samples_per_ev) pair samples exactly that grid.
-    """
-    if not isinstance(size, str):
-        n_evs, samples_per_ev = size
-        return features.take(grid_rows(features, n_evs, samples_per_ev, seed))
+    """The EVs of preset ``size``, selected stratified by session count, with
+    all their rows."""
     if size not in SIZE_PRESETS:
         raise SubsampleError(f"unknown size preset {size!r}")
     n_evs = SIZE_PRESETS[size]
@@ -283,6 +289,8 @@ def subsample_distribution(features: FeatureMatrix, shape: str,
     eligible for one bin only, and a bin with fewer than per_bin eligible
     EVs raises ``DistributionError``.
     """
+    if shape not in DISTRIBUTION_SHAPES:
+        raise DistributionError(f"unknown shape {shape!r}")
     by_label = features.by_label()
     counts = {ev: len(rows) for ev, rows in by_label.items()}
     rng = np.random.default_rng(seed)
@@ -307,8 +315,6 @@ def subsample_distribution(features: FeatureMatrix, shape: str,
             used.add(pick)
             matched.append((pick, target))
         return features.take(_trim_to_targets(by_label, sorted(matched), rng))
-    if shape != "uniform":
-        raise DistributionError(f"unknown shape {shape!r}")
     lo, hi = min(counts.values()), max(counts.values())
     width = max((hi - lo) / params.bins, 1e-9)
     matched = []
@@ -336,29 +342,29 @@ def subsample_distribution(features: FeatureMatrix, shape: str,
 # ---------------------------------------------------------------------------
 # single experiment cell: split, fit, search, evaluate
 
-def _failed_cells(group: dict, target_ev: str, repetition: int,
-                  families: Sequence[str], error: str, n_train: int = 0,
-                  n_test: int = 0) -> list[CellResult]:
-    return [CellResult(group, target_ev, repetition, family, {}, 0.0, 0.0, None,
-                       n_train, n_test, status="failed", error=error)
+def _failed_cells(job: CellJob, families: Sequence[str], error: str,
+                  n_train: int = 0, n_test: int = 0) -> list[CellResult]:
+    return [CellResult(job.group, job.target_ev, job.repetition, family, {},
+                       0.0, 0.0, None, n_train, n_test, status="failed",
+                       error=error)
             for family in families]
 
 
-def run_cell(features: FeatureMatrix, labels: Sequence[str], group: dict,
-             target_ev: str, repetition: int, config: ExperimentConfig,
-             seed: np.random.SeedSequence, positive_label: Optional[str],
+def run_cell(job: CellJob, features: FeatureMatrix, labels: Sequence[str],
+             config: ExperimentConfig, seed: np.random.SeedSequence,
              audit: AuditHook = None) -> list[CellResult]:
-    """One (dataset, repetition) cell: one result per classifier family.
+    """Cell ``job`` on its dataset: one result per classifier family.
 
-    Grid search scores the F1 of ``positive_label`` when one is given
-    (one-vs-all cells), else accuracy. A dataset that repeats a session id
-    raises ``LeakageError``.
+    Grid search scores the F1 of the ``"target"`` label in one-vs-all cells
+    (``job.target_ev`` set), else accuracy. A dataset that repeats a session
+    id raises ``LeakageError``.
     """
     repeated = sorted(sid for sid, n in Counter(features.session_ids).items()
                       if n > 1)
     if repeated:
         raise LeakageError(f"{len(repeated)} session id(s) repeat in one cell, "
                            f"first {repeated[0]!r}")
+    positive_label = "target" if job.target_ev else None
     labels = list(labels)
     split_seed, search_seed = (_seed_int(s) for s in seed.spawn(2))
     train_idx, test_idx = stratified_split(labels, seed=split_seed)
@@ -383,13 +389,13 @@ def run_cell(features: FeatureMatrix, labels: Sequence[str], group: dict,
             predicted = predict(search.model, x_test)
             scores = score_predictions(y_test, list(predicted), positive_label)
             results.append(CellResult(
-                group, target_ev, repetition, family,
+                job.group, job.target_ev, job.repetition, family,
                 search.best_spec.hyperparameters,
                 scores.accuracy, scores.macro_f1, scores.positive_f1,
                 len(train_idx), len(test_idx)))
         except ValueError as exc:
-            results.extend(_failed_cells(group, target_ev, repetition, [family],
-                                         str(exc), len(train_idx), len(test_idx)))
+            results.extend(_failed_cells(job, [family], str(exc),
+                                         len(train_idx), len(test_idx)))
     return results
 
 
@@ -450,43 +456,40 @@ def _init_worker(features: FeatureMatrix, config: ExperimentConfig) -> None:
 def _cell_job(job: CellJob) -> list[CellResult]:
     features: FeatureMatrix = _WORKER["features"]
     config: ExperimentConfig = _WORKER["config"]
-    group, ev, rep = job.group, job.target_ev, job.repetition
     try:
-        if ev:
-            value = group["balance_value"]
-            seed = _cell_seed(config.master_seed, rep, f"{ev}|{value}")
-            balance = BalanceConfig(config.balance_mode, value,
-                                    config.min_target_samples)
-            dataset, labels = build_binary_dataset(features, ev, balance,
+        if job.target_ev:
+            value = job.group["balance_value"]
+            seed = _cell_seed(config.master_seed, job.repetition,
+                              f"{job.target_ev}|{value}")
+            # spawn is stateful: the dataset's child comes before run_cell's
+            dataset, labels = build_binary_dataset(features, job.target_ev,
+                                                   config, value,
                                                    seed.spawn(1)[0])
         else:
-            seed = _cell_seed(config.master_seed, rep,
-                              json.dumps(group, sort_keys=True))
+            seed = _cell_seed(config.master_seed, job.repetition,
+                              _group_token(job.group))
             dataset = features if job.rows is None else features.take(job.rows)
             labels = dataset.labels
-        return run_cell(dataset, labels, group, ev, rep, config, seed,
-                        "target" if ev else None, _WORKER.get("audit"))
+        return run_cell(job, dataset, labels, config, seed,
+                        _WORKER.get("audit"))
     except ValueError as exc:
-        return _failed_cells(group, ev, rep, config.families, str(exc))
-
-
-def _map_jobs(jobs, features, config, audit):
-    if audit is not None or config.workers <= 1:  # hooks are in-process only
-        _init_worker(features, config)
-        _WORKER["audit"] = audit
-        try:
-            return [_cell_job(job) for job in jobs]
-        finally:
-            _WORKER.clear()
-    with multiprocessing.Pool(config.workers, initializer=_init_worker,
-                              initargs=(features, config)) as pool:
-        return pool.map(_cell_job, jobs, chunksize=1)
+        return _failed_cells(job, config.families, str(exc))
 
 
 def run_cells(config: ExperimentConfig, features: FeatureMatrix,
               jobs: Sequence[CellJob], audit: AuditHook = None) -> ExperimentReport:
     """Run ``jobs`` over ``features`` in one worker pool; cells keep job order."""
-    nested = _map_jobs(jobs, features, config, audit)
+    if audit is not None or config.workers <= 1:  # hooks are in-process only
+        _init_worker(features, config)
+        _WORKER["audit"] = audit
+        try:
+            nested = [_cell_job(job) for job in jobs]
+        finally:
+            _WORKER.clear()
+    else:
+        with multiprocessing.Pool(config.workers, initializer=_init_worker,
+                                  initargs=(features, config)) as pool:
+            nested = pool.map(_cell_job, jobs, chunksize=1)
     cells = tuple(cell for batch in nested for cell in batch)
     return ExperimentReport(cells, summarize_cells(cells))
 

@@ -465,7 +465,6 @@ def anova_f_scores(matrix: FeatureMatrix, labels: Sequence[str]) -> np.ndarray:
         ss_within += ((rows - mean_c) ** 2).sum(axis=0)
     ms_between = ss_between / (k - 1)
     ms_within = ss_within / (n - k)
-    out = np.empty(matrix.x.shape[1])
     zero_within = ms_within == 0
     with np.errstate(divide="ignore", invalid="ignore"):
         out = ms_between / ms_within

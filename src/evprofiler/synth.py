@@ -85,10 +85,6 @@ class SynthOptions:
             raise ValueError("truncate_prob must be in [0, 1]")
 
 
-def _permutation(rng: np.random.Generator, n: int) -> np.ndarray:
-    return rng.permutation(n)
-
-
 def generate_signature(ev_index: int, seed: int,
                        separation: str = "well-separated") -> SyntheticSignature:
     """Deterministic signature for (seed, ev_index)."""
@@ -98,9 +94,9 @@ def generate_signature(ev_index: int, seed: int,
         raise ValueError(f"unknown separation {separation!r}")
     if separation == "well-separated":
         dim_rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5E9]))
-        perm_l = _permutation(dim_rng, len(LAMBDA_GRID))
-        perm_g = _permutation(dim_rng, len(GAP_GRID))
-        perm_p = _permutation(dim_rng, len(PILOT_GRID))
+        perm_l = dim_rng.permutation(len(LAMBDA_GRID))
+        perm_g = dim_rng.permutation(len(GAP_GRID))
+        perm_p = dim_rng.permutation(len(PILOT_GRID))
         lam = LAMBDA_GRID[perm_l[ev_index % len(LAMBDA_GRID)]]
         gap = GAP_GRID[perm_g[ev_index % len(GAP_GRID)]]
         pilot = PILOT_GRID[perm_p[ev_index % len(PILOT_GRID)]]

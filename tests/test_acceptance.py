@@ -13,8 +13,7 @@ import pytest
 
 from evprofiler.experiments import (ExperimentConfig, binary_jobs,
                                     multiclass_jobs, run_cells,
-                                    subsample_multiclass,
-                                    build_binary_dataset, BalanceConfig)
+                                    grid_rows, build_binary_dataset)
 from evprofiler.features import (FeatureMatrix, anova_f_scores, chi2_scores,
                                  featurize_corpus)
 from evprofiler.filters import (FilterParams, low_pass_values,
@@ -183,9 +182,9 @@ def test_criterion_4_multiclass_accuracy():
 # criteria 5 and 6: scaling trends
 
 def _fixed_grid_accuracy(features, n_evs, samples_per_ev, seed):
-    subset = subsample_multiclass(features, (n_evs, samples_per_ev),
-                                  np.random.SeedSequence([seed, n_evs,
-                                                          samples_per_ev]))
+    subset = features.take(grid_rows(features, n_evs, samples_per_ev,
+                                     np.random.SeedSequence([seed, n_evs,
+                                                             samples_per_ev])))
     config = ExperimentConfig(families=("random-forest",),
                               grids=RF_GRID, nof=200,
                               repetitions=1, master_seed=seed)
@@ -250,8 +249,8 @@ def test_criterion_7_q_prime_trend():
         n_t = features.labels.count(target)
         for value in (1.0, 2.0, 3.0, 4.0, 5.0):
             _, labels = build_binary_dataset(
-                features, target, BalanceConfig("q-prime", value),
-                np.random.SeedSequence([400, int(value)]))
+                features, target, ExperimentConfig(balance_mode="q-prime"),
+                value, np.random.SeedSequence([400, int(value)]))
             assert labels.count("target") == n_t
             assert labels.count("other") == int(value * n_t)
 

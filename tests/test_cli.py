@@ -184,6 +184,31 @@ class TestExitCodes:
         assert "error: ValueError: nof must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("args, message", [
+        (["binary", "--values", "7", "--min-target", "10"],
+         "ValueError: balance value 7.0 must be in [1, 5]"),
+        (["binary", "--balance", "q", "--values", "0.5", "--min-target", "10"],
+         "ValueError: balance value 0.5 must be in [1, 5]"),
+        (["distribution", "--shape", "uniform", "--bins", "0"],
+         "ValueError: bins must be >= 1"),
+        (["distribution", "--shape", "uniform", "--per-bin", "0"],
+         "ValueError: per_bin must be >= 1"),
+        (["distribution", "--shape", "normal", "--n-evs", "0"],
+         "ValueError: n_evs must be >= 1"),
+        (["grid", "--evs", "0", "--samples", "8"],
+         "SubsampleError: n_evs and samples_per_ev must be >= 1, got 0 and 8"),
+        (["grid", "--evs", "2", "--samples", "0"],
+         "SubsampleError: n_evs and samples_per_ev must be >= 1, got 2 and 0"),
+    ], ids=["binary-value-7", "binary-q-value-0.5", "bins-0", "per-bin-0",
+            "normal-n-evs-0", "grid-evs-0", "grid-samples-0"])
+    def test_bad_suite_argument_is_1_before_any_cell(self, pipeline, tmp_path,
+                                                     capsys, args, message):
+        out = tmp_path / "exp"
+        assert run_cli("experiment", *args, "--features", pipeline["features"],
+                       "--out", str(out)) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (out / "cells.csv").exists()
+
     def test_output_file_without_extension(self, tmp_path):
         out = tmp_path / "raw"
         assert run_cli("synth", "--evs", "2", "--sessions", "2",

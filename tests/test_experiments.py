@@ -1,14 +1,17 @@
 """Experiment harness tests: balancing arithmetic, sub-sampling shapes,
 aggregation math, leakage audit, and determinism across worker counts."""
 
+import statistics
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from evprofiler.experiments import (BalanceConfig, BalanceError, CellResult,
+from evprofiler.experiments import (BalanceError, CellJob, CellResult,
                                     DistributionError, DistributionParams,
                                     ExperimentConfig, LeakageError,
-                                    SubsampleError, binary_jobs,
-                                    build_binary_dataset,
+                                    SIZE_PRESETS, SubsampleError, binary_jobs,
+                                    build_binary_dataset, grid_rows,
                                     multiclass_jobs, run_cell, run_cells,
                                     subsample_distribution,
                                     subsample_multiclass, summarize_cells)
@@ -35,28 +38,28 @@ class TestBuildBinaryDataset:
     def test_q_prime_three(self, feature_matrix_builder):
         features = feature_matrix_builder({"T": 50, "U": 80, "V": 80, "W": 80})
         matrix, labels = build_binary_dataset(
-            features, "T", BalanceConfig("q-prime", 3.0), seed=0)
+            features, "T", ExperimentConfig(), 3.0, seed=0)
         assert labels.count("target") == 50
         assert labels.count("other") == 150
 
     def test_legacy_q_five(self, feature_matrix_builder):
         features = feature_matrix_builder({"T": 50, "U": 30, "V": 30})
         matrix, labels = build_binary_dataset(
-            features, "T", BalanceConfig("q", 5.0), seed=0)
+            features, "T", ExperimentConfig(balance_mode="q"), 5.0, seed=0)
         assert labels.count("other") == 10
 
     def test_boundary_q_one_equals_q_prime_one(self, feature_matrix_builder):
         features = feature_matrix_builder({"T": 50, "U": 40, "V": 40})
         for mode in ("q", "q-prime"):
             _, labels = build_binary_dataset(
-                features, "T", BalanceConfig(mode, 1.0), seed=1)
+                features, "T", ExperimentConfig(balance_mode=mode), 1.0, seed=1)
             assert labels.count("target") == 50
             assert labels.count("other") == 50
 
     def test_positive_rows_are_exactly_target_rows(self, feature_matrix_builder):
         features = feature_matrix_builder({"T": 55, "U": 70, "V": 70})
         matrix, labels = build_binary_dataset(
-            features, "T", BalanceConfig("q-prime", 2.0), seed=2)
+            features, "T", ExperimentConfig(), 2.0, seed=2)
         positives = {sid for sid, lab in zip(matrix.session_ids, labels)
                      if lab == "target"}
         assert positives == {sid for sid, ev in zip(features.session_ids,
@@ -66,7 +69,7 @@ class TestBuildBinaryDataset:
     def test_negatives_spread_across_evs(self, feature_matrix_builder):
         features = feature_matrix_builder({"T": 50, "U": 100, "V": 100, "W": 100})
         matrix, labels = build_binary_dataset(
-            features, "T", BalanceConfig("q-prime", 1.0), seed=3)
+            features, "T", ExperimentConfig(), 1.0, seed=3)
         negative_evs = {sid.split("-")[0] for sid, lab
                         in zip(matrix.session_ids, labels) if lab == "other"}
         assert negative_evs == {"U", "V", "W"}
@@ -74,17 +77,20 @@ class TestBuildBinaryDataset:
     def test_insufficient_pool_is_error(self, feature_matrix_builder):
         features = feature_matrix_builder({"T": 60, "U": 20})
         with pytest.raises(BalanceError, match="pool"):
-            build_binary_dataset(features, "T",
-                                 BalanceConfig("q-prime", 5.0), seed=0)
+            build_binary_dataset(features, "T", ExperimentConfig(), 5.0,
+                                 seed=0)
 
     def test_small_target_is_error(self, feature_matrix_builder):
         features = feature_matrix_builder({"T": 10, "U": 100})
         with pytest.raises(BalanceError):
-            build_binary_dataset(features, "T", BalanceConfig(), seed=0)
+            build_binary_dataset(features, "T", ExperimentConfig(), 1.0,
+                                 seed=0)
 
     def test_value_range_validated(self):
-        with pytest.raises(ValueError):
-            BalanceConfig("q-prime", 7.0)
+        with pytest.raises(ValueError, match=r"7.0 must be in \[1, 5\]"):
+            ExperimentConfig(balance_values=(1.0, 7.0))
+        with pytest.raises(ValueError, match="unknown balance mode"):
+            ExperimentConfig(balance_mode="p")
 
 
 class TestSubsampleMulticlass:
@@ -105,7 +111,7 @@ class TestSubsampleMulticlass:
 
     def test_fixed_grid_exact_counts(self, feature_matrix_builder):
         features = feature_matrix_builder({f"EV{i:03d}": 12 for i in range(60)})
-        subset = subsample_multiclass(features, (50, 10), seed=1)
+        subset = features.take(grid_rows(features, 50, 10, seed=1))
         assert subset.n_rows == 500
         assert len(set(subset.labels)) == 50
         assert all(len(rows) == 10 for rows in subset.by_label().values())
@@ -115,18 +121,18 @@ class TestSubsampleMulticlass:
         counts.update({f"XV{i:03d}": 30 for i in range(20)})
         features = feature_matrix_builder(counts)
         with pytest.raises(SubsampleError, match="150"):
-            subsample_multiclass(features, (200, 75), seed=0)
+            grid_rows(features, 200, 75, seed=0)
 
     def test_sampling_without_replacement(self, feature_matrix_builder):
         features = feature_matrix_builder({f"EV{i}": 15 for i in range(10)})
-        subset = subsample_multiclass(features, (5, 8), seed=2)
+        subset = features.take(grid_rows(features, 5, 8, seed=2))
         assert len(set(subset.session_ids)) == subset.n_rows
 
     def test_reproducible(self, feature_matrix_builder):
         features = feature_matrix_builder({f"EV{i}": 15 for i in range(10)})
-        a = subsample_multiclass(features, (5, 8), seed=9)
-        b = subsample_multiclass(features, (5, 8), seed=9)
-        assert a.session_ids == b.session_ids
+        a = grid_rows(features, 5, 8, seed=9)
+        b = grid_rows(features, 5, 8, seed=9)
+        assert a == b
 
 
 class TestSubsampleDistribution:
@@ -195,6 +201,138 @@ class TestSubsampleDistribution:
         params = DistributionParams(n_evs=3, mean=50, sigma=1)
         with pytest.raises(DistributionError):
             subsample_distribution(features, "normal", params, seed=0)
+
+
+class TestSubsamplerProperties:
+    """Over random sessions-per-EV layouts every sub-sampler returns distinct
+    session ids and trims each EV to exactly its target, or raises only
+    ``SubsampleError`` / ``DistributionError`` when it cannot fill the
+    request."""
+
+    @staticmethod
+    def rows_per_ev(features, subset):
+        assert len(set(subset.session_ids)) == subset.n_rows
+        assert set(subset.session_ids) <= set(features.session_ids)
+        return Counter(subset.labels)
+
+    def test_grid_rows(self, feature_matrix_builder):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hypothesis.settings(max_examples=150, deadline=None)
+        @hypothesis.given(counts=st.lists(st.integers(1, 30), min_size=1,
+                                          max_size=25),
+                          n_evs=st.integers(1, 12), samples=st.integers(1, 30),
+                          seed=st.integers(0, 2**32 - 1))
+        def check(counts, n_evs, samples, seed):
+            counts = {f"EV{i:03d}": c for i, c in enumerate(counts)}
+            features = feature_matrix_builder(counts)
+            eligible = sum(c >= samples for c in counts.values())
+            try:
+                rows = grid_rows(features, n_evs, samples, seed)
+            except SubsampleError:
+                assert eligible < n_evs
+                return
+            per_ev = self.rows_per_ev(features, features.take(rows))
+            assert len(per_ev) == n_evs
+            assert set(per_ev.values()) == {samples}
+
+        check()
+
+    def test_size_presets(self, feature_matrix_builder):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hypothesis.settings(max_examples=60, deadline=None)
+        @hypothesis.given(data=st.data(), size=st.sampled_from(list(SIZE_PRESETS)),
+                          seed=st.integers(0, 2**32 - 1))
+        def check(data, size, seed):
+            # EV counts around the preset's, so both outcomes occur
+            preset = SIZE_PRESETS[size] or 1
+            n = data.draw(st.integers(max(1, preset - 3), preset + 20))
+            counts = data.draw(st.lists(st.integers(1, 8), min_size=n,
+                                        max_size=n))
+            counts = {f"EV{i:03d}": c for i, c in enumerate(counts)}
+            features = feature_matrix_builder(counts)
+            wanted = SIZE_PRESETS[size] or len(counts)
+            try:
+                subset = subsample_multiclass(features, size, seed)
+            except SubsampleError:
+                assert wanted > len(counts)
+                return
+            per_ev = self.rows_per_ev(features, subset)
+            assert len(per_ev) == wanted
+            assert all(per_ev[ev] == counts[ev] for ev in per_ev)
+
+        check()
+
+    def test_normal_shape(self, feature_matrix_builder):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hypothesis.settings(max_examples=150, deadline=None)
+        @hypothesis.given(counts=st.lists(st.integers(1, 40), min_size=1,
+                                          max_size=40),
+                          n_evs=st.integers(1, 15),
+                          mean=st.floats(1, 30), sigma=st.floats(0, 10),
+                          seed=st.integers(0, 2**32 - 1))
+        def check(counts, n_evs, mean, sigma, seed):
+            counts = {f"EV{i:03d}": c for i, c in enumerate(counts)}
+            features = feature_matrix_builder(counts)
+            params = DistributionParams(n_evs=n_evs, mean=mean, sigma=sigma)
+            try:
+                subset = subsample_distribution(features, "normal", params, seed)
+            except DistributionError:
+                return
+            # targets: the quantiles (i + 0.5) / n_evs of Normal(mean, sigma)
+            if sigma == 0:
+                targets = [max(1, round(mean))] * n_evs
+            else:
+                dist = statistics.NormalDist(mean, sigma)
+                targets = [max(1, round(dist.inv_cdf((i + 0.5) / n_evs)))
+                           for i in range(n_evs)]
+            per_ev = self.rows_per_ev(features, subset)
+            assert sorted(per_ev.values()) == sorted(targets)
+            assert all(per_ev[ev] <= counts[ev] for ev in per_ev)
+
+        check()
+
+    def test_uniform_shape(self, feature_matrix_builder):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hypothesis.settings(max_examples=150, deadline=None)
+        @hypothesis.given(counts=st.lists(st.integers(1, 40), min_size=1,
+                                          max_size=40),
+                          bins=st.integers(1, 4), per_bin=st.integers(1, 3),
+                          seed=st.integers(0, 2**32 - 1))
+        def check(counts, bins, per_bin, seed):
+            counts = {f"EV{i:03d}": c for i, c in enumerate(counts)}
+            features = feature_matrix_builder(counts)
+            params = DistributionParams(bins=bins, per_bin=per_bin)
+            try:
+                subset = subsample_distribution(features, "uniform", params,
+                                                seed)
+            except DistributionError:
+                return
+            # the half-open bins [lo + b w, lo + (b + 1) w), the last one
+            # also holding the largest count
+            lo, hi = min(counts.values()), max(counts.values())
+            width = max((hi - lo) / bins, 1e-9)
+            edges = [(lo + b * width, lo + (b + 1) * width) for b in range(bins)]
+            per_ev = self.rows_per_ev(features, subset)
+            homes = {}
+            for ev in per_ev:
+                c = counts[ev]
+                home = [b for b, (b_lo, b_hi) in enumerate(edges)
+                        if (b == bins - 1 if c == hi else b_lo <= c < b_hi)]
+                assert len(home) == 1
+                homes[ev] = home[0]
+                b_lo, b_hi = edges[home[0]]
+                assert per_ev[ev] == max(1, int((b_lo + b_hi) / 2.0)) <= c
+            assert Counter(homes.values()) == dict.fromkeys(range(bins), per_bin)
+
+        check()
 
 
 class TestSuites:
@@ -284,8 +422,8 @@ class TestNoLeakageAudit:
             "1 session id(s) repeat in one cell, first 'EV0-0005'")
         dataset = features.take(rows)
         with pytest.raises(LeakageError):
-            run_cell(dataset, dataset.labels, {}, "", 0, config,
-                     np.random.SeedSequence(0), None)
+            run_cell(CellJob({}, "", 0), dataset, dataset.labels, config,
+                     np.random.SeedSequence(0))
 
 
 class TestAggregation:
