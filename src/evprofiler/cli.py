@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import itertools
 import json
 import os
 import sys
@@ -89,8 +90,8 @@ def _segment_to_record(seg: SegmentPair) -> dict:
     return {"sessionID": seg.session_id, "evLabel": seg.ev_label,
             "tStart": seg.t_start, "tS": seg.t_s,
             "samplePeriodSec": seg.tail.sample_period,
-            "tail": [float(v) for v in seg.tail.values],
-            "delta": [float(v) for v in seg.delta.values]}
+            "tail": seg.tail.values.tolist(),
+            "delta": seg.delta.values.tolist()}
 
 
 def _segment_from_record(rec: dict) -> SegmentPair:
@@ -146,6 +147,13 @@ def _parse_families(raw: str) -> tuple[str, ...]:
     return tuple(families)
 
 
+def _distinct_ints(raw: str, flag: str) -> list[int]:
+    values = [int(v) for v in raw.split(",")]
+    if len(set(values)) < len(values):
+        raise DomainError(f"{flag} values repeat: {raw}")
+    return values
+
+
 def _write_report(report: ExperimentReport, out_dir: str,
                   manifest: RunManifest, stage: str) -> None:
     _ensure_dir(out_dir)
@@ -177,12 +185,13 @@ def _cmd_experiment(args, cfg: dict, manifest: RunManifest) -> None:
         jobs = multiclass_jobs(config, features, "multiclass", dataset=args.size)
     elif args.mode == "grid":
         jobs = []
-        for n_evs in (int(v) for v in args.evs.split(",")):
-            for samples in (int(v) for v in args.samples.split(",")):
-                rows = grid_rows(features, n_evs, samples,
-                                 np.random.SeedSequence([args.seed, n_evs, samples]))
-                jobs += multiclass_jobs(config, features, "fixed-grid", rows,
-                                        n_evs=n_evs, samples_per_ev=samples)
+        for n_evs, samples in itertools.product(
+                _distinct_ints(args.evs, "--evs"),
+                _distinct_ints(args.samples, "--samples")):
+            rows = grid_rows(features, n_evs, samples,
+                             np.random.SeedSequence([args.seed, n_evs, samples]))
+            jobs += multiclass_jobs(config, features, "fixed-grid", rows,
+                                    n_evs=n_evs, samples_per_ev=samples)
     else:  # distribution
         params = DistributionParams(n_evs=args.n_evs, bins=args.bins,
                                     per_bin=args.per_bin)

@@ -109,6 +109,8 @@ class ExperimentConfig:
         for value in self.balance_values:
             if not 1.0 <= value <= 5.0:
                 raise ValueError(f"balance value {value} must be in [1, 5]")
+        if len(set(self.balance_values)) < len(self.balance_values):
+            raise ValueError(f"balance values repeat: {self.balance_values}")
         for fam in self.families:
             if fam not in DEFAULT_GRIDS:
                 raise ValueError(f"unknown classifier family {fam!r}")

@@ -49,11 +49,9 @@ def _zero_crossings(x: np.ndarray) -> float:
 
 
 def _longest_run(mask: np.ndarray) -> float:
-    best = run = 0
-    for hit in mask:
-        run = run + 1 if hit else 0
-        best = max(best, run)
-    return float(best)
+    # runs of True start and end where the False-padded mask changes
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], mask, [0]))))
+    return float(np.max(edges[1::2] - edges[::2])) if edges.size else 0.0
 
 
 def _location(x: np.ndarray, take_max: bool, first: bool) -> float:
@@ -373,7 +371,7 @@ def write_feature_csv(matrix: FeatureMatrix, path: str) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("session_id", "ev_label") + matrix.names)
         for sid, lab, row in zip(matrix.session_ids, matrix.labels, matrix.x):
-            writer.writerow([sid, lab] + [repr(float(v)) for v in row])
+            writer.writerow([sid, lab, *map(repr, row.tolist())])
 
 
 def read_feature_csv(path: str) -> FeatureMatrix:

@@ -203,8 +203,8 @@ def _session_record(s: ChargingSession) -> dict:
         "stationID": s.station_id,
         "connectionTime": s.connect_time,
         "samplePeriodSec": s.pilot.sample_period,
-        "pilotSignal": [float(v) for v in s.pilot.values],
-        "chargingCurrent": [float(v) for v in s.current.values],
+        "pilotSignal": s.pilot.values.tolist(),
+        "chargingCurrent": s.current.values.tolist(),
     }
 
 

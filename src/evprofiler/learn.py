@@ -7,9 +7,14 @@ order, and forest tree seeds derive from the training seed by tree index.
 Grid search shares fits across combinations: per fold, one kNN fit with one
 distance matrix per metric, one full tree per criterion, and forest trees
 grown once at the largest depth cap and regrown at a smaller cap only when
-that cap cuts them. It scores integer class codes, and a training failure,
-which depends only on the fold's rows, ends the search with -inf for every
+that cap cuts them. Each fold scores the whole grid in one ``_scores`` call
+over the stacked predicted class codes, and a training failure, which
+depends only on the fold's rows, ends the search with -inf for every
 combination.
+
+kNN votes for every neighbour rank come from one cumsum along the ranks of
+a (row, rank, class) vote array, so one pass gives each k's winners with the
+same running sums as adding the neighbours one at a time.
 
 A tree node scores all its candidate columns in one numpy pass (in chunks
 of columns under a fixed element budget): integer class prefix counts give
@@ -92,9 +97,10 @@ def _entropy(counts: np.ndarray, total: np.ndarray) -> np.ndarray:
     return -np.sum(terms, axis=-1)
 
 
-# Upper bound on the elements of one split search's per-column scratch
-# arrays (rows x columns, times classes for entropy's one-hot): candidate
-# columns are scored in chunks this size, at least one column per chunk.
+# Upper bound on the elements of one scratch array: a split search scores
+# candidate columns in chunks of rows x columns (times classes for entropy's
+# one-hot), and kNN votes query rows in chunks of rows x ranks x classes;
+# each chunk holds at least one column or row.
 _CHUNK_ELEMENTS = 1 << 15
 
 
@@ -364,30 +370,40 @@ def _knn_codes(dist: np.ndarray, nearest: np.ndarray, train_y: np.ndarray,
                n_classes: int, ks: set, weighted: bool) -> dict[int, np.ndarray]:
     """Vote winners among the k nearest neighbours, for each k in ``ks``.
 
-    Votes are added neighbour by neighbour in rank order, so the running sum
-    at rank k is bit-identical to a bincount over the first k. Under distance
-    weights, a prefix that holds exact-zero distances counts only those
-    neighbours. Vote ties go to the lowest class code.
+    Each neighbour's vote goes to a (row, rank, class) array and a cumsum
+    along the ranks gives every prefix's totals at once. The cumsum adds in
+    rank order and a class not hit at a rank gets +0.0, so the running sum
+    at rank k is bit-identical to adding the first k votes one by one. Under
+    distance weights, a prefix that holds exact-zero distances counts only
+    those neighbours. Vote ties go to the lowest class code. Query rows are
+    taken in chunks under ``_CHUNK_ELEMENTS``.
     """
-    rows = np.arange(dist.shape[0])
-    votes = np.zeros((dist.shape[0], n_classes))
-    exact = np.zeros_like(votes)
-    any_exact = np.zeros(dist.shape[0], dtype=bool)
-    out = {}
-    for rank in range(max(ks)):
-        idx = nearest[:, rank]
-        ny = train_y[idx]
+    top = max(ks)
+    out = {k: np.empty(dist.shape[0], dtype=np.int64) for k in ks}
+    step = max(1, _CHUNK_ELEMENTS // (top * n_classes))
+    for lo in range(0, dist.shape[0], step):
+        idx = nearest[lo:lo + step, :top]
+        cell = (np.arange(idx.shape[0])[:, None], np.arange(top), train_y[idx])
+        votes = np.zeros((idx.shape[0], top, n_classes))
         if weighted:
-            nd = dist[rows, idx]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                votes[rows, ny] += 1.0 / nd
-            exact[rows, ny] += nd == 0.0
-            any_exact |= nd == 0.0
+            nd = np.take_along_axis(dist[lo:lo + step], idx, axis=1)
+            zero = nd == 0.0
+            exact = np.zeros(votes.shape, dtype=np.int64)
+            exact[cell] = zero
+            exact = np.cumsum(exact, axis=1)
+            any_exact = np.logical_or.accumulate(zero, axis=1)
+            with np.errstate(divide="ignore"):
+                votes[cell] = 1.0 / nd
         else:
-            votes[rows, ny] += 1.0
-        if rank + 1 in ks:
-            final = np.where(any_exact[:, None], exact, votes)
-            out[rank + 1] = np.argmax(final, axis=1)
+            votes[cell] = 1.0
+        # +0 and -0 distances sum to inf - inf, in rows that exact counts decide
+        with np.errstate(invalid="ignore"):
+            votes = np.cumsum(votes, axis=1)
+        for k in ks:
+            final = votes[:, k - 1]
+            if weighted:
+                final = np.where(any_exact[:, k - 1, None], exact[:, k - 1], final)
+            out[k][lo:lo + step] = np.argmax(final, axis=1)
     return out
 
 
@@ -480,34 +496,51 @@ def _label_index(labels: Sequence[str],
 
 
 def _scores(y_true: np.ndarray, y_pred: np.ndarray, n_classes: int,
-            positive: Optional[int]) -> Scores:
-    """Scores of integer class codes in ``range(n_classes)``.
+            positive: Optional[int]
+            ) -> tuple[np.ndarray, Optional[np.ndarray], np.ndarray]:
+    """Accuracy, F1 of the ``positive`` code (None without one) and macro F1
+    of each row of ``y_pred``, a stack of predicted class codes in
+    ``range(n_classes)`` for the samples of ``y_true``.
 
-    Macro F1 averages the classes seen in ``y_true`` or ``y_pred``; a
-    ``positive`` code seen in neither scores an F1 of 0.0.
+    Macro F1 averages the classes seen in ``y_true`` or the row; a
+    ``positive`` code seen in neither scores an F1 of 0.0. Counts are
+    rows x classes, never a confusion matrix per row.
     """
-    confusion = np.bincount(y_true * n_classes + y_pred,
-                            minlength=n_classes * n_classes
-                            ).reshape(n_classes, n_classes)
-    tp = np.diag(confusion)
-    p_den = confusion.sum(axis=0)
-    r_den = confusion.sum(axis=1)
+    n_rows = y_pred.shape[0]
+    hit = y_pred == y_true
+    offset = np.arange(n_rows)[:, None] * n_classes + y_pred
+    size = n_rows * n_classes
+    tp = np.bincount(offset[hit], minlength=size).reshape(n_rows, n_classes)
+    p_den = np.bincount(offset.ravel(), minlength=size).reshape(n_rows, n_classes)
+    r_den = np.bincount(y_true, minlength=n_classes)
     with np.errstate(divide="ignore", invalid="ignore"):
         p = np.where(p_den > 0, tp / p_den, 0.0)
         r = np.where(r_den > 0, tp / r_den, 0.0)
         f1 = np.where(p + r > 0, 2 * p * r / (p + r), 0.0)
-    return Scores(float(tp.sum() / confusion.sum()),
-                  float(np.mean(f1[(p_den + r_den) > 0])),
-                  None if positive is None else float(f1[positive]))
+    # each row's mean over its compacted seen classes; rows with as many seen
+    # classes share one np.mean along axis 1, which sums each row as a 1-D
+    # mean would
+    seen = (p_den + r_den) > 0
+    n_seen = np.count_nonzero(seen, axis=1)
+    macro_f1 = np.empty(n_rows)
+    for n in np.unique(n_seen):
+        rows = n_seen == n
+        compacted = f1[rows][seen[rows]].reshape(np.count_nonzero(rows), n)
+        macro_f1[rows] = np.mean(compacted, axis=1)
+    return (np.count_nonzero(hit, axis=1) / y_true.size,
+            None if positive is None else f1[:, positive], macro_f1)
 
 
 def score_predictions(y_true: Sequence[str], y_pred: Sequence[str],
                       positive_label: Optional[str] = None) -> Scores:
     """Accuracy, macro F1, and the F1 of ``positive_label`` (None without one)."""
     lookup = _label_index([*y_true, *y_pred], positive_label)
-    return _scores(np.array([lookup[l] for l in y_true], dtype=np.int64),
-                   np.array([lookup[l] for l in y_pred], dtype=np.int64),
-                   len(lookup), lookup.get(positive_label))
+    accuracy, positive_f1, macro_f1 = _scores(
+        np.array([lookup[l] for l in y_true], dtype=np.int64),
+        np.array([[lookup[l] for l in y_pred]], dtype=np.int64),
+        len(lookup), lookup.get(positive_label))
+    return Scores(float(accuracy[0]), float(macro_f1[0]),
+                  None if positive_f1 is None else float(positive_f1[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -659,10 +692,11 @@ def grid_search(family: str, grid: dict, x: np.ndarray, labels: Sequence[str],
                 spec_cells.append(CvCell(spec, fold_id, -np.inf, str(exc)))
             break
         to_search = np.array([lookup[c] for c in classes])
-        for spec, spec_cells, codes in zip(specs, cells, predicted):
-            scores = _scores(y[fold], to_search[codes], len(lookup), positive)
-            spec_cells.append(CvCell(spec, fold_id, scores.accuracy if positive is None
-                                     else scores.positive_f1))
+        accuracy, positive_f1, _ = _scores(y[fold], to_search[np.stack(predicted)],
+                                           len(lookup), positive)
+        scores = accuracy if positive is None else positive_f1
+        for spec, spec_cells, score in zip(specs, cells, scores.tolist()):
+            spec_cells.append(CvCell(spec, fold_id, score))
     means = [float(np.mean([cell.score for cell in spec_cells])) if spec_cells
              else -np.inf for spec_cells in cells]
     best = int(np.argmax(means))  # first maximum; specs[0] when all are -inf

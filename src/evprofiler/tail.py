@@ -91,25 +91,19 @@ def find_zero_anchor(series: TimeSeries, params: TailParams) -> Optional[int]:
     separated by non-zero spike runs shorter than max_spike_len are merged.
     The merged region must contain at least min_zero_run zero samples.
     """
-    x = series.values
-    is_zero = x <= params.zero_eps
-    t = x.size
-    zero_total = 0
-    t_s: Optional[int] = None
-    while t > 0:
-        run_zero = bool(is_zero[t - 1])
-        start = t
-        while start > 0 and bool(is_zero[start - 1]) == run_zero:
-            start -= 1
-        run_len = t - start
-        if run_zero:
-            zero_total += run_len
-            t_s = start
-        else:
-            if run_len >= params.max_spike_len or t_s is None:
-                break
-        t = start
-    if t_s is None or zero_total < params.min_zero_run:
+    is_zero = series.values <= params.zero_eps
+    if not is_zero[-1]:
+        return None
+    # runs alternate between zero and non-zero and the last one is zero; the
+    # region starts at the zero run after the last long spike, or at the
+    # first zero run when no spike is long
+    starts = np.flatnonzero(np.diff(is_zero, prepend=~is_zero[0]))
+    lengths = np.diff(starts, append=is_zero.size)
+    long_spikes = np.flatnonzero(~is_zero[starts]
+                                 & (lengths >= params.max_spike_len))
+    first = long_spikes[-1] + 1 if long_spikes.size else int(not is_zero[0])
+    t_s = int(starts[first])
+    if np.count_nonzero(is_zero[t_s:]) < params.min_zero_run:
         return None
     return t_s
 

@@ -199,8 +199,15 @@ class TestExitCodes:
          "SubsampleError: n_evs and samples_per_ev must be >= 1, got 0 and 8"),
         (["grid", "--evs", "2", "--samples", "0"],
          "SubsampleError: n_evs and samples_per_ev must be >= 1, got 2 and 0"),
+        (["binary", "--values", "1,3,1", "--min-target", "10"],
+         "ValueError: balance values repeat: (1.0, 3.0, 1.0)"),
+        (["grid", "--evs", "2,2", "--samples", "8"],
+         "DomainError: --evs values repeat: 2,2"),
+        (["grid", "--evs", "2", "--samples", "8,8"],
+         "DomainError: --samples values repeat: 8,8"),
     ], ids=["binary-value-7", "binary-q-value-0.5", "bins-0", "per-bin-0",
-            "normal-n-evs-0", "grid-evs-0", "grid-samples-0"])
+            "normal-n-evs-0", "grid-evs-0", "grid-samples-0",
+            "binary-values-repeat", "grid-evs-repeat", "grid-samples-repeat"])
     def test_bad_suite_argument_is_1_before_any_cell(self, pipeline, tmp_path,
                                                      capsys, args, message):
         out = tmp_path / "exp"

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from evprofiler.features import (CATALOG, FEATURE_NAMES, FeatureMatrix,
-                                 SelectionError,
+                                 SelectionError, _longest_run,
                                  anova_f_scores, apply_minmax, chi2_scores,
                                  extract_features, featurize_segments,
                                  fit_minmax, fit_selection,
@@ -22,6 +22,15 @@ from evprofiler.tail import SegmentPair
 def feature(values, name):
     x = np.asarray(values, dtype=np.float64)
     return series_features(x)[list(n for n, _ in CATALOG).index(name)]
+
+
+def reference_longest_run(mask):
+    """The per-sample loop that run boundaries replaced."""
+    best = run = 0
+    for hit in mask:
+        run = run + 1 if hit else 0
+        best = max(best, run)
+    return float(best)
 
 
 def small_matrix(x, labels, names=None):
@@ -138,6 +147,22 @@ class TestCatalog:
             assert np.all(np.isfinite(values))
             np.testing.assert_allclose(values, series_features_reference(x),
                                        rtol=1e-12, atol=1e-12)
+
+        check()
+
+    def test_longest_run_equals_per_sample_loop(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        hnp = pytest.importorskip("hypothesis.extra.numpy")
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(mask=hnp.arrays(np.bool_, st.integers(1, 80)))
+        @hypothesis.example(mask=np.ones(9, dtype=bool))
+        @hypothesis.example(mask=np.zeros(9, dtype=bool))
+        @hypothesis.example(mask=np.array([True]))
+        @hypothesis.example(mask=np.array([False]))
+        def check(mask):
+            assert _longest_run(mask) == reference_longest_run(mask)
 
         check()
 

@@ -447,6 +447,71 @@ def test_scores_equal_reference_loop(positive):
         y = [f"L{v}" for v in rng.integers(0, int(rng.integers(1, 5)), n)]
         p = [f"L{v}" for v in rng.integers(0, int(rng.integers(1, 5)), n)]
         assert score_predictions(y, p, positive) == reference_scores(y, p, positive)
+    # one stacked call scores rows that see different class sets, from one
+    # class to more than 8 (where numpy's pairwise sum stops being a plain
+    # running sum); every row must equal its own reference
+    for _ in range(100):
+        n = int(rng.integers(1, 60))
+        y = [f"L{v}" for v in rng.integers(0, int(rng.integers(1, 13)), n)]
+        rows = [[f"L{v}" for v in rng.integers(0, int(rng.integers(1, 13)), n)]
+                for _ in range(int(rng.integers(1, 8)))]
+        lookup = learn._label_index([*y, *(l for row in rows for l in row)],
+                                    positive)
+        accuracy, positive_f1, macro_f1 = learn._scores(
+            np.array([lookup[l] for l in y]),
+            np.array([[lookup[l] for l in row] for row in rows]),
+            len(lookup), lookup.get(positive))
+        for i, row in enumerate(rows):
+            got = Scores(float(accuracy[i]), float(macro_f1[i]),
+                         None if positive is None else float(positive_f1[i]))
+            assert got == reference_scores(y, row, positive)
+
+
+def reference_knn_codes(dist, nearest, train_y, n_classes, ks, weighted):
+    """The rank loop that cumulative voting replaced: votes added neighbour
+    by neighbour, winners read at each k in ``ks``."""
+    rows = np.arange(dist.shape[0])
+    votes = np.zeros((dist.shape[0], n_classes))
+    exact = np.zeros_like(votes)
+    any_exact = np.zeros(dist.shape[0], dtype=bool)
+    out = {}
+    for rank in range(max(ks)):
+        idx = nearest[:, rank]
+        ny = train_y[idx]
+        if weighted:
+            nd = dist[rows, idx]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                votes[rows, ny] += 1.0 / nd
+            exact[rows, ny] += nd == 0.0
+            any_exact |= nd == 0.0
+        else:
+            votes[rows, ny] += 1.0
+        if rank + 1 in ks:
+            final = np.where(any_exact[:, None], exact, votes)
+            out[rank + 1] = np.argmax(final, axis=1)
+    return out
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("ks", [{1}, {15}, set(range(3, 16, 2))])
+@pytest.mark.parametrize("n_classes", [2, 12])
+def test_knn_codes_equal_rank_loop(monkeypatch, weighted, ks, n_classes):
+    # several chunks run: one query row each at 15 ranks, 2 or 12 at one rank
+    monkeypatch.setattr(learn, "_CHUNK_ELEMENTS", 24)
+    rng = np.random.default_rng(21)
+    for _ in range(30):
+        n_query, n_train = int(rng.integers(1, 40)), int(rng.integers(15, 40))
+        # few distinct values: repeated distances, ties and exact zeros
+        dist = rng.choice([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 1e-300],
+                          (n_query, n_train))
+        dist[:, :3] = rng.random((n_query, 3))
+        nearest = np.argsort(dist, axis=1, kind="stable")
+        train_y = rng.integers(0, n_classes, n_train)
+        got = learn._knn_codes(dist, nearest, train_y, n_classes, ks, weighted)
+        want = reference_knn_codes(dist, nearest, train_y, n_classes, ks, weighted)
+        assert got.keys() == want.keys()
+        for k in ks:
+            np.testing.assert_array_equal(got[k], want[k])
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,30 @@ def params(**overrides):
     return TailParams(**overrides)
 
 
+def reference_zero_anchor(series, params):
+    """The backward run-by-run scan that run-length arrays replaced."""
+    is_zero = series.values <= params.zero_eps
+    t = is_zero.size
+    zero_total = 0
+    t_s = None
+    while t > 0:
+        run_zero = bool(is_zero[t - 1])
+        start = t
+        while start > 0 and bool(is_zero[start - 1]) == run_zero:
+            start -= 1
+        run_len = t - start
+        if run_zero:
+            zero_total += run_len
+            t_s = start
+        else:
+            if run_len >= params.max_spike_len or t_s is None:
+                break
+        t = start
+    if t_s is None or zero_total < params.min_zero_run:
+        return None
+    return t_s
+
+
 class TestFindZeroAnchor:
     def test_plain_trailing_zeros(self):
         ts = TimeSeries(np.array([5, 4, 3, 2, 1, 0, 0, 0, 0], dtype=float))
@@ -44,6 +68,32 @@ class TestFindZeroAnchor:
         # the merge rule covers spikes between zero runs, not a nonzero end
         ts = TimeSeries(np.array([5, 4, 3, 0, 0, 0, 0, 0, 2], dtype=float))
         assert find_zero_anchor(ts, params(max_spike_len=2, min_zero_run=3)) is None
+
+    def test_equals_backward_run_scan(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        # (zero?, length) runs; neighbouring runs of one kind simply merge
+        layouts = st.lists(st.tuples(st.booleans(), st.integers(1, 8)),
+                           min_size=1, max_size=12)
+
+        @hypothesis.settings(max_examples=500, deadline=None)
+        @hypothesis.given(layout=layouts, min_zero_run=st.integers(1, 6),
+                          max_spike_len=st.integers(1, 5))
+        @hypothesis.example(layout=[(True, 4)], min_zero_run=4, max_spike_len=1)
+        @hypothesis.example(layout=[(False, 3)], min_zero_run=1, max_spike_len=5)
+        @hypothesis.example(layout=[(False, 1), (True, 2)], min_zero_run=2,
+                            max_spike_len=2)
+        def check(layout, min_zero_run, max_spike_len):
+            # zero runs at or under zero_eps (0.5), spikes above it
+            ts = TimeSeries(np.concatenate([np.full(n, 0.5 if zero else 2.0)
+                                            for zero, n in layout]))
+            tp = params(min_zero_run=min_zero_run, max_spike_len=max_spike_len)
+            got = find_zero_anchor(ts, tp)
+            assert got == reference_zero_anchor(ts, tp)
+            assert got is None or type(got) is int
+
+        check()
 
 
 class TestExtractTail:
