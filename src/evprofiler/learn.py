@@ -13,8 +13,9 @@ depends only on the fold's rows, ends the search with -inf for every
 combination.
 
 kNN votes for every neighbour rank come from one cumsum along the ranks of
-a (row, rank, class) vote array, so one pass gives each k's winners with the
-same running sums as adding the neighbours one at a time.
+a (row, rank, slot) vote array, one slot per class among a row's nearest
+neighbours, so one pass gives each k's winners with the same running sums
+as adding the neighbours one at a time.
 
 A tree node scores all its candidate columns in one numpy pass (in chunks
 of columns under a fixed element budget): integer class prefix counts give
@@ -97,11 +98,15 @@ def _entropy(counts: np.ndarray, total: np.ndarray) -> np.ndarray:
     return -np.sum(terms, axis=-1)
 
 
-# Upper bound on the elements of one scratch array: a split search scores
-# candidate columns in chunks of rows x columns (times classes for entropy's
-# one-hot), and kNN votes query rows in chunks of rows x ranks x classes;
-# each chunk holds at least one column or row.
+# Upper bound on the elements of one split search's per-column scratch
+# arrays (rows x columns, times classes for entropy's one-hot): candidate
+# columns are scored in chunks this size, at least one column per chunk.
 _CHUNK_ELEMENTS = 1 << 15
+
+# Upper bound on the elements of a kNN vote chunk, 8 MB of float64: query
+# rows x (ranks x slots for the votes, plus ks x classes for the winners);
+# each chunk holds at least one row.
+_VOTE_ELEMENTS = 1 << 20
 
 
 def _cut_costs(ys: np.ndarray, rows: np.ndarray, cols: np.ndarray,
@@ -370,28 +375,39 @@ def _knn_codes(dist: np.ndarray, nearest: np.ndarray, train_y: np.ndarray,
                n_classes: int, ks: set, weighted: bool) -> dict[int, np.ndarray]:
     """Vote winners among the k nearest neighbours, for each k in ``ks``.
 
-    Each neighbour's vote goes to a (row, rank, class) array and a cumsum
-    along the ranks gives every prefix's totals at once. The cumsum adds in
-    rank order and a class not hit at a rank gets +0.0, so the running sum
-    at rank k is bit-identical to adding the first k votes one by one. Under
-    distance weights, a prefix that holds exact-zero distances counts only
-    those neighbours. Vote ties go to the lowest class code. Query rows are
-    taken in chunks under ``_CHUNK_ELEMENTS``.
+    A row's ``max(ks)`` nearest neighbours hold at most that many distinct
+    classes, each given a slot, so the vote arrays do not grow with the
+    class count. Each neighbour's vote goes to a (row, rank, slot) array
+    and a cumsum along the ranks gives every prefix's totals at once. The
+    cumsum adds in rank order and a slot not hit at a rank gets +0.0, so the
+    running sum at rank k is bit-identical to adding the first k votes one
+    by one. Under distance weights, a prefix that holds exact-zero distances
+    counts only those neighbours. Each k's slot totals go back to a row x
+    class array, 0.0 for classes no neighbour has, whose argmax gives vote
+    ties to the lowest class code. Query rows are taken in chunks under
+    ``_VOTE_ELEMENTS``.
     """
-    top = max(ks)
-    out = {k: np.empty(dist.shape[0], dtype=np.int64) for k in ks}
-    step = max(1, _CHUNK_ELEMENTS // (top * n_classes))
+    ks = sorted(ks)
+    top, ends = ks[-1], np.array(ks) - 1
+    width = min(top, n_classes)
+    out = np.empty((dist.shape[0], len(ks)), dtype=np.int64)
+    step = max(1, _VOTE_ELEMENTS // (top * width + len(ks) * n_classes))
     for lo in range(0, dist.shape[0], step):
         idx = nearest[lo:lo + step, :top]
-        cell = (np.arange(idx.shape[0])[:, None], np.arange(top), train_y[idx])
-        votes = np.zeros((idx.shape[0], top, n_classes))
+        row = np.arange(idx.shape[0])[:, None]
+        ny = train_y[idx]
+        # slots number the classes among a row's neighbours in class order
+        order = np.argsort(ny, axis=1, kind="stable")
+        ranked = ny[row, order]
+        new = np.ones(ranked.shape, dtype=bool)
+        new[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+        dense = np.cumsum(new, axis=1) - 1
+        slot = np.empty_like(dense)
+        slot[row, order] = dense
+        cell = (row, np.arange(top), slot)
+        votes = np.zeros((idx.shape[0], top, width))
         if weighted:
-            nd = np.take_along_axis(dist[lo:lo + step], idx, axis=1)
-            zero = nd == 0.0
-            exact = np.zeros(votes.shape, dtype=np.int64)
-            exact[cell] = zero
-            exact = np.cumsum(exact, axis=1)
-            any_exact = np.logical_or.accumulate(zero, axis=1)
+            nd = dist[lo + row, idx]
             with np.errstate(divide="ignore"):
                 votes[cell] = 1.0 / nd
         else:
@@ -399,12 +415,17 @@ def _knn_codes(dist: np.ndarray, nearest: np.ndarray, train_y: np.ndarray,
         # +0 and -0 distances sum to inf - inf, in rows that exact counts decide
         with np.errstate(invalid="ignore"):
             votes = np.cumsum(votes, axis=1)
-        for k in ks:
-            final = votes[:, k - 1]
-            if weighted:
-                final = np.where(any_exact[:, k - 1, None], exact[:, k - 1], final)
-            out[k][lo:lo + step] = np.argmax(final, axis=1)
-    return out
+        if weighted and (zero := nd == 0.0).any():
+            exact = np.zeros(votes.shape, dtype=np.int64)
+            exact[cell] = zero
+            any_exact = np.logical_or.accumulate(zero, axis=1)
+            votes = np.where(any_exact[:, :, None], np.cumsum(exact, axis=1), votes)
+        rows, at = np.nonzero(new)
+        rows, classes, slots = rows[:, None], ranked[rows, at, None], dense[rows, at, None]
+        final = np.zeros((idx.shape[0], len(ks), n_classes))
+        final[rows, np.arange(len(ks)), classes] = votes[rows, ends, slots]
+        out[lo:lo + step] = np.argmax(final, axis=2)
+    return {k: out[:, i] for i, k in enumerate(ks)}
 
 
 def _decode(classes: tuple[str, ...], codes: np.ndarray) -> np.ndarray:
@@ -495,16 +516,14 @@ def _label_index(labels: Sequence[str],
     return {label: i for i, label in enumerate(sorted(found))}
 
 
-def _scores(y_true: np.ndarray, y_pred: np.ndarray, n_classes: int,
-            positive: Optional[int]
-            ) -> tuple[np.ndarray, Optional[np.ndarray], np.ndarray]:
-    """Accuracy, F1 of the ``positive`` code (None without one) and macro F1
-    of each row of ``y_pred``, a stack of predicted class codes in
+def _scores(y_true: np.ndarray, y_pred: np.ndarray, n_classes: int
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Accuracy, per-class F1 and the classes seen in ``y_true`` or the row,
+    for each row of ``y_pred``, a stack of predicted class codes in
     ``range(n_classes)`` for the samples of ``y_true``.
 
-    Macro F1 averages the classes seen in ``y_true`` or the row; a
-    ``positive`` code seen in neither scores an F1 of 0.0. Counts are
-    rows x classes, never a confusion matrix per row.
+    A class seen in neither scores an F1 of 0.0. Counts are rows x classes,
+    never a confusion matrix per row.
     """
     n_rows = y_pred.shape[0]
     hit = y_pred == y_true
@@ -517,30 +536,19 @@ def _scores(y_true: np.ndarray, y_pred: np.ndarray, n_classes: int,
         p = np.where(p_den > 0, tp / p_den, 0.0)
         r = np.where(r_den > 0, tp / r_den, 0.0)
         f1 = np.where(p + r > 0, 2 * p * r / (p + r), 0.0)
-    # each row's mean over its compacted seen classes; rows with as many seen
-    # classes share one np.mean along axis 1, which sums each row as a 1-D
-    # mean would
-    seen = (p_den + r_den) > 0
-    n_seen = np.count_nonzero(seen, axis=1)
-    macro_f1 = np.empty(n_rows)
-    for n in np.unique(n_seen):
-        rows = n_seen == n
-        compacted = f1[rows][seen[rows]].reshape(np.count_nonzero(rows), n)
-        macro_f1[rows] = np.mean(compacted, axis=1)
-    return (np.count_nonzero(hit, axis=1) / y_true.size,
-            None if positive is None else f1[:, positive], macro_f1)
+    return np.count_nonzero(hit, axis=1) / y_true.size, f1, (p_den + r_den) > 0
 
 
 def score_predictions(y_true: Sequence[str], y_pred: Sequence[str],
                       positive_label: Optional[str] = None) -> Scores:
     """Accuracy, macro F1, and the F1 of ``positive_label`` (None without one)."""
     lookup = _label_index([*y_true, *y_pred], positive_label)
-    accuracy, positive_f1, macro_f1 = _scores(
+    accuracy, f1, seen = _scores(
         np.array([lookup[l] for l in y_true], dtype=np.int64),
-        np.array([[lookup[l] for l in y_pred]], dtype=np.int64),
-        len(lookup), lookup.get(positive_label))
-    return Scores(float(accuracy[0]), float(macro_f1[0]),
-                  None if positive_f1 is None else float(positive_f1[0]))
+        np.array([[lookup[l] for l in y_pred]], dtype=np.int64), len(lookup))
+    positive = lookup.get(positive_label)
+    return Scores(float(accuracy[0]), float(np.mean(f1[0][seen[0]])),
+                  None if positive is None else float(f1[0, positive]))
 
 
 # ---------------------------------------------------------------------------
@@ -692,9 +700,9 @@ def grid_search(family: str, grid: dict, x: np.ndarray, labels: Sequence[str],
                 spec_cells.append(CvCell(spec, fold_id, -np.inf, str(exc)))
             break
         to_search = np.array([lookup[c] for c in classes])
-        accuracy, positive_f1, _ = _scores(y[fold], to_search[np.stack(predicted)],
-                                           len(lookup), positive)
-        scores = accuracy if positive is None else positive_f1
+        accuracy, f1, _ = _scores(y[fold], to_search[np.stack(predicted)],
+                                  len(lookup))
+        scores = accuracy if positive is None else f1[:, positive]
         for spec, spec_cells, score in zip(specs, cells, scores.tolist()):
             spec_cells.append(CvCell(spec, fold_id, score))
     means = [float(np.mean([cell.score for cell in spec_cells])) if spec_cells

@@ -447,9 +447,8 @@ def test_scores_equal_reference_loop(positive):
         y = [f"L{v}" for v in rng.integers(0, int(rng.integers(1, 5)), n)]
         p = [f"L{v}" for v in rng.integers(0, int(rng.integers(1, 5)), n)]
         assert score_predictions(y, p, positive) == reference_scores(y, p, positive)
-    # one stacked call scores rows that see different class sets, from one
-    # class to more than 8 (where numpy's pairwise sum stops being a plain
-    # running sum); every row must equal its own reference
+    # one stacked call scores rows that see different class sets; every row's
+    # accuracy and positive-label F1 must equal its own reference
     for _ in range(100):
         n = int(rng.integers(1, 60))
         y = [f"L{v}" for v in rng.integers(0, int(rng.integers(1, 13)), n)]
@@ -457,14 +456,14 @@ def test_scores_equal_reference_loop(positive):
                 for _ in range(int(rng.integers(1, 8)))]
         lookup = learn._label_index([*y, *(l for row in rows for l in row)],
                                     positive)
-        accuracy, positive_f1, macro_f1 = learn._scores(
+        accuracy, f1, _ = learn._scores(
             np.array([lookup[l] for l in y]),
-            np.array([[lookup[l] for l in row] for row in rows]),
-            len(lookup), lookup.get(positive))
+            np.array([[lookup[l] for l in row] for row in rows]), len(lookup))
         for i, row in enumerate(rows):
-            got = Scores(float(accuracy[i]), float(macro_f1[i]),
-                         None if positive is None else float(positive_f1[i]))
-            assert got == reference_scores(y, row, positive)
+            want = reference_scores(y, row, positive)
+            assert float(accuracy[i]) == want.accuracy
+            if positive is not None:
+                assert float(f1[i, lookup[positive]]) == want.positive_f1
 
 
 def reference_knn_codes(dist, nearest, train_y, n_classes, ks, weighted):
@@ -494,15 +493,18 @@ def reference_knn_codes(dist, nearest, train_y, n_classes, ks, weighted):
 
 @pytest.mark.parametrize("weighted", [False, True])
 @pytest.mark.parametrize("ks", [{1}, {15}, set(range(3, 16, 2))])
-@pytest.mark.parametrize("n_classes", [2, 12])
+@pytest.mark.parametrize("n_classes", [2, 12, 40])
 def test_knn_codes_equal_rank_loop(monkeypatch, weighted, ks, n_classes):
-    # several chunks run: one query row each at 15 ranks, 2 or 12 at one rank
-    monkeypatch.setattr(learn, "_CHUNK_ELEMENTS", 24)
+    # several chunks run: 13 query rows each at most, one row at 15 ranks
+    # of 12 or 40 classes
+    monkeypatch.setattr(learn, "_VOTE_ELEMENTS", 40)
     rng = np.random.default_rng(21)
     for _ in range(30):
         n_query, n_train = int(rng.integers(1, 40)), int(rng.integers(15, 40))
-        # few distinct values: repeated distances, ties and exact zeros
-        dist = rng.choice([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 1e-300],
+        # few distinct values: repeated distances, ties, exact zeros of both
+        # signs, and a negative distance (cosine rounding) whose vote is
+        # below the 0.0 of classes no neighbour has
+        dist = rng.choice([0.0, -0.0, -1e-16, 0.5, 1.0, 1.5, 2.0, 3.0, 1e-300],
                           (n_query, n_train))
         dist[:, :3] = rng.random((n_query, 3))
         nearest = np.argsort(dist, axis=1, kind="stable")
