@@ -1,11 +1,12 @@
 """Fixed statistical feature catalog over tail/delta series, scaling,
-univariate scoring, and top-k selection.
+chi-square scoring, and top-k selection.
 
-The catalog is a frozen, ordered list of 67 total functions; a segment pair
-yields the catalog once per series under the ``tail__`` and ``delta__``
-prefixes, 134 columns in all. Catalog order is the tie-breaking authority
-in selection. Every function is total: degenerate inputs (constant series,
-short series, empty spectra) map to 0 rather than NaN.
+``SERIES_FEATURE_NAMES`` names the 67 catalog values that
+``series_features`` computes for one series, in order; a segment pair
+yields them once per series under the ``tail__`` and ``delta__`` prefixes,
+134 columns in all. Catalog order is the tie-breaking authority in
+selection. Every value is total on in-range input: degenerate inputs
+(constant series, short series, empty spectra) map to 0 rather than NaN.
 """
 
 from __future__ import annotations
@@ -13,39 +14,11 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .tail import SegmentPair, segment_corpus
-
-
-def _diffs(x: np.ndarray) -> np.ndarray:
-    return np.diff(x) if x.size >= 2 else np.zeros(0)
-
-
-def _moments(x: np.ndarray) -> tuple[float, float]:
-    return float(np.mean(x)), float(np.var(x))
-
-
-def _skewness(x: np.ndarray) -> float:
-    mu, var = _moments(x)
-    if var ** 2 == 0:  # var is 0, or its square underflows
-        return 0.0
-    return float(np.mean((x - mu) ** 3) / var ** 1.5)
-
-
-def _kurtosis(x: np.ndarray) -> float:
-    # excess kurtosis; 0 for zero-variance series
-    mu, var = _moments(x)
-    if var ** 2 == 0:  # var is 0, or its square underflows
-        return 0.0
-    return float(np.mean((x - mu) ** 4) / var ** 2 - 3.0)
-
-
-def _zero_crossings(x: np.ndarray) -> float:
-    above = x > np.mean(x)
-    return float(np.count_nonzero(above[1:] != above[:-1]))
 
 
 def _longest_run(mask: np.ndarray) -> float:
@@ -60,16 +33,6 @@ def _location(x: np.ndarray, take_max: bool, first: bool) -> float:
     if first:
         return float(np.argmax(values) / x.size)
     return float((x.size - np.argmax(values[::-1])) / x.size)
-
-
-def _autocorr(x: np.ndarray, lag: int) -> float:
-    n = x.size
-    if lag >= n:
-        return 0.0
-    mu, var = _moments(x)
-    if var == 0:
-        return 0.0
-    return float(np.sum((x[:n - lag] - mu) * (x[lag:] - mu)) / ((n - lag) * var))
 
 
 def _linear_trend(x: np.ndarray) -> tuple[float, float, float]:
@@ -110,19 +73,6 @@ def _binned_entropy(x: np.ndarray, bins: int = 10) -> float:
     return float(-np.sum(p * np.log(p)))
 
 
-def _dft_magnitude(x: np.ndarray, k: int) -> float:
-    spectrum = np.abs(np.fft.rfft(x))
-    return float(spectrum[k]) if k < spectrum.size else 0.0
-
-
-def _spectral_centroid(x: np.ndarray) -> float:
-    spectrum = np.abs(np.fft.rfft(x))
-    total = float(np.sum(spectrum))
-    if total == 0:
-        return 0.0
-    return float(np.sum(np.arange(spectrum.size) * spectrum) / total)
-
-
 def _c3(x: np.ndarray, lag: int) -> float:
     n = x.size
     if n <= 2 * lag:
@@ -138,77 +88,27 @@ def _time_reversal_asymmetry(x: np.ndarray, lag: int) -> float:
     return float(np.mean(c * c * b - b * a * a))
 
 
-def _ratio_beyond_sigma(x: np.ndarray, r: float) -> float:
-    mu, var = _moments(x)
-    if var == 0:
-        return 0.0
-    return float(np.mean(np.abs(x - mu) > r * np.sqrt(var)))
-
-
-def _build_catalog() -> tuple[tuple[str, Callable[[np.ndarray], float]], ...]:
-    entries: list[tuple[str, Callable[[np.ndarray], float]]] = [
-        ("length", lambda x: float(x.size)),
-        ("mean", lambda x: float(np.mean(x))),
-        ("median", lambda x: float(np.median(x))),
-        ("variance", lambda x: float(np.var(x))),
-        ("std", lambda x: float(np.std(x))),
-        ("skewness", _skewness),
-        ("kurtosis", _kurtosis),
-        ("min", lambda x: float(np.min(x))),
-        ("max", lambda x: float(np.max(x))),
-        ("range", lambda x: float(np.max(x) - np.min(x))),
-        ("quantile_05", lambda x: float(np.quantile(x, 0.05))),
-        ("quantile_25", lambda x: float(np.quantile(x, 0.25))),
-        ("quantile_75", lambda x: float(np.quantile(x, 0.75))),
-        ("quantile_95", lambda x: float(np.quantile(x, 0.95))),
-        ("sum", lambda x: float(np.sum(x))),
-        ("abs_energy", lambda x: float(np.sum(x * x))),
-        ("root_mean_square", lambda x: float(np.sqrt(np.mean(x * x)))),
-        ("abs_sum_of_changes", lambda x: float(np.sum(np.abs(_diffs(x))))),
-        ("mean_abs_change",
-         lambda x: float(np.mean(np.abs(_diffs(x)))) if x.size >= 2 else 0.0),
-        ("mean_change",
-         lambda x: float((x[-1] - x[0]) / (x.size - 1)) if x.size >= 2 else 0.0),
-        ("zero_crossings", _zero_crossings),
-        ("count_above_mean", lambda x: float(np.count_nonzero(x > np.mean(x)))),
-        ("count_below_mean", lambda x: float(np.count_nonzero(x < np.mean(x)))),
-        ("longest_run_above_mean", lambda x: _longest_run(x > np.mean(x))),
-        ("longest_run_below_mean", lambda x: _longest_run(x < np.mean(x))),
-        ("first_location_of_max", lambda x: _location(x, True, True)),
-        ("last_location_of_max", lambda x: _location(x, True, False)),
-        ("first_location_of_min", lambda x: _location(x, False, True)),
-        ("last_location_of_min", lambda x: _location(x, False, False)),
-    ]
-    for lag in range(1, 11):
-        entries.append((f"autocorrelation_lag{lag}",
-                        lambda x, lag=lag: _autocorr(x, lag)))
-    entries += [
-        ("linear_trend_slope", lambda x: _linear_trend(x)[0]),
-        ("linear_trend_intercept", lambda x: _linear_trend(x)[1]),
-        ("linear_trend_corr", lambda x: _linear_trend(x)[2]),
-        ("peak_count_support_1", lambda x: _peak_count(x, 1)),
-        ("peak_count_support_3", lambda x: _peak_count(x, 3)),
-        ("peak_count_support_5", lambda x: _peak_count(x, 5)),
-        ("complexity", lambda x: float(np.sqrt(np.sum(_diffs(x) ** 2)))),
-        ("binned_entropy_10", _binned_entropy),
-    ]
-    for k in range(1, 11):
-        entries.append((f"dft_magnitude_{k}",
-                        lambda x, k=k: _dft_magnitude(x, k)))
-    entries.append(("spectral_centroid", _spectral_centroid))
-    for lag in range(1, 4):
-        entries.append((f"c3_lag{lag}", lambda x, lag=lag: _c3(x, lag)))
-    for lag in range(1, 4):
-        entries.append((f"time_reversal_asymmetry_lag{lag}",
-                        lambda x, lag=lag: _time_reversal_asymmetry(x, lag)))
-    for r in (1, 2, 3):
-        entries.append((f"ratio_beyond_{r}sigma",
-                        lambda x, r=r: _ratio_beyond_sigma(x, float(r))))
-    return tuple(entries)
-
-
-CATALOG = _build_catalog()
-SERIES_FEATURE_NAMES = tuple(name for name, _ in CATALOG)
+SERIES_FEATURE_NAMES = (
+    "length", "mean", "median", "variance", "std", "skewness", "kurtosis",
+    "min", "max", "range", "quantile_05", "quantile_25", "quantile_75",
+    "quantile_95", "sum", "abs_energy", "root_mean_square",
+    "abs_sum_of_changes", "mean_abs_change", "mean_change", "zero_crossings",
+    "count_above_mean", "count_below_mean", "longest_run_above_mean",
+    "longest_run_below_mean", "first_location_of_max", "last_location_of_max",
+    "first_location_of_min", "last_location_of_min", "autocorrelation_lag1",
+    "autocorrelation_lag2", "autocorrelation_lag3", "autocorrelation_lag4",
+    "autocorrelation_lag5", "autocorrelation_lag6", "autocorrelation_lag7",
+    "autocorrelation_lag8", "autocorrelation_lag9", "autocorrelation_lag10",
+    "linear_trend_slope", "linear_trend_intercept", "linear_trend_corr",
+    "peak_count_support_1", "peak_count_support_3", "peak_count_support_5",
+    "complexity", "binned_entropy_10", "dft_magnitude_1", "dft_magnitude_2",
+    "dft_magnitude_3", "dft_magnitude_4", "dft_magnitude_5",
+    "dft_magnitude_6", "dft_magnitude_7", "dft_magnitude_8",
+    "dft_magnitude_9", "dft_magnitude_10", "spectral_centroid", "c3_lag1",
+    "c3_lag2", "c3_lag3", "time_reversal_asymmetry_lag1",
+    "time_reversal_asymmetry_lag2", "time_reversal_asymmetry_lag3",
+    "ratio_beyond_1sigma", "ratio_beyond_2sigma", "ratio_beyond_3sigma",
+)
 FEATURE_NAMES = tuple(f"{prefix}__{name}"
                       for prefix in ("tail", "delta")
                       for name in SERIES_FEATURE_NAMES)
@@ -217,23 +117,17 @@ N_FEATURES = len(FEATURE_NAMES)
 assert len(SERIES_FEATURE_NAMES) == 67 and N_FEATURES == 134
 
 
-def series_features_reference(values: np.ndarray) -> np.ndarray:
-    """Catalog evaluated feature by feature; the slow reference path."""
-    x = np.asarray(values, dtype=np.float64)
-    return np.array([func(x) for _, func in CATALOG])
-
-
 def series_features(values: np.ndarray) -> np.ndarray:
     """The 67 catalog values for one series, in catalog order.
 
     Single pass sharing moments, diffs, the spectrum, and the trend fit;
-    tests pin it to series_features_reference.
+    tests pin it to a per-feature reference.
     """
     x = np.asarray(values, dtype=np.float64)
     n = x.size
     out = np.empty(67)
     mu = float(np.mean(x))
-    var = float(np.var(x))
+    var = np.var(x)  # numpy float: var ** 2 past range is inf, no exception
     std = np.sqrt(var)
     centered = x - mu
     diffs = np.diff(x) if n >= 2 else np.zeros(0)
@@ -297,17 +191,13 @@ def series_features(values: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    session_id: str
-    ev_label: str
-    values: np.ndarray  # aligned with FEATURE_NAMES
-
-
-def extract_features(segment: SegmentPair) -> FeatureVector:
-    values = np.concatenate([series_features(segment.tail.values),
-                             series_features(segment.delta.values)])
-    return FeatureVector(segment.session_id, segment.ev_label or "", values)
+def extract_features(segment: SegmentPair) -> np.ndarray:
+    """The 134 values of one segment pair, aligned with FEATURE_NAMES."""
+    # an out-of-range series overflows to inf or nan, which FeatureMatrix
+    # rejects as non-finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.concatenate([series_features(segment.tail.values),
+                               series_features(segment.delta.values)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -345,19 +235,16 @@ class FeatureMatrix:
         return out
 
 
-def matrix_from_vectors(vectors: Sequence[FeatureVector]) -> FeatureMatrix:
-    return FeatureMatrix(
-        tuple(v.session_id for v in vectors),
-        tuple(v.ev_label for v in vectors),
-        np.array([v.values for v in vectors]).reshape(len(vectors), N_FEATURES))
-
-
 def featurize_segments(segments: Iterable[SegmentPair]) -> FeatureMatrix:
     """Feature matrix over segment pairs, one row per pair in input order."""
-    vectors = [extract_features(seg) for seg in segments]
-    if not vectors:
+    ids, labels, rows = [], [], []
+    for segment in segments:
+        ids.append(segment.session_id)
+        labels.append(segment.ev_label or "")
+        rows.append(extract_features(segment))
+    if not rows:
         raise ValueError("no segments to featurize")
-    return matrix_from_vectors(vectors)
+    return FeatureMatrix(tuple(ids), tuple(labels), np.array(rows))
 
 
 def featurize_corpus(corpus, filter_params=None, tail_params=None):
@@ -382,10 +269,10 @@ def read_feature_csv(path: str) -> FeatureMatrix:
         for parts in reader:
             ids.append(parts[0])
             labels.append(parts[1])
-            rows.append([float(v) for v in parts[2:]])
+            rows.append(np.array(parts[2:], dtype=np.float64))
     if not ids:
         raise ValueError(f"{path}: no feature rows")
-    x = np.array(rows, dtype=np.float64).reshape(len(ids), len(names))
+    x = np.array(rows).reshape(len(ids), len(names))
     return FeatureMatrix(tuple(ids), tuple(labels), x, names)
 
 
@@ -442,33 +329,6 @@ def chi2_scores(scaled: FeatureMatrix, labels: Sequence[str]) -> np.ndarray:
         terms = (observed - expected) ** 2 / expected
     terms = np.where(expected == 0, 0.0, terms)
     return terms.sum(axis=0)
-
-
-def anova_f_scores(matrix: FeatureMatrix, labels: Sequence[str]) -> np.ndarray:
-    """One-way ANOVA F per feature; +inf when within-group SS is zero but
-    between-group SS is not, 0 when both are zero."""
-    classes, y = _class_index(labels)
-    k, n = len(classes), len(labels)
-    if k < 2:
-        raise SelectionError("ANOVA needs at least two classes")
-    if n == k:
-        raise SelectionError("ANOVA needs residual degrees of freedom (n > k)")
-    grand = matrix.x.mean(axis=0)
-    ss_between = np.zeros(matrix.x.shape[1])
-    ss_within = np.zeros(matrix.x.shape[1])
-    for ci in range(k):
-        rows = matrix.x[y == ci]
-        mean_c = rows.mean(axis=0)
-        ss_between += rows.shape[0] * (mean_c - grand) ** 2
-        ss_within += ((rows - mean_c) ** 2).sum(axis=0)
-    ms_between = ss_between / (k - 1)
-    ms_within = ss_within / (n - k)
-    zero_within = ms_within == 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = ms_between / ms_within
-    out[zero_within & (ms_between > 0)] = np.inf
-    out[zero_within & (ms_between == 0)] = 0.0
-    return out
 
 
 @dataclass(frozen=True)

@@ -109,11 +109,12 @@ def find_zero_anchor(series: TimeSeries, params: TailParams) -> Optional[int]:
 
 
 def extract_tail(series: TimeSeries, t_s: int,
-                 params: TailParams) -> tuple[int, TimeSeries]:
+                 params: TailParams) -> tuple[int, Optional[TimeSeries]]:
     """Walk backward from the zero anchor and return (t_start, tail).
 
     t_start is one past the last index at which the non-increase counter was
-    zero; the tail is series[t_start:t_s].
+    zero; the tail is series[t_start:t_s], or None when the walk stalls
+    before any rise and t_start is t_s.
     """
     if t_s <= 0:
         raise ValueError("empty tail: zero anchor at or before index 0")
@@ -131,6 +132,8 @@ def extract_tail(series: TimeSeries, t_s: int,
         if counter >= params.t_max:
             break
     t_start = last_zero + 1
+    if t_start == t_s:
+        return t_start, None
     return t_start, TimeSeries(x[t_start:t_s], series.sample_period)
 
 

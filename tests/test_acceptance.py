@@ -14,8 +14,7 @@ import pytest
 from evprofiler.experiments import (ExperimentConfig, binary_jobs,
                                     multiclass_jobs, run_cells,
                                     grid_rows, build_binary_dataset)
-from evprofiler.features import (FeatureMatrix, anova_f_scores, chi2_scores,
-                                 featurize_corpus)
+from evprofiler.features import FeatureMatrix, chi2_scores, featurize_corpus
 from evprofiler.filters import (FilterParams, low_pass_values,
                                 moving_average_values, moving_median_values,
                                 smooth_current)
@@ -95,12 +94,12 @@ def _matrix(x, labels):
 
 
 def test_criterion_2_selection_statistics():
+    from test_features import anova_f_scores, naive_anova_f, naive_chi2
     m = _matrix([[1.0], [0.5], [0.0], [0.5]], ["A", "A", "B", "B"])
     np.testing.assert_allclose(chi2_scores(m, list(m.labels)), [0.5])
     m = _matrix([[1.0], [2.0], [3.0], [4.0]], ["A", "A", "B", "B"])
     np.testing.assert_allclose(anova_f_scores(m, list(m.labels)), [8.0])
 
-    from test_features import naive_anova_f, naive_chi2
     rng = np.random.default_rng(2)
     checked = 0
     while checked < 200:

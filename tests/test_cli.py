@@ -216,6 +216,21 @@ class TestExitCodes:
         assert f"error: {message}" in capsys.readouterr().err
         assert not (out / "cells.csv").exists()
 
+    def test_out_of_range_segment_is_1_without_traceback(self, tmp_path):
+        segments = tmp_path / "segments.jsonl"
+        segments.write_text(json.dumps({
+            "sessionID": "S", "evLabel": "EV", "tStart": 2, "tS": 5,
+            "tail": [1e80, 0.0, 1e80], "delta": [1.0, 2.0]}) + "\n")
+        out = tmp_path / "features.csv"
+        result = subprocess.run(
+            [sys.executable, "-m", "evprofiler.cli", "featurize",
+             "--segments", str(segments), "--out", str(out)],
+            capture_output=True, text=True)
+        assert result.returncode == 1
+        assert result.stderr.startswith("error: ValueError: ")
+        assert "Traceback" not in result.stderr
+        assert not out.exists()
+
     def test_output_file_without_extension(self, tmp_path):
         out = tmp_path / "raw"
         assert run_cli("synth", "--evs", "2", "--sessions", "2",

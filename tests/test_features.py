@@ -1,27 +1,166 @@
 """Feature catalog, scaling, and univariate selection tests.
 
-chi-square and ANOVA-F are checked against naive per-feature references on
-random small matrices, and against the frozen hand-computed examples.
+The single-pass ``series_features`` is pinned to a per-feature reference
+catalog kept here. chi-square is checked against a naive per-feature
+reference on random small matrices and against the frozen hand-computed
+examples; ANOVA-F, which selection does not use, is a test-side statistic
+checked the same way.
 """
+
+from typing import Callable, Sequence
 
 import numpy as np
 import pytest
 
-from evprofiler.features import (CATALOG, FEATURE_NAMES, FeatureMatrix,
-                                 SelectionError, _longest_run,
-                                 anova_f_scores, apply_minmax, chi2_scores,
-                                 extract_features, featurize_segments,
-                                 fit_minmax, fit_selection,
-                                 matrix_from_vectors, read_feature_csv,
-                                 select_k_best, series_features,
-                                 write_feature_csv)
+from evprofiler.features import (FEATURE_NAMES, SERIES_FEATURE_NAMES,
+                                 FeatureMatrix, SelectionError, _binned_entropy,
+                                 _c3, _class_index, _linear_trend, _location,
+                                 _longest_run, _peak_count,
+                                 _time_reversal_asymmetry, apply_minmax,
+                                 chi2_scores, extract_features,
+                                 featurize_segments, fit_minmax, fit_selection,
+                                 read_feature_csv, select_k_best,
+                                 series_features, write_feature_csv)
 from evprofiler.ingest import TimeSeries
 from evprofiler.tail import SegmentPair
 
 
+# ---------------------------------------------------------------------------
+# the per-feature catalog that series_features is pinned to: one function
+# per value, evaluated feature by feature
+
+def _diffs(x: np.ndarray) -> np.ndarray:
+    return np.diff(x) if x.size >= 2 else np.zeros(0)
+
+
+def _moments(x: np.ndarray) -> tuple[float, float]:
+    return float(np.mean(x)), float(np.var(x))
+
+
+def _skewness(x: np.ndarray) -> float:
+    mu, var = _moments(x)
+    if var ** 2 == 0:  # var is 0, or its square underflows
+        return 0.0
+    return float(np.mean((x - mu) ** 3) / var ** 1.5)
+
+
+def _kurtosis(x: np.ndarray) -> float:
+    # excess kurtosis; 0 for zero-variance series
+    mu, var = _moments(x)
+    if var ** 2 == 0:  # var is 0, or its square underflows
+        return 0.0
+    return float(np.mean((x - mu) ** 4) / var ** 2 - 3.0)
+
+
+def _zero_crossings(x: np.ndarray) -> float:
+    above = x > np.mean(x)
+    return float(np.count_nonzero(above[1:] != above[:-1]))
+
+
+def _autocorr(x: np.ndarray, lag: int) -> float:
+    n = x.size
+    if lag >= n:
+        return 0.0
+    mu, var = _moments(x)
+    if var == 0:
+        return 0.0
+    return float(np.sum((x[:n - lag] - mu) * (x[lag:] - mu)) / ((n - lag) * var))
+
+
+def _dft_magnitude(x: np.ndarray, k: int) -> float:
+    spectrum = np.abs(np.fft.rfft(x))
+    return float(spectrum[k]) if k < spectrum.size else 0.0
+
+
+def _spectral_centroid(x: np.ndarray) -> float:
+    spectrum = np.abs(np.fft.rfft(x))
+    total = float(np.sum(spectrum))
+    if total == 0:
+        return 0.0
+    return float(np.sum(np.arange(spectrum.size) * spectrum) / total)
+
+
+def _ratio_beyond_sigma(x: np.ndarray, r: float) -> float:
+    mu, var = _moments(x)
+    if var == 0:
+        return 0.0
+    return float(np.mean(np.abs(x - mu) > r * np.sqrt(var)))
+
+
+def _build_catalog() -> tuple[tuple[str, Callable[[np.ndarray], float]], ...]:
+    entries: list[tuple[str, Callable[[np.ndarray], float]]] = [
+        ("length", lambda x: float(x.size)),
+        ("mean", lambda x: float(np.mean(x))),
+        ("median", lambda x: float(np.median(x))),
+        ("variance", lambda x: float(np.var(x))),
+        ("std", lambda x: float(np.std(x))),
+        ("skewness", _skewness),
+        ("kurtosis", _kurtosis),
+        ("min", lambda x: float(np.min(x))),
+        ("max", lambda x: float(np.max(x))),
+        ("range", lambda x: float(np.max(x) - np.min(x))),
+        ("quantile_05", lambda x: float(np.quantile(x, 0.05))),
+        ("quantile_25", lambda x: float(np.quantile(x, 0.25))),
+        ("quantile_75", lambda x: float(np.quantile(x, 0.75))),
+        ("quantile_95", lambda x: float(np.quantile(x, 0.95))),
+        ("sum", lambda x: float(np.sum(x))),
+        ("abs_energy", lambda x: float(np.sum(x * x))),
+        ("root_mean_square", lambda x: float(np.sqrt(np.mean(x * x)))),
+        ("abs_sum_of_changes", lambda x: float(np.sum(np.abs(_diffs(x))))),
+        ("mean_abs_change",
+         lambda x: float(np.mean(np.abs(_diffs(x)))) if x.size >= 2 else 0.0),
+        ("mean_change",
+         lambda x: float((x[-1] - x[0]) / (x.size - 1)) if x.size >= 2 else 0.0),
+        ("zero_crossings", _zero_crossings),
+        ("count_above_mean", lambda x: float(np.count_nonzero(x > np.mean(x)))),
+        ("count_below_mean", lambda x: float(np.count_nonzero(x < np.mean(x)))),
+        ("longest_run_above_mean", lambda x: _longest_run(x > np.mean(x))),
+        ("longest_run_below_mean", lambda x: _longest_run(x < np.mean(x))),
+        ("first_location_of_max", lambda x: _location(x, True, True)),
+        ("last_location_of_max", lambda x: _location(x, True, False)),
+        ("first_location_of_min", lambda x: _location(x, False, True)),
+        ("last_location_of_min", lambda x: _location(x, False, False)),
+    ]
+    for lag in range(1, 11):
+        entries.append((f"autocorrelation_lag{lag}",
+                        lambda x, lag=lag: _autocorr(x, lag)))
+    entries += [
+        ("linear_trend_slope", lambda x: _linear_trend(x)[0]),
+        ("linear_trend_intercept", lambda x: _linear_trend(x)[1]),
+        ("linear_trend_corr", lambda x: _linear_trend(x)[2]),
+        ("peak_count_support_1", lambda x: _peak_count(x, 1)),
+        ("peak_count_support_3", lambda x: _peak_count(x, 3)),
+        ("peak_count_support_5", lambda x: _peak_count(x, 5)),
+        ("complexity", lambda x: float(np.sqrt(np.sum(_diffs(x) ** 2)))),
+        ("binned_entropy_10", _binned_entropy),
+    ]
+    for k in range(1, 11):
+        entries.append((f"dft_magnitude_{k}",
+                        lambda x, k=k: _dft_magnitude(x, k)))
+    entries.append(("spectral_centroid", _spectral_centroid))
+    for lag in range(1, 4):
+        entries.append((f"c3_lag{lag}", lambda x, lag=lag: _c3(x, lag)))
+    for lag in range(1, 4):
+        entries.append((f"time_reversal_asymmetry_lag{lag}",
+                        lambda x, lag=lag: _time_reversal_asymmetry(x, lag)))
+    for r in (1, 2, 3):
+        entries.append((f"ratio_beyond_{r}sigma",
+                        lambda x, r=r: _ratio_beyond_sigma(x, float(r))))
+    return tuple(entries)
+
+
+CATALOG = _build_catalog()
+
+
+def reference_series_features(values: np.ndarray) -> np.ndarray:
+    """Catalog evaluated feature by feature; the slow reference path."""
+    x = np.asarray(values, dtype=np.float64)
+    return np.array([func(x) for _, func in CATALOG])
+
+
 def feature(values, name):
     x = np.asarray(values, dtype=np.float64)
-    return series_features(x)[list(n for n, _ in CATALOG).index(name)]
+    return series_features(x)[SERIES_FEATURE_NAMES.index(name)]
 
 
 def reference_longest_run(mask):
@@ -42,7 +181,8 @@ def small_matrix(x, labels, names=None):
 
 class TestCatalog:
     def test_size_and_order_frozen(self):
-        assert len(CATALOG) == 67
+        assert len(SERIES_FEATURE_NAMES) == 67
+        assert SERIES_FEATURE_NAMES == tuple(name for name, _ in CATALOG)
         assert len(FEATURE_NAMES) == 134
         assert FEATURE_NAMES[0] == "tail__length"
         assert FEATURE_NAMES[67] == "delta__length"
@@ -78,9 +218,9 @@ class TestCatalog:
     def test_extracted_vector_is_total(self):
         segment = SegmentPair("S", "EV", TimeSeries(np.full(30, 4.0)),
                               TimeSeries(np.arange(1.0, 41.0)), 40, 70)
-        vec = extract_features(segment)
-        assert vec.values.shape == (134,)
-        assert np.all(np.isfinite(vec.values))
+        values = extract_features(segment)
+        assert values.shape == (134,)
+        assert np.all(np.isfinite(values))
 
     def test_featurize_segments_keeps_input_order(self):
         segments = [SegmentPair(f"S{i}", "EV", TimeSeries(np.full(30, 4.0 + i)),
@@ -88,8 +228,9 @@ class TestCatalog:
                     for i in range(3)]
         matrix = featurize_segments(iter(segments))
         assert matrix.session_ids == ("S0", "S1", "S2")
+        assert matrix.labels == ("EV", "EV", "EV")
         np.testing.assert_array_equal(matrix.x[1],
-                                      extract_features(segments[1]).values)
+                                      extract_features(segments[1]))
         with pytest.raises(ValueError, match="no segments"):
             featurize_segments([])
 
@@ -113,20 +254,18 @@ class TestCatalog:
         assert feature(x, "autocorrelation_lag2") == pytest.approx(1.0, abs=1e-6)
 
     def test_fast_path_matches_reference_catalog(self):
-        from evprofiler.features import series_features_reference
         rng = np.random.default_rng(3)
         cases = [np.zeros(1), np.zeros(5), np.array([2.0]), np.arange(4.0)]
         cases += [rng.normal(0, 3, int(rng.integers(1, 300))) for _ in range(60)]
         for x in cases:
             np.testing.assert_allclose(series_features(x),
-                                       series_features_reference(x),
+                                       reference_series_features(x),
                                        rtol=1e-12, atol=1e-12)
 
     def test_total_and_matches_reference_property(self):
         hypothesis = pytest.importorskip("hypothesis")
         st = pytest.importorskip("hypothesis.strategies")
         hnp = pytest.importorskip("hypothesis.extra.numpy")
-        from evprofiler.features import series_features_reference
         # any finite value whose fourth power, summed over the series, is
         # still a float: subnormals and both zeros included
         value = st.floats(-1e60, 1e60)
@@ -145,7 +284,7 @@ class TestCatalog:
         def check(x):
             values = series_features(x)
             assert np.all(np.isfinite(values))
-            np.testing.assert_allclose(values, series_features_reference(x),
+            np.testing.assert_allclose(values, reference_series_features(x),
                                        rtol=1e-12, atol=1e-12)
 
         check()
@@ -215,6 +354,33 @@ def naive_chi2(x, labels):
                 score += (observed - expected) ** 2 / expected
         scores.append(score)
     return np.array(scores)
+
+
+def anova_f_scores(matrix: FeatureMatrix, labels: Sequence[str]) -> np.ndarray:
+    """One-way ANOVA F per feature; +inf when within-group SS is zero but
+    between-group SS is not, 0 when both are zero."""
+    classes, y = _class_index(labels)
+    k, n = len(classes), len(labels)
+    if k < 2:
+        raise SelectionError("ANOVA needs at least two classes")
+    if n == k:
+        raise SelectionError("ANOVA needs residual degrees of freedom (n > k)")
+    grand = matrix.x.mean(axis=0)
+    ss_between = np.zeros(matrix.x.shape[1])
+    ss_within = np.zeros(matrix.x.shape[1])
+    for ci in range(k):
+        rows = matrix.x[y == ci]
+        mean_c = rows.mean(axis=0)
+        ss_between += rows.shape[0] * (mean_c - grand) ** 2
+        ss_within += ((rows - mean_c) ** 2).sum(axis=0)
+    ms_between = ss_between / (k - 1)
+    ms_within = ss_within / (n - k)
+    zero_within = ms_within == 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = ms_between / ms_within
+    out[zero_within & (ms_between > 0)] = np.inf
+    out[zero_within & (ms_between == 0)] = 0.0
+    return out
 
 
 def naive_anova_f(x, labels):
@@ -350,7 +516,7 @@ class TestMatrixIo:
                                 TimeSeries(rng.uniform(1, 30, 40)),
                                 TimeSeries(rng.uniform(0, 3, 60)), 60, 100)
                     for i in range(6)]
-        matrix = matrix_from_vectors([extract_features(s) for s in segments])
+        matrix = featurize_segments(segments)
         path = tmp_path / "features.csv"
         write_feature_csv(matrix, str(path))
         back = read_feature_csv(str(path))
@@ -365,7 +531,7 @@ class TestMatrixIo:
                                 TimeSeries(rng.uniform(1, 30, 40)),
                                 TimeSeries(rng.uniform(0, 3, 60)), 60, 100)
                     for i, sid in enumerate(ids)]
-        matrix = matrix_from_vectors([extract_features(s) for s in segments])
+        matrix = featurize_segments(segments)
         path = tmp_path / "features.csv"
         write_feature_csv(matrix, str(path))
         back = read_feature_csv(str(path))
@@ -373,3 +539,10 @@ class TestMatrixIo:
         assert back.labels == matrix.labels
         np.testing.assert_array_equal(back.x, matrix.x)
         assert path.read_text().splitlines()[1].startswith("plain,")
+
+    @pytest.mark.parametrize("cell", ["", "abc", "0x10"])
+    def test_non_numeric_cell_is_error(self, tmp_path, cell):
+        path = tmp_path / "features.csv"
+        path.write_text(f"session_id,ev_label,f0,f1\nS0,EV,1.5,{cell}\n")
+        with pytest.raises(ValueError):
+            read_feature_csv(str(path))

@@ -125,6 +125,40 @@ class TestExtractTail:
         t_start, _ = extract_tail(ts, find_zero_anchor(ts, tp), tp)
         assert abs(t_start - 40) <= 3
 
+    def test_tail_invariants(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        hnp = pytest.importorskip("hypothesis.extra.numpy")
+        # a few repeated levels make flat steps and small rises common
+        value = st.one_of(st.sampled_from([0.0, 0.1, 0.2, 1.0, 5.0]),
+                          st.floats(0, 40))
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(x=hnp.arrays(np.float64, st.integers(1, 60),
+                                       elements=value),
+                          epsilon=st.floats(0.05, 2.0),
+                          t_max=st.integers(1, 6), data=st.data())
+        def check(x, epsilon, t_max, data):
+            t_s = data.draw(st.integers(1, x.size), label="t_s")
+            tp = params(epsilon=epsilon, t_max=t_max)
+            t_start, tail = extract_tail(TimeSeries(x), t_s, tp)
+            assert 0 < t_start <= t_s
+            if t_start == t_s:
+                assert tail is None
+            else:
+                np.testing.assert_array_equal(tail.values, x[t_start:t_s])
+            # the walk never stalled for t_max steps inside the tail
+            counter = 0
+            for t in range(t_s - 1, t_start, -1):
+                step = x[t - 1] - x[t]
+                if step > epsilon:
+                    counter = 0
+                elif step <= 0:
+                    counter += 1
+                assert counter < t_max
+
+        check()
+
     def test_zero_anchor_at_origin_rejected(self):
         with pytest.raises(ValueError):
             extract_tail(TimeSeries(np.zeros(5)), 0, params())
@@ -195,6 +229,18 @@ class TestSegmentSession:
         got = segment_session(session)
         assert isinstance(got, RejectionReason)
         assert got.code in ("no-zero-anchor", "zero-valued-segment")
+
+    def test_stalled_walk_is_rejected(self):
+        # a moving median keeps the drop from the plateau sharp, so the
+        # walk stalls on the plateau before any rise
+        from evprofiler.ingest import ChargingSession
+        current = np.concatenate([np.full(60, 10.0), np.zeros(10)])
+        session = ChargingSession("P", "EV", "ST", "t",
+                                  TimeSeries(np.full(70, 32.0)),
+                                  TimeSeries(current))
+        got = segment_session(session, FilterParams(kind="moving-median"))
+        assert got == RejectionReason("tail-too-short",
+                                      "walk found no rising region")
 
     def test_truncated_session_rejected(self):
         corpus = generate_corpus(3, 3, seed=9,
