@@ -30,7 +30,7 @@ import multiprocessing
 import statistics
 import zlib
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -168,9 +168,9 @@ def evs_with_min_rows(features: FeatureMatrix, min_rows: int) -> list[str]:
 
 def build_binary_dataset(features: FeatureMatrix, target_ev: str,
                          config: ExperimentConfig, value: float, seed,
-                         ) -> tuple[FeatureMatrix, list[str]]:
-    """All target rows as the positive class plus negatives balanced to
-    ``value`` under ``config.balance_mode``.
+                         ) -> FeatureMatrix:
+    """All target rows, labelled ``"target"``, followed by negatives labelled
+    ``"other"`` and balanced to ``value`` under ``config.balance_mode``.
 
     Negatives are drawn round-robin over the other EVs (order and per-EV row
     order shuffled by the seed) so no single EV dominates the negative pool.
@@ -204,9 +204,8 @@ def build_binary_dataset(features: FeatureMatrix, target_ev: str,
         for pool in pools:
             if pool and len(negatives) < needed:
                 negatives.append(pool.pop(0))
-    rows = list(target_rows) + negatives
-    labels = ["target"] * n_t + ["other"] * len(negatives)
-    return features.take(rows), labels
+    return replace(features.take(list(target_rows) + negatives),
+                   labels=("target",) * n_t + ("other",) * len(negatives))
 
 
 def _count_strata(counts: dict[str, int], n_strata: int = 4) -> list[list[str]]:
@@ -352,33 +351,31 @@ def _failed_cells(job: CellJob, families: Sequence[str], error: str,
             for family in families]
 
 
-def run_cell(job: CellJob, features: FeatureMatrix, labels: Sequence[str],
+def run_cell(job: CellJob, dataset: FeatureMatrix,
              config: ExperimentConfig, seed: np.random.SeedSequence,
              audit: AuditHook = None) -> list[CellResult]:
-    """Cell ``job`` on its dataset: one result per classifier family.
+    """Cell ``job`` on ``dataset``, classes read from ``dataset.labels``: one
+    result per classifier family.
 
     Grid search scores the F1 of the ``"target"`` label in one-vs-all cells
     (``job.target_ev`` set), else accuracy. A dataset that repeats a session
     id raises ``LeakageError``.
     """
-    repeated = sorted(sid for sid, n in Counter(features.session_ids).items()
+    repeated = sorted(sid for sid, n in Counter(dataset.session_ids).items()
                       if n > 1)
     if repeated:
         raise LeakageError(f"{len(repeated)} session id(s) repeat in one cell, "
                            f"first {repeated[0]!r}")
     positive_label = "target" if job.target_ev else None
-    labels = list(labels)
     split_seed, search_seed = (_seed_int(s) for s in seed.spawn(2))
-    train_idx, test_idx = stratified_split(labels, seed=split_seed)
-    train = features.take(train_idx)
-    test = features.take(test_idx)
-    y_train = [labels[i] for i in train_idx]
-    y_test = [labels[i] for i in test_idx]
+    train_idx, test_idx = stratified_split(dataset.labels, seed=split_seed)
+    train = dataset.take(train_idx)
+    test = dataset.take(test_idx)
     if audit is not None:
         audit("held-out", test.session_ids)
         audit("scaler", train.session_ids)
         audit("selection", train.session_ids)
-    selection = fit_selection(train, y_train, config.nof)
+    selection = fit_selection(train, config.nof)
     x_train = selection.transform(train).x
     x_test = selection.transform(test).x
     results = []
@@ -386,10 +383,11 @@ def run_cell(job: CellJob, features: FeatureMatrix, labels: Sequence[str],
         if audit is not None:
             audit(f"grid-search:{family}", train.session_ids)
         try:
-            search = grid_search(family, config.grids[family], x_train, y_train,
-                                 config.cv_folds, search_seed, positive_label)
+            search = grid_search(family, config.grids[family], x_train,
+                                 train.labels, config.cv_folds, search_seed,
+                                 positive_label)
             predicted = predict(search.model, x_test)
-            scores = score_predictions(y_test, list(predicted), positive_label)
+            scores = score_predictions(test.labels, predicted, positive_label)
             results.append(CellResult(
                 job.group, job.target_ev, job.repetition, family,
                 search.best_spec.hyperparameters,
@@ -464,16 +462,13 @@ def _cell_job(job: CellJob) -> list[CellResult]:
             seed = _cell_seed(config.master_seed, job.repetition,
                               f"{job.target_ev}|{value}")
             # spawn is stateful: the dataset's child comes before run_cell's
-            dataset, labels = build_binary_dataset(features, job.target_ev,
-                                                   config, value,
-                                                   seed.spawn(1)[0])
+            dataset = build_binary_dataset(features, job.target_ev, config,
+                                           value, seed.spawn(1)[0])
         else:
             seed = _cell_seed(config.master_seed, job.repetition,
                               _group_token(job.group))
             dataset = features if job.rows is None else features.take(job.rows)
-            labels = dataset.labels
-        return run_cell(job, dataset, labels, config, seed,
-                        _WORKER.get("audit"))
+        return run_cell(job, dataset, config, seed, _WORKER.get("audit"))
     except ValueError as exc:
         return _failed_cells(job, config.families, str(exc))
 

@@ -18,6 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .learn import _class_codes
 from .tail import SegmentPair, segment_corpus
 
 
@@ -267,13 +268,17 @@ def read_feature_csv(path: str) -> FeatureMatrix:
         names = tuple(next(reader, [])[2:])
         ids, labels, rows = [], [], []
         for parts in reader:
+            if not parts:  # a blank line, as csv.DictReader skips them
+                continue
+            if len(parts) != len(names) + 2:
+                raise ValueError(f"{path}: line {reader.line_num} has {len(parts)} "
+                                 f"cells, the header has {len(names) + 2}")
             ids.append(parts[0])
             labels.append(parts[1])
             rows.append(np.array(parts[2:], dtype=np.float64))
     if not ids:
         raise ValueError(f"{path}: no feature rows")
-    x = np.array(rows).reshape(len(ids), len(names))
-    return FeatureMatrix(tuple(ids), tuple(labels), x, names)
+    return FeatureMatrix(tuple(ids), tuple(labels), np.array(rows), names)
 
 
 # ---------------------------------------------------------------------------
@@ -303,22 +308,16 @@ class SelectionError(ValueError):
     pass
 
 
-def _class_index(labels: Sequence[str]) -> tuple[list[str], np.ndarray]:
-    classes = sorted(set(labels))
-    lookup = {c: i for i, c in enumerate(classes)}
-    return classes, np.array([lookup[l] for l in labels])
-
-
 def chi2_scores(scaled: FeatureMatrix, labels: Sequence[str]) -> np.ndarray:
     """Per-feature chi-square dependence score on [0, 1]-scaled features.
 
     observed_k = column sum over class-k rows; expected_k = class row
     fraction times the column total; zero expected contributes zero.
     """
-    classes, y = _class_index(labels)
+    classes, y = _class_codes(labels)
     if len(classes) < 2:
         raise SelectionError("chi2 needs at least two classes")
-    n = len(labels)
+    n = y.size
     onehot = np.zeros((n, len(classes)))
     onehot[np.arange(n), y] = 1.0
     observed = onehot.T @ scaled.x                       # classes x features
@@ -356,11 +355,10 @@ def select_k_best(scores: np.ndarray, nof: int,
     return tuple(sorted(order[:nof]))
 
 
-def fit_selection(train: FeatureMatrix, labels: Sequence[str],
-                  nof: int) -> SelectionModel:
-    """Fit the min-max scaler and the top-``nof`` chi-square choice on
-    training rows only."""
+def fit_selection(train: FeatureMatrix, nof: int) -> SelectionModel:
+    """Fit the min-max scaler and the top-``nof`` chi-square choice on the
+    training rows only, scored against ``train.labels``."""
     scaler = fit_minmax(train)
-    idx = select_k_best(chi2_scores(apply_minmax(train, scaler), labels),
+    idx = select_k_best(chi2_scores(apply_minmax(train, scaler), train.labels),
                         nof, train.names)
     return SelectionModel(tuple(train.names[i] for i in idx), idx, scaler)

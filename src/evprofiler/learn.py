@@ -1,6 +1,8 @@
 """From-scratch classifiers (kNN, decision tree, random forest), stratified
 splitting, grid search with k-fold cross-validation, and metrics.
 
+Labels become int64 class codes in one place, ``_class_codes``, whose
+classes are the sorted distinct labels kept as the caller's Python objects.
 Everything is deterministic for a given (data, spec, seed): tie-breaking is
 lexicographic on class labels, first-encountered on split costs and grid
 order, and forest tree seeds derive from the training seed by tree index.
@@ -32,8 +34,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-FAMILIES = ("knn", "decision-tree", "random-forest")
-
 # Table of hyper-parameter grids used for grid-search optimization.
 DEFAULT_GRIDS = {
     "random-forest": {"n_estimators": [5, 10, 15, 20, 30, 50],
@@ -45,10 +45,12 @@ DEFAULT_GRIDS = {
                       "max_depth": [None, 6, 10, 18]},
 }
 
-_LEGAL_PARAMS = {
-    "knn": {"n_neighbors", "metric", "weights"},
-    "decision-tree": {"criterion", "max_depth"},
-    "random-forest": {"n_estimators", "max_depth"},
+# Each family's hyper-parameters and their defaults; the keys are the only
+# legal hyper-parameters of the family.
+_DEFAULTS = {
+    "knn": {"n_neighbors": 5, "metric": "euclidean", "weights": "uniform"},
+    "decision-tree": {"criterion": "gini", "max_depth": None},
+    "random-forest": {"n_estimators": 10, "max_depth": None},
 }
 
 
@@ -62,27 +64,44 @@ class ClassifierSpec:
     hyperparameters: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        if self.family not in _DEFAULTS:
             raise ValueError(f"unknown family {self.family!r}")
-        unknown = set(self.hyperparameters) - _LEGAL_PARAMS[self.family]
+        unknown = set(self.hyperparameters) - set(_DEFAULTS[self.family])
         if unknown:
             raise ValueError(f"unknown hyperparameters for {self.family}: {sorted(unknown)}")
-        hp = self.hyperparameters
         if self.family == "knn":
-            if hp.get("n_neighbors", 5) < 1:
+            if self.param("n_neighbors") < 1:
                 raise ValueError("n_neighbors must be >= 1")
-            if hp.get("metric", "euclidean") not in ("euclidean", "manhattan", "cosine"):
+            if self.param("metric") not in ("euclidean", "manhattan", "cosine"):
                 raise ValueError("bad knn metric")
-            if hp.get("weights", "uniform") not in ("uniform", "distance"):
+            if self.param("weights") not in ("uniform", "distance"):
                 raise ValueError("bad knn weights")
         else:
-            if hp.get("criterion", "gini") not in ("gini", "entropy"):
+            if (self.family == "decision-tree"
+                    and self.param("criterion") not in ("gini", "entropy")):
                 raise ValueError("bad criterion")
-            depth = hp.get("max_depth")
+            depth = self.param("max_depth")
             if depth is not None and depth < 1:
                 raise ValueError("max_depth must be None or >= 1")
-            if self.family == "random-forest" and hp.get("n_estimators", 10) < 1:
+            if self.family == "random-forest" and self.param("n_estimators") < 1:
                 raise ValueError("n_estimators must be >= 1")
+
+    def param(self, name: str):
+        """The value of hyper-parameter ``name``, or its family default."""
+        return self.hyperparameters.get(name, _DEFAULTS[self.family][name])
+
+
+def _class_codes(labels: Sequence, extra=None) -> tuple[list, np.ndarray]:
+    """The sorted distinct labels, with ``extra`` (such as a positive label)
+    among them when given, and each label's int64 class code.
+
+    Classes stay the caller's Python objects: a fixed-width string array
+    would drop trailing NULs and merge labels that differ only by them.
+    """
+    labels = labels.tolist() if isinstance(labels, np.ndarray) else list(labels)
+    classes = sorted({*labels} if extra is None else {*labels, extra})
+    lookup = {c: i for i, c in enumerate(classes)}
+    return classes, np.array([lookup[label] for label in labels], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +294,7 @@ def _forest_codes(tree_codes: Sequence[np.ndarray], n_classes: int,
 @dataclass
 class TrainedModel:
     spec: ClassifierSpec
-    classes: tuple[str, ...]
+    classes: tuple
     seed: int
     # exactly one of the following is populated, per family
     knn_x: Optional[np.ndarray] = None
@@ -284,31 +303,27 @@ class TrainedModel:
     forest: Optional[list] = None
 
 
-def train(spec: ClassifierSpec, x: np.ndarray, labels: Sequence[str],
+def train(spec: ClassifierSpec, x: np.ndarray, labels: Sequence,
           seed: int = 0) -> TrainedModel:
     """Fit one classifier; a forest's trees see ceil(sqrt(d)) features per split."""
     x = np.asarray(x, dtype=np.float64)
-    labels = list(labels)
-    if x.ndim != 2 or x.shape[0] != len(labels) or x.shape[0] == 0:
+    classes, y = _class_codes(labels)
+    if x.ndim != 2 or x.shape[0] != y.size or x.shape[0] == 0:
         raise TrainingError("matrix must be rectangular with one label per row")
-    classes = tuple(sorted(set(labels)))
     if len(classes) < 2:
         raise TrainingError("need at least two classes")
     if x.shape[0] < len(classes):
         raise TrainingError("need at least as many rows as classes")
-    lookup = {c: i for i, c in enumerate(classes)}
-    y = np.array([lookup[l] for l in labels])
-    model = TrainedModel(spec=spec, classes=classes, seed=seed)
-    hp = spec.hyperparameters
+    model = TrainedModel(spec=spec, classes=tuple(classes), seed=seed)
     if spec.family == "knn":
         model.knn_x = x.copy()
         model.knn_y = y
     elif spec.family == "decision-tree":
-        model.tree = _grow_tree(x, y, len(classes), hp.get("criterion", "gini"),
-                                hp.get("max_depth"), None, None)
+        model.tree = _grow_tree(x, y, len(classes), spec.param("criterion"),
+                                spec.param("max_depth"), None, None)
     else:
         model.forest = _grow_forest(x, y, len(classes), seed,
-                                    hp.get("n_estimators", 10), hp.get("max_depth"))
+                                    spec.param("n_estimators"), spec.param("max_depth"))
     return model
 
 
@@ -428,27 +443,24 @@ def _knn_codes(dist: np.ndarray, nearest: np.ndarray, train_y: np.ndarray,
     return {k: out[:, i] for i, k in enumerate(ks)}
 
 
-def _decode(classes: tuple[str, ...], codes: np.ndarray) -> np.ndarray:
-    return np.array([classes[c] for c in codes])
-
-
 def predict(model: TrainedModel, x: np.ndarray) -> np.ndarray:
-    """Predicted labels for each row; deterministic tie-breaking throughout."""
+    """Predicted labels for each row, an object array of ``model.classes``
+    values; deterministic tie-breaking throughout."""
     x = np.asarray(x, dtype=np.float64)
     n_classes = len(model.classes)
-    if model.spec.family == "knn":
-        hp = model.spec.hyperparameters
-        dist, nearest = _neighbours(hp.get("metric", "euclidean"), x, model.knn_x)
-        k = min(hp.get("n_neighbors", 5), model.knn_x.shape[0])
+    spec = model.spec
+    if spec.family == "knn":
+        dist, nearest = _neighbours(spec.param("metric"), x, model.knn_x)
+        k = min(spec.param("n_neighbors"), model.knn_x.shape[0])
         codes = _knn_codes(dist, nearest, model.knn_y, n_classes, {k},
-                           hp.get("weights", "uniform") == "distance")[k]
-    elif model.spec.family == "decision-tree":
+                           spec.param("weights") == "distance")[k]
+    elif spec.family == "decision-tree":
         codes = _tree_predict(model.tree, x)
     else:
         n = len(model.forest)
         codes = _forest_codes([_tree_predict(t, x) for t in model.forest],
                               n_classes, {n})[n]
-    return _decode(model.classes, codes)
+    return np.array(model.classes, dtype=object)[codes]
 
 
 # ---------------------------------------------------------------------------
@@ -462,33 +474,38 @@ def _round_half_up(v: float) -> int:
     return int(np.floor(v + 0.5))
 
 
-def stratified_split(labels: Sequence[str], test_fraction: float = 0.2,
-                     seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Per-class shuffled split; test count = round(n * fraction), at least 1."""
-    labels = list(labels)
+# Share of each class's rows held out by ``stratified_split``.
+_TEST_FRACTION = 0.2
+
+
+def stratified_split(labels: Sequence, seed: int = 0
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Per-class shuffled split; test count = round(n * _TEST_FRACTION), at
+    least 1 and at most n - 1."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5F11]))
+    classes, y = _class_codes(labels)
     train_idx, test_idx = [], []
-    for cls in sorted(set(labels)):
-        idx = np.array([i for i, l in enumerate(labels) if l == cls])
+    for code, cls in enumerate(classes):
+        idx = np.flatnonzero(y == code)
         if idx.size < 2:
             raise SplitError(f"class {cls!r} has fewer than 2 rows")
         rng.shuffle(idx)
-        n_test = min(max(1, _round_half_up(idx.size * test_fraction)), idx.size - 1)
+        n_test = min(max(1, _round_half_up(idx.size * _TEST_FRACTION)), idx.size - 1)
         test_idx.extend(idx[:n_test])
         train_idx.extend(idx[n_test:])
     return np.array(sorted(train_idx)), np.array(sorted(test_idx))
 
 
-def stratified_kfold(labels: Sequence[str], k: int = 5,
+def stratified_kfold(labels: Sequence, k: int = 5,
                      seed: int = 0) -> list[np.ndarray]:
     """k disjoint folds; per-class counts across folds differ by at most 1."""
     if k < 2:
         raise ValueError("k must be >= 2")
-    labels = list(labels)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xF01D]))
+    classes, y = _class_codes(labels)
     folds: list[list[int]] = [[] for _ in range(k)]
-    for cls in sorted(set(labels)):
-        idx = np.array([i for i, l in enumerate(labels) if l == cls])
+    for code, cls in enumerate(classes):
+        idx = np.flatnonzero(y == code)
         if idx.size < k:
             warnings.warn(f"class {cls!r} has fewer rows ({idx.size}) than folds ({k})")
         rng.shuffle(idx)
@@ -505,15 +522,6 @@ class Scores:
     accuracy: float
     macro_f1: float
     positive_f1: Optional[float]
-
-
-def _label_index(labels: Sequence[str],
-                 positive_label: Optional[str]) -> dict[str, int]:
-    """Sorted label -> class code; a positive label always gets a code."""
-    found = set(labels)
-    if positive_label is not None:
-        found.add(positive_label)
-    return {label: i for i, label in enumerate(sorted(found))}
 
 
 def _scores(y_true: np.ndarray, y_pred: np.ndarray, n_classes: int
@@ -542,13 +550,12 @@ def _scores(y_true: np.ndarray, y_pred: np.ndarray, n_classes: int
 def score_predictions(y_true: Sequence[str], y_pred: Sequence[str],
                       positive_label: Optional[str] = None) -> Scores:
     """Accuracy, macro F1, and the F1 of ``positive_label`` (None without one)."""
-    lookup = _label_index([*y_true, *y_pred], positive_label)
-    accuracy, f1, seen = _scores(
-        np.array([lookup[l] for l in y_true], dtype=np.int64),
-        np.array([[lookup[l] for l in y_pred]], dtype=np.int64), len(lookup))
-    positive = lookup.get(positive_label)
+    n = len(y_true)
+    classes, y = _class_codes([*y_true, *y_pred], positive_label)
+    accuracy, f1, seen = _scores(y[:n], y[None, n:], len(classes))
     return Scores(float(accuracy[0]), float(np.mean(f1[0][seen[0]])),
-                  None if positive is None else float(f1[0, positive]))
+                  None if positive_label is None
+                  else float(f1[0, classes.index(positive_label)]))
 
 
 # ---------------------------------------------------------------------------
@@ -577,29 +584,30 @@ def expand_grid(family: str, grid: dict) -> list[ClassifierSpec]:
     return [ClassifierSpec(family, dict(zip(keys, values))) for values in combos]
 
 
-def _group(specs: Sequence[ClassifierSpec], param: str, default) -> list[list[int]]:
+def _group(specs: Sequence[ClassifierSpec], param: str) -> list[list[int]]:
     """Spec indices grouped by one hyper-parameter's value, first seen first."""
     groups: dict = {}
     for i, spec in enumerate(specs):
-        groups.setdefault(spec.hyperparameters.get(param, default), []).append(i)
+        groups.setdefault(spec.param(param), []).append(i)
     return list(groups.values())
 
 
-# A fold predictor takes (specs, train x, train labels, test x, seed) and
-# returns the fitted class labels and, per spec, the predicted test class
-# codes. Each one fits as little as the grid allows; a TrainingError depends
-# only on the rows, so it fails the whole fold.
+# A fold predictor takes (specs, train x, train class codes, test x, seed)
+# and returns the fitted classes (the codes present in the training rows)
+# and, per spec, the predicted test rows' indices into them. Each one fits
+# as little as the grid allows; a TrainingError depends only on the rows, so
+# it fails the whole fold.
 
 def _knn_fold(specs, x_train, y_train, x_test, seed):
     """One fit, and one distance matrix and neighbour ranking per metric."""
     model = train(specs[0], x_train, y_train, seed)
     n_train = model.knn_x.shape[0]
     out: list = [None] * len(specs)
-    for members in _group(specs, "metric", "euclidean"):
-        metric = specs[members[0]].hyperparameters.get("metric", "euclidean")
-        dist, nearest = _neighbours(metric, x_test, model.knn_x)
-        votes = {i: (min(specs[i].hyperparameters.get("n_neighbors", 5), n_train),
-                     specs[i].hyperparameters.get("weights", "uniform") == "distance")
+    for members in _group(specs, "metric"):
+        dist, nearest = _neighbours(specs[members[0]].param("metric"), x_test,
+                                    model.knn_x)
+        votes = {i: (min(specs[i].param("n_neighbors"), n_train),
+                     specs[i].param("weights") == "distance")
                  for i in members}
         codes = {w: _knn_codes(dist, nearest, model.knn_y, len(model.classes),
                                {k for k, v in votes.values() if v == w}, w)
@@ -612,13 +620,12 @@ def _knn_fold(specs, x_train, y_train, x_test, seed):
 def _tree_fold(specs, x_train, y_train, x_test, seed):
     """One unlimited-depth tree per criterion, predicted at each depth cap."""
     out: list = [None] * len(specs)
-    for members in _group(specs, "criterion", "gini"):
+    for members in _group(specs, "criterion"):
         full = ClassifierSpec("decision-tree", {**specs[members[0]].hyperparameters,
                                                 "max_depth": None})
         model = train(full, x_train, y_train, seed)
         for i in members:
-            out[i] = _tree_predict(model.tree, x_test,
-                                   specs[i].hyperparameters.get("max_depth"))
+            out[i] = _tree_predict(model.tree, x_test, specs[i].param("max_depth"))
     return model.classes, out
 
 
@@ -634,21 +641,20 @@ def _forest_fold(specs, x_train, y_train, x_test, seed):
     test rows once; a kept tree keeps its codes.
     """
     out: list = [None] * len(specs)
-    groups = sorted(_group(specs, "max_depth", None), key=lambda members:
-                    -_cap(specs[members[0]].hyperparameters.get("max_depth")))
+    groups = sorted(_group(specs, "max_depth"),
+                    key=lambda members: -_cap(specs[members[0]].param("max_depth")))
     model, latest, latest_codes = None, [], []
     for members in groups:
-        sizes = [specs[i].hyperparameters.get("n_estimators", 10) for i in members]
+        sizes = [specs[i].param("n_estimators") for i in members]
         spec = specs[members[int(np.argmax(sizes))]]
         if model is None:
-            # the largest cap: train also checks the rows and codes the labels
+            # the largest cap: train also checks the rows
             model = train(spec, x_train, y_train, seed)
-            lookup = {c: i for i, c in enumerate(model.classes)}
-            y = np.array([lookup[l] for l in y_train])
+            _, y = _class_codes(y_train)
             forest = model.forest
         else:
             forest = _grow_forest(x_train, y, len(model.classes), seed, max(sizes),
-                                  spec.hyperparameters.get("max_depth"), latest)
+                                  spec.param("max_depth"), latest)
         tree_codes = [latest_codes[t] if t < len(latest) and tree is latest[t]
                       else _tree_predict(tree, x_test) for t, tree in enumerate(forest)]
         latest = forest + latest[len(forest):]
@@ -678,31 +684,27 @@ def grid_search(family: str, grid: dict, x: np.ndarray, labels: Sequence[str],
         raise ValueError("empty grid")
     specs = expand_grid(family, grid)
     x = np.asarray(x, dtype=np.float64)
-    labels = list(labels)
-    lookup = _label_index(labels, positive_label)
-    y = np.array([lookup[l] for l in labels], dtype=np.int64)
-    positive = lookup.get(positive_label)
+    classes, y = _class_codes(labels, positive_label)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        folds = stratified_kfold(labels, k, seed)
-    all_rows = np.arange(len(labels))
+        folds = stratified_kfold(y, k, seed)
+    all_rows = np.arange(y.size)
     cells: list[list[CvCell]] = [[] for _ in specs]
     for fold_id, fold in enumerate(folds):
         if fold.size == 0:
             continue
         train_rows = np.setdiff1d(all_rows, fold)
         try:
-            classes, predicted = _FOLD_PREDICTORS[family](
-                specs, x[train_rows], [labels[i] for i in train_rows],
-                x[fold], seed)
+            fold_classes, predicted = _FOLD_PREDICTORS[family](
+                specs, x[train_rows], y[train_rows], x[fold], seed)
         except TrainingError as exc:
             for spec, spec_cells in zip(specs, cells):
                 spec_cells.append(CvCell(spec, fold_id, -np.inf, str(exc)))
             break
-        to_search = np.array([lookup[c] for c in classes])
-        accuracy, f1, _ = _scores(y[fold], to_search[np.stack(predicted)],
-                                  len(lookup))
-        scores = accuracy if positive is None else f1[:, positive]
+        accuracy, f1, _ = _scores(
+            y[fold], np.take(fold_classes, np.stack(predicted)), len(classes))
+        scores = (accuracy if positive_label is None
+                  else f1[:, classes.index(positive_label)])
         for spec, spec_cells, score in zip(specs, cells, scores.tolist()):
             spec_cells.append(CvCell(spec, fold_id, score))
     means = [float(np.mean([cell.score for cell in spec_cells])) if spec_cells

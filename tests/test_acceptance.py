@@ -247,9 +247,9 @@ def test_criterion_7_q_prime_trend():
     for target in sorted(set(features.labels)):
         n_t = features.labels.count(target)
         for value in (1.0, 2.0, 3.0, 4.0, 5.0):
-            _, labels = build_binary_dataset(
+            labels = build_binary_dataset(
                 features, target, ExperimentConfig(balance_mode="q-prime"),
-                value, np.random.SeedSequence([400, int(value)]))
+                value, np.random.SeedSequence([400, int(value)])).labels
             assert labels.count("target") == n_t
             assert labels.count("other") == int(value * n_t)
 

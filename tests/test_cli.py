@@ -176,6 +176,30 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"error: ValueError: {path}: no feature rows" in err
 
+    def test_trailing_blank_line_is_skipped(self, pipeline, tmp_path):
+        blank = tmp_path / "features.csv"
+        blank.write_text(open(pipeline["features"]).read() + "\n")
+        cells = []
+        for name, features in (("plain", pipeline["features"]), ("blank", blank)):
+            out = tmp_path / name
+            assert run_cli("experiment", "multiclass", "--features", str(features),
+                           "--classifiers", "dt", "--reps", "1",
+                           "--out", str(out)) == 0
+            cells.append((out / "cells.csv").read_bytes())
+        assert cells[0] == cells[1]
+
+    def test_short_feature_row_is_1_without_traceback(self, tmp_path):
+        path = tmp_path / "features.csv"
+        path.write_text("session_id,ev_label,f0,f1\nS1,A,0.5,1.0\nS2,B,0.5\n")
+        result = subprocess.run(
+            [sys.executable, "-m", "evprofiler.cli", "experiment", "multiclass",
+             "--features", str(path), "--out", str(tmp_path / "exp")],
+            capture_output=True, text=True)
+        assert result.returncode == 1
+        assert result.stderr.startswith(
+            f"error: ValueError: {path}: line 3 has 3 cells, the header has 4")
+        assert "Traceback" not in result.stderr
+
     def test_nof_below_one_is_1(self, pipeline, tmp_path, capsys):
         out = tmp_path / "exp"
         assert run_cli("experiment", "multiclass", "--features",

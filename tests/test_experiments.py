@@ -37,30 +37,31 @@ def run_multiclass(config, features, audit=None):
 class TestBuildBinaryDataset:
     def test_q_prime_three(self, feature_matrix_builder):
         features = feature_matrix_builder({"T": 50, "U": 80, "V": 80, "W": 80})
-        matrix, labels = build_binary_dataset(
-            features, "T", ExperimentConfig(), 3.0, seed=0)
+        labels = build_binary_dataset(
+            features, "T", ExperimentConfig(), 3.0, seed=0).labels
         assert labels.count("target") == 50
         assert labels.count("other") == 150
 
     def test_legacy_q_five(self, feature_matrix_builder):
         features = feature_matrix_builder({"T": 50, "U": 30, "V": 30})
-        matrix, labels = build_binary_dataset(
-            features, "T", ExperimentConfig(balance_mode="q"), 5.0, seed=0)
+        labels = build_binary_dataset(
+            features, "T", ExperimentConfig(balance_mode="q"), 5.0, seed=0).labels
         assert labels.count("other") == 10
 
     def test_boundary_q_one_equals_q_prime_one(self, feature_matrix_builder):
         features = feature_matrix_builder({"T": 50, "U": 40, "V": 40})
         for mode in ("q", "q-prime"):
-            _, labels = build_binary_dataset(
-                features, "T", ExperimentConfig(balance_mode=mode), 1.0, seed=1)
+            labels = build_binary_dataset(
+                features, "T", ExperimentConfig(balance_mode=mode), 1.0,
+                seed=1).labels
             assert labels.count("target") == 50
             assert labels.count("other") == 50
 
     def test_positive_rows_are_exactly_target_rows(self, feature_matrix_builder):
         features = feature_matrix_builder({"T": 55, "U": 70, "V": 70})
-        matrix, labels = build_binary_dataset(
+        matrix = build_binary_dataset(
             features, "T", ExperimentConfig(), 2.0, seed=2)
-        positives = {sid for sid, lab in zip(matrix.session_ids, labels)
+        positives = {sid for sid, lab in zip(matrix.session_ids, matrix.labels)
                      if lab == "target"}
         assert positives == {sid for sid, ev in zip(features.session_ids,
                                                     features.labels)
@@ -68,10 +69,10 @@ class TestBuildBinaryDataset:
 
     def test_negatives_spread_across_evs(self, feature_matrix_builder):
         features = feature_matrix_builder({"T": 50, "U": 100, "V": 100, "W": 100})
-        matrix, labels = build_binary_dataset(
+        matrix = build_binary_dataset(
             features, "T", ExperimentConfig(), 1.0, seed=3)
         negative_evs = {sid.split("-")[0] for sid, lab
-                        in zip(matrix.session_ids, labels) if lab == "other"}
+                        in zip(matrix.session_ids, matrix.labels) if lab == "other"}
         assert negative_evs == {"U", "V", "W"}
 
     def test_insufficient_pool_is_error(self, feature_matrix_builder):
@@ -422,7 +423,7 @@ class TestNoLeakageAudit:
             "1 session id(s) repeat in one cell, first 'EV0-0005'")
         dataset = features.take(rows)
         with pytest.raises(LeakageError):
-            run_cell(CellJob({}, "", 0), dataset, dataset.labels, config,
+            run_cell(CellJob({}, "", 0), dataset, config,
                      np.random.SeedSequence(0))
 
 

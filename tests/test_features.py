@@ -14,7 +14,7 @@ import pytest
 
 from evprofiler.features import (FEATURE_NAMES, SERIES_FEATURE_NAMES,
                                  FeatureMatrix, SelectionError, _binned_entropy,
-                                 _c3, _class_index, _linear_trend, _location,
+                                 _c3, _linear_trend, _location,
                                  _longest_run, _peak_count,
                                  _time_reversal_asymmetry, apply_minmax,
                                  chi2_scores, extract_features,
@@ -22,6 +22,7 @@ from evprofiler.features import (FEATURE_NAMES, SERIES_FEATURE_NAMES,
                                  read_feature_csv, select_k_best,
                                  series_features, write_feature_csv)
 from evprofiler.ingest import TimeSeries
+from evprofiler.learn import _class_codes
 from evprofiler.tail import SegmentPair
 
 
@@ -359,7 +360,7 @@ def naive_chi2(x, labels):
 def anova_f_scores(matrix: FeatureMatrix, labels: Sequence[str]) -> np.ndarray:
     """One-way ANOVA F per feature; +inf when within-group SS is zero but
     between-group SS is not, 0 when both are zero."""
-    classes, y = _class_index(labels)
+    classes, y = _class_codes(labels)
     k, n = len(classes), len(labels)
     if k < 2:
         raise SelectionError("ANOVA needs at least two classes")
@@ -495,16 +496,16 @@ class TestFitSelection:
         x = rng.uniform(0, 1, (30, 10))
         labels = ["A" if i < 15 else "B" for i in range(30)]
         train = small_matrix(x, labels)
-        model1 = fit_selection(train, labels, 4)
+        model1 = fit_selection(train, 4)
         # a perturbed disjoint "test" matrix must not matter
-        model2 = fit_selection(train, labels, 4)
+        model2 = fit_selection(train, 4)
         assert model1.selected_names == model2.selected_names
 
     def test_chi2_path_scales_transform(self):
         x = np.array([[0.0, 10.0], [5.0, 20.0], [10.0, 30.0], [2.0, 12.0]])
         labels = ["A", "A", "B", "B"]
         train = small_matrix(x, labels)
-        model = fit_selection(train, labels, 2)
+        model = fit_selection(train, 2)
         out = model.transform(train)
         assert out.x.min() >= 0.0 and out.x.max() <= 1.0
 

@@ -454,16 +454,15 @@ def test_scores_equal_reference_loop(positive):
         y = [f"L{v}" for v in rng.integers(0, int(rng.integers(1, 13)), n)]
         rows = [[f"L{v}" for v in rng.integers(0, int(rng.integers(1, 13)), n)]
                 for _ in range(int(rng.integers(1, 8)))]
-        lookup = learn._label_index([*y, *(l for row in rows for l in row)],
-                                    positive)
+        classes, codes = learn._class_codes(
+            [*y, *(l for row in rows for l in row)], positive)
         accuracy, f1, _ = learn._scores(
-            np.array([lookup[l] for l in y]),
-            np.array([[lookup[l] for l in row] for row in rows]), len(lookup))
+            codes[:n], codes[n:].reshape(len(rows), n), len(classes))
         for i, row in enumerate(rows):
             want = reference_scores(y, row, positive)
             assert float(accuracy[i]) == want.accuracy
             if positive is not None:
-                assert float(f1[i, lookup[positive]]) == want.positive_f1
+                assert float(f1[i, classes.index(positive)]) == want.positive_f1
 
 
 def reference_knn_codes(dist, nearest, train_y, n_classes, ks, weighted):

@@ -5,9 +5,10 @@ import warnings
 import numpy as np
 import pytest
 
-from evprofiler.learn import (DEFAULT_GRIDS, ClassifierSpec, SplitError,
-                              TrainingError, expand_grid, grid_search,
-                              predict, score_predictions, stratified_kfold,
+from evprofiler.learn import (_DEFAULTS, DEFAULT_GRIDS, ClassifierSpec,
+                              SplitError, TrainingError, _class_codes,
+                              expand_grid, grid_search, predict,
+                              score_predictions, stratified_kfold,
                               stratified_split, train)
 
 from test_grid_sharing import model_document
@@ -31,6 +32,38 @@ class TestClassifierSpec:
             ClassifierSpec("knn", {"metric": "chebyshev"})
         with pytest.raises(ValueError):
             ClassifierSpec("random-forest", {"n_estimators": 0})
+
+    def test_default_grids_name_exactly_the_legal_parameters(self):
+        assert ({family: set(grid) for family, grid in DEFAULT_GRIDS.items()}
+                == {family: set(params) for family, params in _DEFAULTS.items()})
+
+
+class TestClassCodes:
+    def test_codes_round_trip_any_text(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        # st.text() draws NUL, empty and astral-plane labels
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.example(labels=["a\x00", "b", "a"])
+        @hypothesis.given(labels=st.lists(st.text()))
+        def check(labels):
+            classes, y = _class_codes(labels)
+            assert classes == sorted(set(labels))
+            assert y.dtype == np.int64 and y.size == len(labels)
+            assert all(classes[c] == label for c, label in zip(y.tolist(), labels))
+
+        check()
+
+    def test_nul_terminated_labels_survive_predict(self):
+        rng = np.random.default_rng(0)
+        x = np.vstack([rng.normal(0.0, 0.1, (10, 3)),
+                       rng.normal(10.0, 0.1, (10, 3))])
+        labels = ["EV1\x00"] * 10 + ["EV2"] * 10
+        model = train(ClassifierSpec("knn", {"n_neighbors": 1}), x, labels)
+        predicted = predict(model, x)
+        assert list(predicted) == labels
+        assert score_predictions(labels, predicted).accuracy == 1.0
 
 
 class TestKnn:
@@ -160,7 +193,7 @@ class TestRandomForest:
 class TestStratifiedSplit:
     def test_exact_proportions(self):
         labels = ["A"] * 10 + ["B"] * 10
-        train_idx, test_idx = stratified_split(labels, 0.2, seed=0)
+        train_idx, test_idx = stratified_split(labels, seed=0)
         test_labels = [labels[i] for i in test_idx]
         assert len(test_idx) == 4
         assert test_labels.count("A") == 2 and test_labels.count("B") == 2
@@ -169,21 +202,21 @@ class TestStratifiedSplit:
 
     def test_rounding_rule(self):
         labels = ["A"] * 7 + ["B"] * 13
-        _, test_idx = stratified_split(labels, 0.2, seed=1)
+        _, test_idx = stratified_split(labels, seed=1)
         test_labels = [labels[i] for i in test_idx]
         assert test_labels.count("A") == 1   # round(1.4) = 1
         assert test_labels.count("B") == 3   # round(2.6) = 3
 
     def test_seeds_give_different_partitions_of_same_size(self):
         labels = ["A"] * 20 + ["B"] * 20
-        a = stratified_split(labels, 0.2, seed=1)
-        b = stratified_split(labels, 0.2, seed=2)
+        a = stratified_split(labels, seed=1)
+        b = stratified_split(labels, seed=2)
         assert len(a[1]) == len(b[1])
         assert list(a[1]) != list(b[1])
 
     def test_singleton_class_is_error(self):
         with pytest.raises(SplitError):
-            stratified_split(["A", "B", "B"], 0.2, seed=0)
+            stratified_split(["A", "B", "B"], seed=0)
 
 
 class TestStratifiedKfold:
