@@ -13,7 +13,7 @@ import itertools
 import json
 import os
 import sys
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -28,8 +28,8 @@ from .experiments import (BALANCE_MODES, DISTRIBUTION_SHAPES, SIZE_PRESETS,
                           write_summary_md)
 from .features import (N_FEATURES, featurize_segments, read_feature_csv,
                        write_feature_csv)
-from .ingest import (FORMATS, TimeSeries, apply_primary_filters,
-                     parse_sessions, write_sessions)
+from .ingest import (FORMATS, ParseError, TimeSeries, _records_from_json,
+                     apply_primary_filters, parse_sessions, write_sessions)
 from .synth import SEPARATIONS, SynthOptions, generate_corpus
 from .tail import REJECTION_CODES, SegmentPair, segment_corpus
 
@@ -102,6 +102,21 @@ def _segment_from_record(rec: dict) -> SegmentPair:
                        rec["tStart"], rec["tS"])
 
 
+def _read_segments(path: str) -> Iterator[SegmentPair]:
+    """The segment pairs of an ``extract`` output, line by line. A line
+    that is no segment record is a ValueError naming the file and line."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            for where, rec in _records_from_json(fh):
+                yield _segment_from_record(rec)
+        except ParseError as exc:  # not JSON or not an object; names its line
+            raise ValueError(f"{path}: {exc}") from exc
+        except KeyError as exc:
+            raise ValueError(f"{path}: {where}: missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: {where}: {exc}") from exc
+
+
 def _cmd_extract(args, cfg: dict, manifest: RunManifest) -> None:
     manifest.add_input(args.sessions)
     filter_params = params_from("filter", cfg)
@@ -128,9 +143,7 @@ def _cmd_extract(args, cfg: dict, manifest: RunManifest) -> None:
 def _cmd_featurize(args, cfg: dict, manifest: RunManifest) -> None:
     manifest.add_input(args.segments)
     manifest.start("featurize")
-    with open(args.segments, "r", encoding="utf-8") as fh:
-        matrix = featurize_segments(_segment_from_record(json.loads(line))
-                                    for line in fh if line.strip())
+    matrix = featurize_segments(_read_segments(args.segments))
     write_feature_csv(matrix, args.out)
     manifest.stop("featurize")
     manifest.counts["featurize"] = {"rows": matrix.n_rows,

@@ -18,8 +18,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .filters import median_of_sorted
 from .learn import _class_codes
 from .tail import SegmentPair, segment_corpus
+
+# catalog quantile levels, read by numpy's 'linear' rule (Hyndman & Fan
+# 1996, rule 7)
+_QUANTILE_LEVELS = np.array((0.05, 0.25, 0.75, 0.95))
 
 
 def _longest_run(mask: np.ndarray) -> float:
@@ -42,9 +47,9 @@ def _linear_trend(x: np.ndarray) -> tuple[float, float, float]:
         return 0.0, float(x[0]) if n else 0.0, 0.0
     t = np.arange(n, dtype=np.float64)
     t_mu = (n - 1) / 2.0
-    x_mu = float(np.mean(x))
-    cov = float(np.mean((t - t_mu) * (x - x_mu)))
-    var_t = float(np.mean((t - t_mu) ** 2))
+    x_mu = float(x.sum() / n)
+    cov = float(((t - t_mu) * (x - x_mu)).sum() / n)
+    var_t = float(((t - t_mu) ** 2).sum() / n)
     var_x = float(np.var(x))
     slope = cov / var_t
     intercept = x_mu - slope * t_mu
@@ -64,21 +69,60 @@ def _peak_count(x: np.ndarray, support: int) -> float:
     return float(np.count_nonzero(is_peak))
 
 
-def _binned_entropy(x: np.ndarray, bins: int = 10) -> float:
-    # 0 for a range too narrow for distinct float edges, constant included
-    edges = np.linspace(np.min(x), np.max(x), bins + 1)
-    if not np.all(edges[:-1] < edges[1:]):
-        return 0.0
-    hist, _ = np.histogram(x, bins=bins)
-    p = hist[hist > 0] / x.size
-    return float(-np.sum(p * np.log(p)))
+def _sorted_quantiles(x: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """``np.quantile(x, _QUANTILE_LEVELS)`` from ``s = np.sort(x)``.
+
+    numpy's 'linear' arithmetic: virtual index v = (n-1)*q between the
+    neighbours a = s[floor v] and b = s[floor v + 1], then a + d*t with
+    d = b - a and t = v - floor v, overwritten by b - d*(1-t) where
+    t >= 0.5. numpy partitions in place of the sort, so the neighbours
+    have numpy's values, but -0.0 and 0.0 are equal with different bits
+    and neither the sort nor the partition keeps track of which is which.
+    So a zero neighbour in a series holding both signs goes to numpy, as
+    does n = 1, where numpy clamps both neighbours to the one value.
+    """
+    n = s.size
+    if n == 1:
+        return np.quantile(x, _QUANTILE_LEVELS)
+    v = (n - 1) * _QUANTILE_LEVELS
+    lo = np.floor(v)
+    i = lo.astype(np.intp)
+    a, b = s[i], s[i + 1]
+    if not (a.all() and b.all()):
+        signs = np.signbit(x[x == 0])
+        if signs.any() and not signs.all():
+            return np.quantile(x, _QUANTILE_LEVELS)
+    t = v - lo
+    d = b - a
+    q = a + d * t
+    upper = t >= 0.5
+    q[upper] = (b - d * (1 - t))[upper]
+    return q
+
+
+def _uniform_histogram(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """``np.histogram(x, bins)[0]`` for strictly increasing edges
+    ``np.linspace(x.min(), x.max(), bins + 1)``.
+
+    np.histogram's arithmetic for uniform bins: scale each value to a bin,
+    truncate, put the maximum in the last bin, and move a value that the
+    rounding left one bin off its edges; then one ``bincount``.
+    """
+    bins = edges.size - 1
+    lo, hi = edges[0], edges[-1]
+    index = ((x - lo) / (hi - lo) * bins).astype(np.intp)
+    index[index == bins] -= 1
+    index[x < edges[index]] -= 1
+    index[(x >= edges[index + 1]) & (index != bins - 1)] += 1
+    return np.bincount(index, minlength=bins)
 
 
 def _c3(x: np.ndarray, lag: int) -> float:
     n = x.size
     if n <= 2 * lag:
         return 0.0
-    return float(np.mean(x[:n - 2 * lag] * x[lag:n - lag] * x[2 * lag:]))
+    prod = x[:n - 2 * lag] * x[lag:n - lag] * x[2 * lag:]
+    return float(prod.sum() / prod.size)
 
 
 def _time_reversal_asymmetry(x: np.ndarray, lag: int) -> float:
@@ -86,7 +130,8 @@ def _time_reversal_asymmetry(x: np.ndarray, lag: int) -> float:
     if n <= 2 * lag:
         return 0.0
     a, b, c = x[:n - 2 * lag], x[lag:n - lag], x[2 * lag:]
-    return float(np.mean(c * c * b - b * a * a))
+    asym = c * c * b - b * a * a
+    return float(asym.sum() / asym.size)
 
 
 SERIES_FEATURE_NAMES = (
@@ -121,38 +166,46 @@ assert len(SERIES_FEATURE_NAMES) == 67 and N_FEATURES == 134
 def series_features(values: np.ndarray) -> np.ndarray:
     """The 67 catalog values for one series, in catalog order.
 
-    Single pass sharing moments, diffs, the spectrum, and the trend fit;
-    tests pin it to a per-feature reference.
+    Single pass sharing moments, diffs, the spectrum, and the trend fit.
+    One sort serves the median and the quantiles; means are ``sum / size``
+    and the histogram is counted by one ``bincount``, each with the bits
+    of the ``np.median``, ``np.quantile``, ``np.mean`` or ``np.histogram``
+    call it replaces but without its per-call overhead. Tests pin it to a
+    per-feature reference and, bit for bit, to those numpy calls.
     """
     x = np.asarray(values, dtype=np.float64)
     n = x.size
     out = np.empty(67)
-    mu = float(np.mean(x))
-    var = np.var(x)  # numpy float: var ** 2 past range is inf, no exception
-    std = np.sqrt(var)
+    s = np.sort(x)
+    x_sum = x.sum()
+    mu = float(x_sum / n)
     centered = x - mu
-    diffs = np.diff(x) if n >= 2 else np.zeros(0)
-    xmin, xmax = float(np.min(x)), float(np.max(x))
+    # np.var's arithmetic; a numpy float, so var ** 2 past range is inf
+    var = (centered * centered).sum() / n
+    std = np.sqrt(var)
+    diffs = x[1:] - x[:-1]
+    xmin, xmax = float(x.min()), float(x.max())
     above = x > mu
     below = x < mu
     out[0] = n
     out[1] = mu
-    out[2] = float(np.median(x))
+    out[2] = median_of_sorted(s)
     out[3] = var
     out[4] = std
     if var ** 2 == 0:
         out[5] = out[6] = 0.0
     else:
-        out[5] = float(np.mean(centered ** 3) / var ** 1.5)
-        out[6] = float(np.mean(centered ** 4) / var ** 2 - 3.0)
+        out[5] = float((centered ** 3).sum() / n / var ** 1.5)
+        out[6] = float((centered ** 4).sum() / n / var ** 2 - 3.0)
     out[7], out[8], out[9] = xmin, xmax, xmax - xmin
-    out[10:14] = np.quantile(x, (0.05, 0.25, 0.75, 0.95))
-    out[14] = float(np.sum(x))
+    out[10:14] = _sorted_quantiles(x, s)
+    out[14] = x_sum
     energy = float(np.sum(x * x))
     out[15] = energy
     out[16] = np.sqrt(energy / n)
-    out[17] = float(np.sum(np.abs(diffs)))
-    out[18] = float(np.mean(np.abs(diffs))) if n >= 2 else 0.0
+    abs_changes = float(np.abs(diffs).sum())
+    out[17] = abs_changes
+    out[18] = abs_changes / (n - 1) if n >= 2 else 0.0
     out[19] = float((x[-1] - x[0]) / (n - 1)) if n >= 2 else 0.0
     out[20] = float(np.count_nonzero(above[1:] != above[:-1]))
     out[21] = float(np.count_nonzero(above))
@@ -173,13 +226,21 @@ def series_features(values: np.ndarray) -> np.ndarray:
     out[42] = _peak_count(x, 1)
     out[43] = _peak_count(x, 3)
     out[44] = _peak_count(x, 5)
-    out[45] = float(np.sqrt(np.sum(diffs ** 2)))
-    out[46] = _binned_entropy(x)
+    out[45] = float(np.sqrt((diffs ** 2).sum()))
+    # binned entropy over 10 equal bins, 0 for a range too narrow for
+    # distinct float edges (constant series included)
+    edges = np.linspace(xmin, xmax, 11)
+    if (edges[:-1] < edges[1:]).all():
+        counts = _uniform_histogram(x, edges)
+        p = counts[counts > 0] / n
+        out[46] = float(-(p * np.log(p)).sum())
+    else:
+        out[46] = 0.0
     spectrum = np.abs(np.fft.rfft(x))
     for k in range(1, 11):
         out[46 + k] = float(spectrum[k]) if k < spectrum.size else 0.0
-    total = float(np.sum(spectrum))
-    out[57] = float(np.sum(np.arange(spectrum.size) * spectrum) / total) if total else 0.0
+    total = float(spectrum.sum())
+    out[57] = float((np.arange(spectrum.size) * spectrum).sum() / total) if total else 0.0
     for lag in range(1, 4):
         out[57 + lag] = _c3(x, lag)
         out[60 + lag] = _time_reversal_asymmetry(x, lag)
@@ -188,7 +249,7 @@ def series_features(values: np.ndarray) -> np.ndarray:
     else:
         absdev = np.abs(centered)
         for r in (1, 2, 3):
-            out[63 + r] = float(np.mean(absdev > r * std))
+            out[63 + r] = np.count_nonzero(absdev > r * std) / n
     return out
 
 

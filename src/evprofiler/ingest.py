@@ -105,10 +105,15 @@ class Corpus:
 
 
 def _parse_float_list(raw, where: str) -> np.ndarray:
+    """One float64 array from a list of numbers or numeric strings, each
+    converted as ``float`` converts it; anything else is a ParseError."""
     try:
-        arr = np.asarray([float(v) for v in raw], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+        arr = np.fromiter(raw, np.float64, count=len(raw))
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{where}: bad numeric list ({exc})") from exc
+    # fromiter reads a null (None) as NaN where float() refuses it
+    if not np.isfinite(arr).all() and any(v is None for v in raw):
+        raise ParseError(f"{where}: bad numeric list (null value)")
     return arr
 
 

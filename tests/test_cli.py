@@ -255,6 +255,28 @@ class TestExitCodes:
         assert "Traceback" not in result.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("lines, message", [
+        (['{"sessionID": "a"}'], "line 2: missing field 'tail'"),
+        (["{broken"], "line 2: invalid JSON (Expecting property name "
+                      "enclosed in double quotes)"),
+        (["", "[1, 2]"], "line 3: expected a JSON object"),
+        (['{"sessionID": "a", "tail": [1.0, null], "delta": [1.0], '
+          '"tStart": 1, "tS": 3}'],
+         "line 2: time series values must all be finite"),
+    ], ids=["missing-field", "broken-json", "not-an-object", "null-value"])
+    def test_bad_segments_line_is_1_without_traceback(self, pipeline, tmp_path,
+                                                      capsys, lines, message):
+        # one good segment line, then the lines under test
+        segments = tmp_path / "segments.jsonl"
+        good = open(pipeline["segments"]).readline()
+        segments.write_text(good + "\n".join(lines) + "\n")
+        out = tmp_path / "features.csv"
+        code = run_cli("featurize", "--segments", str(segments), "--out", str(out))
+        assert code == 1
+        assert capsys.readouterr().err == \
+            f"error: ValueError: {segments}: {message}\n"
+        assert not out.exists()
+
     def test_output_file_without_extension(self, tmp_path):
         out = tmp_path / "raw"
         assert run_cli("synth", "--evs", "2", "--sessions", "2",

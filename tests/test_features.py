@@ -1,7 +1,9 @@
 """Feature catalog, scaling, and univariate selection tests.
 
 The single-pass ``series_features`` is pinned to a per-feature reference
-catalog kept here. chi-square is checked against a naive per-feature
+catalog kept here, and bit for bit to the numpy-per-call version it
+replaced, kept here too; its sorted quantiles and histogram are pinned to
+``np.quantile`` and ``np.histogram``. chi-square is checked against a naive per-feature
 reference on random small matrices and against the frozen hand-computed
 examples; ANOVA-F, which selection does not use, is a test-side statistic
 checked the same way.
@@ -12,11 +14,11 @@ from typing import Callable, Sequence
 import numpy as np
 import pytest
 
-from evprofiler.features import (FEATURE_NAMES, SERIES_FEATURE_NAMES,
-                                 FeatureMatrix, SelectionError, _binned_entropy,
-                                 _c3, _linear_trend, _location,
-                                 _longest_run, _peak_count,
-                                 _time_reversal_asymmetry, apply_minmax,
+from evprofiler.features import (_QUANTILE_LEVELS, FEATURE_NAMES,
+                                 SERIES_FEATURE_NAMES, FeatureMatrix,
+                                 SelectionError, _location, _longest_run,
+                                 _peak_count, _sorted_quantiles,
+                                 _uniform_histogram, apply_minmax,
                                  chi2_scores, extract_features,
                                  featurize_segments, fit_minmax, fit_selection,
                                  read_feature_csv, select_k_best,
@@ -24,6 +26,122 @@ from evprofiler.features import (FEATURE_NAMES, SERIES_FEATURE_NAMES,
 from evprofiler.ingest import TimeSeries
 from evprofiler.learn import _class_codes
 from evprofiler.tail import SegmentPair
+
+
+# ---------------------------------------------------------------------------
+# series_features as it was before its per-series fast paths, with the
+# helpers that changed: np.median, np.quantile, np.histogram, np.var and
+# np.mean per call. The fast path must give its bits, -0.0 against 0.0
+# included; the per-feature catalog below shares its helpers.
+
+def numpy_linear_trend(x: np.ndarray) -> tuple[float, float, float]:
+    n = x.size
+    if n < 2:
+        return 0.0, float(x[0]) if n else 0.0, 0.0
+    t = np.arange(n, dtype=np.float64)
+    t_mu = (n - 1) / 2.0
+    x_mu = float(np.mean(x))
+    cov = float(np.mean((t - t_mu) * (x - x_mu)))
+    var_t = float(np.mean((t - t_mu) ** 2))
+    var_x = float(np.var(x))
+    slope = cov / var_t
+    intercept = x_mu - slope * t_mu
+    corr = cov / np.sqrt(var_t * var_x) if var_x > 0 else 0.0
+    return slope, intercept, float(corr)
+
+
+def numpy_binned_entropy(x: np.ndarray, bins: int = 10) -> float:
+    # 0 for a range too narrow for distinct float edges, constant included
+    edges = np.linspace(np.min(x), np.max(x), bins + 1)
+    if not np.all(edges[:-1] < edges[1:]):
+        return 0.0
+    hist, _ = np.histogram(x, bins=bins)
+    p = hist[hist > 0] / x.size
+    return float(-np.sum(p * np.log(p)))
+
+
+def numpy_c3(x: np.ndarray, lag: int) -> float:
+    n = x.size
+    if n <= 2 * lag:
+        return 0.0
+    return float(np.mean(x[:n - 2 * lag] * x[lag:n - lag] * x[2 * lag:]))
+
+
+def numpy_time_reversal_asymmetry(x: np.ndarray, lag: int) -> float:
+    n = x.size
+    if n <= 2 * lag:
+        return 0.0
+    a, b, c = x[:n - 2 * lag], x[lag:n - lag], x[2 * lag:]
+    return float(np.mean(c * c * b - b * a * a))
+
+
+def numpy_series_features(values: np.ndarray) -> np.ndarray:
+    x = np.asarray(values, dtype=np.float64)
+    n = x.size
+    out = np.empty(67)
+    mu = float(np.mean(x))
+    var = np.var(x)  # numpy float: var ** 2 past range is inf, no exception
+    std = np.sqrt(var)
+    centered = x - mu
+    diffs = np.diff(x) if n >= 2 else np.zeros(0)
+    xmin, xmax = float(np.min(x)), float(np.max(x))
+    above = x > mu
+    below = x < mu
+    out[0] = n
+    out[1] = mu
+    out[2] = float(np.median(x))
+    out[3] = var
+    out[4] = std
+    if var ** 2 == 0:
+        out[5] = out[6] = 0.0
+    else:
+        out[5] = float(np.mean(centered ** 3) / var ** 1.5)
+        out[6] = float(np.mean(centered ** 4) / var ** 2 - 3.0)
+    out[7], out[8], out[9] = xmin, xmax, xmax - xmin
+    out[10:14] = np.quantile(x, (0.05, 0.25, 0.75, 0.95))
+    out[14] = float(np.sum(x))
+    energy = float(np.sum(x * x))
+    out[15] = energy
+    out[16] = np.sqrt(energy / n)
+    out[17] = float(np.sum(np.abs(diffs)))
+    out[18] = float(np.mean(np.abs(diffs))) if n >= 2 else 0.0
+    out[19] = float((x[-1] - x[0]) / (n - 1)) if n >= 2 else 0.0
+    out[20] = float(np.count_nonzero(above[1:] != above[:-1]))
+    out[21] = float(np.count_nonzero(above))
+    out[22] = float(np.count_nonzero(below))
+    out[23] = _longest_run(above)
+    out[24] = _longest_run(below)
+    out[25] = _location(x, True, True)
+    out[26] = _location(x, True, False)
+    out[27] = _location(x, False, True)
+    out[28] = _location(x, False, False)
+    for lag in range(1, 11):
+        if var == 0 or lag >= n:
+            out[28 + lag] = 0.0
+        else:
+            out[28 + lag] = float(np.dot(centered[:n - lag], centered[lag:])
+                                  / ((n - lag) * var))
+    out[39], out[40], out[41] = numpy_linear_trend(x)
+    out[42] = _peak_count(x, 1)
+    out[43] = _peak_count(x, 3)
+    out[44] = _peak_count(x, 5)
+    out[45] = float(np.sqrt(np.sum(diffs ** 2)))
+    out[46] = numpy_binned_entropy(x)
+    spectrum = np.abs(np.fft.rfft(x))
+    for k in range(1, 11):
+        out[46 + k] = float(spectrum[k]) if k < spectrum.size else 0.0
+    total = float(np.sum(spectrum))
+    out[57] = float(np.sum(np.arange(spectrum.size) * spectrum) / total) if total else 0.0
+    for lag in range(1, 4):
+        out[57 + lag] = numpy_c3(x, lag)
+        out[60 + lag] = numpy_time_reversal_asymmetry(x, lag)
+    if var == 0:
+        out[64:67] = 0.0
+    else:
+        absdev = np.abs(centered)
+        for r in (1, 2, 3):
+            out[63 + r] = float(np.mean(absdev > r * std))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -126,24 +244,24 @@ def _build_catalog() -> tuple[tuple[str, Callable[[np.ndarray], float]], ...]:
         entries.append((f"autocorrelation_lag{lag}",
                         lambda x, lag=lag: _autocorr(x, lag)))
     entries += [
-        ("linear_trend_slope", lambda x: _linear_trend(x)[0]),
-        ("linear_trend_intercept", lambda x: _linear_trend(x)[1]),
-        ("linear_trend_corr", lambda x: _linear_trend(x)[2]),
+        ("linear_trend_slope", lambda x: numpy_linear_trend(x)[0]),
+        ("linear_trend_intercept", lambda x: numpy_linear_trend(x)[1]),
+        ("linear_trend_corr", lambda x: numpy_linear_trend(x)[2]),
         ("peak_count_support_1", lambda x: _peak_count(x, 1)),
         ("peak_count_support_3", lambda x: _peak_count(x, 3)),
         ("peak_count_support_5", lambda x: _peak_count(x, 5)),
         ("complexity", lambda x: float(np.sqrt(np.sum(_diffs(x) ** 2)))),
-        ("binned_entropy_10", _binned_entropy),
+        ("binned_entropy_10", numpy_binned_entropy),
     ]
     for k in range(1, 11):
         entries.append((f"dft_magnitude_{k}",
                         lambda x, k=k: _dft_magnitude(x, k)))
     entries.append(("spectral_centroid", _spectral_centroid))
     for lag in range(1, 4):
-        entries.append((f"c3_lag{lag}", lambda x, lag=lag: _c3(x, lag)))
+        entries.append((f"c3_lag{lag}", lambda x, lag=lag: numpy_c3(x, lag)))
     for lag in range(1, 4):
         entries.append((f"time_reversal_asymmetry_lag{lag}",
-                        lambda x, lag=lag: _time_reversal_asymmetry(x, lag)))
+                        lambda x, lag=lag: numpy_time_reversal_asymmetry(x, lag)))
     for r in (1, 2, 3):
         entries.append((f"ratio_beyond_{r}sigma",
                         lambda x, r=r: _ratio_beyond_sigma(x, float(r))))
@@ -318,6 +436,97 @@ class TestCatalog:
                 name = f"autocorrelation_lag{lag}"
                 assert feature(x * c, name) == pytest.approx(feature(x, name),
                                                              abs=1e-9)
+
+
+def _bit_exact_series(st, hnp, max_len=80):
+    """Series on which a changed rounding or signed zero would show: ties
+    and -0.0 (values rounded to 1 decimal), constants, n = 1 to 3, ranges a
+    few ulps wide near 1e-300 and in the subnormals, where histogram edges
+    collapse, and |x| up to 1e60."""
+    lengths = st.integers(1, max_len)
+    wide = st.floats(-1e60, 1e60)
+    ulps = hnp.arrays(np.int64, lengths, elements=st.integers(-12, 12))
+    return st.one_of(
+        hnp.arrays(np.float64, lengths,
+                   elements=st.floats(-3, 3).map(lambda v: round(v, 1))),
+        st.builds(np.full, lengths, wide),
+        hnp.arrays(np.float64, st.integers(1, 3), elements=wide),
+        st.builds(lambda k, base: base + k * np.spacing(base), ulps,
+                  st.sampled_from([1e-300, -1e-300, 0.0, 2.5])),
+        hnp.arrays(np.float64, lengths, elements=wide))
+
+
+def assert_same_bits(got, want, names=SERIES_FEATURE_NAMES):
+    differ = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+    assert [names[i] for i in differ] == [], (got[differ], want[differ])
+
+
+class TestFastPathBits:
+    """series_features, its quantiles and its histogram against the numpy
+    calls they replaced, compared bit for bit."""
+
+    def test_series_features_equal_numpy_oracle(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        hnp = pytest.importorskip("hypothesis.extra.numpy")
+
+        @hypothesis.settings(max_examples=600, deadline=None)
+        @hypothesis.given(x=_bit_exact_series(st, hnp))
+        @hypothesis.example(x=np.array([-0.0]))
+        @hypothesis.example(x=np.array([0.0, -0.0, -0.0]))
+        @hypothesis.example(x=np.array([-0.1, -0.0, 0.0, -0.0, 0.2]))
+        @hypothesis.example(x=np.array([1e-300, 1e-300 + 2e-316, 1e-300]))
+        def check(x):
+            assert_same_bits(series_features(x), numpy_series_features(x))
+
+        check()
+
+    def test_series_features_equal_numpy_oracle_on_long_series(self):
+        # lengths of real tails and deltas, where numpy's partition and the
+        # sort order equal values differently
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            n = int(rng.integers(20, 1000))
+            x = rng.normal(0, 10, n)
+            if rng.random() < 0.5:
+                x = np.round(rng.normal(0, 0.3, n), 1)
+            assert_same_bits(series_features(x), numpy_series_features(x))
+
+    def test_sorted_quantiles_equal_np_quantile(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        hnp = pytest.importorskip("hypothesis.extra.numpy")
+        signed_zeros = hnp.arrays(
+            np.float64, st.integers(1, 400),
+            elements=st.sampled_from([-0.0, 0.0, 0.1, -0.1]))
+
+        @hypothesis.settings(max_examples=400, deadline=None)
+        @hypothesis.given(x=st.one_of(_bit_exact_series(st, hnp), signed_zeros))
+        @hypothesis.example(x=np.array([-0.0]))
+        @hypothesis.example(x=np.tile([-0.0, 0.0], 150))
+        def check(x):
+            got = _sorted_quantiles(x, np.sort(x))
+            want = np.quantile(x, _QUANTILE_LEVELS)
+            assert got.tobytes() == want.tobytes(), (got, want)
+
+        check()
+
+    def test_uniform_histogram_equals_np_histogram(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        hnp = pytest.importorskip("hypothesis.extra.numpy")
+
+        @hypothesis.settings(max_examples=400, deadline=None)
+        @hypothesis.given(x=_bit_exact_series(st, hnp),
+                          bins=st.sampled_from([10, 3, 7]))
+        def check(x, bins):
+            edges = np.linspace(x.min(), x.max(), bins + 1)
+            hypothesis.assume(np.all(edges[:-1] < edges[1:]))
+            want, want_edges = np.histogram(x, bins=bins)
+            np.testing.assert_array_equal(edges, want_edges)
+            np.testing.assert_array_equal(_uniform_histogram(x, edges), want)
+
+        check()
 
 
 class TestMinMax:

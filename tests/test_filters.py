@@ -1,12 +1,12 @@
-"""Filter tests: frozen hand examples, naive-reference equivalence, and
-window-filter properties."""
+"""Filter tests: frozen hand examples, naive-reference equivalence,
+bit-exact pins of the median fast paths, and window-filter properties."""
 
 import numpy as np
 import pytest
 
 from evprofiler.filters import (FilterParams, delta_series_values,
-                                low_pass_values, moving_average_values,
-                                moving_median_values)
+                                low_pass_values, median_of_sorted,
+                                moving_average_values, moving_median_values)
 
 
 def naive_moving_average(x, n):
@@ -27,6 +27,21 @@ def naive_moving_median(x, n):
         mid = m // 2
         out.append(window[mid] if m % 2 else (window[mid - 1] + window[mid]) / 2)
     return np.array(out)
+
+
+def numpy_moving_median(x, n):
+    """np.median of each truncated window, one call per window."""
+    x = np.asarray(x, dtype=np.float64)
+    half = n // 2
+    return np.array([np.median(x[max(t - half, 0):t + half + 1])
+                     for t in range(x.size)])
+
+
+def _bit_exact_series(st, hnp, max_len=60):
+    # ties and -0.0 (rounded to 1 decimal), and any finite value
+    return hnp.arrays(np.float64, st.integers(1, max_len), elements=st.one_of(
+        st.floats(-3, 3).map(lambda v: round(v, 1)),
+        st.floats(allow_nan=False, allow_infinity=False)))
 
 
 def naive_low_pass(x, alpha):
@@ -132,6 +147,74 @@ class TestOracleEquivalence:
             np.testing.assert_allclose(low_pass_values(x, alpha),
                                        naive_low_pass(list(x), alpha),
                                        atol=1e-9)
+
+
+class TestMedianBits:
+    """The sorted-window medians against one np.median per window, and the
+    delta prefix against a median over the whole current, bit for bit."""
+
+    def test_median_of_sorted_equals_np_median(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        hnp = pytest.importorskip("hypothesis.extra.numpy")
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(x=_bit_exact_series(st, hnp, 200))
+        @hypothesis.example(x=np.array([-0.0]))
+        @hypothesis.example(x=np.array([-0.0, -0.0]))
+        @hypothesis.example(x=np.array([0.0, -0.0, 1.0]))
+        def check(x):
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = median_of_sorted(np.sort(x))
+                want = np.median(x)
+            assert got.tobytes() == want.tobytes(), (got, want)
+
+        check()
+
+    def test_moving_median_equals_per_window_np_median(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        hnp = pytest.importorskip("hypothesis.extra.numpy")
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(x=_bit_exact_series(st, hnp),
+                          n=st.integers(1, 10).map(lambda k: 2 * k + 1))
+        @hypothesis.example(x=np.array([-0.0, 0.0, -0.0, -0.0]), n=3)
+        def check(x, n):
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = moving_median_values(x, n)
+                want = numpy_moving_median(x, n)
+            assert got.tobytes() == want.tobytes(), (got, want)
+
+        check()
+
+    def test_delta_prefix_equals_full_length_median(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        hnp = pytest.importorskip("hypothesis.extra.numpy")
+
+        @st.composite
+        def cases(draw):
+            current = draw(_bit_exact_series(st, hnp))
+            n = draw(st.integers(1, 10).map(lambda k: 2 * k + 1))
+            # cc_end within n // 2 of the end, where a window at t < cc_end
+            # reaches the last samples, or anywhere before
+            near_end = st.integers(max(1, current.size - n // 2), current.size)
+            cc_end = draw(st.one_of(near_end, st.integers(1, current.size)))
+            pilot = draw(hnp.arrays(np.float64, current.size,
+                                    elements=st.floats(-50, 50)))
+            return pilot, current, n, cc_end
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(case=cases())
+        def check(case):
+            pilot, current, n, cc_end = case
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = delta_series_values(pilot, current, n, cc_end)
+                want = pilot[:cc_end] - numpy_moving_median(current, n)[:cc_end]
+            assert got.tobytes() == want.tobytes(), (got, want)
+
+        check()
 
 
 class TestProperties:

@@ -6,9 +6,10 @@ import json
 import numpy as np
 import pytest
 
-from evprofiler.ingest import (ChargingSession, Corpus, ParseError,
-                               Provenance, TimeSeries, apply_primary_filters,
-                               parse_sessions, write_sessions)
+from evprofiler.ingest import (CSV_HEADER, ChargingSession, Corpus,
+                               ParseError, Provenance, TimeSeries,
+                               apply_primary_filters, parse_sessions,
+                               write_sessions)
 
 
 def record(sid="S1", user="EV7", points=120, period=4.0, **overrides):
@@ -141,6 +142,58 @@ class TestParseSessions:
             for x, y in ((a.pilot, b.pilot), (a.current, b.current)):
                 assert x.sample_period == y.sample_period
                 np.testing.assert_array_equal(x.values, y.values)
+
+
+class TestNumericLists:
+    """What a pilot or current list may hold: numbers, booleans and numeric
+    strings convert as ``float`` converts them; anything else is a
+    ParseError that names the record."""
+
+    @pytest.mark.parametrize("bad", [None, [1.0], {"a": 1.0}, "abc", 10 ** 400],
+                             ids=["null", "nested-list", "object", "text",
+                                  "int-past-float"])
+    def test_bad_element_names_the_record(self, as_file, bad):
+        rec = record(sid="S2", chargingCurrent=[30.0] * 60 + [bad] + [30.0] * 59)
+        with pytest.raises(ParseError, match=r"^line 2: bad numeric list"):
+            parse_sessions(as_file(jsonl(record(), rec)), "acn-json")
+
+    @pytest.mark.parametrize("bad", [5, True], ids=["number", "bool"])
+    def test_non_list_series_names_the_record(self, as_file, bad):
+        with pytest.raises(ParseError, match=r"^line 1: bad numeric list"):
+            parse_sessions(as_file(jsonl(record(pilotSignal=bad))), "acn-json")
+
+    def test_numeric_strings_and_booleans_parse_as_float_does(self, as_file):
+        raw = ["1.5", " 2 ", "1_000", "-0", True, False, 3, -0.0, "1e-400"]
+        rec = record(pilotSignal=raw, chargingCurrent=[1.0] * len(raw))
+        corpus = parse_sessions(as_file(jsonl(rec)), "acn-json")
+        got = corpus.sessions[0].pilot.values
+        want = np.array([float(v) for v in raw])
+        assert got.tobytes() == want.tobytes()
+
+    def test_non_finite_values_are_no_parse_error(self, as_file):
+        # "nan" and 1e400 convert; the series then fails as non-finite
+        for bad in ("nan", "1e400", float("nan")):
+            rec = record(pilotSignal=[32.0] * 119 + [bad])
+            with pytest.raises(ValueError, match="finite") as info:
+                parse_sessions(as_file(jsonl(rec)), "acn-json")
+            assert not isinstance(info.value, ParseError)
+
+    @pytest.mark.parametrize("cell", ["abc", "1,5", "0x10"])
+    def test_bad_csv_cell_names_the_row(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(",".join(CSV_HEADER) + "\n"
+                        + 'S1,EV1,ST,t0,1.0,1.0;2.0,1.0;2.0\n'
+                        + f'S2,EV1,ST,t0,1.0,"1.0;{cell}",1.0;2.0\n')
+        with pytest.raises(ParseError, match=r"^row 3: bad numeric list"):
+            parse_sessions(str(path), "csv")
+
+    def test_csv_cells_parse_as_float_does(self, tmp_path):
+        path = tmp_path / "ok.csv"
+        path.write_text(",".join(CSV_HEADER) + "\n"
+                        + "S1,EV1,ST,t0,1.0, 1.5 ;1_0;-0;2e3,1;2;3;4\n")
+        values = parse_sessions(str(path), "csv").sessions[0].pilot.values
+        want = np.array([1.5, 10.0, -0.0, 2000.0])
+        assert values.tobytes() == want.tobytes()
 
 
 class TestCsvFormat:
