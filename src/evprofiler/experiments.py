@@ -16,10 +16,9 @@ repetition from its job.
 Every cell ((target EV, balance value, repetition) or (dataset, repetition))
 derives its own seed from the master seed, so cells are independent,
 reproducible, and order-insensitive; parallel execution cannot change any
-result. Scalers, selection scores, and CV folds are fitted on training rows
-only, and a cell whose dataset repeats a session fails with ``LeakageError``;
-an optional audit hook observes exactly which session ids each fitted
-stage saw, so tests can prove the absence of test-set leakage.
+result. The selection's scale and scores and the CV folds are fitted on
+training rows only, and a cell whose dataset repeats a session fails with
+``LeakageError``.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ import statistics
 import zlib
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -42,8 +41,6 @@ from .learn import (DEFAULT_GRIDS, grid_search, predict,
 SIZE_PRESETS = {"small": 25, "medium": 75, "large": 140, "complete": None}
 BALANCE_MODES = ("q", "q-prime")
 DISTRIBUTION_SHAPES = ("normal", "uniform")
-
-AuditHook = Optional[Callable[[str, tuple[str, ...]], None]]
 
 
 class BalanceError(ValueError):
@@ -194,16 +191,16 @@ def build_binary_dataset(features: FeatureMatrix, target_ev: str,
     for j in order:
         rows = np.array(by_label[others[j]])
         rng.shuffle(rows)
-        pools.append(list(rows))
-    available = sum(len(p) for p in pools)
+        pools.append(rows)
+    available = sum(p.size for p in pools)
     if available < needed:
         raise BalanceError(
             f"negative pool has {available} rows, {needed} requested")
-    negatives: list[int] = []
-    while len(negatives) < needed:
-        for pool in pools:
-            if pool and len(negatives) < needed:
-                negatives.append(pool.pop(0))
+    # round-robin: every pool's first row in pool order, then every pool's
+    # second row, and so on
+    dealt = sorted((pos, p, int(row)) for p, pool in enumerate(pools)
+                   for pos, row in enumerate(pool))
+    negatives = [row for _, _, row in dealt[:needed]]
     return replace(features.take(list(target_rows) + negatives),
                    labels=("target",) * n_t + ("other",) * len(negatives))
 
@@ -352,14 +349,16 @@ def _failed_cells(job: CellJob, families: Sequence[str], error: str,
 
 
 def run_cell(job: CellJob, dataset: FeatureMatrix,
-             config: ExperimentConfig, seed: np.random.SeedSequence,
-             audit: AuditHook = None) -> list[CellResult]:
+             config: ExperimentConfig,
+             seed: np.random.SeedSequence) -> list[CellResult]:
     """Cell ``job`` on ``dataset``, classes read from ``dataset.labels``: one
     result per classifier family.
 
     Grid search scores the F1 of the ``"target"`` label in one-vs-all cells
-    (``job.target_ev`` set), else accuracy. A dataset that repeats a session
-    id raises ``LeakageError``.
+    (``job.target_ev`` set), else accuracy; a family whose search or scoring
+    raises ``ValueError``, such as a CV fold that cannot be fitted, gives a
+    ``failed`` result with the message. A dataset that repeats a session id
+    raises ``LeakageError``.
     """
     repeated = sorted(sid for sid, n in Counter(dataset.session_ids).items()
                       if n > 1)
@@ -371,17 +370,11 @@ def run_cell(job: CellJob, dataset: FeatureMatrix,
     train_idx, test_idx = stratified_split(dataset.labels, seed=split_seed)
     train = dataset.take(train_idx)
     test = dataset.take(test_idx)
-    if audit is not None:
-        audit("held-out", test.session_ids)
-        audit("scaler", train.session_ids)
-        audit("selection", train.session_ids)
     selection = fit_selection(train, config.nof)
     x_train = selection.transform(train).x
     x_test = selection.transform(test).x
     results = []
     for family in config.families:
-        if audit is not None:
-            audit(f"grid-search:{family}", train.session_ids)
         try:
             search = grid_search(family, config.grids[family], x_train,
                                  train.labels, config.cv_folds, search_seed,
@@ -468,17 +461,16 @@ def _cell_job(job: CellJob) -> list[CellResult]:
             seed = _cell_seed(config.master_seed, job.repetition,
                               _group_token(job.group))
             dataset = features if job.rows is None else features.take(job.rows)
-        return run_cell(job, dataset, config, seed, _WORKER.get("audit"))
+        return run_cell(job, dataset, config, seed)
     except ValueError as exc:
         return _failed_cells(job, config.families, str(exc))
 
 
 def run_cells(config: ExperimentConfig, features: FeatureMatrix,
-              jobs: Sequence[CellJob], audit: AuditHook = None) -> ExperimentReport:
+              jobs: Sequence[CellJob]) -> ExperimentReport:
     """Run ``jobs`` over ``features`` in one worker pool; cells keep job order."""
-    if audit is not None or config.workers <= 1:  # hooks are in-process only
+    if config.workers <= 1:
         _init_worker(features, config)
-        _WORKER["audit"] = audit
         try:
             nested = [_cell_job(job) for job in jobs]
         finally:

@@ -1,5 +1,5 @@
-"""Fixed statistical feature catalog over tail/delta series, scaling,
-chi-square scoring, and top-k selection.
+"""Fixed statistical feature catalog over tail/delta series, and top-k
+chi-square selection with min-max scaling of the chosen columns.
 
 ``SERIES_FEATURE_NAMES`` names the 67 catalog values that
 ``series_features`` computes for one series, in order; a segment pair
@@ -41,18 +41,20 @@ def _location(x: np.ndarray, take_max: bool, first: bool) -> float:
     return float((x.size - np.argmax(values[::-1])) / x.size)
 
 
-def _linear_trend(x: np.ndarray) -> tuple[float, float, float]:
+def _linear_trend(x: np.ndarray, mu: float, var: float,
+                  centered: np.ndarray) -> tuple[float, float, float]:
+    # mu, var and centered = x - mu are series_features' moments, with the
+    # bits of np.mean(x), np.var(x) and x - np.mean(x)
     n = x.size
     if n < 2:
         return 0.0, float(x[0]) if n else 0.0, 0.0
     t = np.arange(n, dtype=np.float64)
     t_mu = (n - 1) / 2.0
-    x_mu = float(x.sum() / n)
-    cov = float(((t - t_mu) * (x - x_mu)).sum() / n)
+    cov = float(((t - t_mu) * centered).sum() / n)
     var_t = float(((t - t_mu) ** 2).sum() / n)
-    var_x = float(np.var(x))
+    var_x = float(var)
     slope = cov / var_t
-    intercept = x_mu - slope * t_mu
+    intercept = mu - slope * t_mu
     corr = cov / np.sqrt(var_t * var_x) if var_x > 0 else 0.0
     return slope, intercept, float(corr)
 
@@ -222,7 +224,7 @@ def series_features(values: np.ndarray) -> np.ndarray:
         else:
             out[28 + lag] = float(np.dot(centered[:n - lag], centered[lag:])
                                   / ((n - lag) * var))
-    out[39], out[40], out[41] = _linear_trend(x)
+    out[39], out[40], out[41] = _linear_trend(x, mu, var, centered)
     out[42] = _peak_count(x, 1)
     out[43] = _peak_count(x, 3)
     out[44] = _peak_count(x, 5)
@@ -343,34 +345,24 @@ def read_feature_csv(path: str) -> FeatureMatrix:
 
 
 # ---------------------------------------------------------------------------
-# scaling and univariate selection
+# univariate selection
 
-@dataclass(frozen=True)
-class MinMaxScaler:
-    low: np.ndarray
-    high: np.ndarray
-
-
-def fit_minmax(train: FeatureMatrix) -> MinMaxScaler:
-    return MinMaxScaler(train.x.min(axis=0), train.x.max(axis=0))
-
-
-def apply_minmax(matrix: FeatureMatrix, scaler: MinMaxScaler) -> FeatureMatrix:
-    """(x - min) / (max - min), constant columns to 0, clipped to [0, 1]."""
-    span = scaler.high - scaler.low
+def _scale(x: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """(x - low) / (high - low), constant columns to 0, clipped to [0, 1]."""
+    span = high - low
     safe = np.where(span == 0, 1.0, span)
-    scaled = (matrix.x - scaler.low) / safe
+    scaled = (x - low) / safe
     scaled = np.where(span == 0, 0.0, scaled)
     np.clip(scaled, 0.0, 1.0, out=scaled)
-    return FeatureMatrix(matrix.session_ids, matrix.labels, scaled, matrix.names)
+    return scaled
 
 
 class SelectionError(ValueError):
     pass
 
 
-def chi2_scores(scaled: FeatureMatrix, labels: Sequence[str]) -> np.ndarray:
-    """Per-feature chi-square dependence score on [0, 1]-scaled features.
+def chi2_scores(scaled: np.ndarray, labels: Sequence[str]) -> np.ndarray:
+    """Per-column chi-square dependence score of a [0, 1]-scaled array.
 
     observed_k = column sum over class-k rows; expected_k = class row
     fraction times the column total; zero expected contributes zero.
@@ -381,8 +373,8 @@ def chi2_scores(scaled: FeatureMatrix, labels: Sequence[str]) -> np.ndarray:
     n = y.size
     onehot = np.zeros((n, len(classes)))
     onehot[np.arange(n), y] = 1.0
-    observed = onehot.T @ scaled.x                       # classes x features
-    totals = scaled.x.sum(axis=0, keepdims=True)
+    observed = onehot.T @ scaled                         # classes x features
+    totals = scaled.sum(axis=0, keepdims=True)
     fractions = onehot.mean(axis=0).reshape(-1, 1)
     expected = fractions @ totals
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -393,16 +385,18 @@ def chi2_scores(scaled: FeatureMatrix, labels: Sequence[str]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SelectionModel:
-    """Fitted selector: chosen columns plus the train-set min/max scaler."""
+    """Fitted selector: the chosen columns and their training min and max."""
 
     selected_names: tuple[str, ...]
     selected_idx: tuple[int, ...]
-    scaler: MinMaxScaler
+    low: np.ndarray
+    high: np.ndarray
 
     def transform(self, matrix: FeatureMatrix) -> FeatureMatrix:
-        scaled = apply_minmax(matrix, self.scaler)
+        """The chosen columns of ``matrix``, scaled by their training range."""
+        x = matrix.x[:, list(self.selected_idx)]
         return FeatureMatrix(matrix.session_ids, matrix.labels,
-                             scaled.x[:, list(self.selected_idx)],
+                             _scale(x, self.low, self.high),
                              self.selected_names)
 
 
@@ -417,9 +411,11 @@ def select_k_best(scores: np.ndarray, nof: int,
 
 
 def fit_selection(train: FeatureMatrix, nof: int) -> SelectionModel:
-    """Fit the min-max scaler and the top-``nof`` chi-square choice on the
-    training rows only, scored against ``train.labels``."""
-    scaler = fit_minmax(train)
-    idx = select_k_best(chi2_scores(apply_minmax(train, scaler), train.labels),
+    """The top-``nof`` chi-square columns of the min-max scaled training
+    rows, scored against ``train.labels``, and those columns' training range."""
+    low, high = train.x.min(axis=0), train.x.max(axis=0)
+    idx = select_k_best(chi2_scores(_scale(train.x, low, high), train.labels),
                         nof, train.names)
-    return SelectionModel(tuple(train.names[i] for i in idx), idx, scaler)
+    cols = list(idx)
+    return SelectionModel(tuple(train.names[i] for i in idx), idx,
+                          low[cols], high[cols])

@@ -10,9 +10,9 @@ Grid search shares fits across combinations: per fold, one kNN fit with one
 distance matrix per metric, one full tree per criterion, and forest trees
 grown once at the largest depth cap and regrown at a smaller cap only when
 that cap cuts them. Each fold scores the whole grid in one ``_scores`` call
-over the stacked predicted class codes, and a training failure, which
-depends only on the fold's rows, ends the search with -inf for every
-combination.
+over the stacked predicted class codes into one specs x folds score
+array. A training failure depends only on the fold's rows, so it fails
+the whole search with a ``TrainingError`` naming the fold.
 
 kNN votes for every neighbour rank come from one cumsum along the ranks of
 a (row, rank, slot) vote array, one slot per class among a row's nearest
@@ -562,19 +562,10 @@ def score_predictions(y_true: Sequence[str], y_pred: Sequence[str],
 # grid search
 
 @dataclass(frozen=True)
-class CvCell:
-    spec: ClassifierSpec
-    fold: int
-    score: float
-    error: str = ""
-
-
-@dataclass(frozen=True)
 class GridSearchResult:
     best_spec: ClassifierSpec
     model: TrainedModel
-    best_score: float
-    table: tuple[CvCell, ...]
+    scores: np.ndarray  # specs x non-empty folds, in grid and fold order
 
 
 def expand_grid(family: str, grid: dict) -> list[ClassifierSpec]:
@@ -596,7 +587,7 @@ def _group(specs: Sequence[ClassifierSpec], param: str) -> list[list[int]]:
 # and returns the fitted classes (the codes present in the training rows)
 # and, per spec, the predicted test rows' indices into them. Each one fits
 # as little as the grid allows; a TrainingError depends only on the rows, so
-# it fails the whole fold.
+# it fails the whole fold, and with it the search.
 
 def _knn_fold(specs, x_train, y_train, x_test, seed):
     """One fit, and one distance matrix and neighbour ranking per metric."""
@@ -677,8 +668,8 @@ def grid_search(family: str, grid: dict, x: np.ndarray, labels: Sequence[str],
     The score is the F1 of ``positive_label`` when one is given, else
     accuracy. Each fold shares fits across the grid; the scores equal
     fitting every combination on its own. A fit that raises TrainingError
-    scores -inf for every combination at that fold and ends the search;
-    ties keep the earliest grid combination.
+    fails the search with ``TrainingError("CV fold j: ...")``, j counting
+    the non-empty folds; ties keep the earliest grid combination.
     """
     if not grid:
         raise ValueError("empty grid")
@@ -687,29 +678,21 @@ def grid_search(family: str, grid: dict, x: np.ndarray, labels: Sequence[str],
     classes, y = _class_codes(labels, positive_label)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        folds = stratified_kfold(y, k, seed)
+        folds = [f for f in stratified_kfold(y, k, seed) if f.size]
     all_rows = np.arange(y.size)
-    cells: list[list[CvCell]] = [[] for _ in specs]
-    for fold_id, fold in enumerate(folds):
-        if fold.size == 0:
-            continue
+    scores = np.empty((len(specs), len(folds)))
+    for j, fold in enumerate(folds):
         train_rows = np.setdiff1d(all_rows, fold)
         try:
             fold_classes, predicted = _FOLD_PREDICTORS[family](
                 specs, x[train_rows], y[train_rows], x[fold], seed)
         except TrainingError as exc:
-            for spec, spec_cells in zip(specs, cells):
-                spec_cells.append(CvCell(spec, fold_id, -np.inf, str(exc)))
-            break
+            raise TrainingError(f"CV fold {j}: {exc}") from exc
         accuracy, f1, _ = _scores(
             y[fold], np.take(fold_classes, np.stack(predicted)), len(classes))
-        scores = (accuracy if positive_label is None
-                  else f1[:, classes.index(positive_label)])
-        for spec, spec_cells, score in zip(specs, cells, scores.tolist()):
-            spec_cells.append(CvCell(spec, fold_id, score))
-    means = [float(np.mean([cell.score for cell in spec_cells])) if spec_cells
-             else -np.inf for spec_cells in cells]
-    best = int(np.argmax(means))  # first maximum; specs[0] when all are -inf
-    model = train(specs[best], x, labels, seed)
-    table = tuple(cell for spec_cells in cells for cell in spec_cells)
-    return GridSearchResult(specs[best], model, means[best], table)
+        scores[:, j] = (accuracy if positive_label is None
+                        else f1[:, classes.index(positive_label)])
+    # np.mean of each spec's fold scores: a row reduction adds in the same order
+    best = int(np.argmax(scores.mean(axis=1)))  # first maximum
+    return GridSearchResult(specs[best], train(specs[best], x, labels, seed),
+                            scores)

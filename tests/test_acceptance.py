@@ -96,7 +96,7 @@ def _matrix(x, labels):
 def test_criterion_2_selection_statistics():
     from test_features import anova_f_scores, naive_anova_f, naive_chi2
     m = _matrix([[1.0], [0.5], [0.0], [0.5]], ["A", "A", "B", "B"])
-    np.testing.assert_allclose(chi2_scores(m, list(m.labels)), [0.5])
+    np.testing.assert_allclose(chi2_scores(m.x, list(m.labels)), [0.5])
     m = _matrix([[1.0], [2.0], [3.0], [4.0]], ["A", "A", "B", "B"])
     np.testing.assert_allclose(anova_f_scores(m, list(m.labels)), [8.0])
 
@@ -110,7 +110,7 @@ def test_criterion_2_selection_statistics():
             continue
         x = rng.uniform(0, 1, (n, d))
         m = _matrix(x, labels)
-        np.testing.assert_allclose(chi2_scores(m, labels),
+        np.testing.assert_allclose(chi2_scores(m.x, labels),
                                    naive_chi2(x, labels), atol=1e-9)
         np.testing.assert_allclose(anova_f_scores(m, labels),
                                    naive_anova_f(x, labels),
@@ -272,51 +272,33 @@ def test_criterion_7_q_prime_trend():
 # ---------------------------------------------------------------------------
 # criterion 8: no test-set leakage
 
-class LeakageRecorder:
-    """Groups audit events per cell; a held-out event opens a new cell."""
-
-    def __init__(self):
-        self.cells = []
-
-    def __call__(self, stage, ids):
-        if stage == "held-out":
-            self.cells.append({"held-out": set(ids), "fits": []})
-        else:
-            self.cells[-1]["fits"].append((stage, set(ids)))
-
-
-def test_criterion_8_no_leakage():
+def test_criterion_8_no_leakage(cell_recorder):
+    # cell_recorder (conftest.py) reads the real arguments of the stages
+    # run_cell fits: selection's rows and the array grid search trains on
     corpus = generate_corpus(5, 56, seed=500)
     features, _ = featurize_corpus(corpus)
 
-    recorder = LeakageRecorder()
     config = ExperimentConfig(families=("random-forest",),
                               grids=RF_GRID, nof=50, repetitions=3,
                               master_seed=500)
     quiet(run_cells, config, features,
-          multiclass_jobs(config, features, "multiclass"), audit=recorder)
+          multiclass_jobs(config, features, "multiclass"))
     config = ExperimentConfig(families=("random-forest",),
                               grids=RF_GRID, nof=50, balance_values=(1.0, 2.0),
                               min_target_samples=50, repetitions=2,
                               master_seed=501)
-    quiet(run_cells, config, features, binary_jobs(config, features),
-          audit=recorder)
+    quiet(run_cells, config, features, binary_jobs(config, features))
 
-    violations = 0
-    fits = 0
-    for cell in recorder.cells:
-        assert cell["held-out"], "cell recorded no held-out rows"
-        for stage, ids in cell["fits"]:
-            fits += 1
-            if ids & cell["held-out"]:
-                violations += 1
-    expected_stages = {"scaler", "selection", "grid-search:random-forest"}
-    seen_stages = {stage for cell in recorder.cells
-                   for stage, _ in cell["fits"]}
+    cells = cell_recorder.cells
+    violations = cell_recorder.violations()
+    fits = sum(len(cell["fits"]) for cell in cells)
+    expected_stages = {"selection", "grid-search:random-forest"}
+    seen_stages = {stage for cell in cells for stage, _ in cell["fits"]}
     assert expected_stages <= seen_stages
-    assert violations == 0, f"{violations} fit stages saw held-out rows"
+    assert violations == 0, (f"{violations} fit stages saw held-out rows "
+                             "or an array transform did not return")
     ok("criterion 8",
-       f"{fits} fit stages across {len(recorder.cells)} cells, 0 violations")
+       f"{fits} fit stages across {len(cells)} cells, 0 violations")
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,9 @@
 """Experiment harness tests: balancing arithmetic, sub-sampling shapes,
-aggregation math, leakage audit, and determinism across worker counts."""
+aggregation math, leakage audit, and determinism across worker counts.
+
+``reference_negatives`` is the round-robin loop that ``build_binary_dataset``
+replaced with one ordering; both must draw the same negatives in the same
+order."""
 
 import statistics
 from collections import Counter
@@ -15,6 +19,7 @@ from evprofiler.experiments import (BalanceError, CellJob, CellResult,
                                     multiclass_jobs, run_cell, run_cells,
                                     subsample_distribution,
                                     subsample_multiclass, summarize_cells)
+from evprofiler.features import FEATURE_NAMES, FeatureMatrix
 
 
 def tiny_config(**overrides):
@@ -29,9 +34,28 @@ def tiny_config(**overrides):
     return ExperimentConfig(**defaults)
 
 
-def run_multiclass(config, features, audit=None):
+def run_multiclass(config, features):
     return run_cells(config, features,
-                     multiclass_jobs(config, features, "multiclass"), audit)
+                     multiclass_jobs(config, features, "multiclass"))
+
+
+def reference_negatives(features, target_ev, needed, seed):
+    """The negatives of ``build_binary_dataset`` as the old loop drew them:
+    one row from the front of each pool in turn until ``needed``."""
+    by_label = features.by_label()
+    rng = np.random.default_rng(seed)
+    others = sorted(ev for ev in by_label if ev != target_ev)
+    pools = []
+    for j in list(rng.permutation(len(others))):
+        rows = np.array(by_label[others[j]])
+        rng.shuffle(rows)
+        pools.append(list(rows))
+    negatives = []
+    while len(negatives) < needed:
+        for pool in pools:
+            if pool and len(negatives) < needed:
+                negatives.append(pool.pop(0))
+    return negatives
 
 
 class TestBuildBinaryDataset:
@@ -74,6 +98,38 @@ class TestBuildBinaryDataset:
         negative_evs = {sid.split("-")[0] for sid, lab
                         in zip(matrix.session_ids, matrix.labels) if lab == "other"}
         assert negative_evs == {"U", "V", "W"}
+
+    def test_negatives_equal_the_round_robin_loop(self, feature_matrix_builder):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hypothesis.settings(max_examples=200, deadline=None)
+        @hypothesis.given(pools=st.lists(st.integers(1, 12), min_size=1,
+                                         max_size=8),
+                          n_target=st.integers(1, 12),
+                          value=st.sampled_from([1.0, 1.5, 2.0, 3.0, 4.0, 5.0]),
+                          mode=st.sampled_from(["q", "q-prime"]),
+                          seed=st.integers(0, 2**32 - 1))
+        # needed == available: single-row pools, then uneven pools
+        @hypothesis.example(pools=[1, 1, 1], n_target=3, value=1.0,
+                            mode="q-prime", seed=0)
+        @hypothesis.example(pools=[5, 1, 3], n_target=3, value=3.0,
+                            mode="q-prime", seed=1)
+        @hypothesis.example(pools=[1, 7], n_target=4, value=2.0,
+                            mode="q-prime", seed=2)
+        def check(pools, n_target, value, mode, seed):
+            features = feature_matrix_builder(
+                {"T": n_target, **{f"EV{i}": c for i, c in enumerate(pools)}})
+            config = ExperimentConfig(balance_mode=mode, min_target_samples=1)
+            needed = (int(value * n_target) if mode == "q-prime"
+                      else int(n_target / value))
+            hypothesis.assume(needed <= sum(pools))
+            dataset = build_binary_dataset(features, "T", config, value, seed)
+            rows = (features.by_label()["T"]
+                    + reference_negatives(features, "T", needed, seed))
+            assert dataset.session_ids == features.take(rows).session_ids
+
+        check()
 
     def test_insufficient_pool_is_error(self, feature_matrix_builder):
         features = feature_matrix_builder({"T": 60, "U": 20})
@@ -371,6 +427,20 @@ class TestSuites:
         assert all(c.status == "failed" for c in report.cells)
         assert all("pool" in c.error for c in report.cells)
 
+    def test_failed_cv_fold_fails_the_cell(self):
+        # T keeps one training row, so CV fold 0 trains on "other" alone
+        rng = np.random.default_rng(0)
+        labels = ("T",) * 2 + ("U",) * 12 + ("V",) * 12
+        features = FeatureMatrix(tuple(f"s{i}" for i in range(26)), labels,
+                                 rng.random((26, len(FEATURE_NAMES))))
+        config = ExperimentConfig(families=("knn",), min_target_samples=2,
+                                  balance_values=(5.0,), repetitions=1)
+        report = run_cells(config, features, binary_jobs(config, features))
+        cell, = [c for c in report.cells if c.target_ev == "T"]
+        assert cell.status == "failed"
+        assert cell.error.startswith("CV fold 0: need at least two classes")
+        assert cell.best_params == {}
+
     def test_worker_counts_do_not_change_results(self, feature_matrix_builder):
         features = feature_matrix_builder({f"EV{i}": 12 for i in range(4)},
                                           seed=8)
@@ -380,36 +450,40 @@ class TestSuites:
 
 
 class TestNoLeakageAudit:
-    def test_fit_stages_only_see_training_rows(self, feature_matrix_builder):
+    """``cell_recorder`` (conftest.py) reads the real arguments of the
+    stages ``run_cell`` fits."""
+
+    def test_fit_stages_only_see_training_rows(self, feature_matrix_builder,
+                                               cell_recorder):
         features = feature_matrix_builder({f"EV{i}": 14 for i in range(4)},
                                           seed=9)
-        seen: list[tuple[str, tuple[str, ...]]] = []
         config = tiny_config(repetitions=2)
-        report = run_multiclass(config, features,
-                                audit=lambda stage, ids: seen.append((stage, ids)))
+        report = run_multiclass(config, features)
         assert report.cells
-        assert seen
-        stages = {s for s, _ in seen}
-        assert {"scaler", "selection"} <= stages
-        # every audited stage saw a strict subset of rows; whatever it saw
+        cells = cell_recorder.cells
+        assert len(cells) == config.repetitions
+        stages = {s for cell in cells for s, _ in cell["fits"]}
+        assert {"selection", "grid-search:random-forest"} <= stages
+        assert cell_recorder.violations() == 0
+        # every fitted stage saw a strict subset of rows; whatever it saw
         # must never overlap the held-out 20%
         all_ids = set(features.session_ids)
-        for stage, ids in seen:
-            train_ids = set(ids)
-            assert train_ids < all_ids
-            held_out = all_ids - train_ids
+        for cell in cells:
+            held_out = cell["held-out"]
             assert len(held_out) >= len(all_ids) // 10
-            assert not train_ids & held_out
+            for stage, ids in cell["fits"]:
+                assert ids < all_ids
+                assert ids == all_ids - held_out
 
-    def test_binary_audit(self, feature_matrix_builder):
+    def test_binary_audit(self, feature_matrix_builder, cell_recorder):
         features = feature_matrix_builder({"T": 55, "U": 55, "V": 55}, seed=10)
-        seen = []
         config = tiny_config(balance_values=(1.0,), repetitions=1)
-        run_cells(config, features, binary_jobs(config, features),
-                  audit=lambda stage, ids: seen.append((stage, ids)))
-        assert seen
-        for stage, ids in seen:
-            assert len(ids) == len(set(ids))
+        run_cells(config, features, binary_jobs(config, features))
+        assert cell_recorder.cells
+        assert cell_recorder.violations() == 0
+        for cell in cell_recorder.cells:
+            assert len(cell["dataset"]) == len(set(cell["dataset"]))
+            assert len(cell["fits"]) == 2
 
     def test_repeated_session_fails_the_cell(self, feature_matrix_builder):
         features = feature_matrix_builder({f"EV{i}": 12 for i in range(4)},

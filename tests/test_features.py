@@ -18,9 +18,9 @@ from evprofiler.features import (_QUANTILE_LEVELS, FEATURE_NAMES,
                                  SERIES_FEATURE_NAMES, FeatureMatrix,
                                  SelectionError, _location, _longest_run,
                                  _peak_count, _sorted_quantiles,
-                                 _uniform_histogram, apply_minmax,
-                                 chi2_scores, extract_features,
-                                 featurize_segments, fit_minmax, fit_selection,
+                                 _uniform_histogram, chi2_scores,
+                                 extract_features, featurize_segments,
+                                 fit_selection,
                                  read_feature_csv, select_k_best,
                                  series_features, write_feature_csv)
 from evprofiler.ingest import TimeSeries
@@ -530,23 +530,24 @@ class TestFastPathBits:
 
 
 class TestMinMax:
+    """Selection scales its columns by their training min and max."""
+
+    @staticmethod
+    def scale(train, matrix):
+        return fit_selection(train, train.x.shape[1]).transform(matrix).x
+
     def test_affine_map(self):
         m = small_matrix([[2.0], [4.0], [6.0]], ["a", "a", "b"])
-        scaler = fit_minmax(m)
-        got = apply_minmax(m, scaler)
-        np.testing.assert_allclose(got.x[:, 0], [0.0, 0.5, 1.0])
+        np.testing.assert_allclose(self.scale(m, m)[:, 0], [0.0, 0.5, 1.0])
 
     def test_constant_column_maps_to_zero(self):
         m = small_matrix([[3.0], [3.0]], ["a", "b"])
-        got = apply_minmax(m, fit_minmax(m))
-        np.testing.assert_allclose(got.x[:, 0], [0.0, 0.0])
+        np.testing.assert_allclose(self.scale(m, m)[:, 0], [0.0, 0.0])
 
     def test_test_values_clipped(self):
         train = small_matrix([[2.0], [6.0]], ["a", "b"])
-        scaler = fit_minmax(train)
         test = small_matrix([[8.0], [0.0]], ["a", "b"])
-        got = apply_minmax(test, scaler)
-        np.testing.assert_allclose(got.x[:, 0], [1.0, 0.0])
+        np.testing.assert_allclose(self.scale(train, test)[:, 0], [1.0, 0.0])
 
 
 def naive_chi2(x, labels):
@@ -616,21 +617,21 @@ def naive_anova_f(x, labels):
 class TestChi2:
     def test_hand_example_score_half(self):
         m = small_matrix([[1.0], [0.5], [0.0], [0.5]], ["A", "A", "B", "B"])
-        np.testing.assert_allclose(chi2_scores(m, list(m.labels)), [0.5])
+        np.testing.assert_allclose(chi2_scores(m.x, list(m.labels)), [0.5])
 
     def test_identical_across_balanced_classes(self):
         m = small_matrix([[0.3], [0.7], [0.3], [0.7]], ["A", "A", "B", "B"])
-        np.testing.assert_allclose(chi2_scores(m, list(m.labels)), [0.0],
+        np.testing.assert_allclose(chi2_scores(m.x, list(m.labels)), [0.0],
                                    atol=1e-15)
 
     def test_all_zero_feature(self):
         m = small_matrix([[0.0], [0.0]], ["A", "B"])
-        np.testing.assert_allclose(chi2_scores(m, list(m.labels)), [0.0])
+        np.testing.assert_allclose(chi2_scores(m.x, list(m.labels)), [0.0])
 
     def test_single_class_is_error(self):
         m = small_matrix([[0.1], [0.2]], ["A", "A"])
         with pytest.raises(SelectionError):
-            chi2_scores(m, list(m.labels))
+            chi2_scores(m.x, list(m.labels))
 
     def test_matches_naive_on_random_matrices(self):
         rng = np.random.default_rng(5)
@@ -643,7 +644,7 @@ class TestChi2:
             if len(set(labels)) < 2:
                 continue
             m = small_matrix(x, labels)
-            np.testing.assert_allclose(chi2_scores(m, labels),
+            np.testing.assert_allclose(chi2_scores(m.x, labels),
                                        naive_chi2(x, labels), atol=1e-9)
 
 
@@ -717,6 +718,33 @@ class TestFitSelection:
         model = fit_selection(train, 2)
         out = model.transform(train)
         assert out.x.min() >= 0.0 and out.x.max() <= 1.0
+
+    def test_transform_equals_scaling_every_column_first(self):
+        # the path selection replaced: scale all columns by the training
+        # range, score the scaled training rows, then take the chosen columns
+        def scale_all(x, train_x):
+            low, high = train_x.min(axis=0), train_x.max(axis=0)
+            span = high - low
+            scaled = (x - low) / np.where(span == 0, 1.0, span)
+            return np.clip(np.where(span == 0, 0.0, scaled), 0.0, 1.0)
+
+        rng = np.random.default_rng(10)
+        for _ in range(50):
+            n, d = int(rng.integers(4, 30)), int(rng.integers(1, 20))
+            x = rng.normal(0, 1, (n + 5, d)) * rng.choice([1e-3, 1.0, 1e4], d)
+            x[:, rng.random(d) < 0.2] = 2.5  # constant columns
+            labels = [f"C{rng.integers(3)}" for _ in range(n + 5)]
+            train, test = small_matrix(x[:n], labels[:n]), small_matrix(x[n:], labels[n:])
+            if len(set(train.labels)) < 2:
+                continue
+            nof = int(rng.integers(1, d + 1))
+            model = fit_selection(train, nof)
+            idx = list(select_k_best(chi2_scores(scale_all(train.x, train.x),
+                                                 train.labels), nof, train.names))
+            assert list(model.selected_idx) == idx
+            for matrix in (train, test):
+                want = scale_all(matrix.x, train.x)[:, idx]
+                assert model.transform(matrix).x.tobytes() == want.tobytes()
 
 
 class TestMatrixIo:

@@ -4,8 +4,10 @@ replaced.
 ``oracle_grid_search`` fits every grid combination on every fold on its own,
 predicts with the per-row kNN vote and the tree-by-tree forest vote, and
 scores label strings with ``reference_scores``, the per-row confusion loop.
-The shared search must give the same CV table, the same chosen spec and the
-same refitted model, compared through ``model_document``.
+The shared search must give the same specs x folds score array, the same
+chosen spec and the same refitted model, compared through
+``model_document``, or fail with the same ``TrainingError`` when a CV fold
+cannot be fitted.
 
 ``reference_best_split`` is the per-feature split search that the one-pass
 ``learn._best_split`` replaced; both must pick the same (feature, threshold)
@@ -23,7 +25,7 @@ import numpy as np
 import pytest
 
 import evprofiler.learn as learn
-from evprofiler.learn import (DEFAULT_GRIDS, ClassifierSpec, CvCell,
+from evprofiler.learn import (DEFAULT_GRIDS, ClassifierSpec,
                               GridSearchResult, Scores, TrainingError,
                               expand_grid, grid_search, predict,
                               score_predictions, stratified_kfold, train)
@@ -119,38 +121,30 @@ def oracle_grid_search(family, grid, x, labels, k=5, seed=0,
     labels = list(labels)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        folds = stratified_kfold(labels, k, seed)
+        folds = [f for f in stratified_kfold(labels, k, seed) if f.size]
     all_rows = np.arange(len(labels))
     table = []
     best_spec, best_mean = None, -np.inf
     for spec in specs:
         scores = []
-        failed = False
         for fold_id, fold in enumerate(folds):
-            if fold.size == 0:
-                continue
             train_rows = np.setdiff1d(all_rows, fold)
             try:
                 model = learn.train(spec, x[train_rows],
                                     [labels[i] for i in train_rows], seed)
             except TrainingError as exc:
-                table.append(CvCell(spec, fold_id, -np.inf, str(exc)))
-                failed = True
-                break
+                raise TrainingError(f"CV fold {fold_id}: {exc}") from exc
             predicted = oracle_predict(model, x[fold])
             fold_scores = reference_scores([labels[i] for i in fold],
                                            list(predicted), positive_label)
-            score = (fold_scores.accuracy if positive_label is None
-                     else fold_scores.positive_f1)
-            table.append(CvCell(spec, fold_id, score))
-            scores.append(score)
-        mean = -np.inf if failed or not scores else float(np.mean(scores))
+            scores.append(fold_scores.accuracy if positive_label is None
+                          else fold_scores.positive_f1)
+        table.append(scores)
+        mean = float(np.mean(scores))
         if mean > best_mean:
             best_mean, best_spec = mean, spec
-    if best_spec is None or not np.isfinite(best_mean):
-        best_spec = specs[0]
     model = learn.train(best_spec, x, labels, seed)
-    return GridSearchResult(best_spec, model, best_mean, tuple(table))
+    return GridSearchResult(best_spec, model, np.array(table))
 
 
 # ---------------------------------------------------------------------------
@@ -249,12 +243,21 @@ def with_duplicates(seed=0):
 def assert_same_search(family, grid, x, labels, **kwargs):
     got = grid_search(family, grid, x, labels, **kwargs)
     want = oracle_grid_search(family, grid, x, labels, **kwargs)
-    assert got.table == want.table
+    assert np.array_equal(got.scores, want.scores)
     assert got.best_spec == want.best_spec
-    assert got.best_score == want.best_score
     assert (json.dumps(model_document(got.model), sort_keys=True)
             == json.dumps(model_document(want.model), sort_keys=True))
     return got
+
+
+def assert_same_failure(family, grid, x, labels, **kwargs):
+    """Both searches raise a TrainingError with the same message; returns it."""
+    with pytest.raises(TrainingError) as got:
+        grid_search(family, grid, x, labels, **kwargs)
+    with pytest.raises(TrainingError) as want:
+        oracle_grid_search(family, grid, x, labels, **kwargs)
+    assert str(got.value) == str(want.value)
+    return str(got.value)
 
 
 def record_tree_growth(monkeypatch):
@@ -293,8 +296,7 @@ def test_default_grids_match_oracle(family, scoring, extra):
     x, labels = overlapping(seed=1) if scoring == "accuracy" else binary(seed=2)
     result = assert_same_search(family, DEFAULT_GRIDS[family], x,
                                 labels, seed=3, **extra)
-    scores = {cell.score for cell in result.table}
-    assert len(scores) > 1  # the data tells combinations apart
+    assert np.unique(result.scores).size > 1  # the data tells combinations apart
 
 
 AWKWARD_GRIDS = [
@@ -362,16 +364,12 @@ def test_depth_capped_prediction_equals_capped_tree(depth, criterion):
 
 
 @pytest.mark.parametrize("family", ["knn", "decision-tree", "random-forest"])
-def test_failed_fold_scores_neg_inf_for_every_spec(family):
+def test_failed_fold_fails_the_search(family):
     # the one-row class sits in fold 0, so that fold trains on one class
     x, labels = overlapping(n_per_class=10, n_classes=2, seed=13)
     x, labels = x[:11], labels[:11]
-    result = assert_same_search(family, DEFAULT_GRIDS[family], x, labels)
-    specs = expand_grid(family, DEFAULT_GRIDS[family])
-    assert [c.spec for c in result.table] == specs
-    assert all(c.fold == 0 and c.score == -np.inf
-               and c.error == "need at least two classes" for c in result.table)
-    assert result.best_spec == specs[0] and result.best_score == -np.inf
+    assert (assert_same_failure(family, DEFAULT_GRIDS[family], x, labels)
+            == "CV fold 0: need at least two classes")
 
 
 def test_shared_fits_per_fold(monkeypatch):
@@ -699,8 +697,10 @@ def test_forest_grid_orders_match_oracle(grid, data):
     if data == "failed-fold":
         # the one-row class sits in fold 0, so that fold trains on one class
         x, labels = x[:11], labels[:11]
-    result = assert_same_search("random-forest", grid, x, labels, seed=26)
-    assert (data == "failed-fold") == (result.best_score == -np.inf)
+        assert (assert_same_failure("random-forest", grid, x, labels, seed=26)
+                == "CV fold 0: need at least two classes")
+    else:
+        assert_same_search("random-forest", grid, x, labels, seed=26)
 
 
 def test_forest_groups_with_different_tree_counts():

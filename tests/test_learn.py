@@ -318,11 +318,8 @@ class TestGridSearch:
         grid = {"n_neighbors": [1, 39]}
         result = grid_search("knn", grid, x, y, seed=1)
         assert result.best_spec.hyperparameters["n_neighbors"] == 1
-        member_means = {}
-        for cell in result.table:
-            member_means.setdefault(repr(cell.spec), []).append(cell.score)
-        for scores in member_means.values():
-            assert result.best_score >= np.mean(scores) - 1e-12
+        means = [np.mean(row) for row in result.scores]
+        assert means[0] > means[1]
 
     def test_full_knn_grid_has_42_combinations(self):
         specs = expand_grid("knn", DEFAULT_GRIDS["knn"])
@@ -344,9 +341,21 @@ class TestCvTable:
     def test_table_shape(self):
         rng = np.random.default_rng(12)
         x = rng.normal(0, 1, (30, 3))
-        x[:15, 0] += 4.0
+        x[:15, 0] += 1.5  # overlapping classes, so scores vary
         y = ["A"] * 15 + ["B"] * 15
-        result = grid_search("decision-tree", {"max_depth": [6, 10]}, x, y)
-        assert len(result.table) == 2 * 5  # 2 combos x 5 folds
-        assert [(c.spec.hyperparameters["max_depth"], c.fold)
-                for c in result.table] == [(d, f) for d in (6, 10) for f in range(5)]
+        depths = (1, None)
+        result = grid_search("decision-tree", {"max_depth": list(depths)}, x, y)
+        assert result.scores.shape == (2, 5)  # 2 combos x 5 folds
+        # row i, column j: combination i trained without fold j, scored on it
+        rows = np.arange(len(y))
+        for j, fold in enumerate(stratified_kfold(y, 5, 0)):
+            train_rows = np.setdiff1d(rows, fold)
+            for i, depth in enumerate(depths):
+                model = train(ClassifierSpec("decision-tree", {"max_depth": depth}),
+                              x[train_rows], [y[r] for r in train_rows])
+                predicted = predict(model, x[fold])
+                want = score_predictions([y[r] for r in fold], predicted).accuracy
+                assert result.scores[i, j] == want
+        # the order is visible: rows differ, and so do some folds
+        assert not np.array_equal(result.scores[0], result.scores[1])
+        assert len({tuple(col) for col in result.scores.T}) > 1
