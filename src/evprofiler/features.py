@@ -59,16 +59,25 @@ def _linear_trend(x: np.ndarray, mu: float, var: float,
     return slope, intercept, float(corr)
 
 
-def _peak_count(x: np.ndarray, support: int) -> float:
+def _peak_counts(x: np.ndarray) -> tuple[float, float, float]:
+    """Peak counts at supports 1, 3 and 5: samples above each of their
+    ``support`` neighbours on both sides. One cumulative AND over the
+    distances j = 1..5 serves all three: ``peak`` covers samples 1..n-2,
+    and its slice over samples j..n-1-j has passed every distance up to j.
+    """
     n = x.size
-    if n < 2 * support + 1:
-        return 0.0
-    core = x[support:n - support]
-    is_peak = np.ones(core.size, dtype=bool)
-    for j in range(1, support + 1):
-        is_peak &= core > x[support - j:n - support - j]
-        is_peak &= core > x[support + j:n - support + j]
-    return float(np.count_nonzero(is_peak))
+    peak = np.ones(max(n - 2, 0), dtype=bool)
+    counts = [0.0, 0.0, 0.0]
+    for j in range(1, 6):
+        if n < 2 * j + 1:
+            break
+        core = x[j:n - j]
+        live = peak[j - 1:n - 1 - j]
+        live &= core > x[:n - 2 * j]
+        live &= core > x[2 * j:]
+        if j % 2:
+            counts[j // 2] = float(np.count_nonzero(live))
+    return counts[0], counts[1], counts[2]
 
 
 def _sorted_quantiles(x: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -225,9 +234,7 @@ def series_features(values: np.ndarray) -> np.ndarray:
             out[28 + lag] = float(np.dot(centered[:n - lag], centered[lag:])
                                   / ((n - lag) * var))
     out[39], out[40], out[41] = _linear_trend(x, mu, var, centered)
-    out[42] = _peak_count(x, 1)
-    out[43] = _peak_count(x, 3)
-    out[44] = _peak_count(x, 5)
+    out[42:45] = _peak_counts(x)
     out[45] = float(np.sqrt((diffs ** 2).sum()))
     # binned entropy over 10 equal bins, 0 for a range too narrow for
     # distinct float edges (constant series included)

@@ -22,7 +22,9 @@ as adding the neighbours one at a time.
 A tree node scores all its candidate columns in one numpy pass (in chunks
 of columns under a fixed element budget): integer class prefix counts give
 exactly the costs, thresholds and tie-breaks of scoring one column at a
-time, so every tree is the same as a per-feature search would grow.
+time, so every tree is the same as a per-feature search would grow. The
+value sort is unstable and gini reads class ranks from one per-node vector;
+``_best_split`` and ``_cut_costs`` say why neither can change a split.
 """
 
 from __future__ import annotations
@@ -128,40 +130,45 @@ _CHUNK_ELEMENTS = 1 << 15
 _VOTE_ELEMENTS = 1 << 20
 
 
-def _cut_costs(ys: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-               totals: np.ndarray, criterion: str) -> np.ndarray:
-    """Weighted child impurity of each cut between row ``rows[k]`` and the
-    next of column ``cols[k]``; ``ys`` holds the node's class codes with each
-    column in ascending order of its feature values."""
-    m, w = ys.shape
-    rank = np.arange(m)[:, None]
-    column = np.arange(w)
-    p = (rows + 1).astype(np.float64)
+def _cut_costs(ys: np.ndarray, change: np.ndarray, totals: np.ndarray,
+               within: np.ndarray, criterion: str) -> np.ndarray:
+    """Weighted child impurity of each cut, inf where no threshold falls.
+
+    Row j of ``ys`` holds the node's class codes in ascending order of
+    candidate column j's values. The cut after position k sends the first
+    k + 1 of them left; ``change[j, k]`` says whether the value changes
+    there, and only such cuts are scored. With the node's rows listed by
+    class, ``within[i]`` counts the rows of row i's class before it.
+    """
+    w, m = ys.shape
+    p = np.arange(1.0, m)
     if criterion == "gini":
         # weighted gini = (m - sum_c l_c^2/p - sum_c r_c^2/(m-p)) / m, built
         # from integer prefix identities: adding a class-c sample bumps
         # sum_c l_c^2 by 2*(earlier class-c samples)+1 and sum_c total_c*l_c
-        # by total_c. A stable sort of each column's codes groups the
-        # (column, class) pairs with rows ascending, so a row's rank in its
-        # group counts its earlier samples of the same class.
-        order = np.argsort(ys, axis=0, kind="stable")
-        grouped = ys[order, column]
-        starts = np.zeros(ys.shape, dtype=np.int64)
-        starts[1:] = np.where(grouped[1:] != grouped[:-1], rank[1:], 0)
-        earlier = np.empty_like(starts)
-        earlier[order, column] = rank - np.maximum.accumulate(starts, axis=0)
-        a = np.cumsum(2 * earlier + 1, axis=0)[rows, cols].astype(np.float64)
-        left_dot = np.cumsum(totals[ys], axis=0)[rows, cols]
+        # by total_c. Every column holds the node's rows, so a stable sort of
+        # any column's codes puts class c's k-th sample in value order at
+        # position start_c + k, where ``within`` reads k: one scatter of the
+        # increments back to value order serves every column.
+        by_class = ys.argsort(axis=1, kind="stable")
+        steps = np.empty((w, m), dtype=np.int64)
+        steps[np.arange(w)[:, None], by_class] = 2 * within + 1
+        a = steps.cumsum(axis=1)[:, :-1].astype(np.float64)
+        left_dot = totals[ys].cumsum(axis=1)[:, :-1]
         t2 = float(np.sum(totals.astype(np.float64) ** 2))
         right_sq = t2 - 2.0 * left_dot + a
-        return (m - a / p - right_sq / (m - p)) / m
+        return np.where(change, (m - a / p - right_sq / (m - p)) / m, np.inf)
     # left class counts are integers, so the float cumsum of a one-hot is exact
-    onehot = np.zeros((m, w, totals.size))
-    onehot[rank, column, ys] = 1.0
-    left_counts = np.cumsum(onehot, axis=0)[rows, cols]
-    right_n = m - p
-    return (p * _entropy(left_counts, p)
-            + right_n * _entropy(totals - left_counts, right_n)) / m
+    cols, rows = np.nonzero(change)
+    onehot = np.zeros((w, m, totals.size))
+    onehot[np.arange(w)[:, None], np.arange(m), ys] = 1.0
+    left_counts = onehot.cumsum(axis=1)[cols, rows]
+    left_n = p[rows]
+    right_n = m - left_n
+    cost = np.full((w, m - 1), np.inf)
+    cost[cols, rows] = (left_n * _entropy(left_counts, left_n)
+                        + right_n * _entropy(totals - left_counts, right_n)) / m
+    return cost
 
 
 def _best_split(x: np.ndarray, y: np.ndarray, feature_ids: np.ndarray,
@@ -169,35 +176,45 @@ def _best_split(x: np.ndarray, y: np.ndarray, feature_ids: np.ndarray,
     """Lowest weighted child impurity over midpoint thresholds.
 
     All candidate columns are scored in one pass per chunk of columns: one
-    stable sort per column, costs only where the sorted value changes, then
-    the first minimum per column and the first column minimum. Returns
+    sort of each column's values, costs only where the sorted value changes,
+    then the first minimum per column and the first column minimum. Returns
     (feature, threshold) or None; ties keep the earliest feature in
     ``feature_ids`` order and the smallest threshold.
+
+    The value sort need not be stable. A cut falls only between two
+    different values, so the rows left of it are the same whatever order
+    equal values took, and so are its class counts and cost. Its midpoint
+    is too: the two values differ, so at most one is a zero, and
+    ``+-0.0 + b == b`` for any nonzero b. The values are finite, as a
+    ``FeatureMatrix`` holds them.
     """
     m = y.size
     totals = np.bincount(y, minlength=n_classes)
+    within = np.arange(m) - (totals.cumsum() - totals).repeat(totals)
+    # the narrowest unsigned codes: numpy's stable sort of 8- and 16-bit
+    # integers is a radix sort
+    y = y.astype(np.min_scalar_type(n_classes - 1))
     per_column = m * (n_classes if criterion == "entropy" else 1)
     width = max(1, _CHUNK_ELEMENTS // per_column)
     best = None
     best_cost = np.inf
     for start in range(0, feature_ids.size, width):
         ids = feature_ids[start:start + width]
-        block = x[:, ids]
         column = np.arange(ids.size)
-        order = np.argsort(block, axis=0, kind="stable")
-        values = block[order, column]
-        rows, cols = np.nonzero(values[1:] != values[:-1])
-        if rows.size == 0:
+        block = x.T[ids]
+        order = block.argsort(axis=1)
+        values = block[column[:, None], order]
+        change = values[:, 1:] != values[:, :-1]
+        if not change.any():
             continue
-        cost = np.full((m - 1, ids.size), np.inf)
-        cost[rows, cols] = _cut_costs(y[order], rows, cols, totals, criterion)
-        cut = np.argmin(cost, axis=0)
-        column_cost = cost[cut, column]
-        j = int(np.argmin(column_cost))
+        cost = _cut_costs(y[order], change, totals, within, criterion)
+        cut = cost.argmin(axis=1)
+        column_cost = cost[column, cut]
+        j = int(column_cost.argmin())
         if column_cost[j] < best_cost:
             best_cost = column_cost[j]
             i = cut[j]
-            best = (int(ids[j]), float((values[i, j] + values[i + 1, j]) / 2.0))
+            best = (int(ids[j]), float((values[j, i] + values[j, i + 1]) / 2.0))
     return best
 
 

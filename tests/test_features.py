@@ -17,7 +17,7 @@ import pytest
 from evprofiler.features import (_QUANTILE_LEVELS, FEATURE_NAMES,
                                  SERIES_FEATURE_NAMES, FeatureMatrix,
                                  SelectionError, _location, _longest_run,
-                                 _peak_count, _sorted_quantiles,
+                                 _peak_counts, _sorted_quantiles,
                                  _uniform_histogram, chi2_scores,
                                  extract_features, featurize_segments,
                                  fit_selection,
@@ -122,9 +122,9 @@ def numpy_series_features(values: np.ndarray) -> np.ndarray:
             out[28 + lag] = float(np.dot(centered[:n - lag], centered[lag:])
                                   / ((n - lag) * var))
     out[39], out[40], out[41] = numpy_linear_trend(x)
-    out[42] = _peak_count(x, 1)
-    out[43] = _peak_count(x, 3)
-    out[44] = _peak_count(x, 5)
+    out[42] = reference_peak_count(x, 1)
+    out[43] = reference_peak_count(x, 3)
+    out[44] = reference_peak_count(x, 5)
     out[45] = float(np.sqrt(np.sum(diffs ** 2)))
     out[46] = numpy_binned_entropy(x)
     spectrum = np.abs(np.fft.rfft(x))
@@ -247,9 +247,9 @@ def _build_catalog() -> tuple[tuple[str, Callable[[np.ndarray], float]], ...]:
         ("linear_trend_slope", lambda x: numpy_linear_trend(x)[0]),
         ("linear_trend_intercept", lambda x: numpy_linear_trend(x)[1]),
         ("linear_trend_corr", lambda x: numpy_linear_trend(x)[2]),
-        ("peak_count_support_1", lambda x: _peak_count(x, 1)),
-        ("peak_count_support_3", lambda x: _peak_count(x, 3)),
-        ("peak_count_support_5", lambda x: _peak_count(x, 5)),
+        ("peak_count_support_1", lambda x: reference_peak_count(x, 1)),
+        ("peak_count_support_3", lambda x: reference_peak_count(x, 3)),
+        ("peak_count_support_5", lambda x: reference_peak_count(x, 5)),
         ("complexity", lambda x: float(np.sqrt(np.sum(_diffs(x) ** 2)))),
         ("binned_entropy_10", numpy_binned_entropy),
     ]
@@ -289,6 +289,15 @@ def reference_longest_run(mask):
         run = run + 1 if hit else 0
         best = max(best, run)
     return float(best)
+
+
+def reference_peak_count(x, support):
+    """The per-sample loop: a peak is above each of its ``support``
+    neighbours on both sides."""
+    n = len(x)
+    return float(sum(all(x[i] > x[i - j] and x[i] > x[i + j]
+                         for j in range(1, support + 1))
+                     for i in range(support, n - support)))
 
 
 def small_matrix(x, labels, names=None):
@@ -421,6 +430,28 @@ class TestCatalog:
         @hypothesis.example(mask=np.array([False]))
         def check(mask):
             assert _longest_run(mask) == reference_longest_run(mask)
+
+        check()
+
+    def test_peak_counts_equal_per_sample_loop(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        hnp = pytest.importorskip("hypothesis.extra.numpy")
+
+        # few values, so plateaus are common; lengths around 2s+1 for every
+        # support s, where a sample first has s neighbours on both sides
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(x=hnp.arrays(
+            np.float64, st.one_of(st.integers(0, 13), st.integers(14, 60)),
+            elements=st.sampled_from([-1.0, -0.0, 0.0, 1.0, 2.0, 3.0])))
+        @hypothesis.example(x=np.array([0.0, 1.0, 0.0]))
+        @hypothesis.example(x=np.array([0.0, 0.0, 0.0, 3.0, 0.0, 0.0, 0.0]))
+        @hypothesis.example(x=np.r_[np.zeros(5), 1.0, np.zeros(5)])
+        @hypothesis.example(x=np.r_[np.zeros(5), 1.0, np.zeros(4)])
+        @hypothesis.example(x=np.array([0.0, 2.0, 2.0, 0.0]))
+        def check(x):
+            assert _peak_counts(x) == tuple(reference_peak_count(x, s)
+                                            for s in (1, 3, 5))
 
         check()
 

@@ -600,6 +600,55 @@ def test_split_property():
     check()
 
 
+def test_split_ignores_row_order():
+    """The value sort is unstable, so shuffling a node's rows reorders equal
+    values (signed zeros among them), yet no split may move."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    hnp = pytest.importorskip("hypothesis.extra.numpy")
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(data=st.data(), m=st.integers(2, 40), d=st.integers(1, 6),
+                      n_classes=st.integers(2, 8),
+                      criterion=st.sampled_from(["gini", "entropy"]))
+    def check(data, m, d, n_classes, criterion):
+        values = st.sampled_from([-1.5, -0.0, 0.0, 0.25, 1.0, 1e-300, 7.0])
+        x = data.draw(hnp.arrays(np.float64, (m, d), elements=values))
+        y = data.draw(hnp.arrays(np.int64, m,
+                                 elements=st.integers(0, n_classes - 1)))
+        shuffle = np.array(data.draw(st.permutations(range(m))))
+        feature_ids = np.arange(d)
+        # repr, so a threshold of -0.0 does not pass for 0.0
+        assert (repr(learn._best_split(x[shuffle], y[shuffle], feature_ids,
+                                       n_classes, criterion))
+                == repr(learn._best_split(x, y, feature_ids, n_classes,
+                                          criterion)))
+
+    check()
+
+
+@pytest.mark.parametrize("n_classes", [255, 256, 257, 600, 65_536, 65_537])
+@pytest.mark.parametrize("criterion", ["gini", "entropy"])
+def test_split_at_every_code_width(n_classes, criterion):
+    """Class codes go to the narrowest unsigned dtype that holds
+    ``n_classes - 1``: 8 bits up to 256 classes, 16 up to 65,536, then 32.
+    Codes 0 and the top code are always drawn, and at 257 and 65,537 classes
+    those two would collide if cut to the narrower width."""
+    rng = np.random.default_rng(n_classes)
+    top = n_classes - 1
+    pool = np.unique(np.r_[0, 1, top - 1, top, n_classes // 2,
+                           rng.integers(0, n_classes, 10)])
+    for _ in range(6):
+        m, d = int(rng.integers(2, 40)), int(rng.integers(1, 5))
+        x, _ = awkward_matrix(rng, m, d, 2)
+        y = rng.choice(pool, m)
+        assert_same_split(x, y, np.arange(d), n_classes, criterion)
+        # codes 0 and top on the same side of the best cut of column 0
+        planted = x.copy()
+        planted[:, 0] = np.isin(y, (0, top))
+        assert_same_split(planted, y, np.arange(d), n_classes, criterion)
+
+
 TREE_SPECS = [("decision-tree", {"criterion": c, "max_depth": depth})
               for c in ("gini", "entropy") for depth in (None, 3)]
 TREE_SPECS += [("random-forest", {"n_estimators": 6, "max_depth": depth})
