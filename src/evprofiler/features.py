@@ -27,10 +27,18 @@ from .tail import SegmentPair, segment_corpus
 _QUANTILE_LEVELS = np.array((0.05, 0.25, 0.75, 0.95))
 
 
-def _longest_run(mask: np.ndarray) -> float:
-    # runs of True start and end where the False-padded mask changes
-    edges = np.flatnonzero(np.diff(np.concatenate(([0], mask, [0]))))
-    return float(np.max(edges[1::2] - edges[::2])) if edges.size else 0.0
+def _longest_runs(above: np.ndarray, below: np.ndarray) -> tuple[float, float]:
+    """Longest runs of samples above and below the mean, from one run-length
+    pass over the sign of ``x - mu`` (+1 above, -1 below, 0 at the mean)."""
+    n = above.size
+    sign = above.view(np.int8) - below.view(np.int8)
+    # runs start at 0 and wherever the sign changes; n closes the last one
+    edge = np.empty(n + 1, dtype=bool)
+    edge[0] = edge[n] = True
+    np.not_equal(sign[1:], sign[:-1], out=edge[1:n])
+    bounds = np.flatnonzero(edge)
+    runs = (bounds[1:] - bounds[:-1]) * sign[bounds[:-1]]
+    return max(float(runs.max()), 0.0), max(float(-runs.min()), 0.0)
 
 
 def _location(x: np.ndarray, take_max: bool, first: bool) -> float:
@@ -221,8 +229,7 @@ def series_features(values: np.ndarray) -> np.ndarray:
     out[20] = float(np.count_nonzero(above[1:] != above[:-1]))
     out[21] = float(np.count_nonzero(above))
     out[22] = float(np.count_nonzero(below))
-    out[23] = _longest_run(above)
-    out[24] = _longest_run(below)
+    out[23], out[24] = _longest_runs(above, below)
     out[25] = _location(x, True, True)
     out[26] = _location(x, True, False)
     out[27] = _location(x, False, True)

@@ -9,7 +9,9 @@ order, and forest tree seeds derive from the training seed by tree index.
 Grid search shares fits across combinations: per fold, one kNN fit with one
 distance matrix per metric, one full tree per criterion, and forest trees
 grown once at the largest depth cap and regrown at a smaller cap only when
-that cap cuts them. Each fold scores the whole grid in one ``_scores`` call
+that cap cuts them. A regrowth follows the tree it was cut from, taking its
+splits without searching, until the cap first stops a node that tree
+searched. Each fold scores the whole grid in one ``_scores`` call
 over the stacked predicted class codes into one specs x folds score
 array. A training failure depends only on the fold's rows, so it fails
 the whole search with a ``TrainingError`` naming the fold.
@@ -19,7 +21,9 @@ a (row, rank, slot) vote array, one slot per class among a row's nearest
 neighbours, so one pass gives each k's winners with the same running sums
 as adding the neighbours one at a time.
 
-A tree node scores all its candidate columns in one numpy pass (in chunks
+Trees grow over row indices into the training matrix (through the
+bootstrap rows for a forest tree), and a node gathers only its candidate
+columns of its rows. A node scores those columns in one numpy pass (in chunks
 of columns under a fixed element budget): integer class prefix counts give
 exactly the costs, thresholds and tie-breaks of scoring one column at a
 time, so every tree is the same as a per-feature search would grow. The
@@ -155,7 +159,7 @@ def _cut_costs(ys: np.ndarray, change: np.ndarray, totals: np.ndarray,
         steps[np.arange(w)[:, None], by_class] = 2 * within + 1
         a = steps.cumsum(axis=1)[:, :-1].astype(np.float64)
         left_dot = totals[ys].cumsum(axis=1)[:, :-1]
-        t2 = float(np.sum(totals.astype(np.float64) ** 2))
+        t2 = float(totals @ totals)  # an exact integer
         right_sq = t2 - 2.0 * left_dot + a
         return np.where(change, (m - a / p - right_sq / (m - p)) / m, np.inf)
     # left class counts are integers, so the float cumsum of a one-hot is exact
@@ -232,38 +236,72 @@ class _TreeNode:
 
 def _grow_tree(x: np.ndarray, y: np.ndarray, n_classes: int, criterion: str,
                max_depth: Optional[int], rng: Optional[np.random.Generator],
-               n_candidates: Optional[int]) -> _TreeNode:
-    """Grow one tree; the root's ``reach`` records how deep growth searched.
+               n_candidates: Optional[int], rows: Optional[np.ndarray] = None,
+               guide: Optional[_TreeNode] = None) -> _TreeNode:
+    """Grow one tree on the rows ``rows`` of ``x`` and ``y`` (all rows by
+    default, repeats allowed); the root's ``reach`` records how deep growth
+    searched.
 
-    ``rng`` is drawn from only at nodes that pass the stop tests. A cap d
-    with ``reach < d <= max_depth`` changes no stop test and no draw, so
-    growing with cap d gives this same tree.
+    Nodes hold row indices, and a node gathers only its candidate columns of
+    its rows. ``rng`` is drawn from only at nodes that pass the stop tests.
+    A cap d with ``reach < d <= max_depth`` changes no stop test and no
+    draw, so growing with cap d gives this same tree.
+
+    ``guide``, if given, is this tree grown from the same rows and generator
+    state at a larger cap. Both growths pop the same nodes with the same
+    rows and draws until this cap first stops a node that the guide
+    searched: an impure node of at least 2 rows at depth ``max_depth``.
+    Until then a node that passes the stop tests still draws, which keeps
+    ``rng`` in step, and takes the guide's split, or its lack of one,
+    without searching: the same rows and candidates give the same search.
+    From that node on, growth searches as without a guide, because the
+    guide drew there and its later draws run ahead.
     """
+    d = x.shape[1]
+    drawing = n_candidates is not None and n_candidates < d
+    columns = np.arange(n_candidates if drawing else d)
     root = _TreeNode()
     # explicit stack instead of recursion: unlimited-depth trees can exceed
     # the interpreter recursion limit on large nodes
-    stack: list[tuple[_TreeNode, np.ndarray, np.ndarray, int]] = [(root, x, y, 0)]
+    stack: list[tuple[_TreeNode, np.ndarray, int, Optional[_TreeNode]]] = [
+        (root, np.arange(x.shape[0]) if rows is None else rows, 0, guide)]
     while stack:
-        node, nx, ny, depth = stack.pop()
+        node, idx, depth, twin = stack.pop()
+        ny = y[idx]
         counts = np.bincount(ny, minlength=n_classes)
         node.label = int(np.argmax(counts))
-        if (np.count_nonzero(counts) <= 1 or ny.size < 2
-                or (max_depth is not None and depth >= max_depth)):
+        if np.count_nonzero(counts) <= 1 or ny.size < 2:
+            continue
+        if max_depth is not None and depth >= max_depth:
+            # the guide searched here, so its later draws run ahead of ours
+            guide = None
             continue
         root.reach = max(root.reach, depth)
-        d = nx.shape[1]
-        if n_candidates is not None and n_candidates < d:
-            feature_ids = np.sort(rng.choice(d, size=n_candidates, replace=False))
+        if drawing:
+            drawn = rng.choice(d, size=n_candidates, replace=False)
+        if guide is not None:
+            if twin.feature == _LEAF:
+                continue
+            node.feature, node.threshold = twin.feature, twin.threshold
+            column = x[idx, node.feature]
+            twins = (twin.left, twin.right)
         else:
-            feature_ids = np.arange(d)
-        split = _best_split(nx, ny, feature_ids, n_classes, criterion)
-        if split is None:
-            continue
-        node.feature, node.threshold = split
-        mask = nx[:, node.feature] <= node.threshold
+            if drawing:
+                feature_ids = np.sort(drawn)
+                block = x[idx[:, None], feature_ids]
+            else:
+                feature_ids, block = columns, x[idx]
+            split = _best_split(block, ny, columns, n_classes, criterion)
+            if split is None:
+                continue
+            j, node.threshold = split
+            node.feature = int(feature_ids[j])
+            column = block[:, j]
+            twins = (None, None)
+        mask = column <= node.threshold
         node.left, node.right = _TreeNode(), _TreeNode()
-        stack.append((node.left, nx[mask], ny[mask], depth + 1))
-        stack.append((node.right, nx[~mask], ny[~mask], depth + 1))
+        stack.append((node.left, idx[mask], depth + 1, twins[0]))
+        stack.append((node.right, idx[~mask], depth + 1, twins[1]))
     return root
 
 
@@ -353,22 +391,26 @@ def _grow_forest(x: np.ndarray, y: np.ndarray, n_classes: int, seed: int,
                  grown: Sequence[_TreeNode] = ()) -> list[_TreeNode]:
     """Bootstrap gini trees on ceil(sqrt(d)) candidate features per split.
 
-    Tree t draws its rows and candidates from ``SeedSequence(seed).spawn(n)[t]``.
+    Tree t draws its rows and candidates from ``SeedSequence(seed).spawn(n)[t]``
+    and grows over those bootstrap rows of ``x``, never a copy of them.
     ``grown[t]``, if given, is tree t of this seed grown with a cap of at
     least ``max_depth``; it is kept when its reach is under ``max_depth``,
-    because it is then the tree this cap grows.
+    because it is then the tree this cap grows. Otherwise its cap is larger
+    than this one, since its reach is at least this cap, and it guides the
+    regrowth (see ``_grow_tree``).
     """
     n_candidates = int(np.ceil(np.sqrt(x.shape[1])))
     seeds = np.random.SeedSequence(seed).spawn(n_estimators)
     forest = []
     for t, tree_seed in enumerate(seeds):
-        if t < len(grown) and grown[t].reach < _cap(max_depth):
-            forest.append(grown[t])
+        guide = grown[t] if t < len(grown) else None
+        if guide is not None and guide.reach < _cap(max_depth):
+            forest.append(guide)
             continue
         rng = np.random.default_rng(tree_seed)
         rows = rng.integers(0, x.shape[0], size=x.shape[0])
-        forest.append(_grow_tree(x[rows], y[rows], n_classes, "gini", max_depth,
-                                 rng, n_candidates))
+        forest.append(_grow_tree(x, y, n_classes, "gini", max_depth, rng,
+                                 n_candidates, rows, guide))
     return forest
 
 
@@ -645,8 +687,10 @@ def _forest_fold(specs, x_train, y_train, x_test, seed):
     children are ``spawn(k)``, so the first k trees are the k-tree forest.
     Depths go from the largest cap down, ``None`` first, and each tree index
     keeps its latest tree, grown at a cap at least the current one: that
-    tree serves every smaller cap above its reach. Each tree predicts the
-    test rows once; a kept tree keeps its codes.
+    tree serves every smaller cap above its reach, and guides the regrowth
+    at a cap that cuts it, which searches only from the first node the cap
+    stops. Each tree predicts the test rows once; a kept tree keeps its
+    codes.
     """
     out: list = [None] * len(specs)
     groups = sorted(_group(specs, "max_depth"),

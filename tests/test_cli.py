@@ -148,6 +148,40 @@ class TestStages:
         assert run_cli("report", "--in", str(tmp_path)) == 1
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _import_in_clean_process(**preset):
+    """The three BLAS thread variables, and whether numpy was loaded, right
+    after ``import evprofiler`` in a fresh interpreter whose environment
+    holds none of them except ``preset``. A fresh process, because this
+    one loaded numpy long ago."""
+    import evprofiler
+    src = os.path.dirname(os.path.dirname(os.path.abspath(evprofiler.__file__)))
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env.update(preset)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    probe = ("import json, os, sys; import evprofiler; "
+             f"print(json.dumps([{{v: os.environ.get(v) for v in {BLAS_THREAD_VARS!r}}}, "
+             "'numpy' in sys.modules]))")
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    return json.loads(result.stdout)
+
+
+class TestBlasThreads:
+    def test_import_defaults_one_thread_before_numpy(self):
+        values, numpy_loaded = _import_in_clean_process()
+        assert values == {v: "1" for v in BLAS_THREAD_VARS}
+        assert not numpy_loaded
+
+    def test_user_values_are_kept(self):
+        values, _ = _import_in_clean_process(OMP_NUM_THREADS="3")
+        assert values == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "3",
+                          "MKL_NUM_THREADS": "1"}
+
+
 class TestExitCodes:
     def test_usage_error_is_2(self):
         result = subprocess.run(

@@ -16,7 +16,7 @@ import pytest
 
 from evprofiler.features import (_QUANTILE_LEVELS, FEATURE_NAMES,
                                  SERIES_FEATURE_NAMES, FeatureMatrix,
-                                 SelectionError, _location, _longest_run,
+                                 SelectionError, _location, _longest_runs,
                                  _peak_counts, _sorted_quantiles,
                                  _uniform_histogram, chi2_scores,
                                  extract_features, featurize_segments,
@@ -109,8 +109,8 @@ def numpy_series_features(values: np.ndarray) -> np.ndarray:
     out[20] = float(np.count_nonzero(above[1:] != above[:-1]))
     out[21] = float(np.count_nonzero(above))
     out[22] = float(np.count_nonzero(below))
-    out[23] = _longest_run(above)
-    out[24] = _longest_run(below)
+    out[23] = reference_longest_run(above)
+    out[24] = reference_longest_run(below)
     out[25] = _location(x, True, True)
     out[26] = _location(x, True, False)
     out[27] = _location(x, False, True)
@@ -233,8 +233,10 @@ def _build_catalog() -> tuple[tuple[str, Callable[[np.ndarray], float]], ...]:
         ("zero_crossings", _zero_crossings),
         ("count_above_mean", lambda x: float(np.count_nonzero(x > np.mean(x)))),
         ("count_below_mean", lambda x: float(np.count_nonzero(x < np.mean(x)))),
-        ("longest_run_above_mean", lambda x: _longest_run(x > np.mean(x))),
-        ("longest_run_below_mean", lambda x: _longest_run(x < np.mean(x))),
+        ("longest_run_above_mean",
+         lambda x: reference_longest_run(x > np.mean(x))),
+        ("longest_run_below_mean",
+         lambda x: reference_longest_run(x < np.mean(x))),
         ("first_location_of_max", lambda x: _location(x, True, True)),
         ("last_location_of_max", lambda x: _location(x, True, False)),
         ("first_location_of_min", lambda x: _location(x, False, True)),
@@ -422,14 +424,21 @@ class TestCatalog:
         st = pytest.importorskip("hypothesis.strategies")
         hnp = pytest.importorskip("hypothesis.extra.numpy")
 
+        # the sign of x - mu: +1 above the mean, -1 below, 0 at it
         @hypothesis.settings(max_examples=300, deadline=None)
-        @hypothesis.given(mask=hnp.arrays(np.bool_, st.integers(1, 80)))
-        @hypothesis.example(mask=np.ones(9, dtype=bool))
-        @hypothesis.example(mask=np.zeros(9, dtype=bool))
-        @hypothesis.example(mask=np.array([True]))
-        @hypothesis.example(mask=np.array([False]))
-        def check(mask):
-            assert _longest_run(mask) == reference_longest_run(mask)
+        @hypothesis.given(sign=hnp.arrays(np.int8, st.integers(1, 80),
+                                          elements=st.integers(-1, 1),
+                                          fill=st.nothing()))
+        @hypothesis.example(sign=np.ones(9, dtype=np.int8))
+        @hypothesis.example(sign=-np.ones(9, dtype=np.int8))
+        @hypothesis.example(sign=np.zeros(9, dtype=np.int8))
+        @hypothesis.example(sign=np.array([1], dtype=np.int8))
+        @hypothesis.example(sign=np.array([-1], dtype=np.int8))
+        @hypothesis.example(sign=np.array([0], dtype=np.int8))
+        def check(sign):
+            above, below = sign > 0, sign < 0
+            assert _longest_runs(above, below) == (reference_longest_run(above),
+                                                   reference_longest_run(below))
 
         check()
 

@@ -13,9 +13,15 @@ cannot be fitted.
 ``learn._best_split`` replaced; both must pick the same (feature, threshold)
 at every node, so both grow the same trees.
 
+``reference_grow_tree`` is the grower that row indices replaced: each node
+held a copy of every column of its rows. ``learn._grow_tree`` must grow the
+same trees from row indices, the bootstrap rows of a forest tree included.
+
 The forest fold grows each tree once at the largest depth cap and keeps it
-at every smaller cap above its reach; the forests it builds per cap are
-pinned to ``train`` and the reach argument itself to a property test.
+at every smaller cap above its reach; a cap that cuts a tree regrows it
+guided by the tree it was cut from. The forests it builds per cap are
+pinned to ``train``, and the reach argument and the guided regrowth each to
+a property test.
 """
 
 import json
@@ -210,6 +216,37 @@ def reference_best_split(x, y, feature_ids, n_classes, criterion):
             i = cut[j]
             best = (int(f), float((col_sorted[i] + col_sorted[i + 1]) / 2.0))
     return best
+
+
+def reference_grow_tree(x, y, n_classes, criterion, max_depth, rng,
+                        n_candidates):
+    """The grower before row indices: a node holds a copy of every column of
+    its rows and hands ``nx[mask]`` and ``nx[~mask]`` to its children. A
+    forest tree grew on ``x[rows]``, ``y[rows]``."""
+    root = learn._TreeNode()
+    stack = [(root, x, y, 0)]
+    while stack:
+        node, nx, ny, depth = stack.pop()
+        counts = np.bincount(ny, minlength=n_classes)
+        node.label = int(np.argmax(counts))
+        if (np.count_nonzero(counts) <= 1 or ny.size < 2
+                or (max_depth is not None and depth >= max_depth)):
+            continue
+        root.reach = max(root.reach, depth)
+        d = nx.shape[1]
+        if n_candidates is not None and n_candidates < d:
+            feature_ids = np.sort(rng.choice(d, size=n_candidates, replace=False))
+        else:
+            feature_ids = np.arange(d)
+        split = learn._best_split(nx, ny, feature_ids, n_classes, criterion)
+        if split is None:
+            continue
+        node.feature, node.threshold = split
+        mask = nx[:, node.feature] <= node.threshold
+        node.left, node.right = learn._TreeNode(), learn._TreeNode()
+        stack.append((node.left, nx[mask], ny[mask], depth + 1))
+        stack.append((node.right, nx[~mask], ny[~mask], depth + 1))
+    return root
 
 
 # ---------------------------------------------------------------------------
@@ -686,6 +723,34 @@ def test_entropy_forest_trees_equal_per_feature_trees(monkeypatch, max_depth):
     assert got == grow()
 
 
+@pytest.mark.parametrize("criterion", ["gini", "entropy"])
+@pytest.mark.parametrize("style", ["decision-tree", "forest"])
+def test_row_index_trees_equal_copying_trees(criterion, style):
+    rng = np.random.default_rng(30)
+    for _ in range(60):
+        m, d = int(rng.integers(2, 60)), int(rng.integers(1, 12))
+        n_classes = int(rng.integers(2, 8))
+        # rounded values, a constant column and a duplicated one
+        x, y = awkward_matrix(rng, m, d, n_classes)
+        cap = [None, 1, 2, 4][int(rng.integers(0, 4))]
+        if style == "decision-tree":
+            got = learn._grow_tree(x, y, n_classes, criterion, cap, None, None)
+            want = reference_grow_tree(x, y, n_classes, criterion, cap, None, None)
+        else:
+            # bootstrap rows repeat, and sqrt(d) candidates per node
+            rows = rng.integers(0, m, m)
+            n_candidates = int(np.ceil(np.sqrt(d)))
+            seed = int(rng.integers(2 ** 32))
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = learn._grow_tree(x, y, n_classes, criterion, cap, got_rng,
+                                   n_candidates, rows)
+            want = reference_grow_tree(x[rows], y[rows], n_classes, criterion,
+                                       cap, want_rng, n_candidates)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        assert _node_document(got) == _node_document(want)
+        assert got.reach == want.reach
+
+
 # ---------------------------------------------------------------------------
 # forest trees reused across depth caps
 
@@ -804,3 +869,75 @@ def test_reach_property():
                     assert drawn == grown[cap][1]
 
     check()
+
+
+def test_guided_regrowth_property():
+    """A tree regrown at cap d, guided by the same tree grown at a larger cap
+    c, is the tree grown at cap d without a guide, down to the generator
+    state after the draws."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    hnp = pytest.importorskip("hypothesis.extra.numpy")
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(data=st.data(), m=st.integers(2, 30), d=st.integers(1, 5),
+                      n_classes=st.integers(2, 4), n_candidates=st.integers(1, 3),
+                      seed=st.integers(0, 2 ** 32 - 1))
+    def check(data, m, d, n_classes, n_candidates, seed):
+        # few distinct values, so nodes often search and find no split; every
+        # element drawn (no fill value), so the trees grow several levels
+        values = st.sampled_from([-1.0, 0.0, 0.5, 2.0])
+        x = data.draw(hnp.arrays(np.float64, (m, d), elements=values,
+                                 fill=st.nothing()))
+        y = data.draw(hnp.arrays(np.int64, m, fill=st.nothing(),
+                                 elements=st.integers(0, n_classes - 1)))
+        # a bootstrap sample: rows repeat
+        rows = data.draw(hnp.arrays(np.int64, m, fill=st.nothing(),
+                                    elements=st.integers(0, m - 1)))
+
+        def grow(cap, guide=None):
+            rng = np.random.default_rng(seed)
+            tree = learn._grow_tree(x, y, n_classes, "gini", cap, rng,
+                                    n_candidates, rows, guide)
+            return tree, rng.bit_generator.state
+
+        full, _ = grow(None)
+        caps = [*range(1, full.reach + 2), None]
+        grown = {cap: grow(cap) for cap in caps}
+        for big in caps:
+            for cap in caps:
+                if learn._cap(cap) < learn._cap(big):
+                    tree, drawn = grow(cap, grown[big][0])
+                    assert _node_document(tree) == _node_document(grown[cap][0])
+                    assert tree.reach == grown[cap][0].reach
+                    assert drawn == grown[cap][1]
+
+    check()
+
+
+def test_guided_regrowth_searches_less(monkeypatch):
+    """The forest fold's regrowths follow their guides, so the fold makes
+    fewer split searches than regrowing every cut tree from scratch, and
+    predicts the same codes."""
+    x, labels = overlapping(n_per_class=15, n_classes=4, d=9, seed=31)
+    specs = expand_grid("random-forest", DEFAULT_GRIDS["random-forest"])
+    searches = []
+    best_split = learn._best_split
+
+    def counted(*args):
+        searches.append(args[1].size)
+        return best_split(*args)
+
+    def fold():
+        searches.clear()
+        _, codes = learn._forest_fold(specs, x, labels, x[::3], 32)
+        return len(searches), codes
+
+    monkeypatch.setattr(learn, "_best_split", counted)
+    guided, guided_codes = fold()
+    grow_tree = learn._grow_tree
+    # the same growth with the guide dropped
+    monkeypatch.setattr(learn, "_grow_tree", lambda *args: grow_tree(*args[:8]))
+    unguided, unguided_codes = fold()
+    assert guided < unguided
+    assert all(np.array_equal(a, b) for a, b in zip(guided_codes, unguided_codes))
