@@ -197,10 +197,12 @@ def build_binary_dataset(features: FeatureMatrix, target_ev: str,
         raise BalanceError(
             f"negative pool has {available} rows, {needed} requested")
     # round-robin: every pool's first row in pool order, then every pool's
-    # second row, and so on
-    dealt = sorted((pos, p, int(row)) for p, pool in enumerate(pools)
-                   for pos, row in enumerate(pool))
-    negatives = [row for _, _, row in dealt[:needed]]
+    # second row, and so on. The pools lie end to end in pool order, so a
+    # stable sort by position within the pool deals them.
+    sizes = np.array([pool.size for pool in pools], dtype=np.int64)
+    position = np.arange(sizes.sum()) - np.repeat(sizes.cumsum() - sizes, sizes)
+    dealt = np.lexsort((position,))[:needed]
+    negatives = np.concatenate([np.empty(0, np.int64), *pools])[dealt].tolist()
     return replace(features.take(list(target_rows) + negatives),
                    labels=("target",) * n_t + ("other",) * len(negatives))
 

@@ -107,6 +107,10 @@ class Corpus:
 def _parse_float_list(raw, where: str) -> np.ndarray:
     """One float64 array from a list of numbers or numeric strings, each
     converted as ``float`` converts it; anything else is a ParseError."""
+    # fromiter would take a string's characters or an object's keys
+    if not isinstance(raw, list):
+        raise ParseError(f"{where}: bad numeric list (a {type(raw).__name__}, "
+                         "not a JSON array)")
     try:
         arr = np.fromiter(raw, np.float64, count=len(raw))
     except (TypeError, ValueError, OverflowError) as exc:

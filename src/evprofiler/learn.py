@@ -7,14 +7,14 @@ Everything is deterministic for a given (data, spec, seed): tie-breaking is
 lexicographic on class labels, first-encountered on split costs and grid
 order, and forest tree seeds derive from the training seed by tree index.
 Grid search shares fits across combinations: per fold, one kNN fit with one
-distance matrix per metric, one full tree per criterion, and forest trees
-grown once at the largest depth cap and regrown at a smaller cap only when
-that cap cuts them. A regrowth follows the tree it was cut from, taking its
-splits without searching, until the cap first stops a node that tree
-searched. Each fold scores the whole grid in one ``_scores`` call
-over the stacked predicted class codes into one specs x folds score
-array. A training failure depends only on the fold's rows, so it fails
-the whole search with a ``TrainingError`` naming the fold.
+distance matrix per metric, one full tree per criterion, and one lineage
+per forest tree index: the tree is grown at the largest depth cap and
+regrown, down the caps, only at a cap that cuts it. A regrowth follows the
+tree it was cut from, taking its splits without searching, until the cap
+first stops a node that tree searched. Each fold scores the whole grid in
+one ``_scores`` call over the stacked predicted class codes into one specs
+x folds score array. A training failure depends only on the fold's rows,
+so it fails the whole search with a ``TrainingError`` naming the fold.
 
 kNN votes for every neighbour rank come from one cumsum along the ranks of
 a (row, rank, slot) vote array, one slot per class among a row's nearest
@@ -358,9 +358,10 @@ class TrainedModel:
     forest: Optional[list] = None
 
 
-def train(spec: ClassifierSpec, x: np.ndarray, labels: Sequence,
-          seed: int = 0) -> TrainedModel:
-    """Fit one classifier; a forest's trees see ceil(sqrt(d)) features per split."""
+def _training_codes(x: np.ndarray, labels: Sequence
+                    ) -> tuple[np.ndarray, list, np.ndarray]:
+    """The float matrix, sorted classes and class codes of a training set;
+    a TrainingError if the rows cannot be fitted."""
     x = np.asarray(x, dtype=np.float64)
     classes, y = _class_codes(labels)
     if x.ndim != 2 or x.shape[0] != y.size or x.shape[0] == 0:
@@ -369,6 +370,13 @@ def train(spec: ClassifierSpec, x: np.ndarray, labels: Sequence,
         raise TrainingError("need at least two classes")
     if x.shape[0] < len(classes):
         raise TrainingError("need at least as many rows as classes")
+    return x, classes, y
+
+
+def train(spec: ClassifierSpec, x: np.ndarray, labels: Sequence,
+          seed: int = 0) -> TrainedModel:
+    """Fit one classifier; a forest's trees see ceil(sqrt(d)) features per split."""
+    x, classes, y = _training_codes(x, labels)
     model = TrainedModel(spec=spec, classes=tuple(classes), seed=seed)
     if spec.family == "knn":
         model.knn_x = x.copy()
@@ -377,8 +385,9 @@ def train(spec: ClassifierSpec, x: np.ndarray, labels: Sequence,
         model.tree = _grow_tree(x, y, len(classes), spec.param("criterion"),
                                 spec.param("max_depth"), None, None)
     else:
-        model.forest = _grow_forest(x, y, len(classes), seed,
-                                    spec.param("n_estimators"), spec.param("max_depth"))
+        model.forest = [_forest_tree(x, y, len(classes), seed, t,
+                                     spec.param("max_depth"))
+                        for t in range(spec.param("n_estimators"))]
     return model
 
 
@@ -386,32 +395,20 @@ def _cap(max_depth: Optional[int]) -> float:
     return np.inf if max_depth is None else max_depth
 
 
-def _grow_forest(x: np.ndarray, y: np.ndarray, n_classes: int, seed: int,
-                 n_estimators: int, max_depth: Optional[int],
-                 grown: Sequence[_TreeNode] = ()) -> list[_TreeNode]:
-    """Bootstrap gini trees on ceil(sqrt(d)) candidate features per split.
+def _forest_tree(x: np.ndarray, y: np.ndarray, n_classes: int, seed: int,
+                 t: int, max_depth: Optional[int],
+                 guide: Optional[_TreeNode] = None) -> _TreeNode:
+    """Tree t of a forest: a bootstrap gini tree on ceil(sqrt(d)) candidate
+    features per split, grown over the bootstrap rows of ``x``, never a copy.
 
-    Tree t draws its rows and candidates from ``SeedSequence(seed).spawn(n)[t]``
-    and grows over those bootstrap rows of ``x``, never a copy of them.
-    ``grown[t]``, if given, is tree t of this seed grown with a cap of at
-    least ``max_depth``; it is kept when its reach is under ``max_depth``,
-    because it is then the tree this cap grows. Otherwise its cap is larger
-    than this one, since its reach is at least this cap, and it guides the
-    regrowth (see ``_grow_tree``).
+    Its generator is seeded by ``SeedSequence(seed, spawn_key=(t,))``, which
+    is ``SeedSequence(seed).spawn(n)[t]`` for any n > t. ``guide`` is this
+    tree grown at a larger cap, if any (see ``_grow_tree``).
     """
-    n_candidates = int(np.ceil(np.sqrt(x.shape[1])))
-    seeds = np.random.SeedSequence(seed).spawn(n_estimators)
-    forest = []
-    for t, tree_seed in enumerate(seeds):
-        guide = grown[t] if t < len(grown) else None
-        if guide is not None and guide.reach < _cap(max_depth):
-            forest.append(guide)
-            continue
-        rng = np.random.default_rng(tree_seed)
-        rows = rng.integers(0, x.shape[0], size=x.shape[0])
-        forest.append(_grow_tree(x, y, n_classes, "gini", max_depth, rng,
-                                 n_candidates, rows, guide))
-    return forest
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t,)))
+    rows = rng.integers(0, x.shape[0], size=x.shape[0])
+    return _grow_tree(x, y, n_classes, "gini", max_depth, rng,
+                      int(np.ceil(np.sqrt(x.shape[1]))), rows, guide)
 
 
 def _distances(metric: str, queries: np.ndarray, train_x: np.ndarray) -> np.ndarray:
@@ -680,41 +677,37 @@ def _tree_fold(specs, x_train, y_train, x_test, seed):
 
 
 def _forest_fold(specs, x_train, y_train, x_test, seed):
-    """One forest per depth, as large as the depth's largest tree count, with
-    each tree grown once and regrown only at a cap that cuts it.
+    """Each depth's forest, as large as its largest tree count, from one
+    lineage of trees per tree index.
 
-    Tree seeds come from ``SeedSequence(seed).spawn(n)``, whose first k
-    children are ``spawn(k)``, so the first k trees are the k-tree forest.
-    Depths go from the largest cap down, ``None`` first, and each tree index
-    keeps its latest tree, grown at a cap at least the current one: that
-    tree serves every smaller cap above its reach, and guides the regrowth
-    at a cap that cuts it, which searches only from the first node the cap
-    stops. Each tree predicts the test rows once; a kept tree keeps its
-    codes.
+    Tree t depends only on (seed, t, cap), so a cap's first n trees are its
+    n-tree forest. Tree t walks the caps from the largest down, ``None``
+    first, past those that grow at most t trees. A cap above the tree's
+    reach keeps it, since it is the tree that cap grows, and its codes; a
+    cap that cuts it regrows it, guided by the tree it was cut from (see
+    ``_grow_tree``). Each grown tree predicts the test rows once.
     """
-    out: list = [None] * len(specs)
+    x, classes, y = _training_codes(x_train, y_train)
     groups = sorted(_group(specs, "max_depth"),
                     key=lambda members: -_cap(specs[members[0]].param("max_depth")))
-    model, latest, latest_codes = None, [], []
-    for members in groups:
-        sizes = [specs[i].param("n_estimators") for i in members]
-        spec = specs[members[int(np.argmax(sizes))]]
-        if model is None:
-            # the largest cap: train also checks the rows
-            model = train(spec, x_train, y_train, seed)
-            _, y = _class_codes(y_train)
-            forest = model.forest
-        else:
-            forest = _grow_forest(x_train, y, len(model.classes), seed, max(sizes),
-                                  spec.param("max_depth"), latest)
-        tree_codes = [latest_codes[t] if t < len(latest) and tree is latest[t]
-                      else _tree_predict(tree, x_test) for t, tree in enumerate(forest)]
-        latest = forest + latest[len(forest):]
-        latest_codes = tree_codes + latest_codes[len(forest):]
-        codes = _forest_codes(tree_codes, len(model.classes), set(sizes))
-        for i, n in zip(members, sizes):
-            out[i] = codes[n]
-    return model.classes, out
+    caps = [specs[members[0]].param("max_depth") for members in groups]
+    sizes = [[specs[i].param("n_estimators") for i in members] for members in groups]
+    tree_codes: list = [[] for _ in groups]
+    for t in range(max(map(max, sizes))):
+        tree = None
+        for cap, group_sizes, codes in zip(caps, sizes, tree_codes):
+            if max(group_sizes) <= t:
+                continue
+            if tree is None or tree.reach >= _cap(cap):
+                tree = _forest_tree(x, y, len(classes), seed, t, cap, tree)
+                predicted = _tree_predict(tree, x_test)
+            codes.append(predicted)
+    out: list = [None] * len(specs)
+    for members, group_sizes, codes in zip(groups, sizes, tree_codes):
+        votes = _forest_codes(codes, len(classes), set(group_sizes))
+        for i, n in zip(members, group_sizes):
+            out[i] = votes[n]
+    return classes, out
 
 
 _FOLD_PREDICTORS = {"knn": _knn_fold, "decision-tree": _tree_fold,

@@ -42,9 +42,10 @@ class TailParams:
     max_len: int = 2000
 
     def __post_init__(self):
-        if self.zero_eps < 0:
+        # written so that NaN fails
+        if not self.zero_eps >= 0:
             raise ValueError("zero_eps must be >= 0")
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValueError("epsilon must be > 0")
         if self.t_max < 1:
             raise ValueError("t_max must be >= 1")

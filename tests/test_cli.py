@@ -360,6 +360,18 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             parse_config_file(str(cfg))
 
+    @pytest.mark.parametrize("key", ["tail.zero_eps", "tail.epsilon"])
+    def test_nan_tail_tolerance_is_1(self, tmp_path, capsys, key):
+        # with zero_eps = nan every session would be rejected as
+        # no-zero-anchor, silently
+        sessions = tmp_path / "sessions.jsonl"
+        sessions.write_text("")
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text(f"{key} = nan\n")
+        assert run_cli("extract", "--sessions", str(sessions), "--out",
+                       str(tmp_path / "segments.jsonl"), "--config", str(cfg)) == 1
+        assert f"{key.split('.')[1]} must be" in capsys.readouterr().err
+
     def test_extract_honors_config(self, tmp_path):
         raw = str(tmp_path / "raw.jsonl")
         assert run_cli("synth", "--evs", "2", "--sessions", "6", "--seed", "2",

@@ -17,11 +17,16 @@ at every node, so both grow the same trees.
 held a copy of every column of its rows. ``learn._grow_tree`` must grow the
 same trees from row indices, the bootstrap rows of a forest tree included.
 
-The forest fold grows each tree once at the largest depth cap and keeps it
-at every smaller cap above its reach; a cap that cuts a tree regrows it
-guided by the tree it was cut from. The forests it builds per cap are
-pinned to ``train``, and the reach argument and the guided regrowth each to
-a property test.
+``reference_grow_forest`` is the forest grower that per-index tree seeds
+replaced: tree t drew from ``SeedSequence(seed).spawn(n)[t]``. ``train``
+must grow the same forests.
+
+The forest fold keeps one lineage per tree index. Tree t walks the depth
+caps from the largest down: a cap above its tree's reach keeps that tree,
+and a cap that cuts it regrows it, guided by the tree it was cut from. The
+walk order, the regrowths and the fold's tree and predict counts are pinned
+per fold, each cap's forest is pinned to ``train``, and the reach argument
+and the guided regrowth each to a property test.
 """
 
 import json
@@ -297,27 +302,40 @@ def assert_same_failure(family, grid, x, labels, **kwargs):
     return str(got.value)
 
 
-def record_tree_growth(monkeypatch):
-    """Log (cap, reach) of every tree ``_grow_tree`` grows, and the slice of
-    that log each forest fold made."""
-    calls, per_fold = [], []
-    grow_tree = learn._grow_tree
+def record_forest_growth(monkeypatch):
+    """Per forest fold: (tree index, cap, guide, tree) of every tree
+    ``_forest_tree`` grew, the trees ``_tree_predict`` predicted with, and
+    the number of ``_grow_tree`` calls."""
+    grown, predicted, grow_calls, per_fold = [], [], [], []
+    forest_tree, grow_tree = learn._forest_tree, learn._grow_tree
+    tree_predict = learn._tree_predict
     forest_fold = learn._FOLD_PREDICTORS["random-forest"]
 
-    def logged_tree(*args):
-        tree = grow_tree(*args)
-        calls.append((args[4], tree.reach))
+    def logged_forest_tree(x, y, n_classes, seed, t, cap, guide=None):
+        tree = forest_tree(x, y, n_classes, seed, t, cap, guide)
+        grown.append((t, cap, guide, tree))
         return tree
 
+    def logged_grow_tree(*args):
+        grow_calls.append(args[4])
+        return grow_tree(*args)
+
+    def logged_predict(tree, *args):
+        predicted.append(tree)
+        return tree_predict(tree, *args)
+
     def logged_fold(*args):
-        start = len(calls)
+        starts = len(grown), len(predicted), len(grow_calls)
         result = forest_fold(*args)
-        per_fold.append(calls[start:])
+        per_fold.append((grown[starts[0]:], predicted[starts[1]:],
+                         len(grow_calls) - starts[2]))
         return result
 
-    monkeypatch.setattr(learn, "_grow_tree", logged_tree)
+    monkeypatch.setattr(learn, "_forest_tree", logged_forest_tree)
+    monkeypatch.setattr(learn, "_grow_tree", logged_grow_tree)
+    monkeypatch.setattr(learn, "_tree_predict", logged_predict)
     monkeypatch.setitem(learn._FOLD_PREDICTORS, "random-forest", logged_fold)
-    return calls, per_fold
+    return per_fold
 
 
 SCORINGS = [("accuracy", {}),
@@ -419,40 +437,28 @@ def test_shared_fits_per_fold(monkeypatch):
 
     monkeypatch.setattr(learn, "train", counting)
     x, labels = overlapping(seed=14)
-    calls, per_fold = record_tree_growth(monkeypatch)
-    predicted, predicted_per_fold = [], []
-    tree_predict = learn._tree_predict
-    forest_fold = learn._FOLD_PREDICTORS["random-forest"]
-
-    def logged_predict(tree, *args):
-        predicted.append(tree)
-        return tree_predict(tree, *args)
-
-    def logged_fold(*args):
-        start = len(predicted)
-        result = forest_fold(*args)
-        predicted_per_fold.append(predicted[start:])
-        return result
-
-    monkeypatch.setattr(learn, "_tree_predict", logged_predict)
-    monkeypatch.setitem(learn._FOLD_PREDICTORS, "random-forest", logged_fold)
+    per_fold = record_forest_growth(monkeypatch)
     learn.grid_search("random-forest", DEFAULT_GRIDS["random-forest"], x, labels)
-    assert len(per_fold) == len(predicted_per_fold) == 5
-    for fold_calls, fold_predicted in zip(per_fold, predicted_per_fold):
-        # each tree the fold grows predicts the test rows once
-        assert len({id(tree) for tree in fold_predicted}) == len(fold_predicted)
-        assert len(fold_predicted) == len(fold_calls)
-        # 50 uncapped trees, then a regrowth for each tree a smaller cap cuts
-        assert [cap for cap, _ in fold_calls[:50]] == [None] * 50
-        reach = [r for _, r in fold_calls[:50]]
-        regrown = iter(fold_calls[50:])
-        for cap in (25, 15, 10, 5, 3):
-            for t in range(50):
-                if reach[t] >= cap:
-                    got_cap, reach[t] = next(regrown)
-                    assert got_cap == cap
-        assert next(regrown, None) is None
-        assert 50 < len(fold_calls) < 6 * 50
+    assert len(fits) == 1  # the refit; the folds grow their own trees
+    assert len(per_fold) == 5
+    for grown, predicted, grow_calls in per_fold:
+        assert grow_calls == len(grown)
+        # each tree the fold grows predicts the test rows once, right away
+        assert len(predicted) == len(grown)
+        assert all(p is tree for p, (*_, tree) in zip(predicted, grown))
+        # tree index by tree index, the caps from the largest down; a cap
+        # regrows exactly the tree whose reach it cuts, guided by that tree
+        log = iter(grown)
+        for t in range(50):
+            tree = None
+            for cap in (None, 25, 15, 10, 5, 3):
+                if tree is None or tree.reach >= learn._cap(cap):
+                    got_t, got_cap, guide, tree_grown = next(log)
+                    assert (got_t, got_cap) == (t, cap)
+                    assert guide is tree
+                    tree = tree_grown
+        assert next(log, None) is None
+        assert 50 < len(grown) < 6 * 50
     fits.clear()
     learn.grid_search("decision-tree", DEFAULT_GRIDS["decision-tree"], x, labels)
     assert len(fits) == 2 * 5 + 1
@@ -460,6 +466,21 @@ def test_shared_fits_per_fold(monkeypatch):
     fits.clear()
     learn.grid_search("knn", DEFAULT_GRIDS["knn"], x, labels)
     assert len(fits) == 5 + 1  # one training copy per fold serves every spec
+
+
+@pytest.mark.parametrize("data_seed,seed,work", [
+    (14, 0, [109, 95, 102, 105, 104]),
+    (31, 3, [82, 86, 83, 98, 98]),
+])
+def test_forest_fold_work_is_unchanged(monkeypatch, data_seed, seed, work):
+    """Trees grown and trees predicted per fold of the default grid, as
+    counted on the depth-group fold that the per-index lineages replaced."""
+    x, labels = overlapping(seed=data_seed)
+    per_fold = record_forest_growth(monkeypatch)
+    grid_search("random-forest", DEFAULT_GRIDS["random-forest"], x, labels,
+                seed=seed)
+    assert [grow_calls for _, _, grow_calls in per_fold] == work
+    assert [len(predicted) for _, predicted, _ in per_fold] == work
 
 
 def test_column_mismatch_propagates(monkeypatch):
@@ -627,8 +648,9 @@ def test_split_property():
     def check(data, m, d, n_classes, criterion):
         # few distinct values, so ties are common
         values = st.sampled_from([-1.5, -0.0, 0.0, 0.25, 1.0, 1e-300, 7.0])
-        x = data.draw(hnp.arrays(np.float64, (m, d), elements=values))
-        y = data.draw(hnp.arrays(np.int64, m,
+        x = data.draw(hnp.arrays(np.float64, (m, d), elements=values,
+                                 fill=st.nothing()))
+        y = data.draw(hnp.arrays(np.int64, m, fill=st.nothing(),
                                  elements=st.integers(0, n_classes - 1)))
         feature_ids = np.array(sorted(data.draw(st.sets(
             st.integers(0, d - 1), min_size=1))))
@@ -650,8 +672,9 @@ def test_split_ignores_row_order():
                       criterion=st.sampled_from(["gini", "entropy"]))
     def check(data, m, d, n_classes, criterion):
         values = st.sampled_from([-1.5, -0.0, 0.0, 0.25, 1.0, 1e-300, 7.0])
-        x = data.draw(hnp.arrays(np.float64, (m, d), elements=values))
-        y = data.draw(hnp.arrays(np.int64, m,
+        x = data.draw(hnp.arrays(np.float64, (m, d), elements=values,
+                                 fill=st.nothing()))
+        y = data.draw(hnp.arrays(np.int64, m, fill=st.nothing(),
                                  elements=st.integers(0, n_classes - 1)))
         shuffle = np.array(data.draw(st.permutations(range(m))))
         feature_ids = np.arange(d)
@@ -752,7 +775,7 @@ def test_row_index_trees_equal_copying_trees(criterion, style):
 
 
 # ---------------------------------------------------------------------------
-# forest trees reused across depth caps
+# forest trees: per-index seeds and one lineage per tree index
 
 def tree_depths(root):
     """Depth of every split node."""
@@ -772,29 +795,49 @@ def test_fold_forests_equal_trained_forests(monkeypatch, n_classes, data):
                             d=9, seed=23)
     if data == "rounded":
         x = np.round(x, 0)
-    forests = []
-    grow_forest = learn._grow_forest
-
-    def logged_forest(*args):
-        forest = grow_forest(*args)
-        forests.append((args[5], forest))
-        return forest
-
-    monkeypatch.setattr(learn, "_grow_forest", logged_forest)
-    calls, per_fold = record_tree_growth(monkeypatch)
+    per_fold = record_forest_growth(monkeypatch)
     specs = expand_grid("random-forest", DEFAULT_GRIDS["random-forest"])
     learn._FOLD_PREDICTORS["random-forest"](specs, x, labels, x[:5], 24)
     monkeypatch.undo()
-    assert [cap for cap, _ in forests] == [None, 25, 15, 10, 5, 3]
-    distinct = {id(tree) for _, forest in forests for tree in forest}
-    assert len(distinct) == len(calls) == len(per_fold[0])
-    assert len(calls) < 6 * 50  # some caps reused a tree
-    assert len(calls) > 50  # some cap cut a tree and regrew it
-    for cap, forest in forests:
+    [(grown, _, grow_calls)] = per_fold
+    assert grow_calls == len(grown)
+    assert len(grown) < 6 * 50  # some caps reused a tree
+    assert len(grown) > 50  # some cap cut a tree and regrew it
+    for cap in (None, 25, 15, 10, 5, 3):
+        # the cap's tree t is the last one its lineage grew at this cap or
+        # a larger one
+        forest = {t: tree for t, grown_cap, _, tree in grown
+                  if learn._cap(grown_cap) >= learn._cap(cap)}
+        assert sorted(forest) == list(range(50))
         for n in (5, 50):
             spec = ClassifierSpec("random-forest", {"n_estimators": n, "max_depth": cap})
             want = model_document(train(spec, x, labels, seed=24))["forest"]
-            assert [_node_document(tree) for tree in forest[:n]] == want
+            assert [_node_document(forest[t]) for t in range(n)] == want
+
+
+def reference_grow_forest(x, y, n_classes, seed, n_estimators, max_depth):
+    """Bootstrap gini trees on ceil(sqrt(d)) candidates per split, tree t
+    drawing its rows and candidates from ``SeedSequence(seed).spawn(n)[t]``."""
+    n_candidates = int(np.ceil(np.sqrt(x.shape[1])))
+    forest = []
+    for tree_seed in np.random.SeedSequence(seed).spawn(n_estimators):
+        rng = np.random.default_rng(tree_seed)
+        rows = rng.integers(0, x.shape[0], size=x.shape[0])
+        forest.append(learn._grow_tree(x, y, n_classes, "gini", max_depth, rng,
+                                       n_candidates, rows))
+    return forest
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1])
+def test_forests_equal_spawned_seed_forests(seed):
+    x, labels = overlapping(n_per_class=8, n_classes=3, d=5, seed=40)
+    classes, y = learn._class_codes(labels)
+    for cap in (None, 3):
+        for n in range(1, 51):
+            spec = ClassifierSpec("random-forest", {"n_estimators": n, "max_depth": cap})
+            got = model_document(train(spec, x, labels, seed=seed))["forest"]
+            want = reference_grow_forest(x, y, len(classes), seed, n, cap)
+            assert got == [_node_document(tree) for tree in want]
 
 
 FOREST_GRIDS = [
@@ -842,10 +885,12 @@ def test_reach_property():
                       n_classes=st.integers(2, 4), n_candidates=st.integers(1, 3),
                       seed=st.integers(0, 2 ** 32 - 1))
     def check(data, m, d, n_classes, n_candidates, seed):
-        # few distinct values, so nodes often search and find no split
+        # few distinct values, so nodes often search and find no split; every
+        # element drawn (no fill value), so the trees grow several levels
         values = st.sampled_from([-1.0, 0.0, 0.5, 2.0])
-        x = data.draw(hnp.arrays(np.float64, (m, d), elements=values))
-        y = data.draw(hnp.arrays(np.int64, m,
+        x = data.draw(hnp.arrays(np.float64, (m, d), elements=values,
+                                 fill=st.nothing()))
+        y = data.draw(hnp.arrays(np.int64, m, fill=st.nothing(),
                                  elements=st.integers(0, n_classes - 1)))
 
         def grow(cap):

@@ -157,7 +157,9 @@ class TestNumericLists:
         with pytest.raises(ParseError, match=r"^line 2: bad numeric list"):
             parse_sessions(as_file(jsonl(record(), rec)), "acn-json")
 
-    @pytest.mark.parametrize("bad", [5, True], ids=["number", "bool"])
+    # iterated, a string would give its characters and an object its keys
+    @pytest.mark.parametrize("bad", [5, True, "1234", {"1": 2.0, "3": 4.0}],
+                             ids=["number", "bool", "string", "object"])
     def test_non_list_series_names_the_record(self, as_file, bad):
         with pytest.raises(ParseError, match=r"^line 1: bad numeric list"):
             parse_sessions(as_file(jsonl(record(pilotSignal=bad))), "acn-json")
