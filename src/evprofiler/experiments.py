@@ -158,21 +158,25 @@ def _seed_int(seq: np.random.SeedSequence) -> int:
 # ---------------------------------------------------------------------------
 # dataset construction
 
-def evs_with_min_rows(features: FeatureMatrix, min_rows: int) -> list[str]:
-    return sorted(ev for ev, rows in features.by_label().items()
-                  if len(rows) >= min_rows)
+def evs_with_min_rows(by_label: dict[str, list[int]], min_rows: int) -> list[str]:
+    """The EVs of a ``FeatureMatrix.by_label()`` index with at least
+    ``min_rows`` rows, sorted."""
+    return sorted(ev for ev, rows in by_label.items() if len(rows) >= min_rows)
 
 
 def build_binary_dataset(features: FeatureMatrix, target_ev: str,
                          config: ExperimentConfig, value: float, seed,
+                         by_label: Optional[dict[str, list[int]]] = None,
                          ) -> FeatureMatrix:
     """All target rows, labelled ``"target"``, followed by negatives labelled
     ``"other"`` and balanced to ``value`` under ``config.balance_mode``.
 
     Negatives are drawn round-robin over the other EVs (order and per-EV row
     order shuffled by the seed) so no single EV dominates the negative pool.
+    ``by_label`` is ``features.by_label()``, built here when not given.
     """
-    by_label = features.by_label()
+    if by_label is None:
+        by_label = features.by_label()
     if target_ev not in by_label:
         raise BalanceError(f"unknown target EV {target_ev!r}")
     target_rows = by_label[target_ev]
@@ -238,14 +242,15 @@ def grid_rows(features: FeatureMatrix, n_evs: int, samples_per_ev: int,
         raise SubsampleError(f"n_evs and samples_per_ev must be >= 1, "
                              f"got {n_evs} and {samples_per_ev}")
     rng = np.random.default_rng(seed)
-    eligible = evs_with_min_rows(features, samples_per_ev)
+    by_label = features.by_label()
+    eligible = evs_with_min_rows(by_label, samples_per_ev)
     if len(eligible) < n_evs:
         raise SubsampleError(
             f"{n_evs} EVs with >= {samples_per_ev} rows requested, "
             f"only {len(eligible)} available")
     picks = rng.choice(len(eligible), size=n_evs, replace=False)
     matched = [(eligible[i], samples_per_ev) for i in sorted(picks)]
-    return _trim_to_targets(features.by_label(), matched, rng)
+    return _trim_to_targets(by_label, matched, rng)
 
 
 def subsample_multiclass(features: FeatureMatrix, size: str,
@@ -415,7 +420,7 @@ class CellJob:
 def binary_jobs(config: ExperimentConfig,
                 features: FeatureMatrix) -> list[CellJob]:
     """One-vs-all cells over every qualifying EV, balance value, repetition."""
-    qualifying = evs_with_min_rows(features, config.min_target_samples)
+    qualifying = evs_with_min_rows(features.by_label(), config.min_target_samples)
     if len(qualifying) < 2:
         raise BalanceError(
             f"need >= 2 EVs with {config.min_target_samples}+ rows, "
@@ -446,6 +451,8 @@ _WORKER: dict = {}
 def _init_worker(features: FeatureMatrix, config: ExperimentConfig) -> None:
     _WORKER["features"] = features
     _WORKER["config"] = config
+    # the label index every binary cell reads, built once per suite
+    _WORKER["by_label"] = features.by_label()
 
 
 def _cell_job(job: CellJob) -> list[CellResult]:
@@ -458,7 +465,8 @@ def _cell_job(job: CellJob) -> list[CellResult]:
                               f"{job.target_ev}|{value}")
             # spawn is stateful: the dataset's child comes before run_cell's
             dataset = build_binary_dataset(features, job.target_ev, config,
-                                           value, seed.spawn(1)[0])
+                                           value, seed.spawn(1)[0],
+                                           _WORKER["by_label"])
         else:
             seed = _cell_seed(config.master_seed, job.repetition,
                               _group_token(job.group))

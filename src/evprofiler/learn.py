@@ -7,19 +7,25 @@ Everything is deterministic for a given (data, spec, seed): tie-breaking is
 lexicographic on class labels, first-encountered on split costs and grid
 order, and forest tree seeds derive from the training seed by tree index.
 Grid search shares fits across combinations: per fold, one kNN fit with one
-distance matrix per metric, one full tree per criterion, and one lineage
-per forest tree index: the tree is grown at the largest depth cap and
-regrown, down the caps, only at a cap that cuts it. A regrowth follows the
-tree it was cut from, taking its splits without searching, until the cap
+nearest-neighbour ranking per metric, one full tree per criterion, and one
+lineage per forest tree index: the tree is grown at the largest depth cap
+and regrown, down the caps, only at a cap that cuts it. A regrowth follows
+the tree it was cut from, taking its splits without searching, until the cap
 first stops a node that tree searched. Each fold scores the whole grid in
 one ``_scores`` call over the stacked predicted class codes into one specs
 x folds score array. A training failure depends only on the fold's rows,
 so it fails the whole search with a ``TrainingError`` naming the fold.
 
-kNN votes for every neighbour rank come from one cumsum along the ranks of
-a (row, rank, slot) vote array, one slot per class among a row's nearest
-neighbours, so one pass gives each k's winners with the same running sums
-as adding the neighbours one at a time.
+kNN ranks only the K nearest training rows, K the largest k it reads: a
+partition at rank K, then a sort of the few candidates, gives the first K
+columns of a stable ``argsort``. Manhattan distances are summed in blocks
+of row pairs along the contiguous feature axis, the same pairwise sum as one
+row at a time, and grid search computes each pair of rows in different CV
+folds once, for both folds. Euclidean and cosine keep one BLAS product per
+fold, whose bits can depend on its shape. Votes for every neighbour rank
+come from one cumsum along the ranks of a (row, rank, slot) vote array, one
+slot per class among a row's nearest neighbours, so one pass gives each k's
+winners with the same running sums as adding the neighbours one at a time.
 
 Trees grow over row indices into the training matrix (through the
 bootstrap rows for a forest tree), and a node gathers only its candidate
@@ -128,10 +134,18 @@ def _entropy(counts: np.ndarray, total: np.ndarray) -> np.ndarray:
 # columns are scored in chunks this size, at least one column per chunk.
 _CHUNK_ELEMENTS = 1 << 15
 
-# Upper bound on the elements of a kNN vote chunk, 8 MB of float64: query
-# rows x (ranks x slots for the votes, plus ks x classes for the winners);
-# each chunk holds at least one row.
+# Upper bound on the elements of a kNN vote chunk, 8 MB of float64:
+# weightings x query rows x (ranks x slots for the votes, plus ks x classes
+# for the winners); each chunk holds at least one row.
 _VOTE_ELEMENTS = 1 << 20
+
+# Upper bound on the elements of a kNN distance scratch block, 128 KB of
+# float64: the (query, training, feature) differences of a Manhattan block,
+# or the query rows x training rows that one nearest-K partition copies.
+# Each block holds at least one query row and one training row. On the
+# benchmark's kNN cells (2-vCPU Xeon, 2 MB L2 per core), 4x larger
+# Manhattan blocks took twice the time.
+_DIST_ELEMENTS = 1 << 14
 
 
 def _cut_costs(ys: np.ndarray, change: np.ndarray, totals: np.ndarray,
@@ -418,9 +432,17 @@ def _distances(metric: str, queries: np.ndarray, train_x: np.ndarray) -> np.ndar
               - 2.0 * queries @ train_x.T)
         return np.sqrt(np.maximum(sq, 0.0))
     if metric == "manhattan":
-        out = np.empty((queries.shape[0], train_x.shape[0]))
-        for i, row in enumerate(queries):
-            out[i] = np.sum(np.abs(train_x - row), axis=1)
+        # blocks of (query, training) row pairs under _DIST_ELEMENTS; each
+        # pair's sum runs along the block's contiguous feature axis, numpy's
+        # pairwise sum of np.sum(np.abs(train_x - row), axis=1), bit for bit
+        n, m, d = queries.shape[0], train_x.shape[0], max(1, queries.shape[1])
+        out = np.empty((n, m))
+        cols = max(1, min(m, _DIST_ELEMENTS // d))
+        rows = max(1, _DIST_ELEMENTS // (cols * d))
+        for i in range(0, n, rows):
+            for j in range(0, m, cols):
+                block = queries[i:i + rows, None, :] - train_x[None, j:j + cols, :]
+                out[i:i + rows, j:j + cols] = np.abs(block, out=block).sum(axis=2)
         return out
     # cosine distance = 1 - cosine similarity; zero vectors are distance 1
     qn = np.linalg.norm(queries, axis=1)
@@ -432,37 +454,78 @@ def _distances(metric: str, queries: np.ndarray, train_x: np.ndarray) -> np.ndar
     return 1.0 - sim
 
 
-def _neighbours(metric: str, x: np.ndarray,
-                train_x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distances from each query to the training rows, and the training rows
-    in stable nearest-first order."""
+def _nearest(dist: np.ndarray, top: int,
+             columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's first K = min(top, columns) entries in stable ``argsort``
+    order, as (their distances, ``columns`` at their positions).
+
+    A partition finds the K-th smallest value. The candidates are every
+    column not above it: those below, and those equal to it (-0.0 equals
+    +0.0, as in the sort), at least K per row. Sorted by (distance,
+    position), their first K are the sort's. A NaN sorts last in both, and a
+    NaN K-th value makes the whole row a candidate. Query rows are taken in
+    chunks under ``_DIST_ELEMENTS``.
+    """
+    k = min(top, dist.shape[1])
+    near = np.empty((dist.shape[0], k))
+    at = np.empty((dist.shape[0], k), dtype=np.int64)
+    step = max(1, _DIST_ELEMENTS // max(1, dist.shape[1]))
+    for lo in range(0, dist.shape[0], step):
+        chunk = dist[lo:lo + step]
+        kth = np.partition(chunk, k - 1, axis=1)[:, k - 1, None]
+        # row-major, so positions ascend within a row, and both stable
+        # sorts below keep them in that order among equal distances
+        rows, cols = np.divmod(np.flatnonzero(~(chunk > kth)), chunk.shape[1])
+        values = chunk[rows, cols]
+        if rows.size == k * chunk.shape[0]:
+            # no row has a tie past its K-th value: K candidates per row
+            take = (np.argsort(values.reshape(-1, k), axis=1, kind="stable")
+                    + np.arange(0, rows.size, k)[:, None])
+        else:
+            order = np.lexsort((values, rows))
+            counts = np.bincount(rows, minlength=chunk.shape[0])
+            take = order[(counts.cumsum() - counts)[:, None] + np.arange(k)]
+        near[lo:lo + step] = values[take]
+        at[lo:lo + step] = columns[cols[take]]
+    return near, at
+
+
+def _neighbours(metric: str, x: np.ndarray, train_x: np.ndarray,
+                top: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each query's K = min(top, training rows) nearest training rows in
+    stable nearest-first order, as (distances, row indices)."""
     if x.shape[1] != train_x.shape[1]:
         raise ValueError("query columns do not match the training matrix")
-    dist = _distances(metric, x, train_x)
-    return dist, np.argsort(dist, axis=1, kind="stable")
+    return _nearest(_distances(metric, x, train_x), top,
+                    np.arange(train_x.shape[0]))
 
 
 def _knn_codes(dist: np.ndarray, nearest: np.ndarray, train_y: np.ndarray,
-               n_classes: int, ks: set, weighted: bool) -> dict[int, np.ndarray]:
-    """Vote winners among the k nearest neighbours, for each k in ``ks``.
+               n_classes: int, votes: set) -> dict[tuple, np.ndarray]:
+    """Vote winners among the k nearest neighbours for each (k, weighted)
+    pair in ``votes``, keyed by the pair.
 
-    A row's ``max(ks)`` nearest neighbours hold at most that many distinct
-    classes, each given a slot, so the vote arrays do not grow with the
-    class count. Each neighbour's vote goes to a (row, rank, slot) array
-    and a cumsum along the ranks gives every prefix's totals at once. The
-    cumsum adds in rank order and a slot not hit at a rank gets +0.0, so the
-    running sum at rank k is bit-identical to adding the first k votes one
-    by one. Under distance weights, a prefix that holds exact-zero distances
-    counts only those neighbours. Each k's slot totals go back to a row x
-    class array, 0.0 for classes no neighbour has, whose argmax gives vote
-    ties to the lowest class code. Query rows are taken in chunks under
+    ``dist`` and ``nearest`` hold each row's nearest neighbours in rank
+    order, at least the largest k of them. That many neighbours hold at most
+    that many distinct classes, each given a slot, so the vote arrays do not
+    grow with the class count. Each neighbour's vote goes to a (weighting,
+    row, rank, slot) array and one cumsum along the ranks gives every
+    prefix's totals at once, under both weightings. The cumsum adds in rank
+    order and a slot not hit at a rank gets +0.0, so the running sum at rank
+    k is bit-identical to adding the first k votes one by one. Under
+    distance weights, a prefix that holds exact-zero distances counts only
+    those neighbours. Each k's slot totals go back to a row x class array,
+    0.0 for classes no neighbour has, whose argmax gives vote ties to the
+    lowest class code. Query rows are taken in chunks under
     ``_VOTE_ELEMENTS``.
     """
-    ks = sorted(ks)
+    weightings = sorted({w for _, w in votes})
+    ks = sorted({k for k, _ in votes})
     top, ends = ks[-1], np.array(ks) - 1
     width = min(top, n_classes)
-    out = np.empty((dist.shape[0], len(ks)), dtype=np.int64)
-    step = max(1, _VOTE_ELEMENTS // (top * width + len(ks) * n_classes))
+    out = np.empty((len(weightings), dist.shape[0], len(ks)), dtype=np.int64)
+    step = max(1, _VOTE_ELEMENTS // (len(weightings)
+                                     * (top * width + len(ks) * n_classes)))
     for lo in range(0, dist.shape[0], step):
         idx = nearest[lo:lo + step, :top]
         row = np.arange(idx.shape[0])[:, None]
@@ -476,27 +539,29 @@ def _knn_codes(dist: np.ndarray, nearest: np.ndarray, train_y: np.ndarray,
         slot = np.empty_like(dense)
         slot[row, order] = dense
         cell = (row, np.arange(top), slot)
-        votes = np.zeros((idx.shape[0], top, width))
-        if weighted:
-            nd = dist[lo + row, idx]
-            with np.errstate(divide="ignore"):
-                votes[cell] = 1.0 / nd
-        else:
-            votes[cell] = 1.0
+        tally = np.zeros((len(weightings), idx.shape[0], top, width))
+        for i, weighted in enumerate(weightings):
+            if weighted:
+                nd = dist[lo:lo + step, :top]
+                with np.errstate(divide="ignore"):
+                    tally[i][cell] = 1.0 / nd
+            else:
+                tally[i][cell] = 1.0
         # +0 and -0 distances sum to inf - inf, in rows that exact counts decide
         with np.errstate(invalid="ignore"):
-            votes = np.cumsum(votes, axis=1)
-        if weighted and (zero := nd == 0.0).any():
-            exact = np.zeros(votes.shape, dtype=np.int64)
+            tally = np.cumsum(tally, axis=2)
+        if weightings[-1] and (zero := nd == 0.0).any():
+            exact = np.zeros(tally.shape[1:], dtype=np.int64)
             exact[cell] = zero
             any_exact = np.logical_or.accumulate(zero, axis=1)
-            votes = np.where(any_exact[:, :, None], np.cumsum(exact, axis=1), votes)
+            tally[-1] = np.where(any_exact[:, :, None], np.cumsum(exact, axis=1),
+                                 tally[-1])
         rows, at = np.nonzero(new)
         rows, classes, slots = rows[:, None], ranked[rows, at, None], dense[rows, at, None]
-        final = np.zeros((idx.shape[0], len(ks), n_classes))
-        final[rows, np.arange(len(ks)), classes] = votes[rows, ends, slots]
-        out[lo:lo + step] = np.argmax(final, axis=2)
-    return {k: out[:, i] for i, k in enumerate(ks)}
+        final = np.zeros((len(weightings), idx.shape[0], len(ks), n_classes))
+        final[:, rows, np.arange(len(ks)), classes] = tally[:, rows, ends, slots]
+        out[:, lo:lo + step] = np.argmax(final, axis=3)
+    return {(k, w): out[weightings.index(w), :, ks.index(k)] for k, w in votes}
 
 
 def predict(model: TrainedModel, x: np.ndarray) -> np.ndarray:
@@ -506,10 +571,10 @@ def predict(model: TrainedModel, x: np.ndarray) -> np.ndarray:
     n_classes = len(model.classes)
     spec = model.spec
     if spec.family == "knn":
-        dist, nearest = _neighbours(spec.param("metric"), x, model.knn_x)
         k = min(spec.param("n_neighbors"), model.knn_x.shape[0])
-        codes = _knn_codes(dist, nearest, model.knn_y, n_classes, {k},
-                           spec.param("weights") == "distance")[k]
+        vote = (k, spec.param("weights") == "distance")
+        dist, nearest = _neighbours(spec.param("metric"), x, model.knn_x, k)
+        codes = _knn_codes(dist, nearest, model.knn_y, n_classes, {vote})[vote]
     elif spec.family == "decision-tree":
         codes = _tree_predict(model.tree, x)
     else:
@@ -645,23 +710,67 @@ def _group(specs: Sequence[ClassifierSpec], param: str) -> list[list[int]]:
 # as little as the grid allows; a TrainingError depends only on the rows, so
 # it fails the whole fold, and with it the search.
 
-def _knn_fold(specs, x_train, y_train, x_test, seed):
-    """One fit, and one distance matrix and neighbour ranking per metric."""
+def _knn_fold(specs, x_train, y_train, x_test, seed, manhattan=None):
+    """One fit, and per metric one ranking of each test row's K nearest
+    training rows, K the metric's largest k. ``manhattan``, if given, yields
+    the folds' Manhattan rankings in fold order (see ``_fold_manhattan``),
+    and this fold takes the next one."""
     model = train(specs[0], x_train, y_train, seed)
     n_train = model.knn_x.shape[0]
     out: list = [None] * len(specs)
     for members in _group(specs, "metric"):
-        dist, nearest = _neighbours(specs[members[0]].param("metric"), x_test,
-                                    model.knn_x)
+        metric = specs[members[0]].param("metric")
         votes = {i: (min(specs[i].param("n_neighbors"), n_train),
                      specs[i].param("weights") == "distance")
                  for i in members}
-        codes = {w: _knn_codes(dist, nearest, model.knn_y, len(model.classes),
-                               {k for k, v in votes.values() if v == w}, w)
-                 for w in {w for _, w in votes.values()}}
-        for i, (k, w) in votes.items():
-            out[i] = codes[w][k]
+        if metric == "manhattan" and manhattan is not None:
+            dist, nearest = next(manhattan)
+        else:
+            dist, nearest = _neighbours(metric, x_test, model.knn_x,
+                                        max(k for k, _ in votes.values()))
+        codes = _knn_codes(dist, nearest, model.knn_y, len(model.classes),
+                           set(votes.values()))
+        for i, vote in votes.items():
+            out[i] = codes[vote]
     return model.classes, out
+
+
+def _fold_manhattan(x: np.ndarray, fold_of: np.ndarray, top: int):
+    """Each fold's Manhattan ranking as ``_neighbours`` gives it on the
+    fold's own test and training matrices, fold by fold; ``fold_of`` holds
+    each row's fold.
+
+    Fold a computes one block of distances, from its rows to the rows of
+    every later fold, so each pair of rows in different folds is computed
+    once. The block's rows rank the later rows for fold a, and its
+    transpose ranks fold a's rows for each later fold, since |u - v| ==
+    |v - u| exactly. Each list holds the first K of one part of a fold's
+    training rows in (distance, row) order, so together they hold the first
+    K of all of them, and merged in that order they give them. A fold's
+    training rows are the other folds' rows in ascending order, so ties by
+    row are ties by training position, as in the fold's own matrix.
+    """
+    n_folds = int(fold_of.max()) + 1
+    parts: list = [[] for _ in range(n_folds)]
+    for a in range(n_folds):
+        rows_a = np.flatnonzero(fold_of == a)
+        later = np.flatnonzero(fold_of > a)
+        if later.size:
+            block = _distances("manhattan", x[rows_a], x[later])
+            parts[a].append(_nearest(block, top, later))
+            dist, rows = _nearest(block.T, top, rows_a)
+            del block  # before the next fold's block is computed
+            owner = fold_of[later]
+            for b in range(a + 1, n_folds):
+                parts[b].append((dist[owner == b], rows[owner == b]))
+        dist = np.hstack([d for d, _ in parts[a]])
+        rows = np.hstack([r for _, r in parts[a]])
+        parts[a] = None
+        order = np.lexsort((rows, dist))[:, :top]
+        rows = np.take_along_axis(rows, order, axis=1)
+        # a row's training position: the row less fold a's rows before it
+        yield (np.take_along_axis(dist, order, axis=1),
+               rows - np.searchsorted(rows_a, rows))
 
 
 def _tree_fold(specs, x_train, y_train, x_test, seed):
@@ -733,13 +842,20 @@ def grid_search(family: str, grid: dict, x: np.ndarray, labels: Sequence[str],
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         folds = [f for f in stratified_kfold(y, k, seed) if f.size]
-    all_rows = np.arange(y.size)
+    fold_of = np.empty(y.size, dtype=np.int64)
+    for j, fold in enumerate(folds):
+        fold_of[fold] = j
+    shared = {}
+    manhattan_ks = [spec.param("n_neighbors") for spec in specs
+                    if family == "knn" and spec.param("metric") == "manhattan"]
+    if manhattan_ks:
+        shared["manhattan"] = _fold_manhattan(x, fold_of, max(manhattan_ks))
     scores = np.empty((len(specs), len(folds)))
     for j, fold in enumerate(folds):
-        train_rows = np.setdiff1d(all_rows, fold)
+        train_rows = np.flatnonzero(fold_of != j)
         try:
             fold_classes, predicted = _FOLD_PREDICTORS[family](
-                specs, x[train_rows], y[train_rows], x[fold], seed)
+                specs, x[train_rows], y[train_rows], x[fold], seed, **shared)
         except TrainingError as exc:
             raise TrainingError(f"CV fold {j}: {exc}") from exc
         accuracy, f1, _ = _scores(

@@ -406,6 +406,22 @@ class TestSuites:
         values = {c.group["balance_value"] for c in report.cells}
         assert values == {1.0, 2.0}
 
+    def test_binary_cells_share_one_label_index(self, feature_matrix_builder,
+                                                monkeypatch):
+        # built once for the job list and once per worker, never per cell
+        features = feature_matrix_builder(
+            {"T": 60, "U": 60, "V": 60, "W": 60}, seed=5)
+        by_label, calls = FeatureMatrix.by_label, []
+        monkeypatch.setattr(FeatureMatrix, "by_label",
+                            lambda self: calls.append(self) or by_label(self))
+        for reps in (1, 3):
+            config = tiny_config(families=("knn",), balance_values=(1.0, 2.0),
+                                 repetitions=reps, min_target_samples=50)
+            calls.clear()
+            report = run_cells(config, features, binary_jobs(config, features))
+            assert len(report.cells) == 8 * reps
+            assert len(calls) == 2
+
     def test_binary_suite_needs_two_qualifying(self, feature_matrix_builder):
         features = feature_matrix_builder({"T": 60, "U": 10})
         with pytest.raises(BalanceError):

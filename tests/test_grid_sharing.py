@@ -9,6 +9,11 @@ chosen spec and the same refitted model, compared through
 ``model_document``, or fail with the same ``TrainingError`` when a CV fold
 cannot be fitted.
 
+``reference_manhattan`` is the per-row Manhattan loop that blocked
+distances replaced; the oracle ranks with it and a full stable ``argsort``,
+so the top-K ranking, the blocks and their sharing between CV folds are all
+pinned to the code they replaced.
+
 ``reference_best_split`` is the per-feature split search that the one-pass
 ``learn._best_split`` replaced; both must pick the same (feature, threshold)
 at every node, so both grow the same trees.
@@ -91,6 +96,14 @@ def reference_scores(y_true, y_pred, positive_label=None):
     return Scores(accuracy, macro, positive)
 
 
+def reference_manhattan(queries, train_x):
+    """Manhattan distances one query row at a time."""
+    out = np.empty((queries.shape[0], train_x.shape[0]))
+    for i, row in enumerate(queries):
+        out[i] = np.sum(np.abs(train_x - row), axis=1)
+    return out
+
+
 def oracle_predict(model, x):
     x = np.asarray(x, dtype=np.float64)
     n_classes = len(model.classes)
@@ -99,7 +112,9 @@ def oracle_predict(model, x):
             raise ValueError("query columns do not match the training matrix")
         hp = model.spec.hyperparameters
         k = min(hp.get("n_neighbors", 5), model.knn_x.shape[0])
-        dist = learn._distances(hp.get("metric", "euclidean"), x, model.knn_x)
+        metric = hp.get("metric", "euclidean")
+        dist = (reference_manhattan(x, model.knn_x) if metric == "manhattan"
+                else learn._distances(metric, x, model.knn_x))
         nearest = np.argsort(dist, axis=1, kind="stable")[:, :k]
         codes = np.empty(x.shape[0], dtype=np.int64)
         weighted = hp.get("weights", "uniform") == "distance"
@@ -564,11 +579,92 @@ def test_knn_codes_equal_rank_loop(monkeypatch, weighted, ks, n_classes):
         dist[:, :3] = rng.random((n_query, 3))
         nearest = np.argsort(dist, axis=1, kind="stable")
         train_y = rng.integers(0, n_classes, n_train)
-        got = learn._knn_codes(dist, nearest, train_y, n_classes, ks, weighted)
         want = reference_knn_codes(dist, nearest, train_y, n_classes, ks, weighted)
-        assert got.keys() == want.keys()
-        for k in ks:
-            np.testing.assert_array_equal(got[k], want[k])
+        # K-wide inputs, K the largest k, alone and with the other
+        # weighting's votes sharing the slotting and the cumsum
+        top = nearest[:, :max(ks)]
+        near = np.take_along_axis(dist, top, axis=1)
+        alone = {(k, weighted) for k in ks}
+        for votes in (alone, alone | {(k, not weighted) for k in ks}):
+            got = learn._knn_codes(near, top, train_y, n_classes, votes)
+            assert got.keys() == votes
+            for k in ks:
+                np.testing.assert_array_equal(got[k, weighted], want[k])
+
+
+def test_nearest_equals_stable_argsort_prefix():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    hnp = pytest.importorskip("hypothesis.extra.numpy")
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(data=st.data(), n_query=st.integers(0, 12),
+                      n_train=st.integers(1, 25), top=st.integers(1, 30),
+                      budget=st.integers(1, 60))
+    def check(data, n_query, n_train, top, budget):
+        # few distinct values: heavy ties, exact zeros of both signs, and
+        # NaN, which sorts last; a budget under one row still takes one
+        # query row per chunk
+        values = st.sampled_from([-1e-16, -0.0, 0.0, 1e-300, 0.5, 2.0, np.inf,
+                                  np.nan])
+        dist = data.draw(hnp.arrays(np.float64, (n_query, n_train),
+                                    elements=values, fill=st.nothing()))
+        columns = np.arange(n_train) * 3 + 1
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(learn, "_DIST_ELEMENTS", budget)
+            near, at = learn._nearest(dist, top, columns)
+        want = np.argsort(dist, axis=1, kind="stable")[:, :top]
+        np.testing.assert_array_equal(at, columns[want])
+        # bit for bit: -0.0 stays -0.0
+        assert (np.take_along_axis(dist, want, axis=1).tobytes()
+                == near.tobytes())
+
+    check()
+
+
+@pytest.mark.parametrize("d", [1, 8, 128, 129, 134, 300])
+@pytest.mark.parametrize("budget", [1, 1 << 11, 1 << 16])
+def test_blocked_manhattan_equals_row_loop(monkeypatch, d, budget):
+    # budget 1 takes one pair per block; 1 << 11 splits the training rows
+    # at wide d and groups query rows at narrow d
+    monkeypatch.setattr(learn, "_DIST_ELEMENTS", budget)
+    rng = np.random.default_rng(d)
+    for n_query, n_train in [(1, 1), (7, 30), (23, 5)]:
+        scale = 10.0 ** rng.integers(-3, 6, d)
+        a = np.round(rng.normal(0.0, 1.0, (n_query, d)) * scale, 1)
+        b = np.round(rng.normal(0.0, 1.0, (n_train, d)) * scale, 1)
+        b[0] = a[0]
+        got = learn._distances("manhattan", a, b)
+        np.testing.assert_array_equal(got, reference_manhattan(a, b))
+        # the transposed block is the swapped operands' block
+        np.testing.assert_array_equal(learn._distances("manhattan", b, a).T, got)
+        np.testing.assert_array_equal(got.T, reference_manhattan(b, a))
+
+
+@pytest.mark.parametrize("top", [1, 4, 15, 200])
+@pytest.mark.parametrize("data", ["rounded", "duplicates"])
+def test_fold_manhattan_equals_each_folds_own_ranking(monkeypatch, top, data):
+    # heavy ties across blocks: integer features in few columns, or
+    # repeated rows; a small budget splits every block
+    monkeypatch.setattr(learn, "_DIST_ELEMENTS", 7)
+    if data == "rounded":
+        x, labels = overlapping(n_per_class=13, n_classes=3, d=2, seed=31)
+        x = np.round(x)
+    else:
+        x, labels = with_duplicates(seed=32)
+    folds = [f for f in stratified_kfold(labels, 5, 33) if f.size]
+    fold_of = np.empty(len(labels), dtype=np.int64)
+    for j, fold in enumerate(folds):
+        fold_of[fold] = j
+    shared = learn._fold_manhattan(x, fold_of, top)
+    for fold in folds:
+        train_x = np.delete(x, fold, axis=0)
+        dist = reference_manhattan(x[fold], train_x)
+        want = np.argsort(dist, axis=1, kind="stable")[:, :top]
+        near, at = next(shared)
+        np.testing.assert_array_equal(at, want)
+        np.testing.assert_array_equal(near, np.take_along_axis(dist, want, axis=1))
+    assert next(shared, None) is None
 
 
 # ---------------------------------------------------------------------------
