@@ -20,12 +20,11 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, RunManifest, params_from, parse_config_file
 from .experiments import (BALANCE_MODES, DISTRIBUTION_SHAPES, SIZE_PRESETS,
-                          DistributionParams, ExperimentConfig,
-                          ExperimentReport, SummaryRow, binary_jobs, grid_rows,
-                          multiclass_jobs, read_cells_csv, run_cells,
-                          subsample_distribution, subsample_multiclass,
-                          summarize_cells, write_cells_csv, write_summary_csv,
-                          write_summary_md)
+                          ExperimentConfig, ExperimentReport, SummaryRow,
+                          binary_jobs, grid_rows, multiclass_jobs,
+                          read_cells_csv, run_cells, subsample_distribution,
+                          subsample_multiclass, summarize_cells,
+                          write_cells_csv, write_summary_csv, write_summary_md)
 from .features import (N_FEATURES, featurize_segments, read_feature_csv,
                        write_feature_csv)
 from .ingest import (FORMATS, ParseError, TimeSeries, _records_from_json,
@@ -193,24 +192,22 @@ def _cmd_experiment(args, cfg: dict, manifest: RunManifest) -> None:
             min_target_samples=args.min_target)
         jobs = binary_jobs(config, features)
     elif args.mode == "multiclass":
-        features = subsample_multiclass(features, args.size,
-                                        np.random.SeedSequence([args.seed, 0xD5]))
-        jobs = multiclass_jobs(config, features, "multiclass", dataset=args.size)
+        rows = subsample_multiclass(features, args.size, args.seed)
+        jobs = multiclass_jobs(config, features, "multiclass", rows,
+                               dataset=args.size)
     elif args.mode == "grid":
         jobs = []
         for n_evs, samples in itertools.product(
                 _distinct_ints(args.evs, "--evs"),
                 _distinct_ints(args.samples, "--samples")):
-            rows = grid_rows(features, n_evs, samples,
-                             np.random.SeedSequence([args.seed, n_evs, samples]))
+            rows = grid_rows(features, n_evs, samples, args.seed)
             jobs += multiclass_jobs(config, features, "fixed-grid", rows,
                                     n_evs=n_evs, samples_per_ev=samples)
     else:  # distribution
-        params = DistributionParams(n_evs=args.n_evs, bins=args.bins,
-                                    per_bin=args.per_bin)
-        features = subsample_distribution(features, args.shape, params,
-                                          np.random.SeedSequence([args.seed, 0xD1]))
-        jobs = multiclass_jobs(config, features, "distribution",
+        rows = subsample_distribution(features, args.shape, args.seed,
+                                      n_evs=args.n_evs, bins=args.bins,
+                                      per_bin=args.per_bin)
+        jobs = multiclass_jobs(config, features, "distribution", rows,
                                distribution=args.shape)
     report = run_cells(config, features, jobs)
     manifest.stop("experiment")

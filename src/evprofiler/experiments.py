@@ -4,14 +4,16 @@ sub-sampling, with repetition and aggregation.
 
 A suite's settings live in one ``ExperimentConfig``, checked when it is
 built, so a bad balance mode or value stops the suite before any cell runs;
-the sub-samplers check their sizes the same way (``DistributionParams`` when
-built, ``grid_rows`` on entry). Every mode is a list of ``CellJob``s over one
-shared feature matrix: ``binary_jobs`` builds the one-vs-all cells,
-``multiclass_jobs`` the repetitions of one multi-class dataset (a fixed grid
-adds one such list per grid point, each naming its rows of the matrix).
-``run_cells`` runs any list through one job function and at most one worker
-pool, in job order, and ``run_cell`` reads a cell's group, target EV and
-repetition from its job.
+the sub-samplers check their sizes on entry the same way. Each sub-sampler
+(``subsample_multiclass``, ``grid_rows``, ``subsample_distribution``) takes
+the suite's feature matrix and integer seed, derives its own generator from
+that seed, and returns rows of the matrix. Every mode is a list of
+``CellJob``s over that one matrix: ``binary_jobs`` builds the one-vs-all
+cells, ``multiclass_jobs`` the repetitions of one multi-class dataset, named
+by its rows (a fixed grid adds one such list per grid point). ``run_cells``
+runs any list through one job function and at most one worker pool, in job
+order, and ``run_cell`` reads a cell's group, target EV and repetition from
+its job.
 
 Every cell ((target EV, balance value, repetition) or (dataset, repetition))
 derives its own seed from the master seed, so cells are independent,
@@ -58,20 +60,6 @@ class DistributionError(ValueError):
 class LeakageError(ValueError):
     """A cell's dataset holds a session more than once, so the session could
     sit in both the training and the held-out rows."""
-
-
-@dataclass(frozen=True)
-class DistributionParams:
-    n_evs: int = 119          # normal shape
-    mean: Optional[float] = None
-    sigma: Optional[float] = None
-    bins: int = 20            # uniform shape
-    per_bin: int = 6
-
-    def __post_init__(self):
-        for name in ("n_evs", "bins", "per_bin"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -166,17 +154,14 @@ def evs_with_min_rows(by_label: dict[str, list[int]], min_rows: int) -> list[str
 
 def build_binary_dataset(features: FeatureMatrix, target_ev: str,
                          config: ExperimentConfig, value: float, seed,
-                         by_label: Optional[dict[str, list[int]]] = None,
-                         ) -> FeatureMatrix:
+                         by_label: dict[str, list[int]]) -> FeatureMatrix:
     """All target rows, labelled ``"target"``, followed by negatives labelled
     ``"other"`` and balanced to ``value`` under ``config.balance_mode``.
 
     Negatives are drawn round-robin over the other EVs (order and per-EV row
     order shuffled by the seed) so no single EV dominates the negative pool.
-    ``by_label`` is ``features.by_label()``, built here when not given.
+    ``by_label`` is ``features.by_label()``.
     """
-    if by_label is None:
-        by_label = features.by_label()
     if target_ev not in by_label:
         raise BalanceError(f"unknown target EV {target_ev!r}")
     target_rows = by_label[target_ev]
@@ -235,13 +220,16 @@ def _trim_to_targets(by_label: dict[str, list[int]],
 
 
 def grid_rows(features: FeatureMatrix, n_evs: int, samples_per_ev: int,
-              seed) -> list[int]:
+              seed: int) -> list[int]:
     """Rows of ``n_evs`` EVs drawn from those with at least ``samples_per_ev``
-    rows, each EV trimmed to exactly that many."""
+    rows, each EV trimmed to exactly that many; the draws are seeded by
+    ``[seed, n_evs, samples_per_ev]``."""
+    # built first, so a negative seed fails before the sizes are checked
+    rng = np.random.default_rng(
+        np.random.SeedSequence([seed, n_evs, samples_per_ev]))
     if n_evs < 1 or samples_per_ev < 1:
         raise SubsampleError(f"n_evs and samples_per_ev must be >= 1, "
                              f"got {n_evs} and {samples_per_ev}")
-    rng = np.random.default_rng(seed)
     by_label = features.by_label()
     eligible = evs_with_min_rows(by_label, samples_per_ev)
     if len(eligible) < n_evs:
@@ -254,19 +242,21 @@ def grid_rows(features: FeatureMatrix, n_evs: int, samples_per_ev: int,
 
 
 def subsample_multiclass(features: FeatureMatrix, size: str,
-                         seed) -> FeatureMatrix:
-    """The EVs of preset ``size``, selected stratified by session count, with
-    all their rows."""
+                         seed: int) -> list[int]:
+    """Rows of the EVs of preset ``size``, selected stratified by session
+    count and seeded by ``[seed, 0xD5]``, with all their rows; every row in
+    order for ``complete``."""
+    # built first, so a negative seed fails for every preset
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xD5]))
     if size not in SIZE_PRESETS:
         raise SubsampleError(f"unknown size preset {size!r}")
     n_evs = SIZE_PRESETS[size]
     if n_evs is None:
-        return features
+        return list(range(features.n_rows))
     by_label = features.by_label()
     if n_evs > len(by_label):
         raise SubsampleError(
             f"requested {n_evs} EVs, corpus has {len(by_label)}")
-    rng = np.random.default_rng(seed)
     counts = {ev: len(rows) for ev, rows in by_label.items()}
     strata = _count_strata(counts)
     total = len(counts)
@@ -278,36 +268,36 @@ def subsample_multiclass(features: FeatureMatrix, size: str,
         picks = rng.choice(len(stratum), size=min(quota, len(stratum)),
                            replace=False)
         chosen.extend(stratum[i] for i in sorted(picks))
-    rows = [i for ev in sorted(chosen) for i in by_label[ev]]
-    return features.take(rows)
+    return [i for ev in sorted(chosen) for i in by_label[ev]]
 
 
-def subsample_distribution(features: FeatureMatrix, shape: str,
-                           params: DistributionParams, seed) -> FeatureMatrix:
-    """Sub-sample to a normal or uniform sessions-per-EV distribution.
+def subsample_distribution(features: FeatureMatrix, shape: str, seed: int, *,
+                           n_evs: int, bins: int, per_bin: int) -> list[int]:
+    """Rows sub-sampled to a normal or uniform sessions-per-EV distribution,
+    the draws seeded by ``[seed, 0xD1]``.
 
-    normal: per-EV targets are the deterministic quantile discretization of
-    Normal(mean, sigma); targets are matched largest-first to EVs with at
-    least that many rows and each matched EV is trimmed to its target.
-    uniform: the session-count range is split into equal-width bins and
-    per_bin EVs are drawn per bin, each trimmed to the bin midpoint. An EV is
-    eligible for one bin only, and a bin with fewer than per_bin eligible
-    EVs raises ``DistributionError``.
+    normal: ``n_evs`` per-EV targets are the deterministic quantile
+    discretization of Normal(mean, max(mean / 4, 1)), mean the corpus's mean
+    sessions per EV; targets are matched largest-first to EVs with at least
+    that many rows and each matched EV is trimmed to its target.
+    uniform: the session-count range is split into ``bins`` equal-width bins
+    and ``per_bin`` EVs are drawn per bin, each trimmed to the bin midpoint.
+    An EV is eligible for one bin only, and a bin with fewer than ``per_bin``
+    eligible EVs raises ``DistributionError``.
     """
+    for name, size in (("n_evs", n_evs), ("bins", bins), ("per_bin", per_bin)):
+        if size < 1:
+            raise ValueError(f"{name} must be >= 1")
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xD1]))
     if shape not in DISTRIBUTION_SHAPES:
         raise DistributionError(f"unknown shape {shape!r}")
     by_label = features.by_label()
     counts = {ev: len(rows) for ev, rows in by_label.items()}
-    rng = np.random.default_rng(seed)
     if shape == "normal":
-        mean = params.mean if params.mean is not None else statistics.mean(counts.values())
-        sigma = params.sigma if params.sigma is not None else max(mean / 4.0, 1.0)
-        if sigma == 0:
-            targets = [max(1, round(mean))] * params.n_evs
-        else:
-            dist = statistics.NormalDist(mean, sigma)
-            targets = sorted((max(1, round(dist.inv_cdf((i + 0.5) / params.n_evs)))
-                              for i in range(params.n_evs)), reverse=True)
+        mean = statistics.mean(counts.values())
+        dist = statistics.NormalDist(mean, max(mean / 4.0, 1.0))
+        targets = sorted((max(1, round(dist.inv_cdf((i + 0.5) / n_evs)))
+                          for i in range(n_evs)), reverse=True)
         pool = sorted(counts, key=lambda ev: (-counts[ev], ev))
         used: set[str] = set()
         matched: list[tuple[str, int]] = []
@@ -319,29 +309,29 @@ def subsample_distribution(features: FeatureMatrix, shape: str,
                     f"no unused EV with >= {target} rows for the normal shape")
             used.add(pick)
             matched.append((pick, target))
-        return features.take(_trim_to_targets(by_label, sorted(matched), rng))
+        return _trim_to_targets(by_label, sorted(matched), rng)
     lo, hi = min(counts.values()), max(counts.values())
-    width = max((hi - lo) / params.bins, 1e-9)
+    width = max((hi - lo) / bins, 1e-9)
     matched = []
     deficits = []
-    for b in range(params.bins):
+    for b in range(bins):
         b_lo = lo + b * width
         b_hi = lo + (b + 1) * width
         target = max(1, int((b_lo + b_hi) / 2.0))
         # the half-open bin holding an EV's count, or the last bin for the
         # largest count (for every EV, when all counts are equal)
         eligible = sorted(ev for ev, c in counts.items()
-                          if c >= target and (b == params.bins - 1 if c == hi
+                          if c >= target and (b == bins - 1 if c == hi
                                               else b_lo <= c < b_hi))
-        if len(eligible) < params.per_bin:
+        if len(eligible) < per_bin:
             deficits.append(f"bin {b} [{b_lo:.1f}, {b_hi:.1f}): "
-                            f"{len(eligible)}/{params.per_bin}")
+                            f"{len(eligible)}/{per_bin}")
             continue
-        picks = rng.choice(len(eligible), size=params.per_bin, replace=False)
+        picks = rng.choice(len(eligible), size=per_bin, replace=False)
         matched.extend((eligible[i], target) for i in sorted(picks))
     if deficits:
         raise DistributionError("unfillable bins: " + "; ".join(deficits))
-    return features.take(_trim_to_targets(by_label, sorted(matched), rng))
+    return _trim_to_targets(by_label, sorted(matched), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -407,14 +397,13 @@ class CellJob:
     """One cell over the suite's shared feature matrix.
 
     A one-vs-all cell (``target_ev`` set) builds its balanced dataset from
-    the whole matrix; a multi-class cell uses ``rows`` of it, or every row
-    when ``rows`` is None.
+    the whole matrix; a multi-class cell uses ``rows`` of it.
     """
 
     group: dict
     target_ev: str
     repetition: int
-    rows: Optional[tuple[int, ...]] = None
+    rows: tuple[int, ...] = ()
 
 
 def binary_jobs(config: ExperimentConfig,
@@ -433,15 +422,12 @@ def binary_jobs(config: ExperimentConfig,
 
 
 def multiclass_jobs(config: ExperimentConfig, features: FeatureMatrix,
-                    suite: str, rows: Optional[Sequence[int]] = None,
-                    **dims) -> list[CellJob]:
-    """Every repetition of one multi-class dataset: ``rows`` of ``features``
-    (all of them when None), grouped by suite, class count and ``dims``."""
-    if rows is not None:
-        rows = tuple(rows)
-    labels = features.labels if rows is None else [features.labels[i]
-                                                  for i in rows]
-    group = {"suite": suite, "n_classes": len(set(labels)), **dims}
+                    suite: str, rows: Sequence[int], **dims) -> list[CellJob]:
+    """Every repetition of one multi-class dataset: ``rows`` of ``features``,
+    grouped by suite, class count and ``dims``."""
+    rows = tuple(rows)
+    group = {"suite": suite,
+             "n_classes": len({features.labels[i] for i in rows}), **dims}
     return [CellJob(group, "", rep, rows) for rep in range(config.repetitions)]
 
 
@@ -470,7 +456,7 @@ def _cell_job(job: CellJob) -> list[CellResult]:
         else:
             seed = _cell_seed(config.master_seed, job.repetition,
                               _group_token(job.group))
-            dataset = features if job.rows is None else features.take(job.rows)
+            dataset = features.take(job.rows)
         return run_cell(job, dataset, config, seed)
     except ValueError as exc:
         return _failed_cells(job, config.families, str(exc))

@@ -40,7 +40,6 @@ value sort is unstable and gini reads class ranks from one per-node vector;
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -625,10 +624,8 @@ def stratified_kfold(labels: Sequence, k: int = 5,
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xF01D]))
     classes, y = _class_codes(labels)
     folds: list[list[int]] = [[] for _ in range(k)]
-    for code, cls in enumerate(classes):
+    for code in range(len(classes)):
         idx = np.flatnonzero(y == code)
-        if idx.size < k:
-            warnings.warn(f"class {cls!r} has fewer rows ({idx.size}) than folds ({k})")
         rng.shuffle(idx)
         for j, row in enumerate(idx):
             folds[j % k].append(int(row))
@@ -839,9 +836,7 @@ def grid_search(family: str, grid: dict, x: np.ndarray, labels: Sequence[str],
     specs = expand_grid(family, grid)
     x = np.asarray(x, dtype=np.float64)
     classes, y = _class_codes(labels, positive_label)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        folds = [f for f in stratified_kfold(y, k, seed) if f.size]
+    folds = [f for f in stratified_kfold(y, k, seed) if f.size]
     fold_of = np.empty(y.size, dtype=np.int64)
     for j, fold in enumerate(folds):
         fold_of[fold] = j

@@ -21,6 +21,9 @@ from .ingest import ChargingSession, Corpus, TimeSeries
 # Decay ends at this current (amperes); the signal is exactly zero after.
 TERMINATION_CURRENT = 2.2
 
+# Each session's sample count is drawn uniformly from this closed range.
+LENGTH_BOUNDS = (600, 1200)
+
 # Well-separated signature grids. Grid sizes 41 / 13 / 3 are pairwise
 # coprime, and each dimension is indexed by ev_index modulo its size, so the
 # joint (lambda, gap, pilot) combination is unique for the first
@@ -72,15 +75,11 @@ class SyntheticSignature:
 class SynthOptions:
     separation: str = "well-separated"
     truncate_prob: float = 0.0
-    length_bounds: tuple[int, int] = (600, 1200)
     noise_sigma: Optional[float] = None  # overrides the signature's noise
 
     def __post_init__(self):
         if self.separation not in SEPARATIONS:
             raise ValueError(f"unknown separation {self.separation!r}")
-        lo, hi = self.length_bounds
-        if lo < 120 or hi < lo:
-            raise ValueError("length_bounds must satisfy 120 <= lo <= hi")
         if not 0.0 <= self.truncate_prob <= 1.0:
             raise ValueError("truncate_prob must be in [0, 1]")
 
@@ -190,7 +189,7 @@ def generate_corpus(n_evs: int, sessions_per_ev: int, seed: int,
     if n_evs < 1 or sessions_per_ev < 1:
         raise ValueError("need n_evs >= 1 and sessions_per_ev >= 1")
     options = options or SynthOptions()
-    lo, hi = options.length_bounds
+    lo, hi = LENGTH_BOUNDS
     sessions = []
     for i in range(n_evs):
         sig = generate_signature(i, seed, options.separation)

@@ -123,7 +123,7 @@ def test_criterion_2_selection_statistics():
 # criterion 3: planted tail recovery
 
 def _recovery_rate(seed, noise_sigma, filter_params, bound_extra):
-    options = SynthOptions(noise_sigma=noise_sigma, length_bounds=(600, 1200))
+    options = SynthOptions(noise_sigma=noise_sigma)
     corpus = generate_corpus(50, 10, seed=seed, options=options)
     tail_params = TailParams()
     hits_start = hits_anchor = 0
@@ -168,7 +168,8 @@ def test_criterion_4_multiclass_accuracy():
                               grids=RF_GRID, nof=200, repetitions=2,
                               master_seed=100)
     report = quiet(run_cells, config, features,
-                   multiclass_jobs(config, features, "multiclass"))
+                   multiclass_jobs(config, features, "multiclass",
+                                   range(features.n_rows)))
     mean_accuracy = float(np.mean([c.accuracy for c in report.cells]))
     elapsed = time.perf_counter() - start
     assert mean_accuracy >= 0.90, f"RF accuracy {mean_accuracy:.3f} < 0.90"
@@ -181,15 +182,13 @@ def test_criterion_4_multiclass_accuracy():
 # criteria 5 and 6: scaling trends
 
 def _fixed_grid_accuracy(features, n_evs, samples_per_ev, seed):
-    subset = features.take(grid_rows(features, n_evs, samples_per_ev,
-                                     np.random.SeedSequence([seed, n_evs,
-                                                             samples_per_ev])))
     config = ExperimentConfig(families=("random-forest",),
                               grids=RF_GRID, nof=200,
                               repetitions=1, master_seed=seed)
-    jobs = multiclass_jobs(config, subset, "fixed-grid", n_evs=n_evs,
-                           samples_per_ev=samples_per_ev)
-    report = quiet(run_cells, config, subset, jobs)
+    jobs = multiclass_jobs(config, features, "fixed-grid",
+                           grid_rows(features, n_evs, samples_per_ev, seed),
+                           n_evs=n_evs, samples_per_ev=samples_per_ev)
+    report = quiet(run_cells, config, features, jobs)
     cell = report.cells[0]
     assert cell.status == "ok", cell.error
     return cell.accuracy
@@ -249,7 +248,8 @@ def test_criterion_7_q_prime_trend():
         for value in (1.0, 2.0, 3.0, 4.0, 5.0):
             labels = build_binary_dataset(
                 features, target, ExperimentConfig(balance_mode="q-prime"),
-                value, np.random.SeedSequence([400, int(value)])).labels
+                value, np.random.SeedSequence([400, int(value)]),
+                features.by_label()).labels
             assert labels.count("target") == n_t
             assert labels.count("other") == int(value * n_t)
 
@@ -282,7 +282,8 @@ def test_criterion_8_no_leakage(cell_recorder):
                               grids=RF_GRID, nof=50, repetitions=3,
                               master_seed=500)
     quiet(run_cells, config, features,
-          multiclass_jobs(config, features, "multiclass"))
+          multiclass_jobs(config, features, "multiclass",
+                          range(features.n_rows)))
     config = ExperimentConfig(families=("random-forest",),
                               grids=RF_GRID, nof=50, balance_values=(1.0, 2.0),
                               min_target_samples=50, repetitions=2,

@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from evprofiler.experiments import (BalanceError, CellJob, CellResult,
-                                    DistributionError, DistributionParams,
-                                    ExperimentConfig, LeakageError,
-                                    SIZE_PRESETS, SubsampleError, binary_jobs,
+                                    DistributionError, ExperimentConfig,
+                                    LeakageError, SIZE_PRESETS,
+                                    SubsampleError, binary_jobs,
                                     build_binary_dataset, grid_rows,
                                     multiclass_jobs, run_cell, run_cells,
                                     subsample_distribution,
@@ -36,7 +36,8 @@ def tiny_config(**overrides):
 
 def run_multiclass(config, features):
     return run_cells(config, features,
-                     multiclass_jobs(config, features, "multiclass"))
+                     multiclass_jobs(config, features, "multiclass",
+                                     range(features.n_rows)))
 
 
 def reference_negatives(features, target_ev, needed, seed):
@@ -62,14 +63,16 @@ class TestBuildBinaryDataset:
     def test_q_prime_three(self, feature_matrix_builder):
         features = feature_matrix_builder({"T": 50, "U": 80, "V": 80, "W": 80})
         labels = build_binary_dataset(
-            features, "T", ExperimentConfig(), 3.0, seed=0).labels
+            features, "T", ExperimentConfig(), 3.0, seed=0,
+            by_label=features.by_label()).labels
         assert labels.count("target") == 50
         assert labels.count("other") == 150
 
     def test_legacy_q_five(self, feature_matrix_builder):
         features = feature_matrix_builder({"T": 50, "U": 30, "V": 30})
         labels = build_binary_dataset(
-            features, "T", ExperimentConfig(balance_mode="q"), 5.0, seed=0).labels
+            features, "T", ExperimentConfig(balance_mode="q"), 5.0, seed=0,
+            by_label=features.by_label()).labels
         assert labels.count("other") == 10
 
     def test_boundary_q_one_equals_q_prime_one(self, feature_matrix_builder):
@@ -77,14 +80,15 @@ class TestBuildBinaryDataset:
         for mode in ("q", "q-prime"):
             labels = build_binary_dataset(
                 features, "T", ExperimentConfig(balance_mode=mode), 1.0,
-                seed=1).labels
+                seed=1, by_label=features.by_label()).labels
             assert labels.count("target") == 50
             assert labels.count("other") == 50
 
     def test_positive_rows_are_exactly_target_rows(self, feature_matrix_builder):
         features = feature_matrix_builder({"T": 55, "U": 70, "V": 70})
         matrix = build_binary_dataset(
-            features, "T", ExperimentConfig(), 2.0, seed=2)
+            features, "T", ExperimentConfig(), 2.0, seed=2,
+            by_label=features.by_label())
         positives = {sid for sid, lab in zip(matrix.session_ids, matrix.labels)
                      if lab == "target"}
         assert positives == {sid for sid, ev in zip(features.session_ids,
@@ -94,7 +98,8 @@ class TestBuildBinaryDataset:
     def test_negatives_spread_across_evs(self, feature_matrix_builder):
         features = feature_matrix_builder({"T": 50, "U": 100, "V": 100, "W": 100})
         matrix = build_binary_dataset(
-            features, "T", ExperimentConfig(), 1.0, seed=3)
+            features, "T", ExperimentConfig(), 1.0, seed=3,
+            by_label=features.by_label())
         negative_evs = {sid.split("-")[0] for sid, lab
                         in zip(matrix.session_ids, matrix.labels) if lab == "other"}
         assert negative_evs == {"U", "V", "W"}
@@ -124,7 +129,8 @@ class TestBuildBinaryDataset:
             needed = (int(value * n_target) if mode == "q-prime"
                       else int(n_target / value))
             hypothesis.assume(needed <= sum(pools))
-            dataset = build_binary_dataset(features, "T", config, value, seed)
+            dataset = build_binary_dataset(features, "T", config, value, seed,
+                                           features.by_label())
             rows = (features.by_label()["T"]
                     + reference_negatives(features, "T", needed, seed))
             assert dataset.session_ids == features.take(rows).session_ids
@@ -135,13 +141,13 @@ class TestBuildBinaryDataset:
         features = feature_matrix_builder({"T": 60, "U": 20})
         with pytest.raises(BalanceError, match="pool"):
             build_binary_dataset(features, "T", ExperimentConfig(), 5.0,
-                                 seed=0)
+                                 seed=0, by_label=features.by_label())
 
     def test_small_target_is_error(self, feature_matrix_builder):
         features = feature_matrix_builder({"T": 10, "U": 100})
         with pytest.raises(BalanceError):
             build_binary_dataset(features, "T", ExperimentConfig(), 1.0,
-                                 seed=0)
+                                 seed=0, by_label=features.by_label())
 
     def test_value_range_validated(self):
         with pytest.raises(ValueError, match=r"7.0 must be in \[1, 5\]"):
@@ -154,7 +160,7 @@ class TestSubsampleMulticlass:
     def test_small_preset(self, feature_matrix_builder):
         features = feature_matrix_builder({f"EV{i:03d}": 10 + i % 7
                                            for i in range(60)})
-        subset = subsample_multiclass(features, "small", seed=0)
+        subset = features.take(subsample_multiclass(features, "small", seed=0))
         assert len(set(subset.labels)) == 25
         by = subset.by_label()
         full = features.by_label()
@@ -163,8 +169,13 @@ class TestSubsampleMulticlass:
 
     def test_complete_is_identity(self, feature_matrix_builder):
         features = feature_matrix_builder({"A": 12, "B": 13})
-        subset = subsample_multiclass(features, "complete", seed=0)
-        assert subset.session_ids == features.session_ids
+        rows = subsample_multiclass(features, "complete", seed=0)
+        assert features.take(rows).session_ids == features.session_ids
+
+    def test_complete_is_every_row_in_order(self, feature_matrix_builder):
+        features = feature_matrix_builder({"B": 3, "A": 12, "C": 1})
+        rows = subsample_multiclass(features, "complete", seed=7)
+        assert rows == list(range(features.n_rows))
 
     def test_fixed_grid_exact_counts(self, feature_matrix_builder):
         features = feature_matrix_builder({f"EV{i:03d}": 12 for i in range(60)})
@@ -200,8 +211,8 @@ class TestSubsampleDistribution:
 
     def test_normal_exact_ev_count_and_unimodal(self, feature_matrix_builder):
         features = feature_matrix_builder(self.layout())
-        params = DistributionParams(n_evs=119, mean=50, sigma=12)
-        subset = subsample_distribution(features, "normal", params, seed=0)
+        subset = features.take(subsample_distribution(
+            features, "normal", 0, n_evs=119, bins=20, per_bin=6))
         per_ev = sorted(len(r) for r in subset.by_label().values())
         assert len(per_ev) == 119
         hist, _ = np.histogram(per_ev, bins=8)
@@ -210,34 +221,27 @@ class TestSubsampleDistribution:
         assert all(hist[i] <= hist[i + 1] for i in range(peak))
         assert all(hist[i] >= hist[i + 1] for i in range(peak, len(hist) - 1))
 
-    def test_sigma_zero_degenerates_to_fixed(self, feature_matrix_builder):
-        features = feature_matrix_builder(self.layout())
-        params = DistributionParams(n_evs=20, mean=40, sigma=0)
-        subset = subsample_distribution(features, "normal", params, seed=0)
-        assert all(len(r) == 40 for r in subset.by_label().values())
-
     def test_uniform_exact_bin_occupancy(self, feature_matrix_builder):
         features = feature_matrix_builder(self.layout())
-        params = DistributionParams(bins=20, per_bin=6)
-        subset = subsample_distribution(features, "uniform", params, seed=1)
-        assert len(subset.by_label()) == 120
+        rows = subsample_distribution(features, "uniform", 1, n_evs=119,
+                                      bins=20, per_bin=6)
+        assert len(set(features.take(rows).labels)) == 120
 
     def test_unfillable_bin_reports_deficit(self, feature_matrix_builder):
         features = feature_matrix_builder({"A": 10, "B": 10, "C": 100})
-        params = DistributionParams(bins=10, per_bin=2)
         with pytest.raises(DistributionError, match="bin"):
-            subsample_distribution(features, "uniform", params, seed=0)
+            subsample_distribution(features, "uniform", 0, n_evs=119,
+                                   bins=10, per_bin=2)
 
     def test_uniform_equal_counts_use_one_bin_per_ev(self, feature_matrix_builder):
         # every EV has the largest count, so each is eligible for the last
         # bin only and bin 0 cannot be filled
         features = feature_matrix_builder({f"EV{i}": 20 for i in range(6)})
-        params = DistributionParams(bins=2, per_bin=1)
         with pytest.raises(DistributionError, match="bin 0 .*0/1"):
-            subsample_distribution(features, "uniform", params, seed=5)
-        subset = subsample_distribution(features, "uniform",
-                                        DistributionParams(bins=1, per_bin=2),
-                                        seed=5)
+            subsample_distribution(features, "uniform", 5, n_evs=119,
+                                   bins=2, per_bin=1)
+        subset = features.take(subsample_distribution(
+            features, "uniform", 5, n_evs=119, bins=1, per_bin=2))
         assert len(subset.by_label()) == 2
         assert len(set(subset.session_ids)) == subset.n_rows == 40
 
@@ -248,29 +252,48 @@ class TestSubsampleDistribution:
         counts = {f"EV{i:02d}": int(c)
                   for i, c in enumerate(rng.integers(10, 40, 30))}
         features = feature_matrix_builder(counts)
-        subset = subsample_distribution(
-            features, "uniform", DistributionParams(bins=2, per_bin=3), seed)
+        subset = features.take(subsample_distribution(
+            features, "uniform", seed, n_evs=119, bins=2, per_bin=3))
         assert len(subset.by_label()) == 6
         assert len(set(subset.session_ids)) == subset.n_rows
 
     def test_normal_infeasible_target(self, feature_matrix_builder):
+        # mean 5 and sigma 1.25 give targets 6, 5, 4: no EV has 6 rows
         features = feature_matrix_builder({"A": 5, "B": 5, "C": 5})
-        params = DistributionParams(n_evs=3, mean=50, sigma=1)
         with pytest.raises(DistributionError):
-            subsample_distribution(features, "normal", params, seed=0)
+            subsample_distribution(features, "normal", 0, n_evs=3, bins=20,
+                                   per_bin=6)
 
 
 class TestSubsamplerProperties:
     """Over random sessions-per-EV layouts every sub-sampler returns distinct
-    session ids and trims each EV to exactly its target, or raises only
-    ``SubsampleError`` / ``DistributionError`` when it cannot fill the
+    rows of the matrix and trims each EV to exactly its target, or raises
+    only ``SubsampleError`` / ``DistributionError`` when it cannot fill the
     request."""
 
     @staticmethod
-    def rows_per_ev(features, subset):
-        assert len(set(subset.session_ids)) == subset.n_rows
-        assert set(subset.session_ids) <= set(features.session_ids)
-        return Counter(subset.labels)
+    def rows_per_ev(features, rows):
+        assert len(set(rows)) == len(rows)
+        assert all(0 <= i < features.n_rows for i in rows)
+        return Counter(features.labels[i] for i in rows)
+
+    @pytest.mark.parametrize("sample", [
+        lambda f, seed: subsample_multiclass(f, "small", seed),
+        lambda f, seed: subsample_multiclass(f, "complete", seed),
+        lambda f, seed: grid_rows(f, 20, 12, seed),
+        lambda f, seed: subsample_distribution(f, "normal", seed, n_evs=5,
+                                               bins=20, per_bin=6),
+        lambda f, seed: subsample_distribution(f, "uniform", seed, n_evs=119,
+                                               bins=3, per_bin=2),
+    ], ids=["small", "complete", "grid", "normal", "uniform"])
+    def test_rows_are_distinct_in_range_ints(self, feature_matrix_builder,
+                                             sample):
+        features = feature_matrix_builder({f"EV{i:02d}": 10 + i % 9
+                                           for i in range(40)})
+        for seed in range(3):
+            rows = sample(features, seed)
+            assert rows and all(type(i) is int for i in rows)
+            self.rows_per_ev(features, rows)
 
     def test_grid_rows(self, feature_matrix_builder):
         hypothesis = pytest.importorskip("hypothesis")
@@ -290,7 +313,7 @@ class TestSubsamplerProperties:
             except SubsampleError:
                 assert eligible < n_evs
                 return
-            per_ev = self.rows_per_ev(features, features.take(rows))
+            per_ev = self.rows_per_ev(features, rows)
             assert len(per_ev) == n_evs
             assert set(per_ev.values()) == {samples}
 
@@ -313,11 +336,11 @@ class TestSubsamplerProperties:
             features = feature_matrix_builder(counts)
             wanted = SIZE_PRESETS[size] or len(counts)
             try:
-                subset = subsample_multiclass(features, size, seed)
+                rows = subsample_multiclass(features, size, seed)
             except SubsampleError:
                 assert wanted > len(counts)
                 return
-            per_ev = self.rows_per_ev(features, subset)
+            per_ev = self.rows_per_ev(features, rows)
             assert len(per_ev) == wanted
             assert all(per_ev[ev] == counts[ev] for ev in per_ev)
 
@@ -331,24 +354,22 @@ class TestSubsamplerProperties:
         @hypothesis.given(counts=st.lists(st.integers(1, 40), min_size=1,
                                           max_size=40),
                           n_evs=st.integers(1, 15),
-                          mean=st.floats(1, 30), sigma=st.floats(0, 10),
                           seed=st.integers(0, 2**32 - 1))
-        def check(counts, n_evs, mean, sigma, seed):
+        def check(counts, n_evs, seed):
             counts = {f"EV{i:03d}": c for i, c in enumerate(counts)}
             features = feature_matrix_builder(counts)
-            params = DistributionParams(n_evs=n_evs, mean=mean, sigma=sigma)
             try:
-                subset = subsample_distribution(features, "normal", params, seed)
+                rows = subsample_distribution(features, "normal", seed,
+                                              n_evs=n_evs, bins=20, per_bin=6)
             except DistributionError:
                 return
-            # targets: the quantiles (i + 0.5) / n_evs of Normal(mean, sigma)
-            if sigma == 0:
-                targets = [max(1, round(mean))] * n_evs
-            else:
-                dist = statistics.NormalDist(mean, sigma)
-                targets = [max(1, round(dist.inv_cdf((i + 0.5) / n_evs)))
-                           for i in range(n_evs)]
-            per_ev = self.rows_per_ev(features, subset)
+            # targets: the quantiles (i + 0.5) / n_evs of Normal(mean, sigma),
+            # mean the mean count per EV and sigma max(mean / 4, 1)
+            mean = statistics.mean(counts.values())
+            dist = statistics.NormalDist(mean, max(mean / 4, 1))
+            targets = [max(1, round(dist.inv_cdf((i + 0.5) / n_evs)))
+                       for i in range(n_evs)]
+            per_ev = self.rows_per_ev(features, rows)
             assert sorted(per_ev.values()) == sorted(targets)
             assert all(per_ev[ev] <= counts[ev] for ev in per_ev)
 
@@ -366,10 +387,10 @@ class TestSubsamplerProperties:
         def check(counts, bins, per_bin, seed):
             counts = {f"EV{i:03d}": c for i, c in enumerate(counts)}
             features = feature_matrix_builder(counts)
-            params = DistributionParams(bins=bins, per_bin=per_bin)
             try:
-                subset = subsample_distribution(features, "uniform", params,
-                                                seed)
+                rows = subsample_distribution(features, "uniform", seed,
+                                              n_evs=119, bins=bins,
+                                              per_bin=per_bin)
             except DistributionError:
                 return
             # the half-open bins [lo + b w, lo + (b + 1) w), the last one
@@ -377,7 +398,7 @@ class TestSubsamplerProperties:
             lo, hi = min(counts.values()), max(counts.values())
             width = max((hi - lo) / bins, 1e-9)
             edges = [(lo + b * width, lo + (b + 1) * width) for b in range(bins)]
-            per_ev = self.rows_per_ev(features, subset)
+            per_ev = self.rows_per_ev(features, rows)
             homes = {}
             for ev in per_ev:
                 c = counts[ev]

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from evprofiler.ingest import Corpus
-from evprofiler.synth import (LAMBDA_GRID, SynthOptions, SyntheticSignature,
-                              TERMINATION_CURRENT, generate_corpus,
-                              generate_session, generate_signature,
-                              planted_boundaries)
+from evprofiler.synth import (LAMBDA_GRID, LENGTH_BOUNDS, SynthOptions,
+                              SyntheticSignature, TERMINATION_CURRENT,
+                              generate_corpus, generate_session,
+                              generate_signature, planted_boundaries)
 
 
 class TestGenerateSignature:
@@ -107,10 +107,10 @@ class TestGenerateCorpus:
         assert pa.read_bytes() == pb.read_bytes()
 
     def test_lengths_within_bounds(self):
-        options = SynthOptions(length_bounds=(600, 700))
-        corpus = generate_corpus(3, 10, seed=1, options=options)
+        lo, hi = LENGTH_BOUNDS
+        corpus = generate_corpus(3, 10, seed=1)
         lengths = {len(s.current) for s in corpus.sessions}
-        assert all(600 <= n <= 700 for n in lengths)
+        assert all(lo <= n <= hi for n in lengths)
         assert len(lengths) > 1
 
     def test_truncation_rate_binomial(self):
@@ -145,7 +145,7 @@ class TestSeparabilityMonotonicity:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 report = run_cells(config, features, multiclass_jobs(
-                    config, features, "multiclass"))
+                    config, features, "multiclass", range(features.n_rows)))
             scores[separation] = np.mean([c.accuracy for c in report.cells])
         assert scores["well-separated"] >= scores["overlapping"] - 1e-9
         assert scores["well-separated"] >= 0.9
