@@ -85,6 +85,9 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
+        if self.master_seed < 0:
+            # numpy's SeedSequence message, which the sub-samplers give too
+            raise ValueError("expected non-negative integer")
         if self.nof < 1:
             raise ValueError("nof must be >= 1")
         if self.repetitions < 1:

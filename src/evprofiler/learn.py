@@ -8,13 +8,13 @@ lexicographic on class labels, first-encountered on split costs and grid
 order, and forest tree seeds derive from the training seed by tree index.
 Grid search shares fits across combinations: per fold, one kNN fit with one
 nearest-neighbour ranking per metric, one full tree per criterion, and one
-lineage per forest tree index: the tree is grown at the largest depth cap
-and regrown, down the caps, only at a cap that cuts it. A regrowth follows
-the tree it was cut from, taking its splits without searching, until the cap
-first stops a node that tree searched. Each fold scores the whole grid in
-one ``_scores`` call over the stacked predicted class codes into one specs
-x folds score array. A training failure depends only on the fold's rows,
-so it fails the whole search with a ``TrainingError`` naming the fold.
+lineage per forest tree index: the caps go from the largest down, and a cap
+regrows only the trees it cuts, all in lockstep. A regrowth follows the tree
+it was cut from, taking its splits without searching, until the cap first
+stops a node that tree searched. Each fold scores the whole grid in one
+``_scores`` call over the stacked predicted class codes into one specs x
+folds score array. A training failure depends only on the fold's rows, so
+it fails the whole search with a ``TrainingError`` naming the fold.
 
 kNN ranks only the K nearest training rows, K the largest k it reads: a
 partition at rank K, then a sort of the few candidates, gives the first K
@@ -22,19 +22,23 @@ columns of a stable ``argsort``. Manhattan distances are summed in blocks
 of row pairs along the contiguous feature axis, the same pairwise sum as one
 row at a time, and grid search computes each pair of rows in different CV
 folds once, for both folds. Euclidean and cosine keep one BLAS product per
-fold, whose bits can depend on its shape. Votes for every neighbour rank
-come from one cumsum along the ranks of a (row, rank, slot) vote array, one
-slot per class among a row's nearest neighbours, so one pass gives each k's
-winners with the same running sums as adding the neighbours one at a time.
+fold, whose bits can depend on its shape, and finish it in place. Votes for
+every neighbour rank come from one cumsum along the ranks of a (row, rank,
+slot) vote array, one slot per class among a row's nearest neighbours, so
+one pass gives each k's winners with the same running sums as adding the
+neighbours one at a time.
 
 Trees grow over row indices into the training matrix (through the
-bootstrap rows for a forest tree), and a node gathers only its candidate
-columns of its rows. A node scores those columns in one numpy pass (in chunks
-of columns under a fixed element budget): integer class prefix counts give
-exactly the costs, thresholds and tie-breaks of scoring one column at a
-time, so every tree is the same as a per-feature search would grow. The
-value sort is unstable and gini reads class ranks from one per-node vector;
-``_best_split`` and ``_cut_costs`` say why neither can change a split.
+bootstrap rows for a forest tree), several trees in lockstep: each step
+scores every node it pops in one ``_segment_splits`` call, each node a
+segment of its rows with its own candidate columns, and labels and
+partitions all their children in one pass. A forest tree still pops one
+node per step in depth-first order, so it draws exactly as it would alone;
+a decision tree pops a whole level. Integer class prefix counts that
+restart at each segment give exactly the costs, thresholds and tie-breaks
+of scoring one node and one column at a time, so every tree is the same as
+a per-feature search would grow; ``_segment_splits`` and ``_cut_costs`` say
+why. Prediction routes the rows down all of a cap's trees a level at a time.
 """
 
 from __future__ import annotations
@@ -122,15 +126,21 @@ _LEAF = -1
 
 
 def _entropy(counts: np.ndarray, total: np.ndarray) -> np.ndarray:
-    p = counts / total[..., None]
+    """Entropy in bits of each row of class ``counts``, which sum to
+    ``total``; ``counts`` is overwritten."""
+    p = np.divide(counts, total[..., None], out=counts)
+    # p * log2(p) where p > 0, else 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(p > 0, p * np.log2(p), 0.0)
+        terms = np.log2(p)
+        terms *= p
+    np.putmask(terms, ~(p > 0), 0.0)
     return -np.sum(terms, axis=-1)
 
 
-# Upper bound on the elements of one split search's per-column scratch
-# arrays (rows x columns, times classes for entropy's one-hot): candidate
-# columns are scored in chunks this size, at least one column per chunk.
+# Upper bound on the elements of one split search's scratch arrays (rows x
+# column slots, times classes for entropy's one-hot): nodes are scored
+# together in groups this size, and a larger node alone in chunks of
+# columns, at least one column per chunk.
 _CHUNK_ELEMENTS = 1 << 15
 
 # Upper bound on the elements of a kNN vote chunk, 8 MB of float64:
@@ -140,204 +150,378 @@ _VOTE_ELEMENTS = 1 << 20
 
 # Upper bound on the elements of a kNN distance scratch block, 128 KB of
 # float64: the (query, training, feature) differences of a Manhattan block,
-# or the query rows x training rows that one nearest-K partition copies.
+# the query rows x training rows that one nearest-K partition copies, or
+# the norm sums or products that one chunk of a BLAS product takes in place.
 # Each block holds at least one query row and one training row. On the
 # benchmark's kNN cells (2-vCPU Xeon, 2 MB L2 per core), 4x larger
 # Manhattan blocks took twice the time.
 _DIST_ELEMENTS = 1 << 14
 
 
-def _cut_costs(ys: np.ndarray, change: np.ndarray, totals: np.ndarray,
-               within: np.ndarray, criterion: str) -> np.ndarray:
+def _ranks(x: np.ndarray) -> np.ndarray:
+    """Each value's dense rank within its column, as a columns x rows array
+    of the narrowest unsigned dtype. Equal values share a rank, -0.0 and 0.0
+    among them, so ranks change exactly where values do."""
+    columns = np.ascontiguousarray(x.T)
+    order = columns.argsort(axis=1)
+    ordered = np.take_along_axis(columns, order, axis=1)
+    dense = np.zeros(columns.shape, dtype=np.int64)
+    np.cumsum(ordered[:, 1:] != ordered[:, :-1], axis=1, out=dense[:, 1:])
+    ranks = np.empty(columns.shape, dtype=np.min_scalar_type(dense.max(initial=0)))
+    np.put_along_axis(ranks, order, dense, axis=1)
+    return ranks
+
+
+def _cut_costs(order: np.ndarray, change: np.ndarray, codes: np.ndarray,
+               totals: np.ndarray, seg: np.ndarray, first: np.ndarray,
+               criterion: str) -> np.ndarray:
     """Weighted child impurity of each cut, inf where no threshold falls.
 
-    Row j of ``ys`` holds the node's class codes in ascending order of
-    candidate column j's values. The cut after position k sends the first
-    k + 1 of them left; ``change[j, k]`` says whether the value changes
-    there, and only such cuts are scored. With the node's rows listed by
-    class, ``within[i]`` counts the rows of row i's class before it.
+    Positions hold consecutive segments, one node's rows each, with class
+    ``codes``: ``seg`` gives a position's segment and ``first`` a segment's
+    first position. Row j of ``order`` lists each segment's positions in
+    ascending order of its column slot j. The cut after the k-th of them
+    sends the segment's rows up to it left; ``change[j, k]`` says whether a
+    threshold falls there, never after a segment's last row. ``totals``
+    holds each segment's class counts. Prefix counts restart at each
+    segment, and the float expressions are those of a lone node on the same
+    operands: each segment's m, ``totals`` and ``t2``. The arithmetic runs
+    in place, which changes no operation.
     """
-    w, m = ys.shape
-    p = np.arange(1.0, m)
+    w, size = order.shape
+    n_seg, n_classes = totals.shape
+    p = (np.arange(size) - first[seg] + 1).astype(np.float64)
+    m = totals.sum(axis=1)[seg].astype(np.float64)
     if criterion == "gini":
         # weighted gini = (m - sum_c l_c^2/p - sum_c r_c^2/(m-p)) / m, built
         # from integer prefix identities: adding a class-c sample bumps
         # sum_c l_c^2 by 2*(earlier class-c samples)+1 and sum_c total_c*l_c
-        # by total_c. Every column holds the node's rows, so a stable sort of
-        # any column's codes puts class c's k-th sample in value order at
-        # position start_c + k, where ``within`` reads k: one scatter of the
-        # increments back to value order serves every column.
-        by_class = ys.argsort(axis=1, kind="stable")
-        steps = np.empty((w, m), dtype=np.int64)
-        steps[np.arange(w)[:, None], by_class] = 2 * within + 1
-        a = steps.cumsum(axis=1)[:, :-1].astype(np.float64)
-        left_dot = totals[ys].cumsum(axis=1)[:, :-1]
-        t2 = float(totals @ totals)  # an exact integer
-        right_sq = t2 - 2.0 * left_dot + a
-        return np.where(change, (m - a / p - right_sq / (m - p)) / m, np.inf)
-    # left class counts are integers, so the float cumsum of a one-hot is exact
-    cols, rows = np.nonzero(change)
-    onehot = np.zeros((w, m, totals.size))
-    onehot[np.arange(w)[:, None], np.arange(m), ys] = 1.0
-    left_counts = onehot.cumsum(axis=1)[cols, rows]
-    left_n = p[rows]
-    right_n = m - left_n
-    cost = np.full((w, m - 1), np.inf)
-    cost[cols, rows] = (left_n * _entropy(left_counts, left_n)
-                        + right_n * _entropy(totals - left_counts, right_n)) / m
+        # by total_c. Every slot holds the same rows, so a stable sort of any
+        # slot's (segment, class) pairs puts the k-th row of a pair in value
+        # order at the pair's start + k, where ``within`` reads k: one
+        # scatter of the increments back to value order serves every slot.
+        pair = seg * n_classes + codes
+        flat = totals.ravel()
+        within = np.arange(size) - (flat.cumsum() - flat).repeat(flat)
+        # the narrowest unsigned pairs: numpy's stable sort of 8- and 16-bit
+        # integers is a radix sort
+        by_pair = (pair.astype(np.min_scalar_type(n_seg * n_classes - 1))
+                   .take(order).argsort(axis=1, kind="stable"))
+        a = np.empty((w, size))
+        np.put_along_axis(a, by_pair, 2.0 * within + 1.0, axis=1)
+        left_dot = flat.astype(np.float64)[pair].take(order)
+        # both prefix sums add up to a segment's t2, so taking the previous
+        # segment's t2 at a segment's first position restarts them there;
+        # every partial sum is an integer, exact in float64
+        t2 = (totals * totals).sum(axis=1)
+        a[:, first[1:]] -= t2[:-1]
+        left_dot[:, first[1:]] -= t2[:-1]
+        np.cumsum(a, axis=1, out=a)
+        np.cumsum(left_dot, axis=1, out=left_dot)
+        # right_sq = t2 - 2.0 * left_dot + a
+        right_sq = np.multiply(left_dot, 2.0, out=left_dot)
+        np.subtract(t2.astype(np.float64)[seg], right_sq, out=right_sq)
+        right_sq += a
+        # cost = (m - a / p - right_sq / (m - p)) / m
+        with np.errstate(divide="ignore", invalid="ignore"):
+            right_sq /= m - p
+        cost = np.divide(a, p, out=a)
+        np.subtract(m, cost, out=cost)
+        cost -= right_sq
+        cost /= m
+        np.putmask(cost, ~change, np.inf)
+        return cost
+    # left class counts are integers, so the float cumsum of a one-hot and its
+    # restart at each segment, by the previous segment's totals at the
+    # segment's first position, are exact
+    cols, at = np.nonzero(change)
+    onehot = np.zeros((w, size, n_classes))
+    onehot[np.arange(w)[:, None], np.arange(size), codes.take(order)] = 1.0
+    onehot[:, first[1:]] -= totals[:-1]
+    left_counts = np.cumsum(onehot, axis=1, out=onehot)[cols, at]
+    del onehot  # before the right counts take its memory
+    right_counts = totals.astype(np.float64)[seg[at]]
+    right_counts -= left_counts
+    left_n = p[at]
+    right_n = m[at] - left_n
+    cost = np.full((w, size), np.inf)
+    cost[cols, at] = (left_n * _entropy(left_counts, left_n)
+                      + right_n * _entropy(right_counts, right_n)) / m[at]
     return cost
 
 
-def _best_split(x: np.ndarray, y: np.ndarray, feature_ids: np.ndarray,
-                n_classes: int, criterion: str):
-    """Lowest weighted child impurity over midpoint thresholds.
+def _segment_splits(x: np.ndarray, ranks: np.ndarray, y: np.ndarray,
+                    rows: np.ndarray, sizes: np.ndarray, columns: np.ndarray,
+                    n_classes: int, criterion: str
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest weighted child impurity over midpoint thresholds, for each of
+    several nodes at once.
 
-    All candidate columns are scored in one pass per chunk of columns: one
-    sort of each column's values, costs only where the sorted value changes,
-    then the first minimum per column and the first column minimum. Returns
-    (feature, threshold) or None; ties keep the earliest feature in
-    ``feature_ids`` order and the smallest threshold.
+    Node i is a segment of ``rows``, the next ``sizes[i]`` of them, scored on
+    its candidate columns ``columns[i]``, ascending. ``ranks`` is ``_ranks``
+    of ``x``. Returns (feature, threshold) per node, feature -1 where no
+    threshold falls. Ties keep the earliest column, then the smallest
+    threshold.
 
-    The value sort need not be stable. A cut falls only between two
-    different values, so the rows left of it are the same whatever order
-    equal values took, and so are its class counts and cost. Its midpoint
-    is too: the two values differ, so at most one is a zero, and
-    ``+-0.0 + b == b`` for any nonzero b. The values are finite, as a
-    ``FeatureMatrix`` holds them.
+    Segments are scored in groups whose scratch stays under
+    ``_CHUNK_ELEMENTS``; a segment that alone exceeds it is scored in chunks
+    of columns, and a later chunk wins only with a lower cost. Each column
+    slot sorts its positions by (segment, value rank), one stable radix sort
+    of the narrowest unsigned key, then costs come only where the rank
+    changes, and each segment takes its first minimum. Equal values may take
+    any order: a cut falls only between two different values, so the rows
+    left of it, its class counts and its cost are the same whatever order
+    equal values took. Its midpoint is too: the two values differ, so at
+    most one is a zero, and ``+-0.0 + b == b`` for any nonzero b. The values
+    are finite, as a ``FeatureMatrix`` holds them.
     """
-    m = y.size
-    totals = np.bincount(y, minlength=n_classes)
-    within = np.arange(m) - (totals.cumsum() - totals).repeat(totals)
-    # the narrowest unsigned codes: numpy's stable sort of 8- and 16-bit
-    # integers is a radix sort
-    y = y.astype(np.min_scalar_type(n_classes - 1))
-    per_column = m * (n_classes if criterion == "entropy" else 1)
-    width = max(1, _CHUNK_ELEMENTS // per_column)
-    best = None
-    best_cost = np.inf
-    for start in range(0, feature_ids.size, width):
-        ids = feature_ids[start:start + width]
-        column = np.arange(ids.size)
-        block = x.T[ids]
-        order = block.argsort(axis=1)
-        values = block[column[:, None], order]
-        change = values[:, 1:] != values[:, :-1]
-        if not change.any():
-            continue
-        cost = _cut_costs(y[order], change, totals, within, criterion)
-        cut = cost.argmin(axis=1)
-        column_cost = cost[column, cut]
-        j = int(column_cost.argmin())
-        if column_cost[j] < best_cost:
-            best_cost = column_cost[j]
-            i = cut[j]
-            best = (int(ids[j]), float((values[j, i] + values[j, i + 1]) / 2.0))
-    return best
+    n_seg, w = columns.shape
+    feature = np.full(n_seg, -1, dtype=np.int64)
+    threshold = np.zeros(n_seg)
+    if w == 0:
+        return feature, threshold
+    per_column = n_classes if criterion == "entropy" else 1
+    flat_ranks = ranks.ravel()
+    ends = sizes.cumsum()
+    lo = 0
+    while lo < n_seg:
+        # the most segments from lo whose rows fit the budget, at least one
+        start = int(ends[lo] - sizes[lo])
+        hi = max(lo + 1, int(np.searchsorted(
+            ends, start + _CHUNK_ELEMENTS // (w * per_column), side="right")))
+        r = rows[start:ends[hi - 1]]
+        seg = np.repeat(np.arange(hi - lo), sizes[lo:hi])
+        first = ends[lo:hi] - sizes[lo:hi] - start
+        codes = y[r]
+        totals = np.bincount(seg * n_classes + codes, minlength=(hi - lo) * n_classes
+                             ).reshape(-1, n_classes)
+        width = max(1, _CHUNK_ELEMENTS // (r.size * per_column))
+        best = np.full(hi - lo, np.inf)
+        for c in range(0, w, width):
+            ids = columns[lo:hi, c:c + width]
+            ranked = flat_ranks.take((ids.T * ranks.shape[1])[:, seg] + r)
+            slot_at = np.arange(0, ranked.size, r.size)[:, None]
+            span = int(ranked.max()) + 1
+            # the narrowest unsigned keys: numpy's stable sort of 8- and
+            # 16-bit integers is a radix sort
+            if (hi - lo) * span <= 1 << 16:
+                key_type = np.min_scalar_type((hi - lo) * span - 1)
+                order = (ranked + (seg * span).astype(key_type)).argsort(
+                    axis=1, kind="stable")
+            else:
+                # a (segment, rank) key would take 32 bits and lose the radix
+                # sort: sort by rank, then stably by segment
+                order = ranked.argsort(axis=1, kind="stable")
+                by_segment = (seg.astype(np.min_scalar_type(hi - lo - 1)).take(order)
+                              .argsort(axis=1, kind="stable"))
+                order = order.ravel().take(by_segment + slot_at)
+            ranked = ranked.ravel().take(order + slot_at)
+            change = np.empty(ranked.shape, dtype=bool)
+            np.not_equal(ranked[:, 1:], ranked[:, :-1], out=change[:, :-1])
+            del ranked
+            change[:, first + sizes[lo:hi] - 1] = False
+            if not change.any():
+                continue
+            cost = _cut_costs(order, change, codes, totals, seg, first, criterion)
+            # first minimum per segment: lowest cost, earliest slot, then cut
+            slot_low = np.minimum.reduceat(cost, first, axis=1)
+            low = slot_low.min(axis=0)
+            won = np.flatnonzero(low < best)
+            if not won.size:
+                continue
+            slot = (slot_low == low).argmax(axis=0)
+            position = np.arange(r.size)
+            hit = cost[slot[seg], position] == low[seg]
+            cut = np.minimum.reduceat(np.where(hit, position, r.size), first)
+            j, k = slot[won], cut[won]
+            best[won] = low[won]
+            chosen = ids[won, j]
+            feature[lo + won] = chosen
+            threshold[lo + won] = (x[r[order[j, k]], chosen]
+                                   + x[r[order[j, k + 1]], chosen]) / 2.0
+        lo = hi
+    return feature, threshold
 
 
-@dataclass
+def _node_labels(y: np.ndarray, rows: np.ndarray, sizes: np.ndarray,
+                 n_classes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each node's majority class code, vote ties to the lowest, and whether
+    it holds two classes or more; node i holds the next ``sizes[i]`` of
+    ``rows``."""
+    cell = np.repeat(np.arange(0, sizes.size * n_classes, n_classes), sizes)
+    cell += y[rows]
+    counts = np.bincount(cell, minlength=sizes.size * n_classes).reshape(-1, n_classes)
+    return counts.argmax(axis=1), np.count_nonzero(counts, axis=1) > 1
+
+
+@dataclass(slots=True)
 class _TreeNode:
     feature: int = _LEAF
     threshold: float = 0.0
     label: int = 0
     left: Optional["_TreeNode"] = None
     right: Optional["_TreeNode"] = None
-    # set on the root by _grow_tree: the deepest depth at which a node drew
+    # set on the root by _grow_trees: the deepest depth at which a node drew
     # candidates or searched for a split, -1 if none did
     reach: int = -1
 
 
-def _grow_tree(x: np.ndarray, y: np.ndarray, n_classes: int, criterion: str,
-               max_depth: Optional[int], rng: Optional[np.random.Generator],
-               n_candidates: Optional[int], rows: Optional[np.ndarray] = None,
-               guide: Optional[_TreeNode] = None) -> _TreeNode:
-    """Grow one tree on the rows ``rows`` of ``x`` and ``y`` (all rows by
-    default, repeats allowed); the root's ``reach`` records how deep growth
-    searched.
+def _grow_trees(x: np.ndarray, y: np.ndarray, n_classes: int, criterion: str,
+                max_depth: Optional[int], rows: Sequence[np.ndarray],
+                rngs: Optional[Sequence[np.random.Generator]] = None,
+                n_candidates: Optional[int] = None,
+                guides: Optional[Sequence[Optional[_TreeNode]]] = None
+                ) -> list[_TreeNode]:
+    """Grow one tree per entry of ``rows``, row indices into ``x`` and ``y``
+    (repeats allowed), all in lockstep; each root's ``reach`` records how
+    deep its growth searched.
 
-    Nodes hold row indices, and a node gathers only its candidate columns of
-    its rows. ``rng`` is drawn from only at nodes that pass the stop tests.
-    A cap d with ``reach < d <= max_depth`` changes no stop test and no
-    draw, so growing with cap d gives this same tree.
+    Nodes hold row indices. Each step makes one ``_segment_splits`` call for
+    every node it pops, then labels, stop-tests and partitions the children
+    of every split node in one pass. A tree that draws ``n_candidates`` of
+    the columns at each node from its generator ``rngs[i]`` keeps its own
+    stack and pops one node per step, right child first, so it draws exactly
+    as a one-tree, depth-first grower would. Its generator is drawn from
+    only at nodes that pass the stop tests, so a cap d with ``reach < d <=
+    max_depth`` changes no stop test and no draw: growing with cap d gives
+    this same tree. A tree that draws nothing pops its whole frontier: each
+    split depends only on the node's rows.
 
-    ``guide``, if given, is this tree grown from the same rows and generator
-    state at a larger cap. Both growths pop the same nodes with the same
-    rows and draws until this cap first stops a node that the guide
-    searched: an impure node of at least 2 rows at depth ``max_depth``.
-    Until then a node that passes the stop tests still draws, which keeps
-    ``rng`` in step, and takes the guide's split, or its lack of one,
-    without searching: the same rows and candidates give the same search.
-    From that node on, growth searches as without a guide, because the
-    guide drew there and its later draws run ahead.
+    ``guides[i]``, if given, is tree i grown from the same rows and
+    generator state at a larger cap. Both growths pop the same nodes with
+    the same rows and draws until this cap first stops a node that the guide
+    searched: an impure node at depth ``max_depth``. Until then a node that
+    passes the stop tests still draws, which keeps the generator in step,
+    and takes the guide's split, or its lack of one, without searching: the
+    same rows and candidates give the same search. From that node on,
+    growth searches as without a guide, because the guide drew there and its
+    later draws run ahead. A tree that draws nothing follows its guide down
+    to the cap.
     """
+    if not rows:
+        return []
     d = x.shape[1]
     drawing = n_candidates is not None and n_candidates < d
-    columns = np.arange(n_candidates if drawing else d)
-    root = _TreeNode()
-    # explicit stack instead of recursion: unlimited-depth trees can exceed
-    # the interpreter recursion limit on large nodes
-    stack: list[tuple[_TreeNode, np.ndarray, int, Optional[_TreeNode]]] = [
-        (root, np.arange(x.shape[0]) if rows is None else rows, 0, guide)]
-    while stack:
-        node, idx, depth, twin = stack.pop()
-        ny = y[idx]
-        counts = np.bincount(ny, minlength=n_classes)
-        node.label = int(np.argmax(counts))
-        if np.count_nonzero(counts) <= 1 or ny.size < 2:
-            continue
-        if max_depth is not None and depth >= max_depth:
-            # the guide searched here, so its later draws run ahead of ours
-            guide = None
-            continue
-        root.reach = max(root.reach, depth)
-        if drawing:
-            drawn = rng.choice(d, size=n_candidates, replace=False)
-        if guide is not None:
-            if twin.feature == _LEAF:
+    ranks = _ranks(x)
+    cap = _cap(max_depth)
+    guided = [guide is not None for guide in guides or [None] * len(rows)]
+    roots = [_TreeNode() for _ in rows]
+    # per tree: (node, rows, depth, twin) entries, and None where a node the
+    # guide searched stops at the cap
+    stacks: list[list] = [[] for _ in rows]
+    # nodes made in the last step as (tree, node, depth, twin), their rows
+    # consecutive in ``part``
+    made = [(i, root, 0, guides[i] if guides else None)
+            for i, root in enumerate(roots)]
+    part = np.concatenate(rows)
+    sizes = np.array([r.size for r in rows])
+    while True:
+        labels, impure = _node_labels(y, part, sizes, n_classes)
+        ends = sizes.cumsum()
+        for (i, node, depth, twin), label, grows, end, size in zip(
+                made, labels.tolist(), impure.tolist(), ends.tolist(),
+                sizes.tolist()):
+            node.label = label
+            if not grows:
                 continue
-            node.feature, node.threshold = twin.feature, twin.threshold
-            column = x[idx, node.feature]
-            twins = (twin.left, twin.right)
-        else:
+            if depth >= cap:
+                if drawing and guided[i]:
+                    stacks[i].append(None)
+                continue
+            stacks[i].append((node, part[end - size:end], depth, twin))
+        popped = []
+        for i, stack in enumerate(stacks):
+            if not drawing:
+                popped += [(i, *entry) for entry in stack]
+                stack.clear()
+                continue
+            while stack:
+                entry = stack.pop()
+                if entry is not None:
+                    popped.append((i, *entry))
+                    break
+                # the guide searched this node, so its later draws run ahead
+                guided[i] = False
+        if not popped:
+            return roots
+        split, searched, draws = [], [], []
+        for i, node, idx, depth, twin in popped:
+            roots[i].reach = max(roots[i].reach, depth)
             if drawing:
-                feature_ids = np.sort(drawn)
-                block = x[idx[:, None], feature_ids]
+                drawn = rngs[i].choice(d, size=n_candidates, replace=False)
+            if guided[i]:
+                if twin.feature != _LEAF:
+                    split.append((i, node, idx, depth, twin, twin.feature,
+                                  twin.threshold))
             else:
-                feature_ids, block = columns, x[idx]
-            split = _best_split(block, ny, columns, n_classes, criterion)
-            if split is None:
-                continue
-            j, node.threshold = split
-            node.feature = int(feature_ids[j])
-            column = block[:, j]
-            twins = (None, None)
-        mask = column <= node.threshold
-        node.left, node.right = _TreeNode(), _TreeNode()
-        stack.append((node.left, idx[mask], depth + 1, twins[0]))
-        stack.append((node.right, idx[~mask], depth + 1, twins[1]))
-    return root
+                searched.append((i, node, idx, depth))
+                if drawing:
+                    draws.append(drawn)
+        if searched:
+            columns = (np.sort(draws, axis=1) if drawing
+                       else np.broadcast_to(np.arange(d), (len(searched), d)))
+            features, thresholds = _segment_splits(
+                x, ranks, y, np.concatenate([e[2] for e in searched]),
+                np.array([e[2].size for e in searched]), columns, n_classes,
+                criterion)
+            split += [(*e, None, f, t) for e, f, t in
+                      zip(searched, features.tolist(), thresholds.tolist())
+                      if f >= 0]
+        made = []
+        if not split:
+            part, sizes = part[:0], sizes[:0]
+            continue
+        idx = np.concatenate([e[2] for e in split])
+        sizes = [e[2].size for e in split]
+        # node k's rows go to child 2k if at most its threshold, else 2k + 1
+        child = np.repeat(np.arange(0, 2 * len(split), 2), sizes)
+        child += ~(x[idx, np.repeat([e[5] for e in split], sizes)]
+                   <= np.repeat([e[6] for e in split], sizes))
+        # a stable partition: each child keeps its rows in the parent's order
+        part = idx[child.astype(np.min_scalar_type(2 * len(split) - 1))
+                   .argsort(kind="stable")]
+        sizes = np.bincount(child, minlength=2 * len(split))
+        for i, node, _, depth, twin, f, t in split:
+            node.feature, node.threshold = f, t
+            node.left, node.right = _TreeNode(), _TreeNode()
+            made += [(i, node.left, depth + 1, twin and twin.left),
+                     (i, node.right, depth + 1, twin and twin.right)]
 
 
-def _tree_predict(node: _TreeNode, x: np.ndarray,
-                  max_depth: Optional[int] = None) -> np.ndarray:
-    """Leaf class codes per row.
+def _tree_predict(trees: Sequence[_TreeNode], x: np.ndarray,
+                  caps: Optional[Sequence[Optional[int]]] = None) -> np.ndarray:
+    """Leaf class codes of each tree for each row, a trees x rows array.
 
-    With ``max_depth``, a node at that depth answers with its own label. A
-    tree grown with that cap is the full tree cut there, so this predicts
-    exactly what the capped tree would.
+    The rows go down every tree at once, a level per pass: one comparison
+    and one stable partition route all rows at split nodes to their
+    children. With ``caps``, a node at depth ``caps[i]`` of tree i answers
+    with its own label. A tree grown with that cap is the full tree cut
+    there, so this predicts exactly what the capped tree would.
     """
-    out = np.empty(x.shape[0], dtype=np.int64)
-    stack = [(node, np.arange(x.shape[0]), 0)]
-    while stack:
-        cur, idx, depth = stack.pop()
-        if idx.size == 0:
-            continue
-        if cur.feature == _LEAF or (max_depth is not None and depth >= max_depth):
-            out[idx] = cur.label
-            continue
-        mask = x[idx, cur.feature] <= cur.threshold
-        stack.append((cur.left, idx[mask], depth + 1))
-        stack.append((cur.right, idx[~mask], depth + 1))
+    out = np.empty((len(trees), x.shape[0]), dtype=np.int64)
+    limit = np.array([_cap(cap) for cap in caps or [None] * len(trees)])
+    nodes, tree = list(trees), np.arange(len(trees))
+    rows = np.tile(np.arange(x.shape[0]), len(trees))
+    sizes = np.full(len(trees), x.shape[0])
+    depth = 0
+    while nodes:
+        owner = np.repeat(np.arange(len(nodes)), sizes)
+        feature = np.array([node.feature for node in nodes])
+        feature[depth >= limit[tree]] = _LEAF
+        answer = feature[owner] == _LEAF
+        out[tree[owner[answer]], rows[answer]] = np.array(
+            [node.label for node in nodes])[owner[answer]]
+        owner, rows = owner[~answer], rows[~answer]
+        threshold = np.array([node.threshold for node in nodes])
+        child = 2 * owner + ~(x[rows, feature[owner]] <= threshold[owner])
+        rows = rows[child.astype(np.min_scalar_type(2 * len(nodes) - 1))
+                    .argsort(kind="stable")]
+        counts = np.bincount(child, minlength=2 * len(nodes))
+        kept = np.flatnonzero(counts)
+        nodes = [nodes[c // 2].right if c % 2 else nodes[c // 2].left
+                 for c in kept.tolist()]
+        tree, sizes = tree[kept // 2], counts[kept]
+        depth += 1
     return out
 
 
@@ -395,12 +579,12 @@ def train(spec: ClassifierSpec, x: np.ndarray, labels: Sequence,
         model.knn_x = x.copy()
         model.knn_y = y
     elif spec.family == "decision-tree":
-        model.tree = _grow_tree(x, y, len(classes), spec.param("criterion"),
-                                spec.param("max_depth"), None, None)
+        [model.tree] = _grow_trees(x, y, len(classes), spec.param("criterion"),
+                                   spec.param("max_depth"), [np.arange(y.size)])
     else:
-        model.forest = [_forest_tree(x, y, len(classes), seed, t,
+        model.forest = _forest_trees(x, y, len(classes), seed,
+                                     range(spec.param("n_estimators")),
                                      spec.param("max_depth"))
-                        for t in range(spec.param("n_estimators"))]
     return model
 
 
@@ -408,28 +592,40 @@ def _cap(max_depth: Optional[int]) -> float:
     return np.inf if max_depth is None else max_depth
 
 
-def _forest_tree(x: np.ndarray, y: np.ndarray, n_classes: int, seed: int,
-                 t: int, max_depth: Optional[int],
-                 guide: Optional[_TreeNode] = None) -> _TreeNode:
-    """Tree t of a forest: a bootstrap gini tree on ceil(sqrt(d)) candidate
-    features per split, grown over the bootstrap rows of ``x``, never a copy.
+def _forest_trees(x: np.ndarray, y: np.ndarray, n_classes: int, seed: int,
+                  indices: Sequence[int], max_depth: Optional[int],
+                  guides: Optional[Sequence[Optional[_TreeNode]]] = None
+                  ) -> list[_TreeNode]:
+    """Trees ``indices`` of a forest, grown in lockstep: each a bootstrap
+    gini tree on ceil(sqrt(d)) candidate features per split, grown over the
+    bootstrap rows of ``x``, never a copy.
 
-    Its generator is seeded by ``SeedSequence(seed, spawn_key=(t,))``, which
-    is ``SeedSequence(seed).spawn(n)[t]`` for any n > t. ``guide`` is this
-    tree grown at a larger cap, if any (see ``_grow_tree``).
+    Tree t's generator is seeded by ``SeedSequence(seed, spawn_key=(t,))``,
+    which is ``SeedSequence(seed).spawn(n)[t]`` for any n > t. ``guides``
+    holds each tree grown at a larger cap, if any (see ``_grow_trees``).
     """
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t,)))
-    rows = rng.integers(0, x.shape[0], size=x.shape[0])
-    return _grow_tree(x, y, n_classes, "gini", max_depth, rng,
-                      int(np.ceil(np.sqrt(x.shape[1]))), rows, guide)
+    rngs = [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t,)))
+            for t in indices]
+    rows = [rng.integers(0, x.shape[0], size=x.shape[0]) for rng in rngs]
+    return _grow_trees(x, y, n_classes, "gini", max_depth, rows, rngs,
+                       int(np.ceil(np.sqrt(x.shape[1]))), guides)
 
 
 def _distances(metric: str, queries: np.ndarray, train_x: np.ndarray) -> np.ndarray:
+    """Query rows x training rows distances. Euclidean and cosine keep their
+    one BLAS product as the output and finish it in place, in query-row
+    chunks under ``_DIST_ELEMENTS``, by the same element-wise operations in
+    the same order as on whole arrays."""
+    step = max(1, _DIST_ELEMENTS // max(1, train_x.shape[0]))
     if metric == "euclidean":
-        sq = (np.sum(queries ** 2, axis=1)[:, None]
-              + np.sum(train_x ** 2, axis=1)[None, :]
-              - 2.0 * queries @ train_x.T)
-        return np.sqrt(np.maximum(sq, 0.0))
+        # sqrt(max(|q|^2 + |t|^2 - (2q) @ t.T, 0))
+        qn, tn = np.sum(queries ** 2, axis=1), np.sum(train_x ** 2, axis=1)
+        out = 2.0 * queries @ train_x.T
+        for lo in range(0, out.shape[0], step):
+            block = out[lo:lo + step]
+            np.subtract(qn[lo:lo + step, None] + tn[None, :], block, out=block)
+        np.maximum(out, 0.0, out=out)
+        return np.sqrt(out, out=out)
     if metric == "manhattan":
         # blocks of (query, training) row pairs under _DIST_ELEMENTS; each
         # pair's sum runs along the block's contiguous feature axis, numpy's
@@ -446,11 +642,14 @@ def _distances(metric: str, queries: np.ndarray, train_x: np.ndarray) -> np.ndar
     # cosine distance = 1 - cosine similarity; zero vectors are distance 1
     qn = np.linalg.norm(queries, axis=1)
     tn = np.linalg.norm(train_x, axis=1)
-    sim = queries @ train_x.T
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sim = sim / (qn[:, None] * tn[None, :])
-    sim[~np.isfinite(sim)] = 0.0
-    return 1.0 - sim
+    out = queries @ train_x.T
+    for lo in range(0, out.shape[0], step):
+        block = out[lo:lo + step]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(block, qn[lo:lo + step, None] * tn[None, :], out=block)
+        block[~np.isfinite(block)] = 0.0
+        np.subtract(1.0, block, out=block)
+    return out
 
 
 def _nearest(dist: np.ndarray, top: int,
@@ -575,11 +774,10 @@ def predict(model: TrainedModel, x: np.ndarray) -> np.ndarray:
         dist, nearest = _neighbours(spec.param("metric"), x, model.knn_x, k)
         codes = _knn_codes(dist, nearest, model.knn_y, n_classes, {vote})[vote]
     elif spec.family == "decision-tree":
-        codes = _tree_predict(model.tree, x)
+        [codes] = _tree_predict([model.tree], x)
     else:
         n = len(model.forest)
-        codes = _forest_codes([_tree_predict(t, x) for t in model.forest],
-                              n_classes, {n})[n]
+        codes = _forest_codes(_tree_predict(model.forest, x), n_classes, {n})[n]
     return np.array(model.classes, dtype=object)[codes]
 
 
@@ -777,8 +975,10 @@ def _tree_fold(specs, x_train, y_train, x_test, seed):
         full = ClassifierSpec("decision-tree", {**specs[members[0]].hyperparameters,
                                                 "max_depth": None})
         model = train(full, x_train, y_train, seed)
-        for i in members:
-            out[i] = _tree_predict(model.tree, x_test, specs[i].param("max_depth"))
+        codes = _tree_predict([model.tree] * len(members), x_test,
+                              [specs[i].param("max_depth") for i in members])
+        for i, row in zip(members, codes):
+            out[i] = row
     return model.classes, out
 
 
@@ -787,30 +987,30 @@ def _forest_fold(specs, x_train, y_train, x_test, seed):
     lineage of trees per tree index.
 
     Tree t depends only on (seed, t, cap), so a cap's first n trees are its
-    n-tree forest. Tree t walks the caps from the largest down, ``None``
-    first, past those that grow at most t trees. A cap above the tree's
-    reach keeps it, since it is the tree that cap grows, and its codes; a
-    cap that cuts it regrows it, guided by the tree it was cut from (see
-    ``_grow_tree``). Each grown tree predicts the test rows once.
+    n-tree forest. The caps go from the largest down, ``None`` first. Index
+    t's lineage holds its latest tree, from the nearest larger cap whose
+    largest forest has more than t trees. A cap above that tree's reach
+    keeps it, since it is the tree that cap grows, and its codes; a cap that
+    cuts it regrows it, guided by it (see ``_grow_trees``). Each cap grows
+    all its regrowths in lockstep, and each grown tree predicts the test
+    rows once.
     """
     x, classes, y = _training_codes(x_train, y_train)
     groups = sorted(_group(specs, "max_depth"),
                     key=lambda members: -_cap(specs[members[0]].param("max_depth")))
-    caps = [specs[members[0]].param("max_depth") for members in groups]
-    sizes = [[specs[i].param("n_estimators") for i in members] for members in groups]
-    tree_codes: list = [[] for _ in groups]
-    for t in range(max(map(max, sizes))):
-        tree = None
-        for cap, group_sizes, codes in zip(caps, sizes, tree_codes):
-            if max(group_sizes) <= t:
-                continue
-            if tree is None or tree.reach >= _cap(cap):
-                tree = _forest_tree(x, y, len(classes), seed, t, cap, tree)
-                predicted = _tree_predict(tree, x_test)
-            codes.append(predicted)
+    trees: list = [None] * max(spec.param("n_estimators") for spec in specs)
+    predicted: list = [None] * len(trees)
     out: list = [None] * len(specs)
-    for members, group_sizes, codes in zip(groups, sizes, tree_codes):
-        votes = _forest_codes(codes, len(classes), set(group_sizes))
+    for members in groups:
+        cap = specs[members[0]].param("max_depth")
+        group_sizes = [specs[i].param("n_estimators") for i in members]
+        regrow = [t for t in range(max(group_sizes))
+                  if trees[t] is None or trees[t].reach >= _cap(cap)]
+        grown = _forest_trees(x, y, len(classes), seed, regrow, cap,
+                              [trees[t] for t in regrow])
+        for t, tree, codes in zip(regrow, grown, _tree_predict(grown, x_test)):
+            trees[t], predicted[t] = tree, codes
+        votes = _forest_codes(predicted, len(classes), set(group_sizes))
         for i, n in zip(members, group_sizes):
             out[i] = votes[n]
     return classes, out

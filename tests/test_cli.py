@@ -274,6 +274,20 @@ class TestExitCodes:
         assert f"error: {message}" in capsys.readouterr().err
         assert not (out / "cells.csv").exists()
 
+    @pytest.mark.parametrize("args", [
+        ["binary", "--min-target", "10"], ["multiclass"],
+        ["grid", "--evs", "2", "--samples", "8"],
+        ["distribution", "--shape", "uniform"],
+    ], ids=["binary", "multiclass", "grid", "distribution"])
+    def test_negative_seed_is_1_before_any_cell(self, pipeline, tmp_path,
+                                                capsys, args):
+        out = tmp_path / "exp"
+        assert run_cli("experiment", *args, "--features", pipeline["features"],
+                       "--seed", "-1", "--out", str(out)) == 1
+        assert ("error: ValueError: expected non-negative integer"
+                in capsys.readouterr().err)
+        assert not (out / "cells.csv").exists()
+
     def test_out_of_range_segment_is_1_without_traceback(self, tmp_path):
         segments = tmp_path / "segments.jsonl"
         segments.write_text(json.dumps({

@@ -15,23 +15,30 @@ so the top-K ranking, the blocks and their sharing between CV folds are all
 pinned to the code they replaced.
 
 ``reference_best_split`` is the per-feature split search that the one-pass
-``learn._best_split`` replaced; both must pick the same (feature, threshold)
-at every node, so both grow the same trees.
+search replaced; ``learn._segment_splits`` must pick the same (feature,
+threshold) for every segment of a set of nodes scored together, so both grow
+the same trees.
 
+``tree_oracles`` keeps the one-node code that lockstep growth replaced: the
+depth-first stack grower, its one-node split search and the per-tree
+predictor. ``learn._grow_trees`` must grow the same trees as the stack
+grower, tree by tree, down to each root's reach and each generator's state,
+with and without guides, caps and bootstrap repeats, and
+``learn._tree_predict`` must route rows as the per-tree predictor does.
 ``reference_grow_tree`` is the grower that row indices replaced: each node
-held a copy of every column of its rows. ``learn._grow_tree`` must grow the
-same trees from row indices, the bootstrap rows of a forest tree included.
+held a copy of every column of its rows.
 
 ``reference_grow_forest`` is the forest grower that per-index tree seeds
 replaced: tree t drew from ``SeedSequence(seed).spawn(n)[t]``. ``train``
 must grow the same forests.
 
-The forest fold keeps one lineage per tree index. Tree t walks the depth
-caps from the largest down: a cap above its tree's reach keeps that tree,
-and a cap that cuts it regrows it, guided by the tree it was cut from. The
-walk order, the regrowths and the fold's tree and predict counts are pinned
-per fold, each cap's forest is pinned to ``train``, and the reach argument
-and the guided regrowth each to a property test.
+The forest fold keeps one lineage per tree index and walks the depth caps
+from the largest down. A cap above the reach of an index's latest tree keeps
+that tree, and a cap that cuts it regrows it, guided by that tree; each cap
+grows its regrowths in lockstep. The walk order, the regrowths and the
+fold's tree and predict counts are pinned per fold, each cap's forest is
+pinned to ``train``, and the reach argument and the guided regrowth each to
+a property test.
 """
 
 import json
@@ -45,6 +52,9 @@ from evprofiler.learn import (DEFAULT_GRIDS, ClassifierSpec,
                               GridSearchResult, Scores, TrainingError,
                               expand_grid, grid_search, predict,
                               score_predictions, stratified_kfold, train)
+
+from tree_oracles import (node_best_split, reference_entropy,
+                          stack_grow_tree, stack_tree_predict)
 
 
 # ---------------------------------------------------------------------------
@@ -131,11 +141,11 @@ def oracle_predict(model, x):
                 votes = np.bincount(ny, minlength=n_classes).astype(float)
             codes[i] = int(np.argmax(votes))
     elif model.spec.family == "decision-tree":
-        codes = learn._tree_predict(model.tree, x)
+        codes = stack_tree_predict(model.tree, x)
     else:
         votes = np.zeros((x.shape[0], n_classes), dtype=np.int64)
         for tree in model.forest:
-            votes[np.arange(x.shape[0]), learn._tree_predict(tree, x)] += 1
+            votes[np.arange(x.shape[0]), stack_tree_predict(tree, x)] += 1
         codes = np.argmax(votes, axis=1)
     return np.array([model.classes[c] for c in codes])
 
@@ -209,8 +219,8 @@ def _entropy_cut_costs(y_sorted, cut, m, n_classes):
     left_counts = np.cumsum(onehot, axis=0)[cut]
     left_n = (cut + 1).astype(np.float64)
     right_n = m - left_n
-    return (left_n * learn._entropy(left_counts, left_n)
-            + right_n * learn._entropy(total_counts - left_counts, right_n)) / m
+    return (left_n * reference_entropy(left_counts, left_n)
+            + right_n * reference_entropy(total_counts - left_counts, right_n)) / m
 
 
 def reference_best_split(x, y, feature_ids, n_classes, criterion):
@@ -258,7 +268,7 @@ def reference_grow_tree(x, y, n_classes, criterion, max_depth, rng,
             feature_ids = np.sort(rng.choice(d, size=n_candidates, replace=False))
         else:
             feature_ids = np.arange(d)
-        split = learn._best_split(nx, ny, feature_ids, n_classes, criterion)
+        split = node_best_split(nx, ny, feature_ids, n_classes, criterion)
         if split is None:
             continue
         node.feature, node.threshold = split
@@ -319,25 +329,27 @@ def assert_same_failure(family, grid, x, labels, **kwargs):
 
 def record_forest_growth(monkeypatch):
     """Per forest fold: (tree index, cap, guide, tree) of every tree
-    ``_forest_tree`` grew, the trees ``_tree_predict`` predicted with, and
-    the number of ``_grow_tree`` calls."""
+    ``_forest_trees`` grew, in growth order, the trees ``_tree_predict``
+    predicted with, in call order, and the number of trees ``_grow_trees``
+    grew."""
     grown, predicted, grow_calls, per_fold = [], [], [], []
-    forest_tree, grow_tree = learn._forest_tree, learn._grow_tree
+    forest_trees, grow_trees = learn._forest_trees, learn._grow_trees
     tree_predict = learn._tree_predict
     forest_fold = learn._FOLD_PREDICTORS["random-forest"]
 
-    def logged_forest_tree(x, y, n_classes, seed, t, cap, guide=None):
-        tree = forest_tree(x, y, n_classes, seed, t, cap, guide)
-        grown.append((t, cap, guide, tree))
-        return tree
+    def logged_forest_trees(x, y, n_classes, seed, indices, cap, guides=None):
+        trees = forest_trees(x, y, n_classes, seed, indices, cap, guides)
+        grown.extend(zip(indices, [cap] * len(trees),
+                         guides or [None] * len(trees), trees))
+        return trees
 
-    def logged_grow_tree(*args):
-        grow_calls.append(args[4])
-        return grow_tree(*args)
+    def logged_grow_trees(x, y, n_classes, criterion, max_depth, rows, *args):
+        grow_calls.extend(rows)
+        return grow_trees(x, y, n_classes, criterion, max_depth, rows, *args)
 
-    def logged_predict(tree, *args):
-        predicted.append(tree)
-        return tree_predict(tree, *args)
+    def logged_predict(trees, *args):
+        predicted.extend(trees)
+        return tree_predict(trees, *args)
 
     def logged_fold(*args):
         starts = len(grown), len(predicted), len(grow_calls)
@@ -346,8 +358,8 @@ def record_forest_growth(monkeypatch):
                          len(grow_calls) - starts[2]))
         return result
 
-    monkeypatch.setattr(learn, "_forest_tree", logged_forest_tree)
-    monkeypatch.setattr(learn, "_grow_tree", logged_grow_tree)
+    monkeypatch.setattr(learn, "_forest_trees", logged_forest_trees)
+    monkeypatch.setattr(learn, "_grow_trees", logged_grow_trees)
     monkeypatch.setattr(learn, "_tree_predict", logged_predict)
     monkeypatch.setitem(learn._FOLD_PREDICTORS, "random-forest", logged_fold)
     return per_fold
@@ -429,8 +441,8 @@ def test_depth_capped_prediction_equals_capped_tree(depth, criterion):
                                   {"criterion": criterion, "max_depth": depth}),
                    x, labels)
     probe = np.random.default_rng(12).normal(0.6, 1.2, (60, x.shape[1]))
-    np.testing.assert_array_equal(learn._tree_predict(full.tree, probe, depth),
-                                  learn._tree_predict(capped.tree, probe))
+    np.testing.assert_array_equal(learn._tree_predict([full.tree], probe, [depth]),
+                                  learn._tree_predict([capped.tree], probe))
 
 
 @pytest.mark.parametrize("family", ["knn", "decision-tree", "random-forest"])
@@ -458,20 +470,22 @@ def test_shared_fits_per_fold(monkeypatch):
     assert len(per_fold) == 5
     for grown, predicted, grow_calls in per_fold:
         assert grow_calls == len(grown)
-        # each tree the fold grows predicts the test rows once, right away
+        # each tree the fold grows predicts the test rows once, right after
+        # its cap's growth
         assert len(predicted) == len(grown)
         assert all(p is tree for p, (*_, tree) in zip(predicted, grown))
-        # tree index by tree index, the caps from the largest down; a cap
-        # regrows exactly the tree whose reach it cuts, guided by that tree
+        # the caps from the largest down, tree index by tree index within a
+        # cap; a cap regrows exactly the trees whose lineage's reach it cuts,
+        # each guided by its lineage's tree
         log = iter(grown)
-        for t in range(50):
-            tree = None
-            for cap in (None, 25, 15, 10, 5, 3):
-                if tree is None or tree.reach >= learn._cap(cap):
+        lineage = [None] * 50
+        for cap in (None, 25, 15, 10, 5, 3):
+            for t in range(50):
+                if lineage[t] is None or lineage[t].reach >= learn._cap(cap):
                     got_t, got_cap, guide, tree_grown = next(log)
                     assert (got_t, got_cap) == (t, cap)
-                    assert guide is tree
-                    tree = tree_grown
+                    assert guide is lineage[t]
+                    lineage[t] = tree_grown
         assert next(log, None) is None
         assert 50 < len(grown) < 6 * 50
     fits.clear()
@@ -489,7 +503,8 @@ def test_shared_fits_per_fold(monkeypatch):
 ])
 def test_forest_fold_work_is_unchanged(monkeypatch, data_seed, seed, work):
     """Trees grown and trees predicted per fold of the default grid, as
-    counted on the depth-group fold that the per-index lineages replaced."""
+    counted on the depth-group fold that the per-index lineages replaced,
+    and on the tree-by-tree lineage walk that lockstep growth replaced."""
     x, labels = overlapping(seed=data_seed)
     per_fold = record_forest_growth(monkeypatch)
     grid_search("random-forest", DEFAULT_GRIDS["random-forest"], x, labels,
@@ -641,6 +656,46 @@ def test_blocked_manhattan_equals_row_loop(monkeypatch, d, budget):
         np.testing.assert_array_equal(got.T, reference_manhattan(b, a))
 
 
+def reference_distances(metric, queries, train_x):
+    """The whole-array euclidean and cosine expressions that in-place
+    chunks replaced."""
+    if metric == "euclidean":
+        sq = (np.sum(queries ** 2, axis=1)[:, None]
+              + np.sum(train_x ** 2, axis=1)[None, :]
+              - 2.0 * queries @ train_x.T)
+        return np.sqrt(np.maximum(sq, 0.0))
+    qn = np.linalg.norm(queries, axis=1)
+    tn = np.linalg.norm(train_x, axis=1)
+    sim = queries @ train_x.T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sim = sim / (qn[:, None] * tn[None, :])
+    sim[~np.isfinite(sim)] = 0.0
+    return 1.0 - sim
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+@pytest.mark.parametrize("budget", [1, 7, 8, 9, 1 << 14])
+def test_in_place_distances_equal_whole_array_expressions(monkeypatch, metric,
+                                                          budget):
+    # chunks of one query row, of one row short of a whole row count, of
+    # exactly and just over one, and the whole matrix at the default budget
+    monkeypatch.setattr(learn, "_DIST_ELEMENTS", budget)
+    rng = np.random.default_rng(60)
+    for n_query, n_train in [(1, 1), (7, 1), (1, 8), (6, 8), (7, 8), (9, 8),
+                             (15, 4), (23, 5), (0, 3)]:
+        a = np.round(rng.normal(0.0, 1.0, (n_query, 5)), 1)
+        b = np.round(rng.normal(0.0, 1.0, (n_train, 5)), 1)
+        # a zero vector on each side and a row in both
+        b[-1] = 0.0
+        if n_query:
+            a[0] = 0.0
+            b[0] = a[-1]
+        got = learn._distances(metric, a, b)
+        want = reference_distances(metric, a, b)
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()  # -0.0 stays -0.0
+
+
 @pytest.mark.parametrize("top", [1, 4, 15, 200])
 @pytest.mark.parametrize("data", ["rounded", "duplicates"])
 def test_fold_manhattan_equals_each_folds_own_ranking(monkeypatch, top, data):
@@ -668,7 +723,7 @@ def test_fold_manhattan_equals_each_folds_own_ranking(monkeypatch, top, data):
 
 
 # ---------------------------------------------------------------------------
-# the one-pass split search against the per-feature one
+# the segmented split search against the per-feature one
 
 def awkward_matrix(rng, m, d, n_classes):
     """Rounded values (ties within and across columns), a constant column
@@ -682,9 +737,29 @@ def awkward_matrix(rng, m, d, n_classes):
     return x, y
 
 
+def segment_splits(x, y, segments, columns, n_classes, criterion):
+    """``learn._segment_splits`` on the segments ``segments`` (row index
+    arrays into ``x``) with candidate columns ``columns``, one row each, as
+    a (feature, threshold) or None per segment."""
+    features, thresholds = learn._segment_splits(
+        x, learn._ranks(x), y, np.concatenate(segments),
+        np.array([rows.size for rows in segments]), np.asarray(columns),
+        n_classes, criterion)
+    return [None if f < 0 else (int(f), float(t))
+            for f, t in zip(features, thresholds)]
+
+
+def segment_split(x, y, feature_ids, n_classes, criterion):
+    """The split of one segment holding every row of ``x``."""
+    [split] = segment_splits(x, y, [np.arange(y.size)],
+                             np.asarray(feature_ids)[None, :], n_classes,
+                             criterion)
+    return split
+
+
 def assert_same_split(x, y, feature_ids, n_classes, criterion):
     feature_ids = np.asarray(feature_ids)
-    assert (learn._best_split(x, y, feature_ids, n_classes, criterion)
+    assert (segment_split(x, y, feature_ids, n_classes, criterion)
             == reference_best_split(x, y, feature_ids, n_classes, criterion))
 
 
@@ -710,7 +785,7 @@ def test_split_equals_per_feature_search(criterion):
 def test_split_of_constant_columns_is_none(criterion):
     x = np.full((12, 4), 3.0)
     y = np.arange(12) % 3
-    assert learn._best_split(x, y, np.arange(4), 3, criterion) is None
+    assert segment_split(x, y, np.arange(4), 3, criterion) is None
     assert reference_best_split(x, y, np.arange(4), 3, criterion) is None
 
 
@@ -775,10 +850,9 @@ def test_split_ignores_row_order():
         shuffle = np.array(data.draw(st.permutations(range(m))))
         feature_ids = np.arange(d)
         # repr, so a threshold of -0.0 does not pass for 0.0
-        assert (repr(learn._best_split(x[shuffle], y[shuffle], feature_ids,
-                                       n_classes, criterion))
-                == repr(learn._best_split(x, y, feature_ids, n_classes,
-                                          criterion)))
+        assert (repr(segment_split(x[shuffle], y[shuffle], feature_ids,
+                                   n_classes, criterion))
+                == repr(segment_split(x, y, feature_ids, n_classes, criterion)))
 
     check()
 
@@ -805,6 +879,84 @@ def test_split_at_every_code_width(n_classes, criterion):
         assert_same_split(planted, y, np.arange(d), n_classes, criterion)
 
 
+def signed_zeros(rng, x):
+    """``x`` with about a tenth of its entries -0.0 and a tenth 0.0."""
+    x = x.copy()
+    draw = rng.random(x.shape)
+    x[draw < 0.1] = -0.0
+    x[(draw >= 0.1) & (draw < 0.2)] = 0.0
+    return x
+
+
+def bootstrap_segments(rng, n, n_segments, max_size):
+    """Row index arrays of 1 to ``max_size`` rows drawn with repeats, as a
+    forest's nodes hold them."""
+    return [rng.integers(0, n, int(rng.integers(1, max_size + 1)))
+            for _ in range(n_segments)]
+
+
+@pytest.mark.parametrize("criterion", ["gini", "entropy"])
+@pytest.mark.parametrize("budget", [1 << 15, 1 << 9, 1])
+def test_segment_splits_equal_per_feature_search(monkeypatch, criterion, budget):
+    """Every segment of a set scored together takes the split that the
+    per-feature search gives its rows alone. Sets hold 1 to 300 segments of
+    1 to 60 rows on rounded, constant and duplicated columns, with -0.0
+    beside 0.0; the default budget groups segments, a small one splits
+    groups and chunks a large segment's columns, and budget 1 scores one
+    column of one segment at a time."""
+    monkeypatch.setattr(learn, "_CHUNK_ELEMENTS", budget)
+    rng = np.random.default_rng(41)
+    found = 0
+    for n_segments in (1, 1, 2, 3, 7, 40, 300):
+        n, d = int(rng.integers(2, 80)), int(rng.integers(1, 12))
+        n_classes = int(rng.integers(2, 41))
+        x, y = awkward_matrix(rng, n, d, n_classes)
+        x = signed_zeros(rng, x)
+        segments = bootstrap_segments(rng, n, n_segments, 60)
+        w = int(rng.integers(1, d + 1))
+        columns = np.sort([rng.choice(d, w, replace=False) for _ in segments],
+                          axis=1)
+        got = segment_splits(x, y, segments, columns, n_classes, criterion)
+        want = [reference_best_split(x[rows], y[rows], ids, n_classes, criterion)
+                for rows, ids in zip(segments, columns)]
+        # repr, so a threshold of -0.0 does not pass for 0.0
+        assert repr(got) == repr(want)
+        found += sum(split is not None for split in want)
+    assert found > 200  # most segments have a split to agree on
+
+
+@pytest.mark.parametrize("n_segments,n_classes,n_rows", [
+    (1, 256, 40), (1, 257, 40),        # (segment, class) codes: 8 bits, 16
+    (2, 128, 128), (2, 129, 129),      # both keys: 8 bits, 16
+    (256, 256, 256), (257, 256, 257),  # both keys: 16 bits, 32
+])
+@pytest.mark.parametrize("criterion", ["gini", "entropy"])
+def test_segment_splits_at_every_key_width(n_segments, n_classes, n_rows,
+                                           criterion):
+    """The (segment, class) sort keys and the (segment, value rank) keys go
+    to the narrowest unsigned dtype that holds their largest value. Every
+    segment holds class codes 0 and the top code and the rows of the lowest
+    and highest value of column 0, which has one rank per row, so the last
+    segment reaches both largest keys; cut to a narrower width, they would
+    collide with smaller ones."""
+    rng = np.random.default_rng(n_segments * n_classes)
+    top = n_classes - 1
+    x = np.round(rng.normal(0.0, 1.0, (n_rows, 3)), 1)
+    x[:, 0] = rng.permutation(n_rows)
+    y = rng.integers(0, n_classes, n_rows)
+    y[:2] = 0, top
+    low, high = np.argmin(x[:, 0]), np.argmax(x[:, 0])
+    segments = [np.r_[0, 1, low, high, rows]
+                for rows in bootstrap_segments(rng, n_rows, n_segments, 12)]
+    columns = np.tile(np.arange(3), (n_segments, 1))
+    # codes 0 and top on the same side of the best cut of column 1
+    x[:, 1] = np.isin(y, (0, top))
+    got = segment_splits(x, y, segments, columns, n_classes, criterion)
+    want = [reference_best_split(x[rows], y[rows], np.arange(3), n_classes,
+                                 criterion) for rows in segments]
+    assert repr(got) == repr(want)
+
+
 TREE_SPECS = [("decision-tree", {"criterion": c, "max_depth": depth})
               for c in ("gini", "entropy") for depth in (None, 3)]
 TREE_SPECS += [("random-forest", {"n_estimators": 6, "max_depth": depth})
@@ -813,33 +965,39 @@ TREE_SPECS += [("random-forest", {"n_estimators": 6, "max_depth": depth})
 
 @pytest.mark.parametrize("family,hp", TREE_SPECS)
 @pytest.mark.parametrize("data", ["overlapping", "rounded"])
-def test_trees_equal_per_feature_trees(monkeypatch, family, hp, data):
+def test_trees_equal_per_feature_trees(family, hp, data):
     x, labels = overlapping(n_per_class=15, n_classes=4, d=7, seed=19)
     if data == "rounded":
         x = np.round(x, 0)
         x[:, 3] = x[:, 1]
-    spec = ClassifierSpec(family, hp)
-    got = model_document(train(spec, x, labels, seed=20))
-    monkeypatch.setattr(learn, "_best_split", reference_best_split)
-    want = model_document(train(spec, x, labels, seed=20))
-    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+    model = train(ClassifierSpec(family, hp), x, labels, seed=20)
+    classes, y = learn._class_codes(labels)
+    if family == "decision-tree":
+        want = stack_grow_tree(x, y, len(classes), hp["criterion"],
+                               hp["max_depth"], None, None,
+                               best_split=reference_best_split)
+        assert _node_document(model.tree) == _node_document(want)
+    else:
+        want = reference_grow_forest(x, y, len(classes), 20, 6, hp["max_depth"],
+                                     reference_best_split)
+        assert ([_node_document(t) for t in model.forest]
+                == [_node_document(t) for t in want])
 
 
 @pytest.mark.parametrize("max_depth", [None, 4])
-def test_entropy_forest_trees_equal_per_feature_trees(monkeypatch, max_depth):
-    # forests take no criterion; grow forest-style entropy trees directly
+def test_entropy_forest_trees_equal_per_feature_trees(max_depth):
+    # forests take no criterion; grow forest-style entropy trees directly,
+    # on bootstrap rows with 3 of 9 candidates per node
     x, labels = overlapping(n_per_class=15, n_classes=5, d=9, seed=21)
     y = np.array([int(l[2:]) for l in labels])
-
-    def grow():
-        rng = np.random.default_rng(22)
-        return [_node_document(learn._grow_tree(x, y, 5, "entropy", max_depth,
-                                                rng, 3))
-                for _ in range(4)]
-
-    got = grow()
-    monkeypatch.setattr(learn, "_best_split", reference_best_split)
-    assert got == grow()
+    rows = [np.random.default_rng(seed).integers(0, y.size, y.size)
+            for seed in range(4)]
+    got = learn._grow_trees(x, y, 5, "entropy", max_depth, rows,
+                            [np.random.default_rng(22 + t) for t in range(4)], 3)
+    want = [stack_grow_tree(x, y, 5, "entropy", max_depth,
+                            np.random.default_rng(22 + t), 3, rows[t],
+                            best_split=reference_best_split) for t in range(4)]
+    assert [_node_document(t) for t in got] == [_node_document(t) for t in want]
 
 
 @pytest.mark.parametrize("criterion", ["gini", "entropy"])
@@ -853,7 +1011,7 @@ def test_row_index_trees_equal_copying_trees(criterion, style):
         x, y = awkward_matrix(rng, m, d, n_classes)
         cap = [None, 1, 2, 4][int(rng.integers(0, 4))]
         if style == "decision-tree":
-            got = learn._grow_tree(x, y, n_classes, criterion, cap, None, None)
+            [got] = learn._grow_trees(x, y, n_classes, criterion, cap, [np.arange(m)])
             want = reference_grow_tree(x, y, n_classes, criterion, cap, None, None)
         else:
             # bootstrap rows repeat, and sqrt(d) candidates per node
@@ -861,13 +1019,134 @@ def test_row_index_trees_equal_copying_trees(criterion, style):
             n_candidates = int(np.ceil(np.sqrt(d)))
             seed = int(rng.integers(2 ** 32))
             got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = learn._grow_tree(x, y, n_classes, criterion, cap, got_rng,
-                                   n_candidates, rows)
+            [got] = learn._grow_trees(x, y, n_classes, criterion, cap, [rows],
+                                      [got_rng], n_candidates)
             want = reference_grow_tree(x[rows], y[rows], n_classes, criterion,
                                        cap, want_rng, n_candidates)
             assert got_rng.bit_generator.state == want_rng.bit_generator.state
         assert _node_document(got) == _node_document(want)
         assert got.reach == want.reach
+
+
+# ---------------------------------------------------------------------------
+# lockstep growth and batched prediction against the one-tree code
+
+def assert_lockstep_equals_stack(x, y, n_classes, criterion, cap, rows, seeds,
+                                 n_candidates, guides=None):
+    """``learn._grow_trees`` grows, tree by tree, what the stack grower grows
+    from the same rows, generator state and guide, down to the root's reach
+    and the generator's state after the draws; returns the lockstep trees."""
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    got = learn._grow_trees(x, y, n_classes, criterion, cap, rows, rngs,
+                            n_candidates, guides)
+    assert len(got) == len(rows)
+    for i, tree in enumerate(got):
+        rng = np.random.default_rng(seeds[i])
+        want = stack_grow_tree(x, y, n_classes, criterion, cap, rng,
+                               n_candidates, rows[i],
+                               None if guides is None else guides[i])
+        assert _node_document(tree) == _node_document(want)
+        assert tree.reach == want.reach
+        assert rngs[i].bit_generator.state == rng.bit_generator.state
+    return got
+
+
+def lockstep_data(name):
+    if name == "binary":
+        return binary(seed=2)
+    if name == "duplicates":
+        return with_duplicates(seed=6)
+    x, labels = overlapping(seed=14)
+    return (np.round(x), labels) if name == "rounded" else (x, labels)
+
+
+@pytest.mark.parametrize("data", ["overlapping", "binary", "duplicates", "rounded"])
+@pytest.mark.parametrize("criterion", ["gini", "entropy"])
+@pytest.mark.parametrize("n_candidates", [None, 1, 2])
+def test_lockstep_trees_equal_stack_trees(data, criterion, n_candidates):
+    """Twelve trees on bootstrap rows, grown together at each cap of the
+    default forest grid and at cap 1, from the largest cap down, each
+    regrowth guided by its tree at the cap above, as the forest fold grows
+    them; without candidates the trees draw nothing and pop whole levels."""
+    x, labels = lockstep_data(data)
+    classes, y = learn._class_codes(labels)
+    rng = np.random.default_rng(50)
+    rows = [rng.integers(0, y.size, y.size) for _ in range(12)]
+    seeds = [int(seed) for seed in rng.integers(0, 2 ** 32, 12)]
+    guides = None
+    for cap in (None, 25, 15, 10, 5, 3, 1):
+        guides = assert_lockstep_equals_stack(x, y, len(classes), criterion, cap,
+                                              rows, seeds, n_candidates, guides)
+    assert max(tree.reach for tree in guides) == 0  # cap 1 searched roots only
+
+
+def test_lockstep_growth_property():
+    """A batch of trees grows as the stack grower grows each alone, unguided
+    at one cap and guided by those trees at a smaller cap."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    hnp = pytest.importorskip("hypothesis.extra.numpy")
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(data=st.data(), m=st.integers(1, 30), d=st.integers(1, 5),
+                      n_classes=st.integers(2, 5), n_trees=st.integers(1, 5),
+                      n_candidates=st.one_of(st.none(), st.integers(1, 4)),
+                      criterion=st.sampled_from(["gini", "entropy"]),
+                      big=st.one_of(st.none(), st.integers(2, 6)),
+                      small=st.integers(1, 5))
+    def check(data, m, d, n_classes, n_trees, n_candidates, criterion, big,
+              small):
+        hypothesis.assume(small < learn._cap(big))
+        # few distinct values, signed zeros among them, so nodes often
+        # search and find no split; every element drawn (no fill value), so
+        # the trees grow several levels
+        values = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0])
+        x = data.draw(hnp.arrays(np.float64, (m, d), elements=values,
+                                 fill=st.nothing()))
+        y = data.draw(hnp.arrays(np.int64, m, fill=st.nothing(),
+                                 elements=st.integers(0, n_classes - 1)))
+        # bootstrap samples: rows repeat
+        rows = [data.draw(hnp.arrays(np.int64, m, fill=st.nothing(),
+                                     elements=st.integers(0, m - 1)))
+                for _ in range(n_trees)]
+        seeds = data.draw(st.lists(st.integers(0, 2 ** 32 - 1),
+                                   min_size=n_trees, max_size=n_trees))
+        full = assert_lockstep_equals_stack(x, y, n_classes, criterion, big,
+                                            rows, seeds, n_candidates)
+        assert_lockstep_equals_stack(x, y, n_classes, criterion, small, rows,
+                                     seeds, n_candidates, full)
+
+    check()
+
+
+def test_batched_prediction_equals_tree_by_tree():
+    """``_tree_predict`` routes rows down many trees at once, each at its
+    own cap, as the per-tree predictor routes them: a forest, a leaf-only
+    tree, rows sitting exactly on thresholds, and no rows at all."""
+    x, labels = overlapping(seed=51)
+    model = train(ClassifierSpec("random-forest", {"n_estimators": 20}), x,
+                  labels, seed=52)
+    trees = model.forest + [learn._TreeNode(label=2)]
+    probe = np.vstack([x, np.random.default_rng(53).normal(0.6, 1.2, (40, 5))])
+    # rows on the thresholds of the first tree's upper nodes
+    stack = [model.forest[0]]
+    while stack and len(probe) < 120:
+        node = stack.pop()
+        if node.feature != learn._LEAF:
+            row = probe[len(probe) % x.shape[0]].copy()
+            row[node.feature] = node.threshold
+            probe = np.vstack([probe, row])
+            stack += [node.left, node.right]
+    rng = np.random.default_rng(54)
+    caps = [[None, 1, 2, 3, 6, 50][int(i)] for i in rng.integers(0, 6, len(trees))]
+    for tree_caps in (caps, None):
+        got = learn._tree_predict(trees, probe, tree_caps)
+        assert got.shape == (len(trees), len(probe))
+        for i, tree in enumerate(trees):
+            cap = None if tree_caps is None else tree_caps[i]
+            np.testing.assert_array_equal(got[i], stack_tree_predict(tree, probe, cap))
+    assert learn._tree_predict(trees, probe[:0]).shape == (len(trees), 0)
+    assert learn._tree_predict([], probe).shape == (0, len(probe))
 
 
 # ---------------------------------------------------------------------------
@@ -911,16 +1190,18 @@ def test_fold_forests_equal_trained_forests(monkeypatch, n_classes, data):
             assert [_node_document(forest[t]) for t in range(n)] == want
 
 
-def reference_grow_forest(x, y, n_classes, seed, n_estimators, max_depth):
+def reference_grow_forest(x, y, n_classes, seed, n_estimators, max_depth,
+                          best_split=node_best_split):
     """Bootstrap gini trees on ceil(sqrt(d)) candidates per split, tree t
-    drawing its rows and candidates from ``SeedSequence(seed).spawn(n)[t]``."""
+    drawing its rows and candidates from ``SeedSequence(seed).spawn(n)[t]``,
+    each grown by the stack grower with ``best_split``."""
     n_candidates = int(np.ceil(np.sqrt(x.shape[1])))
     forest = []
     for tree_seed in np.random.SeedSequence(seed).spawn(n_estimators):
         rng = np.random.default_rng(tree_seed)
         rows = rng.integers(0, x.shape[0], size=x.shape[0])
-        forest.append(learn._grow_tree(x, y, n_classes, "gini", max_depth, rng,
-                                       n_candidates, rows))
+        forest.append(stack_grow_tree(x, y, n_classes, "gini", max_depth, rng,
+                                      n_candidates, rows, best_split=best_split))
     return forest
 
 
@@ -991,7 +1272,8 @@ def test_reach_property():
 
         def grow(cap):
             rng = np.random.default_rng(seed)
-            tree = learn._grow_tree(x, y, n_classes, "gini", cap, rng, n_candidates)
+            [tree] = learn._grow_trees(x, y, n_classes, "gini", cap, [np.arange(m)],
+                                       [rng], n_candidates)
             return tree, rng.bit_generator.state
 
         full, _ = grow(None)
@@ -1038,8 +1320,8 @@ def test_guided_regrowth_property():
 
         def grow(cap, guide=None):
             rng = np.random.default_rng(seed)
-            tree = learn._grow_tree(x, y, n_classes, "gini", cap, rng,
-                                    n_candidates, rows, guide)
+            [tree] = learn._grow_trees(x, y, n_classes, "gini", cap, [rows], [rng],
+                                       n_candidates, [guide])
             return tree, rng.bit_generator.state
 
         full, _ = grow(None)
@@ -1063,22 +1345,22 @@ def test_guided_regrowth_searches_less(monkeypatch):
     x, labels = overlapping(n_per_class=15, n_classes=4, d=9, seed=31)
     specs = expand_grid("random-forest", DEFAULT_GRIDS["random-forest"])
     searches = []
-    best_split = learn._best_split
+    segment_splits = learn._segment_splits
 
     def counted(*args):
-        searches.append(args[1].size)
-        return best_split(*args)
+        searches.append(args[4].size)  # one search per segment
+        return segment_splits(*args)
 
     def fold():
         searches.clear()
         _, codes = learn._forest_fold(specs, x, labels, x[::3], 32)
-        return len(searches), codes
+        return sum(searches), codes
 
-    monkeypatch.setattr(learn, "_best_split", counted)
+    monkeypatch.setattr(learn, "_segment_splits", counted)
     guided, guided_codes = fold()
-    grow_tree = learn._grow_tree
-    # the same growth with the guide dropped
-    monkeypatch.setattr(learn, "_grow_tree", lambda *args: grow_tree(*args[:8]))
+    grow_trees = learn._grow_trees
+    # the same growth with the guides dropped
+    monkeypatch.setattr(learn, "_grow_trees", lambda *args: grow_trees(*args[:8]))
     unguided, unguided_codes = fold()
     assert guided < unguided
     assert all(np.array_equal(a, b) for a, b in zip(guided_codes, unguided_codes))
