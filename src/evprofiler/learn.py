@@ -38,7 +38,12 @@ a decision tree pops a whole level. Integer class prefix counts that
 restart at each segment give exactly the costs, thresholds and tie-breaks
 of scoring one node and one column at a time, so every tree is the same as
 a per-feature search would grow; ``_segment_splits`` and ``_cut_costs`` say
-why. Prediction routes the rows down all of a cap's trees a level at a time.
+why. Entropy never builds a class one-hot: one cumsum per slot of table
+lookups of n log2 n bounds every cut's cost, as cheaply as gini, and the
+exact expression runs only on the cuts that the float error bound leaves
+near each segment's minimum, on integer class counts from one
+``bincount``. Prediction routes the rows down all of a cap's trees a level
+at a time.
 """
 
 from __future__ import annotations
@@ -138,10 +143,15 @@ def _entropy(counts: np.ndarray, total: np.ndarray) -> np.ndarray:
 
 
 # Upper bound on the elements of one split search's scratch arrays (rows x
-# column slots, times classes for entropy's one-hot): nodes are scored
-# together in groups this size, and a larger node alone in chunks of
-# columns, at least one column per chunk.
+# column slots): nodes are scored together in groups this size, and a larger
+# node alone in chunks of columns, at least one column per chunk. Entropy's
+# exact step takes its candidate cuts in blocks of candidates x classes
+# under the same bound, at least one cut per block.
 _CHUNK_ELEMENTS = 1 << 15
+
+# The entropy bound assumes that float64 np.log2 is within this many ulps of
+# log2; numpy's own accuracy tests hold it to 1.
+_LOG2_ULPS = 4
 
 # Upper bound on the elements of a kNN vote chunk, 8 MB of float64:
 # weightings x query rows x (ranks x slots for the votes, plus ks x classes
@@ -172,10 +182,149 @@ def _ranks(x: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def _class_ranks(order: np.ndarray, codes: np.ndarray, totals: np.ndarray,
+                 seg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(``by_pair``, ``within``) for scattering one value per row of a
+    (segment, class) pair, in the order of its k-th row in value order, to
+    every slot at once (see ``_cut_costs``).
+
+    Every slot holds the same rows, so a stable sort of any slot's
+    (segment, class) pairs puts the k-th row of a pair in value order at the
+    pair's start + k. ``within`` reads k in that pair order, and
+    ``by_pair[j]`` is slot j's position of each entry of it.
+    """
+    n_seg, n_classes = totals.shape
+    flat = totals.ravel()
+    within = np.arange(seg.size) - (flat.cumsum() - flat).repeat(flat)
+    # the narrowest unsigned pairs: numpy's stable sort of 8- and 16-bit
+    # integers is a radix sort
+    pair = (seg * n_classes + codes).astype(np.min_scalar_type(n_seg * n_classes - 1))
+    return pair.take(order).argsort(axis=1, kind="stable"), within
+
+
+def _entropy_bound(order: np.ndarray, codes: np.ndarray, totals: np.ndarray,
+                   seg: np.ndarray, first: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """m times the weighted child entropy of every cut, approximately, as
+    a slots x positions array, and per segment a bound ``delta`` on its
+    error; arguments as for ``_cut_costs``.
+
+    With f(n) = n log2 n, a cut's m x cost is f(p) + f(m-p) - G, where G =
+    sum_c f(l_c) + sum_c f(r_c) over its left and right class counts. Moving
+    a class-c row left, the k-th of its class, adds [f(k+1) - f(k)] -
+    [f(t_c-k) - f(t_c-k-1)] to G, so one scatter of these steps through
+    ``_class_ranks`` and one cumsum per slot give G at every cut, from a
+    table of f. The cumsum restarts at each segment: it starts from sum_c
+    f(t_c), all rows right, less the previous segment's, which is where
+    that segment's steps end.
+
+    ``delta`` holds for every cut where a threshold falls: the approximate
+    value is within ``delta`` of m times the exact cost as ``_cut_costs``
+    evaluates it. With u = 2^-53, rho = 2 x ``_LOG2_ULPS`` x u the relative
+    error of np.log2, e = rho + 2u that of a table entry, g the classes
+    present, D = log2 m + 2 a bound on |f(n+1) - f(n)| and F = f(m):
+
+    - exact expression: each term p_c log2 p_c of a side's entropy is off
+      by at most p_c ((2u + rho) |log2 p_c| + 1.45u), summing its g nonzero
+      terms adds (g-1)u times their sum, at most log2 m, and the two
+      products, their sum and the division add 3u x m x cost <= 3u m log2
+      m: at most ((g+4)u + rho) m log2 m + 1.45u m in all;
+    - approximation: the steps telescope, so table errors add up to at most
+      2eF for the f(p) + f(m-p) and G terms, and the start's sum adds guF;
+      each step rounds by at most 3uD and each cumsum addition by u|G| <=
+      uF, m times per segment, and each restart by at most 2u(F + the
+      previous segment's F) + uD. Rounding in every earlier segment of the
+      slot adds up too, and the final additions and the caller's threshold
+      take a few uF more.
+
+    Second-order terms are covered by a factor 1 + 2^-20 while the cumsum
+    runs under 2^30 positions.
+    """
+    w, size = order.shape
+    m = totals.sum(axis=1)
+    f = np.arange(m.max() + 1, dtype=np.float64)
+    np.multiply(f[1:], np.log2(f[1:]), out=f[1:])
+    by_pair, within = _class_ranks(order, codes, totals, seg)
+    # each pair's class total, in pair order
+    t = totals.ravel().repeat(totals.ravel())
+    approx = np.empty((w, size))
+    np.put_along_axis(approx, by_pair, (f[within + 1] - f[within])
+                      - (f[t - within] - f[t - within - 1]), axis=1)
+    start = f[totals].sum(axis=1)
+    approx[:, first] += np.diff(start, prepend=0.0)
+    np.cumsum(approx, axis=1, out=approx)
+    p = np.arange(size) - first[seg] + 1
+    np.subtract(f[p] + f[m[seg] - p], approx, out=approx)
+    u = 2.0 ** -53
+    rho = 2 * _LOG2_ULPS * u
+    e = rho + 2 * u
+    big_f, lg = f[m], np.log2(m)
+    g = np.count_nonzero(totals, axis=1)
+    # rounding inside a segment: its steps, cumsum additions and restart
+    rounding = u * (m * (3 * (lg + 2) + big_f) + 4 * big_f + lg + 2)
+    delta = (np.cumsum(rounding) + (2 * e + (g + 6) * u) * big_f
+             + ((g + 4) * u + rho) * m * lg + 1.5 * u * m) * (1 + 2.0 ** -20)
+    return approx, delta
+
+
+def _entropy_costs(candidates: np.ndarray, order: np.ndarray,
+                   codes: np.ndarray, totals: np.ndarray, seg: np.ndarray,
+                   first: np.ndarray) -> np.ndarray:
+    """Weighted child entropy of the cuts ``candidates``, ascending flat
+    (slot, position) indices, by ``_entropy`` on their integer class counts;
+    inf at every other cut. Arguments as for ``_cut_costs``.
+
+    A candidate's left counts are those of the rows since the previous
+    candidate of its (slot, segment), from one ``bincount``, summed over the
+    candidates before it there. Candidates go in blocks of under
+    ``_CHUNK_ELEMENTS`` counts, and a (slot, segment) that runs on into the
+    next block carries its counts over.
+    """
+    w, size = order.shape
+    n_classes = totals.shape[1]
+    cost = np.full(w * size, np.inf)
+    at = candidates % size
+    # the flat index of each candidate's (slot, segment) start
+    start = candidates - at + first[seg[at]]
+    p = at - first[seg[at]] + 1.0
+    m = totals.sum(axis=1)[seg[at]].astype(np.float64)
+    order = order.ravel()
+    carry = np.zeros(n_classes, dtype=np.int64)
+    block = max(1, _CHUNK_ELEMENTS // n_classes)
+    for lo in range(0, candidates.size, block):
+        ids, starts = candidates[lo:lo + block], start[lo:lo + block]
+        span = np.arange(candidates[lo - 1] + 1 if lo else 0, ids[-1] + 1)
+        # each position's first candidate at or after it; it counts toward
+        # that one if they share a (slot, segment)
+        owner = np.searchsorted(ids, span)
+        mine = span >= starts[owner]
+        counts = np.bincount(owner[mine] * n_classes + codes[order[span[mine]]],
+                             minlength=ids.size * n_classes
+                             ).reshape(ids.size, n_classes)
+        if lo and starts[0] == start[lo - 1]:
+            counts[0] += carry
+        left = counts.cumsum(axis=0)
+        # restart at each (slot, segment) after the block's first
+        head = np.r_[False, starts[1:] != starts[:-1]]
+        base = np.zeros((np.count_nonzero(head) + 1, n_classes), dtype=np.int64)
+        base[1:] = left[np.flatnonzero(head) - 1]
+        left -= base[np.cumsum(head)]
+        carry = left[-1]
+        left_counts = left.astype(np.float64)
+        right_counts = totals.astype(np.float64)[seg[at[lo:lo + block]]]
+        right_counts -= left_counts
+        left_n = p[lo:lo + block]
+        right_n = m[lo:lo + block] - left_n
+        cost[ids] = (left_n * _entropy(left_counts, left_n)
+                     + right_n * _entropy(right_counts, right_n)) / m[lo:lo + block]
+    return cost.reshape(w, size)
+
+
 def _cut_costs(order: np.ndarray, change: np.ndarray, codes: np.ndarray,
                totals: np.ndarray, seg: np.ndarray, first: np.ndarray,
                criterion: str) -> np.ndarray:
-    """Weighted child impurity of each cut, inf where no threshold falls.
+    """Weighted child impurity of each cut, inf where no threshold falls or,
+    for entropy, where the cut cannot be a segment's minimum.
 
     Positions hold consecutive segments, one node's rows each, with class
     ``codes``: ``seg`` gives a position's segment and ``first`` a segment's
@@ -185,68 +334,58 @@ def _cut_costs(order: np.ndarray, change: np.ndarray, codes: np.ndarray,
     threshold falls there, never after a segment's last row. ``totals``
     holds each segment's class counts. Prefix counts restart at each
     segment, and the float expressions are those of a lone node on the same
-    operands: each segment's m, ``totals`` and ``t2``. The arithmetic runs
-    in place, which changes no operation.
+    operands: each segment's m, ``totals`` and ``t2`` for gini, integer
+    class counts for entropy. The arithmetic runs in place, which changes no
+    operation.
+
+    Entropy bounds, then verifies. ``_entropy_bound`` gives every cut an
+    approximate m x cost within ``delta`` of m times its exact cost. A cut
+    whose exact cost equals its segment's minimum is then within 2 x
+    ``delta`` of the segment's approximate minimum: its approximate cost is
+    at most its exact one plus ``delta``, and the approximate minimum at
+    least the exact cost there, which is no lower, less ``delta``. Only
+    those cuts are candidates, and ``_entropy_costs`` evaluates the exact
+    expression on them, so every segment's minimum and the cuts that reach
+    it are those of scoring every cut.
     """
-    w, size = order.shape
-    n_seg, n_classes = totals.shape
+    if criterion == "entropy":
+        approx, delta = _entropy_bound(order, codes, totals, seg, first)
+        np.putmask(approx, ~change, np.inf)
+        low = np.minimum.reduceat(approx, first, axis=1).min(axis=0)
+        keep = approx <= (low + 2.0 * delta)[seg]
+        keep &= change
+        return _entropy_costs(np.flatnonzero(keep), order, codes, totals, seg,
+                              first)
+    size = order.shape[1]
     p = (np.arange(size) - first[seg] + 1).astype(np.float64)
     m = totals.sum(axis=1)[seg].astype(np.float64)
-    if criterion == "gini":
-        # weighted gini = (m - sum_c l_c^2/p - sum_c r_c^2/(m-p)) / m, built
-        # from integer prefix identities: adding a class-c sample bumps
-        # sum_c l_c^2 by 2*(earlier class-c samples)+1 and sum_c total_c*l_c
-        # by total_c. Every slot holds the same rows, so a stable sort of any
-        # slot's (segment, class) pairs puts the k-th row of a pair in value
-        # order at the pair's start + k, where ``within`` reads k: one
-        # scatter of the increments back to value order serves every slot.
-        pair = seg * n_classes + codes
-        flat = totals.ravel()
-        within = np.arange(size) - (flat.cumsum() - flat).repeat(flat)
-        # the narrowest unsigned pairs: numpy's stable sort of 8- and 16-bit
-        # integers is a radix sort
-        by_pair = (pair.astype(np.min_scalar_type(n_seg * n_classes - 1))
-                   .take(order).argsort(axis=1, kind="stable"))
-        a = np.empty((w, size))
-        np.put_along_axis(a, by_pair, 2.0 * within + 1.0, axis=1)
-        left_dot = flat.astype(np.float64)[pair].take(order)
-        # both prefix sums add up to a segment's t2, so taking the previous
-        # segment's t2 at a segment's first position restarts them there;
-        # every partial sum is an integer, exact in float64
-        t2 = (totals * totals).sum(axis=1)
-        a[:, first[1:]] -= t2[:-1]
-        left_dot[:, first[1:]] -= t2[:-1]
-        np.cumsum(a, axis=1, out=a)
-        np.cumsum(left_dot, axis=1, out=left_dot)
-        # right_sq = t2 - 2.0 * left_dot + a
-        right_sq = np.multiply(left_dot, 2.0, out=left_dot)
-        np.subtract(t2.astype(np.float64)[seg], right_sq, out=right_sq)
-        right_sq += a
-        # cost = (m - a / p - right_sq / (m - p)) / m
-        with np.errstate(divide="ignore", invalid="ignore"):
-            right_sq /= m - p
-        cost = np.divide(a, p, out=a)
-        np.subtract(m, cost, out=cost)
-        cost -= right_sq
-        cost /= m
-        np.putmask(cost, ~change, np.inf)
-        return cost
-    # left class counts are integers, so the float cumsum of a one-hot and its
-    # restart at each segment, by the previous segment's totals at the
-    # segment's first position, are exact
-    cols, at = np.nonzero(change)
-    onehot = np.zeros((w, size, n_classes))
-    onehot[np.arange(w)[:, None], np.arange(size), codes.take(order)] = 1.0
-    onehot[:, first[1:]] -= totals[:-1]
-    left_counts = np.cumsum(onehot, axis=1, out=onehot)[cols, at]
-    del onehot  # before the right counts take its memory
-    right_counts = totals.astype(np.float64)[seg[at]]
-    right_counts -= left_counts
-    left_n = p[at]
-    right_n = m[at] - left_n
-    cost = np.full((w, size), np.inf)
-    cost[cols, at] = (left_n * _entropy(left_counts, left_n)
-                      + right_n * _entropy(right_counts, right_n)) / m[at]
+    # weighted gini = (m - sum_c l_c^2/p - sum_c r_c^2/(m-p)) / m, built from
+    # integer prefix identities: adding a class-c sample bumps sum_c l_c^2 by
+    # 2*(earlier class-c samples)+1 and sum_c total_c*l_c by total_c
+    by_pair, within = _class_ranks(order, codes, totals, seg)
+    a = np.empty(order.shape)
+    np.put_along_axis(a, by_pair, 2.0 * within + 1.0, axis=1)
+    left_dot = totals.astype(np.float64)[seg, codes].take(order)
+    # both prefix sums add up to a segment's t2, so taking the previous
+    # segment's t2 at a segment's first position restarts them there;
+    # every partial sum is an integer, exact in float64
+    t2 = (totals * totals).sum(axis=1)
+    a[:, first[1:]] -= t2[:-1]
+    left_dot[:, first[1:]] -= t2[:-1]
+    np.cumsum(a, axis=1, out=a)
+    np.cumsum(left_dot, axis=1, out=left_dot)
+    # right_sq = t2 - 2.0 * left_dot + a
+    right_sq = np.multiply(left_dot, 2.0, out=left_dot)
+    np.subtract(t2.astype(np.float64)[seg], right_sq, out=right_sq)
+    right_sq += a
+    # cost = (m - a / p - right_sq / (m - p)) / m
+    with np.errstate(divide="ignore", invalid="ignore"):
+        right_sq /= m - p
+    cost = np.divide(a, p, out=a)
+    np.subtract(m, cost, out=cost)
+    cost -= right_sq
+    cost /= m
+    np.putmask(cost, ~change, np.inf)
     return cost
 
 
@@ -263,12 +402,14 @@ def _segment_splits(x: np.ndarray, ranks: np.ndarray, y: np.ndarray,
     threshold falls. Ties keep the earliest column, then the smallest
     threshold.
 
-    Segments are scored in groups whose scratch stays under
-    ``_CHUNK_ELEMENTS``; a segment that alone exceeds it is scored in chunks
-    of columns, and a later chunk wins only with a lower cost. Each column
-    slot sorts its positions by (segment, value rank), one stable radix sort
-    of the narrowest unsigned key, then costs come only where the rank
-    changes, and each segment takes its first minimum. Equal values may take
+    Segments are scored in groups whose rows x slots stay under
+    ``_CHUNK_ELEMENTS``, for either criterion; a segment that alone exceeds
+    it is scored in chunks of columns, and a later chunk wins only with a
+    lower cost. Each column slot sorts its positions by (segment, value
+    rank), one stable radix sort of the narrowest unsigned key, then costs
+    come only where the rank changes (for entropy, only at the cuts whose
+    bound reaches the segment's minimum, and inf elsewhere), and each
+    segment takes its first minimum. Equal values may take
     any order: a cut falls only between two different values, so the rows
     left of it, its class counts and its cost are the same whatever order
     equal values took. Its midpoint is too: the two values differ, so at
@@ -280,7 +421,6 @@ def _segment_splits(x: np.ndarray, ranks: np.ndarray, y: np.ndarray,
     threshold = np.zeros(n_seg)
     if w == 0:
         return feature, threshold
-    per_column = n_classes if criterion == "entropy" else 1
     flat_ranks = ranks.ravel()
     ends = sizes.cumsum()
     lo = 0
@@ -288,14 +428,14 @@ def _segment_splits(x: np.ndarray, ranks: np.ndarray, y: np.ndarray,
         # the most segments from lo whose rows fit the budget, at least one
         start = int(ends[lo] - sizes[lo])
         hi = max(lo + 1, int(np.searchsorted(
-            ends, start + _CHUNK_ELEMENTS // (w * per_column), side="right")))
+            ends, start + _CHUNK_ELEMENTS // w, side="right")))
         r = rows[start:ends[hi - 1]]
         seg = np.repeat(np.arange(hi - lo), sizes[lo:hi])
         first = ends[lo:hi] - sizes[lo:hi] - start
         codes = y[r]
         totals = np.bincount(seg * n_classes + codes, minlength=(hi - lo) * n_classes
                              ).reshape(-1, n_classes)
-        width = max(1, _CHUNK_ELEMENTS // (r.size * per_column))
+        width = max(1, _CHUNK_ELEMENTS // r.size)
         best = np.full(hi - lo, np.inf)
         for c in range(0, w, width):
             ids = columns[lo:hi, c:c + width]
@@ -366,15 +506,16 @@ class _TreeNode:
     reach: int = -1
 
 
-def _grow_trees(x: np.ndarray, y: np.ndarray, n_classes: int, criterion: str,
-                max_depth: Optional[int], rows: Sequence[np.ndarray],
+def _grow_trees(x: np.ndarray, ranks: np.ndarray, y: np.ndarray,
+                n_classes: int, criterion: str, max_depth: Optional[int],
+                rows: Sequence[np.ndarray],
                 rngs: Optional[Sequence[np.random.Generator]] = None,
                 n_candidates: Optional[int] = None,
                 guides: Optional[Sequence[Optional[_TreeNode]]] = None
                 ) -> list[_TreeNode]:
     """Grow one tree per entry of ``rows``, row indices into ``x`` and ``y``
     (repeats allowed), all in lockstep; each root's ``reach`` records how
-    deep its growth searched.
+    deep its growth searched. ``ranks`` is ``_ranks`` of ``x``.
 
     Nodes hold row indices. Each step makes one ``_segment_splits`` call for
     every node it pops, then labels, stop-tests and partitions the children
@@ -402,7 +543,6 @@ def _grow_trees(x: np.ndarray, y: np.ndarray, n_classes: int, criterion: str,
         return []
     d = x.shape[1]
     drawing = n_candidates is not None and n_candidates < d
-    ranks = _ranks(x)
     cap = _cap(max_depth)
     guided = [guide is not None for guide in guides or [None] * len(rows)]
     roots = [_TreeNode() for _ in rows]
@@ -579,10 +719,11 @@ def train(spec: ClassifierSpec, x: np.ndarray, labels: Sequence,
         model.knn_x = x.copy()
         model.knn_y = y
     elif spec.family == "decision-tree":
-        [model.tree] = _grow_trees(x, y, len(classes), spec.param("criterion"),
+        [model.tree] = _grow_trees(x, _ranks(x), y, len(classes),
+                                   spec.param("criterion"),
                                    spec.param("max_depth"), [np.arange(y.size)])
     else:
-        model.forest = _forest_trees(x, y, len(classes), seed,
+        model.forest = _forest_trees(x, _ranks(x), y, len(classes), seed,
                                      range(spec.param("n_estimators")),
                                      spec.param("max_depth"))
     return model
@@ -592,8 +733,9 @@ def _cap(max_depth: Optional[int]) -> float:
     return np.inf if max_depth is None else max_depth
 
 
-def _forest_trees(x: np.ndarray, y: np.ndarray, n_classes: int, seed: int,
-                  indices: Sequence[int], max_depth: Optional[int],
+def _forest_trees(x: np.ndarray, ranks: np.ndarray, y: np.ndarray,
+                  n_classes: int, seed: int, indices: Sequence[int],
+                  max_depth: Optional[int],
                   guides: Optional[Sequence[Optional[_TreeNode]]] = None
                   ) -> list[_TreeNode]:
     """Trees ``indices`` of a forest, grown in lockstep: each a bootstrap
@@ -601,13 +743,14 @@ def _forest_trees(x: np.ndarray, y: np.ndarray, n_classes: int, seed: int,
     bootstrap rows of ``x``, never a copy.
 
     Tree t's generator is seeded by ``SeedSequence(seed, spawn_key=(t,))``,
-    which is ``SeedSequence(seed).spawn(n)[t]`` for any n > t. ``guides``
-    holds each tree grown at a larger cap, if any (see ``_grow_trees``).
+    which is ``SeedSequence(seed).spawn(n)[t]`` for any n > t. ``ranks``
+    is ``_ranks`` of ``x``; ``guides`` holds each tree grown at a larger cap,
+    if any (see ``_grow_trees``).
     """
     rngs = [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t,)))
             for t in indices]
     rows = [rng.integers(0, x.shape[0], size=x.shape[0]) for rng in rngs]
-    return _grow_trees(x, y, n_classes, "gini", max_depth, rows, rngs,
+    return _grow_trees(x, ranks, y, n_classes, "gini", max_depth, rows, rngs,
                        int(np.ceil(np.sqrt(x.shape[1]))), guides)
 
 
@@ -969,17 +1112,20 @@ def _fold_manhattan(x: np.ndarray, fold_of: np.ndarray, top: int):
 
 
 def _tree_fold(specs, x_train, y_train, x_test, seed):
-    """One unlimited-depth tree per criterion, predicted at each depth cap."""
+    """One unlimited-depth tree per criterion, predicted at each depth cap;
+    the value ranks of the training matrix serve both criteria."""
+    x, classes, y = _training_codes(x_train, y_train)
+    ranks = _ranks(x)
     out: list = [None] * len(specs)
     for members in _group(specs, "criterion"):
-        full = ClassifierSpec("decision-tree", {**specs[members[0]].hyperparameters,
-                                                "max_depth": None})
-        model = train(full, x_train, y_train, seed)
-        codes = _tree_predict([model.tree] * len(members), x_test,
+        [tree] = _grow_trees(x, ranks, y, len(classes),
+                             specs[members[0]].param("criterion"), None,
+                             [np.arange(y.size)])
+        codes = _tree_predict([tree] * len(members), x_test,
                               [specs[i].param("max_depth") for i in members])
         for i, row in zip(members, codes):
             out[i] = row
-    return model.classes, out
+    return classes, out
 
 
 def _forest_fold(specs, x_train, y_train, x_test, seed):
@@ -993,9 +1139,10 @@ def _forest_fold(specs, x_train, y_train, x_test, seed):
     keeps it, since it is the tree that cap grows, and its codes; a cap that
     cuts it regrows it, guided by it (see ``_grow_trees``). Each cap grows
     all its regrowths in lockstep, and each grown tree predicts the test
-    rows once.
+    rows once. The value ranks of the training matrix serve every cap.
     """
     x, classes, y = _training_codes(x_train, y_train)
+    ranks = _ranks(x)
     groups = sorted(_group(specs, "max_depth"),
                     key=lambda members: -_cap(specs[members[0]].param("max_depth")))
     trees: list = [None] * max(spec.param("n_estimators") for spec in specs)
@@ -1006,7 +1153,7 @@ def _forest_fold(specs, x_train, y_train, x_test, seed):
         group_sizes = [specs[i].param("n_estimators") for i in members]
         regrow = [t for t in range(max(group_sizes))
                   if trees[t] is None or trees[t].reach >= _cap(cap)]
-        grown = _forest_trees(x, y, len(classes), seed, regrow, cap,
+        grown = _forest_trees(x, ranks, y, len(classes), seed, regrow, cap,
                               [trees[t] for t in regrow])
         for t, tree, codes in zip(regrow, grown, _tree_predict(grown, x_test)):
             trees[t], predicted[t] = tree, codes

@@ -42,7 +42,9 @@ a property test.
 """
 
 import json
+import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -337,15 +339,18 @@ def record_forest_growth(monkeypatch):
     tree_predict = learn._tree_predict
     forest_fold = learn._FOLD_PREDICTORS["random-forest"]
 
-    def logged_forest_trees(x, y, n_classes, seed, indices, cap, guides=None):
-        trees = forest_trees(x, y, n_classes, seed, indices, cap, guides)
+    def logged_forest_trees(x, ranks, y, n_classes, seed, indices, cap,
+                            guides=None):
+        trees = forest_trees(x, ranks, y, n_classes, seed, indices, cap, guides)
         grown.extend(zip(indices, [cap] * len(trees),
                          guides or [None] * len(trees), trees))
         return trees
 
-    def logged_grow_trees(x, y, n_classes, criterion, max_depth, rows, *args):
+    def logged_grow_trees(x, ranks, y, n_classes, criterion, max_depth, rows,
+                          *args):
         grow_calls.extend(rows)
-        return grow_trees(x, y, n_classes, criterion, max_depth, rows, *args)
+        return grow_trees(x, ranks, y, n_classes, criterion, max_depth, rows,
+                          *args)
 
     def logged_predict(trees, *args):
         predicted.extend(trees)
@@ -489,9 +494,18 @@ def test_shared_fits_per_fold(monkeypatch):
         assert next(log, None) is None
         assert 50 < len(grown) < 6 * 50
     fits.clear()
+    grown_trees, grow_trees = [], learn._grow_trees
+
+    def counted_growth(x, ranks, y, n_classes, criterion, max_depth, *args):
+        grown_trees.append((criterion, max_depth))
+        return grow_trees(x, ranks, y, n_classes, criterion, max_depth, *args)
+
+    monkeypatch.setattr(learn, "_grow_trees", counted_growth)
     learn.grid_search("decision-tree", DEFAULT_GRIDS["decision-tree"], x, labels)
-    assert len(fits) == 2 * 5 + 1
-    assert all(s.hyperparameters["max_depth"] is None for s in fits[:-1])
+    assert len(fits) == 1  # the refit; the folds grow their own trees
+    # one full tree per criterion and fold, then the refit
+    assert len(grown_trees) == 2 * 5 + 1
+    assert grown_trees[:-1] == [("gini", None), ("entropy", None)] * 5
     fits.clear()
     learn.grid_search("knn", DEFAULT_GRIDS["knn"], x, labels)
     assert len(fits) == 5 + 1  # one training copy per fold serves every spec
@@ -790,11 +804,13 @@ def test_split_of_constant_columns_is_none(criterion):
 
 
 @pytest.mark.parametrize("m,n_classes,d,columns_in_budget", [
-    (400, 120, 3, 0),    # one column alone exceeds the element budget
-    (100, 30, 25, 10),   # chunks of 10 columns, the last one of 5
+    (400, 120, 3, 0),    # one column's one-hot alone exceeds the budget
+    (100, 30, 25, 10),   # one-hot chunks of 10 columns, the last one of 5
 ])
 def test_entropy_chunks_equal_per_feature_search(m, n_classes, d,
                                                  columns_in_budget):
+    """Shapes whose class one-hot was chunked by columns before entropy
+    bounded its cuts; the splits, planted or not, stay the same."""
     assert learn._CHUNK_ELEMENTS // (m * n_classes) == columns_in_budget
     rng = np.random.default_rng(18)
     x, y = awkward_matrix(rng, m, d, n_classes)
@@ -957,6 +973,159 @@ def test_segment_splits_at_every_key_width(n_segments, n_classes, n_rows,
     assert repr(got) == repr(want)
 
 
+# ---------------------------------------------------------------------------
+# entropy: bound every cut, then verify the few near the minimum
+
+def test_log2_within_assumed_ulps():
+    """The entropy bound assumes np.log2 within ``_LOG2_ULPS`` ulps of
+    log2. math.log2 is within 1 ulp, so np.log2 must be within
+    ``_LOG2_ULPS - 1`` ulps of it: on the table's integers and on class
+    shares l / p, in long arrays and in short ones (numpy's vector loops
+    and their tails)."""
+    n = np.arange(1.0, 1 << 16)
+    p = np.repeat(np.arange(1, 301), np.arange(1, 301))
+    shares = (np.arange(p.size) - (p * (p - 1)) // 2 + 1) / p
+    for values in (n, shares, shares[:7], n[:3]):
+        want = np.array([math.log2(v) for v in values])
+        ulps = (learn._LOG2_ULPS - 1) * np.spacing(np.abs(want))
+        assert np.all(np.abs(np.log2(values) - want) <= ulps)
+
+
+def cut_cost_operands(x, y, segments, columns, n_classes):
+    """The operands of every ``_cut_costs`` call that ``_segment_splits``
+    makes to score ``segments`` under entropy."""
+    calls, cut_costs = [], learn._cut_costs
+
+    def capture(*args):
+        calls.append(args[:-1])
+        return cut_costs(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(learn, "_cut_costs", capture)
+        segment_splits(x, y, segments, columns, n_classes, "entropy")
+    return calls
+
+
+def exact_entropy_costs(order, change, codes, totals, seg, first):
+    """The weighted child entropy of every cut where a threshold falls, by
+    the one-hot prefix counts and ``reference_entropy``, as (slot, position,
+    cost) triples."""
+    n_classes = totals.shape[1]
+    m = totals.sum(axis=1)
+    out = []
+    for j, row in enumerate(order):
+        onehot = np.zeros((row.size, n_classes))
+        onehot[np.arange(row.size), codes[row]] = 1.0
+        left = onehot.cumsum(axis=0)
+        left -= np.vstack([np.zeros(n_classes), left])[first][seg]
+        for k in np.flatnonzero(change[j]):
+            s = seg[k]
+            left_n = np.array(k - first[s] + 1.0)
+            right_n = m[s] - left_n
+            cost = (left_n * reference_entropy(left[k], left_n)
+                    + right_n * reference_entropy(totals[s] - left[k], right_n)
+                    ) / m[s]
+            out.append((j, k, float(cost)))
+    return out
+
+
+def test_entropy_bound_property():
+    """``_entropy_bound``'s approximate m x cost lies within its ``delta``
+    of m times the exact cost, checked in exact rational arithmetic, on
+    every cut of every ``_cut_costs`` call that a set of segments makes:
+    2 to 600 classes, rounded values with -0.0 beside 0.0, duplicated
+    columns, bootstrap segments and candidate columns per segment."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    hnp = pytest.importorskip("hypothesis.extra.numpy")
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(data=st.data(), n=st.integers(2, 80), d=st.integers(1, 5),
+                      n_classes=st.integers(2, 600),
+                      n_segments=st.integers(1, 4))
+    def check(data, n, d, n_classes, n_segments):
+        values = st.sampled_from([-0.0, 0.0] + [k / 4 for k in range(-24, 25) if k])
+        x = data.draw(hnp.arrays(np.float64, (n, d), elements=values,
+                                 fill=st.nothing()))
+        if d > 1 and data.draw(st.booleans()):
+            x[:, d - 1] = x[:, 0]
+        y = data.draw(hnp.arrays(np.int64, n, fill=st.nothing(),
+                                 elements=st.integers(0, n_classes - 1)))
+        segments = [data.draw(hnp.arrays(np.int64, st.integers(1, 2 * n),
+                                         fill=st.nothing(),
+                                         elements=st.integers(0, n - 1)))
+                    for _ in range(n_segments)]
+        w = data.draw(st.integers(1, d))
+        columns = np.array([sorted(data.draw(st.permutations(range(d)))[:w])
+                            for _ in segments])
+        for operands in cut_cost_operands(x, y, segments, columns, n_classes):
+            order, change, codes, totals, seg, first = operands
+            approx, delta = learn._entropy_bound(order, codes, totals, seg, first)
+            m = totals.sum(axis=1)
+            for j, k, cost in exact_entropy_costs(*operands):
+                error = abs(Fraction(approx[j, k]) - int(m[seg[k]]) * Fraction(cost))
+                assert error <= Fraction(delta[seg[k]])
+
+    check()
+
+
+def palindrome_matrix(rng, n_classes):
+    """Rows whose class codes read the same both ways in column 0's order:
+    a block of one class at each end and distinct classes between, so the
+    cut after the first block and the cut before the last tie exactly and
+    beat the middle. Column 3 duplicates column 0; the others are rounded."""
+    k = int(rng.integers(1, 150))
+    r = int(rng.integers(k + 1, 2 * k + 20))
+    codes = rng.choice(n_classes, k + 1, replace=False)
+    half = np.r_[np.full(r, codes[0]), codes[1:]]
+    y = np.r_[half, half[::-1]]
+    x = np.round(rng.normal(0.0, 1.0, (y.size, 5)), 1)
+    x[:, 0] = x[:, 3] = rng.permutation(y.size) * 0.5
+    order = np.argsort(x[:, 0])
+    y[order] = y.copy()
+    return x, y
+
+
+@pytest.mark.parametrize("n_classes", [300, 450, 600])
+def test_entropy_near_ties_equal_per_feature_search(n_classes):
+    """Exact ties at 300 to 600 classes take the first minimum, as the
+    per-feature search does: mirrored cuts of symmetric class layouts, both
+    alone and as one of three segments scored together, each segment with
+    its own candidate columns, so that the duplicated column sits in
+    another slot with other rows before it; and random symmetric layouts."""
+    rng = np.random.default_rng(n_classes)
+    for _ in range(8):
+        x, y = palindrome_matrix(rng, n_classes)
+        assert_same_split(x, y, np.arange(5), n_classes, "entropy")
+        rows = np.arange(y.size)
+        segments = [rows, rng.permutation(rows), rows]
+        columns = np.array([[1, 2, 3], [0, 3, 4], [0, 2, 3]])
+        got = segment_splits(x, y, segments, columns, n_classes, "entropy")
+        want = [reference_best_split(x, y, ids, n_classes, "entropy")
+                for ids in columns]
+        assert repr(got) == repr(want)
+        # a random palindrome of 2 to 600 rows
+        half = rng.integers(0, n_classes, int(rng.integers(1, 301)))
+        y = np.r_[half, half[::-1]]
+        x = np.c_[np.arange(y.size) * 1.0, np.round(rng.normal(0.0, 1.0, y.size), 1)]
+        x = np.c_[x, x[:, 0]]
+        assert_same_split(x, y, np.arange(3), n_classes, "entropy")
+
+
+@pytest.mark.parametrize("family", ["decision-tree", "random-forest"])
+def test_ranks_once_per_fold(monkeypatch, family):
+    """A fold ranks its training matrix once for both criteria and every
+    cap, and the refit once, and the search is the per-spec oracle's."""
+    shapes, ranks = [], learn._ranks
+    monkeypatch.setattr(learn, "_ranks", lambda x: shapes.append(x.shape) or ranks(x))
+    x, labels = overlapping(seed=14)
+    grid_search(family, DEFAULT_GRIDS[family], x, labels, seed=3)
+    folds = [f for f in stratified_kfold(labels, 5, 3) if f.size]
+    assert shapes == [(len(labels) - f.size, 5) for f in folds] + [x.shape]
+    monkeypatch.undo()
+    assert_same_search(family, DEFAULT_GRIDS[family], x, labels, seed=3)
+
+
 TREE_SPECS = [("decision-tree", {"criterion": c, "max_depth": depth})
               for c in ("gini", "entropy") for depth in (None, 3)]
 TREE_SPECS += [("random-forest", {"n_estimators": 6, "max_depth": depth})
@@ -992,8 +1161,9 @@ def test_entropy_forest_trees_equal_per_feature_trees(max_depth):
     y = np.array([int(l[2:]) for l in labels])
     rows = [np.random.default_rng(seed).integers(0, y.size, y.size)
             for seed in range(4)]
-    got = learn._grow_trees(x, y, 5, "entropy", max_depth, rows,
-                            [np.random.default_rng(22 + t) for t in range(4)], 3)
+    got = learn._grow_trees(x, learn._ranks(x), y, 5, "entropy", max_depth,
+                            rows, [np.random.default_rng(22 + t) for t in range(4)],
+                            3)
     want = [stack_grow_tree(x, y, 5, "entropy", max_depth,
                             np.random.default_rng(22 + t), 3, rows[t],
                             best_split=reference_best_split) for t in range(4)]
@@ -1011,7 +1181,8 @@ def test_row_index_trees_equal_copying_trees(criterion, style):
         x, y = awkward_matrix(rng, m, d, n_classes)
         cap = [None, 1, 2, 4][int(rng.integers(0, 4))]
         if style == "decision-tree":
-            [got] = learn._grow_trees(x, y, n_classes, criterion, cap, [np.arange(m)])
+            [got] = learn._grow_trees(x, learn._ranks(x), y, n_classes,
+                                      criterion, cap, [np.arange(m)])
             want = reference_grow_tree(x, y, n_classes, criterion, cap, None, None)
         else:
             # bootstrap rows repeat, and sqrt(d) candidates per node
@@ -1019,8 +1190,9 @@ def test_row_index_trees_equal_copying_trees(criterion, style):
             n_candidates = int(np.ceil(np.sqrt(d)))
             seed = int(rng.integers(2 ** 32))
             got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            [got] = learn._grow_trees(x, y, n_classes, criterion, cap, [rows],
-                                      [got_rng], n_candidates)
+            [got] = learn._grow_trees(x, learn._ranks(x), y, n_classes,
+                                      criterion, cap, [rows], [got_rng],
+                                      n_candidates)
             want = reference_grow_tree(x[rows], y[rows], n_classes, criterion,
                                        cap, want_rng, n_candidates)
             assert got_rng.bit_generator.state == want_rng.bit_generator.state
@@ -1037,8 +1209,8 @@ def assert_lockstep_equals_stack(x, y, n_classes, criterion, cap, rows, seeds,
     from the same rows, generator state and guide, down to the root's reach
     and the generator's state after the draws; returns the lockstep trees."""
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    got = learn._grow_trees(x, y, n_classes, criterion, cap, rows, rngs,
-                            n_candidates, guides)
+    got = learn._grow_trees(x, learn._ranks(x), y, n_classes, criterion, cap,
+                            rows, rngs, n_candidates, guides)
     assert len(got) == len(rows)
     for i, tree in enumerate(got):
         rng = np.random.default_rng(seeds[i])
@@ -1272,8 +1444,8 @@ def test_reach_property():
 
         def grow(cap):
             rng = np.random.default_rng(seed)
-            [tree] = learn._grow_trees(x, y, n_classes, "gini", cap, [np.arange(m)],
-                                       [rng], n_candidates)
+            [tree] = learn._grow_trees(x, learn._ranks(x), y, n_classes, "gini",
+                                       cap, [np.arange(m)], [rng], n_candidates)
             return tree, rng.bit_generator.state
 
         full, _ = grow(None)
@@ -1320,8 +1492,8 @@ def test_guided_regrowth_property():
 
         def grow(cap, guide=None):
             rng = np.random.default_rng(seed)
-            [tree] = learn._grow_trees(x, y, n_classes, "gini", cap, [rows], [rng],
-                                       n_candidates, [guide])
+            [tree] = learn._grow_trees(x, learn._ranks(x), y, n_classes, "gini",
+                                       cap, [rows], [rng], n_candidates, [guide])
             return tree, rng.bit_generator.state
 
         full, _ = grow(None)
@@ -1360,7 +1532,7 @@ def test_guided_regrowth_searches_less(monkeypatch):
     guided, guided_codes = fold()
     grow_trees = learn._grow_trees
     # the same growth with the guides dropped
-    monkeypatch.setattr(learn, "_grow_trees", lambda *args: grow_trees(*args[:8]))
+    monkeypatch.setattr(learn, "_grow_trees", lambda *args: grow_trees(*args[:9]))
     unguided, unguided_codes = fold()
     assert guided < unguided
     assert all(np.array_equal(a, b) for a, b in zip(guided_codes, unguided_codes))
