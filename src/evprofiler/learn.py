@@ -11,10 +11,14 @@ nearest-neighbour ranking per metric, one full tree per criterion, and one
 lineage per forest tree index: the caps go from the largest down, and a cap
 regrows only the trees it cuts, all in lockstep. A regrowth follows the tree
 it was cut from, taking its splits without searching, until the cap first
-stops a node that tree searched. Each fold scores the whole grid in one
-``_scores`` call over the stacked predicted class codes into one specs x
-folds score array. A training failure depends only on the fold's rows, so
-it fails the whole search with a ``TrainingError`` naming the fold.
+stops a node that tree searched. A forest tree's draws depend only on
+(seed, tree index, training rows), so a search draws each tree's bootstrap
+rows and each node's candidates once, into one draw stream that every cap
+and every fold with as many training rows reads; the refit draws its own.
+Each fold scores the whole grid in one ``_scores`` call over the stacked
+predicted class codes into one specs x folds score array. A training
+failure depends only on the fold's rows, so it fails the whole search with
+a ``TrainingError`` naming the fold.
 
 kNN ranks only the K nearest training rows, K the largest k it reads: a
 partition at rank K, then a sort of the few candidates, gives the first K
@@ -33,17 +37,17 @@ bootstrap rows for a forest tree), several trees in lockstep: each step
 scores every node it pops in one ``_segment_splits`` call, each node a
 segment of its rows with its own candidate columns, and labels and
 partitions all their children in one pass. A forest tree still pops one
-node per step in depth-first order, so it draws exactly as it would alone;
-a decision tree pops a whole level. Integer class prefix counts that
-restart at each segment give exactly the costs, thresholds and tie-breaks
-of scoring one node and one column at a time, so every tree is the same as
-a per-feature search would grow; ``_segment_splits`` and ``_cut_costs`` say
-why. Entropy never builds a class one-hot: one cumsum per slot of table
-lookups of n log2 n bounds every cut's cost, as cheaply as gini, and the
-exact expression runs only on the cuts that the float error bound leaves
-near each segment's minimum, on integer class counts from one
-``bincount``. Prediction routes the rows down all of a cap's trees a level
-at a time.
+node per step in depth-first order, so its k-th drawing node reads entry k
+of its draw stream, the candidates it would draw alone; a decision tree
+pops a whole level. Integer class prefix counts that restart at each
+segment give exactly the costs, thresholds and tie-breaks of scoring one
+node and one column at a time, so every tree is the same as a per-feature
+search would grow; ``_segment_splits`` and ``_cut_costs`` say why.
+Entropy never builds a class one-hot: one cumsum per slot of table lookups
+of n log2 n bounds every cut's cost, as cheaply as gini, and the exact
+expression runs only on the cuts that the float error bound leaves near
+each segment's minimum, on integer class counts from one ``bincount``.
+Prediction routes the rows down all of a cap's trees a level at a time.
 """
 
 from __future__ import annotations
@@ -146,7 +150,8 @@ def _entropy(counts: np.ndarray, total: np.ndarray) -> np.ndarray:
 # column slots): nodes are scored together in groups this size, and a larger
 # node alone in chunks of columns, at least one column per chunk. Entropy's
 # exact step takes its candidate cuts in blocks of candidates x classes
-# under the same bound, at least one cut per block.
+# under the same bound, at least one cut per block, and ``_ranks`` ranks
+# blocks of columns under it.
 _CHUNK_ELEMENTS = 1 << 15
 
 # The entropy bound assumes that float64 np.log2 is within this many ulps of
@@ -170,16 +175,28 @@ _DIST_ELEMENTS = 1 << 14
 
 def _ranks(x: np.ndarray) -> np.ndarray:
     """Each value's dense rank within its column, as a columns x rows array
-    of the narrowest unsigned dtype. Equal values share a rank, -0.0 and 0.0
-    among them, so ranks change exactly where values do."""
-    columns = np.ascontiguousarray(x.T)
-    order = columns.argsort(axis=1)
-    ordered = np.take_along_axis(columns, order, axis=1)
-    dense = np.zeros(columns.shape, dtype=np.int64)
-    np.cumsum(ordered[:, 1:] != ordered[:, :-1], axis=1, out=dense[:, 1:])
-    ranks = np.empty(columns.shape, dtype=np.min_scalar_type(dense.max(initial=0)))
-    np.put_along_axis(ranks, order, dense, axis=1)
-    return ranks
+    of the narrowest unsigned dtype for the largest rank. Equal values share
+    a rank, -0.0 and 0.0 among them, so ranks change exactly where values do.
+
+    Columns are ranked in blocks of at most ``_CHUNK_ELEMENTS`` values, at
+    least one column per block, into the narrowest dtype for the row count;
+    the result is narrowed once all blocks are ranked, if the largest rank
+    allows.
+    """
+    n, d = x.shape
+    ranks = np.empty((d, n), dtype=np.min_scalar_type(max(n - 1, 0)))
+    top = 0
+    step = max(1, _CHUNK_ELEMENTS // max(1, n))
+    for lo in range(0, d, step):
+        columns = np.ascontiguousarray(x[:, lo:lo + step].T)
+        order = columns.argsort(axis=1)
+        ordered = np.take_along_axis(columns, order, axis=1)
+        dense = np.zeros(columns.shape, dtype=ranks.dtype)
+        np.cumsum(ordered[:, 1:] != ordered[:, :-1], axis=1, dtype=ranks.dtype,
+                  out=dense[:, 1:])
+        top = max(top, int(dense[:, -1:].max(initial=0)))
+        np.put_along_axis(ranks[lo:lo + step], order, dense, axis=1)
+    return ranks.astype(np.min_scalar_type(top), copy=False)
 
 
 def _class_ranks(order: np.ndarray, codes: np.ndarray, totals: np.ndarray,
@@ -397,10 +414,10 @@ def _segment_splits(x: np.ndarray, ranks: np.ndarray, y: np.ndarray,
     several nodes at once.
 
     Node i is a segment of ``rows``, the next ``sizes[i]`` of them, scored on
-    its candidate columns ``columns[i]``, ascending. ``ranks`` is ``_ranks``
-    of ``x``. Returns (feature, threshold) per node, feature -1 where no
-    threshold falls. Ties keep the earliest column, then the smallest
-    threshold.
+    its candidate columns ``columns[i]``, ascending, of any integer dtype.
+    ``ranks`` is ``_ranks`` of ``x``. Returns (feature, threshold) per node,
+    feature -1 where no threshold falls. Ties keep the earliest column, then
+    the smallest threshold.
 
     Segments are scored in groups whose rows x slots stay under
     ``_CHUNK_ELEMENTS``, for either criterion; a segment that alone exceeds
@@ -438,7 +455,7 @@ def _segment_splits(x: np.ndarray, ranks: np.ndarray, y: np.ndarray,
         width = max(1, _CHUNK_ELEMENTS // r.size)
         best = np.full(hi - lo, np.inf)
         for c in range(0, w, width):
-            ids = columns[lo:hi, c:c + width]
+            ids = columns[lo:hi, c:c + width].astype(np.intp, copy=False)
             ranked = flat_ranks.take((ids.T * ranks.shape[1])[:, seg] + r)
             slot_at = np.arange(0, ranked.size, r.size)[:, None]
             span = int(ranked.max()) + 1
@@ -506,11 +523,59 @@ class _TreeNode:
     reach: int = -1
 
 
+class _DrawStream:
+    """One forest tree's draws, made once for every growth that reads them:
+    its generator ``rng``, its bootstrap ``rows`` (if any, in the narrowest
+    unsigned dtype), and per drawing node k of the tree, entry k: the k-th
+    ``rng.choice(n_columns, n_candidates, replace=False)`` after the rows,
+    sorted, in the narrowest unsigned dtype.
+
+    Entries are drawn on first read, in draw order, into rows of a buffer
+    that doubles as it fills, so reading entry k draws the entries up to k
+    that no growth has read yet, and never draws an entry twice.
+    """
+
+    __slots__ = ("rng", "rows", "n_columns", "n_candidates", "drawn", "count")
+
+    def __init__(self, rng: np.random.Generator, n_columns: int,
+                 n_candidates: int, rows: Optional[np.ndarray] = None):
+        self.rng, self.rows = rng, rows
+        self.n_columns, self.n_candidates = n_columns, n_candidates
+        self.drawn = np.empty((0, n_candidates),
+                              dtype=np.min_scalar_type(max(n_columns - 1, 0)))
+        self.count = 0
+
+    @classmethod
+    def forest(cls, seed: int, t: int, n: int, d: int) -> "_DrawStream":
+        """Tree t's stream in a forest grown with ``seed`` on an n x d
+        matrix, on ceil(sqrt(d)) candidates per node; its generator is
+        seeded by ``SeedSequence(seed, spawn_key=(t,))`` and first draws the
+        n bootstrap rows."""
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t,)))
+        rows = rng.integers(0, n, size=n).astype(np.min_scalar_type(n - 1))
+        return cls(rng, d, int(np.ceil(np.sqrt(d))), rows)
+
+    def candidates(self, k: int) -> np.ndarray:
+        """Entry k, drawing the entries up to it first if need be."""
+        if k >= self.count:
+            if k >= len(self.drawn):
+                grown = np.empty((max(2 * len(self.drawn), k + 1),
+                                  self.n_candidates), dtype=self.drawn.dtype)
+                grown[:self.count] = self.drawn[:self.count]
+                self.drawn = grown
+            for j in range(self.count, k + 1):
+                drawn = self.rng.choice(self.n_columns, size=self.n_candidates,
+                                        replace=False)
+                drawn.sort()
+                self.drawn[j] = drawn
+            self.count = k + 1
+        return self.drawn[k]
+
+
 def _grow_trees(x: np.ndarray, ranks: np.ndarray, y: np.ndarray,
                 n_classes: int, criterion: str, max_depth: Optional[int],
                 rows: Sequence[np.ndarray],
-                rngs: Optional[Sequence[np.random.Generator]] = None,
-                n_candidates: Optional[int] = None,
+                streams: Optional[Sequence[_DrawStream]] = None,
                 guides: Optional[Sequence[Optional[_TreeNode]]] = None
                 ) -> list[_TreeNode]:
     """Grow one tree per entry of ``rows``, row indices into ``x`` and ``y``
@@ -519,30 +584,35 @@ def _grow_trees(x: np.ndarray, ranks: np.ndarray, y: np.ndarray,
 
     Nodes hold row indices. Each step makes one ``_segment_splits`` call for
     every node it pops, then labels, stop-tests and partitions the children
-    of every split node in one pass. A tree that draws ``n_candidates`` of
-    the columns at each node from its generator ``rngs[i]`` keeps its own
-    stack and pops one node per step, right child first, so it draws exactly
-    as a one-tree, depth-first grower would. Its generator is drawn from
-    only at nodes that pass the stop tests, so a cap d with ``reach < d <=
-    max_depth`` changes no stop test and no draw: growing with cap d gives
-    this same tree. A tree that draws nothing pops its whole frontier: each
-    split depends only on the node's rows.
+    of every split node in one pass. Tree i, given the draw stream
+    ``streams[i]`` with fewer candidates than columns (all streams alike),
+    keeps its own stack and pops one node per step, right child first, as a
+    one-tree, depth-first grower would. It counts the nodes it pops, all of
+    which pass the stop tests, and the k-th searches on the stream's entry k:
+    the candidates that a one-tree grower draws from the stream's generator
+    at its k-th such node. So a cap d with ``reach < d <= max_depth``
+    changes no stop test and no entry: growing with cap d gives this same
+    tree. After growth the stream holds an entry for every node the tree
+    popped, so its generator is where a one-tree grower's would be. A tree
+    that draws nothing pops its whole frontier: each split depends only on
+    the node's rows.
 
-    ``guides[i]``, if given, is tree i grown from the same rows and
-    generator state at a larger cap. Both growths pop the same nodes with
-    the same rows and draws until this cap first stops a node that the guide
-    searched: an impure node at depth ``max_depth``. Until then a node that
-    passes the stop tests still draws, which keeps the generator in step,
-    and takes the guide's split, or its lack of one, without searching: the
-    same rows and candidates give the same search. From that node on,
-    growth searches as without a guide, because the guide drew there and its
-    later draws run ahead. A tree that draws nothing follows its guide down
-    to the cap.
+    ``guides[i]``, if given, is tree i grown from the same rows and stream
+    at a larger cap. Both growths pop the same nodes with the same rows and
+    entries until this cap first stops a node that the guide searched: an
+    impure node at depth ``max_depth``. Until then a node that passes the
+    stop tests still counts, which keeps the entries in step, and takes the
+    guide's split, or its lack of one, without searching: the same rows and
+    candidates give the same search. From that node on, growth searches as
+    without a guide, because the guide counted there and its later entries
+    run ahead. A tree that draws nothing follows its guide down to the cap.
     """
     if not rows:
         return []
     d = x.shape[1]
-    drawing = n_candidates is not None and n_candidates < d
+    drawing = streams is not None and streams[0].n_candidates < d
+    # per tree: the nodes it popped that read, or skipped, a stream entry
+    counts = [0] * len(rows)
     cap = _cap(max_depth)
     guided = [guide is not None for guide in guides or [None] * len(rows)]
     roots = [_TreeNode() for _ in rows]
@@ -553,7 +623,7 @@ def _grow_trees(x: np.ndarray, ranks: np.ndarray, y: np.ndarray,
     # consecutive in ``part``
     made = [(i, root, 0, guides[i] if guides else None)
             for i, root in enumerate(roots)]
-    part = np.concatenate(rows)
+    part = np.concatenate(rows, dtype=np.intp)
     sizes = np.array([r.size for r in rows])
     while True:
         labels, impure = _node_labels(y, part, sizes, n_classes)
@@ -580,15 +650,17 @@ def _grow_trees(x: np.ndarray, ranks: np.ndarray, y: np.ndarray,
                 if entry is not None:
                     popped.append((i, *entry))
                     break
-                # the guide searched this node, so its later draws run ahead
+                # the guide searched this node, so its later entries run ahead
                 guided[i] = False
         if not popped:
+            if drawing:
+                for stream, count in zip(streams, counts):
+                    if count:
+                        stream.candidates(count - 1)
             return roots
         split, searched, draws = [], [], []
         for i, node, idx, depth, twin in popped:
             roots[i].reach = max(roots[i].reach, depth)
-            if drawing:
-                drawn = rngs[i].choice(d, size=n_candidates, replace=False)
             if guided[i]:
                 if twin.feature != _LEAF:
                     split.append((i, node, idx, depth, twin, twin.feature,
@@ -596,9 +668,10 @@ def _grow_trees(x: np.ndarray, ranks: np.ndarray, y: np.ndarray,
             else:
                 searched.append((i, node, idx, depth))
                 if drawing:
-                    draws.append(drawn)
+                    draws.append(streams[i].candidates(counts[i]))
+            counts[i] += 1
         if searched:
-            columns = (np.sort(draws, axis=1) if drawing
+            columns = (np.array(draws) if drawing
                        else np.broadcast_to(np.arange(d), (len(searched), d)))
             features, thresholds = _segment_splits(
                 x, ranks, y, np.concatenate([e[2] for e in searched]),
@@ -725,7 +798,7 @@ def train(spec: ClassifierSpec, x: np.ndarray, labels: Sequence,
     else:
         model.forest = _forest_trees(x, _ranks(x), y, len(classes), seed,
                                      range(spec.param("n_estimators")),
-                                     spec.param("max_depth"))
+                                     spec.param("max_depth"), {})
     return model
 
 
@@ -735,7 +808,7 @@ def _cap(max_depth: Optional[int]) -> float:
 
 def _forest_trees(x: np.ndarray, ranks: np.ndarray, y: np.ndarray,
                   n_classes: int, seed: int, indices: Sequence[int],
-                  max_depth: Optional[int],
+                  max_depth: Optional[int], streams: dict,
                   guides: Optional[Sequence[Optional[_TreeNode]]] = None
                   ) -> list[_TreeNode]:
     """Trees ``indices`` of a forest, grown in lockstep: each a bootstrap
@@ -743,15 +816,23 @@ def _forest_trees(x: np.ndarray, ranks: np.ndarray, y: np.ndarray,
     bootstrap rows of ``x``, never a copy.
 
     Tree t's generator is seeded by ``SeedSequence(seed, spawn_key=(t,))``,
-    which is ``SeedSequence(seed).spawn(n)[t]`` for any n > t. ``ranks``
-    is ``_ranks`` of ``x``; ``guides`` holds each tree grown at a larger cap,
-    if any (see ``_grow_trees``).
+    which is ``SeedSequence(seed).spawn(n)[t]`` for any n > t; it draws the
+    tree's n bootstrap rows, then its candidates. So its draws depend only
+    on (seed, t, n, d) for an n x d matrix, and ``streams`` maps that key
+    to tree t's draw stream (``_DrawStream.forest``): a stream is derived
+    once, on first use, and serves every later growth of its tree, at any
+    cap and on any matrix of the same shape. ``ranks`` is ``_ranks`` of
+    ``x``; ``guides`` holds each tree grown at a larger cap, if any (see
+    ``_grow_trees``).
     """
-    rngs = [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t,)))
-            for t in indices]
-    rows = [rng.integers(0, x.shape[0], size=x.shape[0]) for rng in rngs]
-    return _grow_trees(x, ranks, y, n_classes, "gini", max_depth, rows, rngs,
-                       int(np.ceil(np.sqrt(x.shape[1]))), guides)
+    lineage = []
+    for t in indices:
+        key = (seed, t, *x.shape)
+        if key not in streams:
+            streams[key] = _DrawStream.forest(*key)
+        lineage.append(streams[key])
+    return _grow_trees(x, ranks, y, n_classes, "gini", max_depth,
+                       [stream.rows for stream in lineage], lineage, guides)
 
 
 def _distances(metric: str, queries: np.ndarray, train_x: np.ndarray) -> np.ndarray:
@@ -1042,8 +1123,9 @@ def _group(specs: Sequence[ClassifierSpec], param: str) -> list[list[int]]:
     return list(groups.values())
 
 
-# A fold predictor takes (specs, train x, train class codes, test x, seed)
-# and returns the fitted classes (the codes present in the training rows)
+# A fold predictor takes (specs, train x, train class codes, test x, seed),
+# and what the search shares between its folds as keyword arguments, and
+# returns the fitted classes (the codes present in the training rows)
 # and, per spec, the predicted test rows' indices into them. Each one fits
 # as little as the grid allows; a TrainingError depends only on the rows, so
 # it fails the whole fold, and with it the search.
@@ -1128,7 +1210,7 @@ def _tree_fold(specs, x_train, y_train, x_test, seed):
     return classes, out
 
 
-def _forest_fold(specs, x_train, y_train, x_test, seed):
+def _forest_fold(specs, x_train, y_train, x_test, seed, streams):
     """Each depth's forest, as large as its largest tree count, from one
     lineage of trees per tree index.
 
@@ -1140,6 +1222,9 @@ def _forest_fold(specs, x_train, y_train, x_test, seed):
     cuts it regrows it, guided by it (see ``_grow_trees``). Each cap grows
     all its regrowths in lockstep, and each grown tree predicts the test
     rows once. The value ranks of the training matrix serve every cap.
+    ``streams`` holds the search's draw streams (see ``_forest_trees``):
+    every cap of this fold, and every fold with as many training rows, reads
+    tree t's bootstrap rows and candidates from one stream.
     """
     x, classes, y = _training_codes(x_train, y_train)
     ranks = _ranks(x)
@@ -1154,7 +1239,7 @@ def _forest_fold(specs, x_train, y_train, x_test, seed):
         regrow = [t for t in range(max(group_sizes))
                   if trees[t] is None or trees[t].reach >= _cap(cap)]
         grown = _forest_trees(x, ranks, y, len(classes), seed, regrow, cap,
-                              [trees[t] for t in regrow])
+                              streams, [trees[t] for t in regrow])
         for t, tree, codes in zip(regrow, grown, _tree_predict(grown, x_test)):
             trees[t], predicted[t] = tree, codes
         votes = _forest_codes(predicted, len(classes), set(group_sizes))
@@ -1192,6 +1277,10 @@ def grid_search(family: str, grid: dict, x: np.ndarray, labels: Sequence[str],
                     if family == "knn" and spec.param("metric") == "manhattan"]
     if manhattan_ks:
         shared["manhattan"] = _fold_manhattan(x, fold_of, max(manhattan_ks))
+    if family == "random-forest":
+        # every fold reads its trees' draws from these, and the search's
+        # end drops them
+        shared["streams"] = {}
     scores = np.empty((len(specs), len(folds)))
     for j, fold in enumerate(folds):
         train_rows = np.flatnonzero(fold_of != j)

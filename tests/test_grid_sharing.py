@@ -39,6 +39,13 @@ grows its regrowths in lockstep. The walk order, the regrowths and the
 fold's tree and predict counts are pinned per fold, each cap's forest is
 pinned to ``train``, and the reach argument and the guided regrowth each to
 a property test.
+
+Each forest tree reads its bootstrap rows and candidates from a draw stream
+that one search shares across caps and across folds with as many training
+rows. A stream's entries are pinned to the sorted ``choice`` calls of a new
+generator, the shared search to the per-spec oracle, and the draws of a
+search to the stack grower's: each (training size, tree, node) is drawn
+once, and each (training size, tree) generator derived once.
 """
 
 import json
@@ -319,6 +326,14 @@ def assert_same_search(family, grid, x, labels, **kwargs):
     return got
 
 
+def draw_streams(rngs, d, n_candidates):
+    """A new draw stream on each generator of ``rngs``, for trees on ``d``
+    columns; None when ``n_candidates`` is None, so the trees draw nothing."""
+    if n_candidates is None:
+        return None
+    return [learn._DrawStream(rng, d, n_candidates) for rng in rngs]
+
+
 def assert_same_failure(family, grid, x, labels, **kwargs):
     """Both searches raise a TrainingError with the same message; returns it."""
     with pytest.raises(TrainingError) as got:
@@ -340,8 +355,9 @@ def record_forest_growth(monkeypatch):
     forest_fold = learn._FOLD_PREDICTORS["random-forest"]
 
     def logged_forest_trees(x, ranks, y, n_classes, seed, indices, cap,
-                            guides=None):
-        trees = forest_trees(x, ranks, y, n_classes, seed, indices, cap, guides)
+                            streams, guides=None):
+        trees = forest_trees(x, ranks, y, n_classes, seed, indices, cap,
+                             streams, guides)
         grown.extend(zip(indices, [cap] * len(trees),
                          guides or [None] * len(trees), trees))
         return trees
@@ -356,9 +372,9 @@ def record_forest_growth(monkeypatch):
         predicted.extend(trees)
         return tree_predict(trees, *args)
 
-    def logged_fold(*args):
+    def logged_fold(*args, **kwargs):
         starts = len(grown), len(predicted), len(grow_calls)
-        result = forest_fold(*args)
+        result = forest_fold(*args, **kwargs)
         per_fold.append((grown[starts[0]:], predicted[starts[1]:],
                          len(grow_calls) - starts[2]))
         return result
@@ -1126,6 +1142,48 @@ def test_ranks_once_per_fold(monkeypatch, family):
     assert_same_search(family, DEFAULT_GRIDS[family], x, labels, seed=3)
 
 
+def reference_ranks(x):
+    """Dense ranks of the whole matrix at once, the expression that column
+    blocks replaced."""
+    columns = np.ascontiguousarray(x.T)
+    order = columns.argsort(axis=1)
+    ordered = np.take_along_axis(columns, order, axis=1)
+    dense = np.zeros(columns.shape, dtype=np.int64)
+    np.cumsum(ordered[:, 1:] != ordered[:, :-1], axis=1, out=dense[:, 1:])
+    ranks = np.empty(columns.shape, dtype=np.min_scalar_type(dense.max(initial=0)))
+    np.put_along_axis(ranks, order, dense, axis=1)
+    return ranks
+
+
+@pytest.mark.parametrize("budget", [1, 7, 64, 1 << 15])
+def test_blocked_ranks_equal_whole_matrix_ranks(monkeypatch, budget):
+    """Column blocks give the values and dtype of ranking the whole matrix:
+    ties, -0.0 beside 0.0, one row, no rows, a block of one column, and the
+    dtype switch above 256 distinct values, also where more than 256 rows
+    hold at most 256 distinct values per column."""
+    monkeypatch.setattr(learn, "_CHUNK_ELEMENTS", budget)
+    rng = np.random.default_rng(60)
+    ties = rng.choice([-1.0, -0.0, 0.0, 0.5, 2.0], (50, 7))
+    distinct = rng.permutation(np.arange(300.0))[:, None]
+    matrices = [
+        ties,
+        ties[:1],
+        ties[:0],
+        np.round(rng.normal(0.0, 1.0, (40, 9)), 1),
+        # 256 and 257 distinct values in one column, ranked in the first
+        # block or the last
+        np.c_[ties[np.arange(257) % 50], np.r_[np.arange(256.0), 0.0]],
+        np.c_[np.arange(257.0), ties[np.arange(257) % 50]],
+        np.c_[np.round(rng.normal(0.0, 1.0, (300, 4)), 1), distinct, -distinct],
+    ]
+    for x in matrices:
+        got, want = learn._ranks(x), reference_ranks(x)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    assert [learn._ranks(x).dtype for x in matrices[3:]] == [
+        np.uint8, np.uint8, np.uint16, np.uint16]
+
+
 TREE_SPECS = [("decision-tree", {"criterion": c, "max_depth": depth})
               for c in ("gini", "entropy") for depth in (None, 3)]
 TREE_SPECS += [("random-forest", {"n_estimators": 6, "max_depth": depth})
@@ -1162,8 +1220,8 @@ def test_entropy_forest_trees_equal_per_feature_trees(max_depth):
     rows = [np.random.default_rng(seed).integers(0, y.size, y.size)
             for seed in range(4)]
     got = learn._grow_trees(x, learn._ranks(x), y, 5, "entropy", max_depth,
-                            rows, [np.random.default_rng(22 + t) for t in range(4)],
-                            3)
+                            rows, draw_streams([np.random.default_rng(22 + t)
+                                                for t in range(4)], 9, 3))
     want = [stack_grow_tree(x, y, 5, "entropy", max_depth,
                             np.random.default_rng(22 + t), 3, rows[t],
                             best_split=reference_best_split) for t in range(4)]
@@ -1191,8 +1249,8 @@ def test_row_index_trees_equal_copying_trees(criterion, style):
             seed = int(rng.integers(2 ** 32))
             got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             [got] = learn._grow_trees(x, learn._ranks(x), y, n_classes,
-                                      criterion, cap, [rows], [got_rng],
-                                      n_candidates)
+                                      criterion, cap, [rows],
+                                      draw_streams([got_rng], d, n_candidates))
             want = reference_grow_tree(x[rows], y[rows], n_classes, criterion,
                                        cap, want_rng, n_candidates)
             assert got_rng.bit_generator.state == want_rng.bit_generator.state
@@ -1207,10 +1265,13 @@ def assert_lockstep_equals_stack(x, y, n_classes, criterion, cap, rows, seeds,
                                  n_candidates, guides=None):
     """``learn._grow_trees`` grows, tree by tree, what the stack grower grows
     from the same rows, generator state and guide, down to the root's reach
-    and the generator's state after the draws; returns the lockstep trees."""
+    and the generator's state after the draws; returns the lockstep trees.
+    Each tree reads a new draw stream on a generator of its own, shared with
+    no other growth, guided or not."""
     rngs = [np.random.default_rng(seed) for seed in seeds]
     got = learn._grow_trees(x, learn._ranks(x), y, n_classes, criterion, cap,
-                            rows, rngs, n_candidates, guides)
+                            rows, draw_streams(rngs, x.shape[1], n_candidates),
+                            guides)
     assert len(got) == len(rows)
     for i, tree in enumerate(got):
         rng = np.random.default_rng(seeds[i])
@@ -1344,7 +1405,7 @@ def test_fold_forests_equal_trained_forests(monkeypatch, n_classes, data):
         x = np.round(x, 0)
     per_fold = record_forest_growth(monkeypatch)
     specs = expand_grid("random-forest", DEFAULT_GRIDS["random-forest"])
-    learn._FOLD_PREDICTORS["random-forest"](specs, x, labels, x[:5], 24)
+    learn._FOLD_PREDICTORS["random-forest"](specs, x, labels, x[:5], 24, {})
     monkeypatch.undo()
     [(grown, _, grow_calls)] = per_fold
     assert grow_calls == len(grown)
@@ -1417,7 +1478,8 @@ def test_forest_groups_with_different_tree_counts():
     # groups past the first grow more trees than any group before them
     specs = [ClassifierSpec("random-forest", {"n_estimators": n, "max_depth": cap})
              for n, cap in [(3, None), (7, 4), (5, 2), (2, 6), (7, 1), (1, 2)]]
-    classes, codes = learn._forest_fold(specs, x[rows], train_labels, x[test], 29)
+    classes, codes = learn._forest_fold(specs, x[rows], train_labels, x[test],
+                                        29, {})
     for spec, spec_codes in zip(specs, codes):
         model = train(spec, x[rows], train_labels, seed=29)
         np.testing.assert_array_equal(np.array(classes)[spec_codes],
@@ -1445,7 +1507,8 @@ def test_reach_property():
         def grow(cap):
             rng = np.random.default_rng(seed)
             [tree] = learn._grow_trees(x, learn._ranks(x), y, n_classes, "gini",
-                                       cap, [np.arange(m)], [rng], n_candidates)
+                                       cap, [np.arange(m)],
+                                       draw_streams([rng], d, n_candidates))
             return tree, rng.bit_generator.state
 
         full, _ = grow(None)
@@ -1493,7 +1556,9 @@ def test_guided_regrowth_property():
         def grow(cap, guide=None):
             rng = np.random.default_rng(seed)
             [tree] = learn._grow_trees(x, learn._ranks(x), y, n_classes, "gini",
-                                       cap, [rows], [rng], n_candidates, [guide])
+                                       cap, [rows],
+                                       draw_streams([rng], d, n_candidates),
+                                       [guide])
             return tree, rng.bit_generator.state
 
         full, _ = grow(None)
@@ -1525,14 +1590,143 @@ def test_guided_regrowth_searches_less(monkeypatch):
 
     def fold():
         searches.clear()
-        _, codes = learn._forest_fold(specs, x, labels, x[::3], 32)
+        _, codes = learn._forest_fold(specs, x, labels, x[::3], 32, {})
         return sum(searches), codes
 
     monkeypatch.setattr(learn, "_segment_splits", counted)
     guided, guided_codes = fold()
     grow_trees = learn._grow_trees
     # the same growth with the guides dropped
-    monkeypatch.setattr(learn, "_grow_trees", lambda *args: grow_trees(*args[:9]))
+    monkeypatch.setattr(learn, "_grow_trees", lambda *args: grow_trees(*args[:8]))
     unguided, unguided_codes = fold()
     assert guided < unguided
     assert all(np.array_equal(a, b) for a, b in zip(guided_codes, unguided_codes))
+
+
+# ---------------------------------------------------------------------------
+# forest draw streams, shared by every cap and every fold of one size
+
+@pytest.mark.parametrize("seed,t,n,d", [(0, 0, 1, 1), (5, 3, 17, 5),
+                                        (2 ** 32 - 1, 49, 300, 134)])
+def test_stream_entries_equal_sorted_choices(seed, t, n, d):
+    """Entry k is the k-th sorted ``choice`` after the bootstrap rows on a
+    new generator of tree t, in whatever order the entries are read."""
+    stream = learn._DrawStream.forest(seed, t, n, d)
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t,)))
+    rows = rng.integers(0, n, size=n)
+    n_candidates = math.ceil(math.sqrt(d))
+    want = [np.sort(rng.choice(d, size=n_candidates, replace=False))
+            for _ in range(40)]
+    assert stream.rows.dtype == np.min_scalar_type(n - 1)
+    assert np.array_equal(stream.rows, rows)
+    assert stream.n_candidates == n_candidates
+    for k in [5, 0, 9, 3, 9, 17, 1, 39, 38, 20]:
+        got = stream.candidates(k)
+        assert got.dtype == np.min_scalar_type(d - 1)
+        assert np.array_equal(got, want[k])
+    # forty draws made, each once
+    assert stream.rng.bit_generator.state == rng.bit_generator.state
+
+
+class CountingGenerator:
+    """A generator that counts its ``choice`` calls in ``calls``."""
+
+    def __init__(self, rng, calls):
+        self.rng, self.calls = rng, calls
+
+    def choice(self, *args, **kwargs):
+        self.calls["choice"] += 1
+        return self.rng.choice(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def count_tree_draws(monkeypatch, search):
+    """``search()``'s forest generator derivations and ``choice`` calls."""
+    calls = {"derived": 0, "choice": 0}
+    default_rng = np.random.default_rng
+
+    def counted(seed=None):
+        rng = default_rng(seed)
+        if not (isinstance(seed, np.random.SeedSequence) and seed.spawn_key):
+            return rng  # not a forest tree's generator
+        calls["derived"] += 1
+        return CountingGenerator(rng, calls)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.random, "default_rng", counted)
+        search()
+    return calls
+
+
+def stack_draws(x, y, n_classes, seed, t, cap):
+    """The ``choice`` calls of forest tree t grown alone by the stack grower
+    on all of ``x`` at ``cap``."""
+    calls = {"choice": 0}
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t,)))
+    rows = rng.integers(0, x.shape[0], size=x.shape[0])
+    stack_grow_tree(x, y, n_classes, "gini", cap, CountingGenerator(rng, calls),
+                    math.ceil(math.sqrt(x.shape[1])), rows)
+    return calls["choice"]
+
+
+# 52 rows in 4 classes of 13 fall into folds of 12, 12, 12, 8 and 8 rows,
+# so three folds train on 40 rows and two on 44
+STREAM_GRID = {"n_estimators": [3, 12], "max_depth": [None, 6, 3, 1]}
+
+
+def stream_data(scoring):
+    x, labels = overlapping(n_per_class=13, n_classes=4, d=6, seed=61)
+    if scoring == "f1-positive":
+        labels = ["target" if l == "EV0" else "other" for l in labels]
+    return x, labels
+
+
+@pytest.mark.parametrize("scoring,extra", SCORINGS)
+def test_streams_shared_by_folds_of_one_size_match_oracle(scoring, extra):
+    x, labels = stream_data(scoring)
+    sizes = [len(labels) - f.size for f in stratified_kfold(labels, 5, 62)]
+    assert 1 < len(set(sizes)) < len(sizes)
+    for grid in (STREAM_GRID, DEFAULT_GRIDS["random-forest"]):
+        assert_same_search("random-forest", grid, x, labels, seed=62, **extra)
+
+
+def test_each_draw_once_per_search(monkeypatch):
+    """One search derives each forest tree's generator once per (training
+    size, tree index) and draws each node's candidates once per (training
+    size, tree index, node), for every cap and every fold of that size, and
+    the refit on its own; a second search makes the same calls, so nothing
+    outlives a search."""
+    x, labels = stream_data("accuracy")
+    classes, y = learn._class_codes(labels)
+    seed, caps = 62, STREAM_GRID["max_depth"]
+    trees = max(STREAM_GRID["n_estimators"])
+    result = grid_search("random-forest", STREAM_GRID, x, labels, seed=seed)
+    # the nodes a lineage draws for: those of its most drawing cap, and of
+    # its most drawing fold among folds of one size
+    positions, per_fold = {}, 0
+    for fold in stratified_kfold(labels, 5, seed):
+        train_rows = np.setdiff1d(np.arange(len(labels)), fold)
+        fx, fy = x[train_rows], learn._class_codes(y[train_rows])[1]
+        for t in range(trees):
+            drawn = max(stack_draws(fx, fy, int(fy.max()) + 1, seed, t, cap)
+                        for cap in caps)
+            per_fold += drawn
+            key = (train_rows.size, t)
+            positions[key] = max(positions.get(key, 0), drawn)
+    best_n = result.best_spec.param("n_estimators")
+    best_cap = result.best_spec.param("max_depth")
+    refit = [stack_draws(x, y, len(classes), seed, t, best_cap)
+             for t in range(best_n)]
+    want = {"derived": len(positions) + best_n,
+            "choice": sum(positions.values()) + sum(refit)}
+    # folds of one size share draws on this data
+    assert sum(positions.values()) < per_fold
+
+    def search():
+        assert grid_search("random-forest", STREAM_GRID, x, labels,
+                           seed=seed).best_spec == result.best_spec
+
+    assert count_tree_draws(monkeypatch, search) == want
+    assert count_tree_draws(monkeypatch, search) == want
