@@ -7,12 +7,15 @@ Exit codes: 0 success, 1 domain error (typed message on stderr), 2 usage.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import itertools
 import json
 import os
 import sys
+import tempfile
+from collections import Counter
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -27,8 +30,9 @@ from .experiments import (BALANCE_MODES, DISTRIBUTION_SHAPES, SIZE_PRESETS,
                           write_cells_csv, write_summary_csv, write_summary_md)
 from .features import (N_FEATURES, featurize_segments, read_feature_csv,
                        write_feature_csv)
-from .ingest import (FORMATS, ParseError, TimeSeries, _records_from_json,
-                     apply_primary_filters, parse_sessions, write_sessions)
+from .ingest import (FORMATS, ParseError, Provenance, TimeSeries,
+                     _records_from_json, admissible, iter_sessions,
+                     kept_labels, session_line, undecodable, write_sessions)
 from .synth import SEPARATIONS, SynthOptions, generate_corpus
 from .tail import REJECTION_CODES, SegmentPair, segment_corpus
 
@@ -54,6 +58,25 @@ def _ensure_dir(path: str) -> None:
     os.makedirs(path, exist_ok=True)
 
 
+@contextlib.contextmanager
+def _replace_on_success(path: str, mode: str, **open_kwargs):
+    """Write to a new uniquely named ``<name>.<random>.tmp`` beside ``path``,
+    which replaces ``path`` only when the block completes. On an error it is
+    removed, and ``path`` is left as it was."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
+                               prefix=os.path.basename(path) + ".", suffix=".tmp")
+    umask = os.umask(0)
+    os.umask(umask)
+    try:
+        with open(fd, mode, **open_kwargs) as fh:
+            os.chmod(fd, 0o666 & ~umask)  # open()'s mode, not mkstemp's 0600
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+
+
 # ---------------------------------------------------------------------------
 # stage runners
 
@@ -69,16 +92,35 @@ def _cmd_synth(args, cfg: dict, manifest: RunManifest) -> None:
 
 
 def _cmd_ingest(args, cfg: dict, manifest: RunManifest) -> None:
+    """One pass over the input: each admissible session's canonical line goes
+    to an unnamed spool beside ``--out`` as it is parsed. Once every EV's
+    count is known, the lines of EVs that reach ``--min-sessions`` are copied
+    to ``--out`` in file order; the same output as ``write_sessions`` of
+    ``apply_primary_filters`` of ``parse_sessions``."""
     manifest.add_input(args.input)
     manifest.start("ingest")
-    corpus = parse_sessions(args.input, args.format)
-    filtered = apply_primary_filters(corpus, args.min_points, args.min_sessions)
-    write_sessions(filtered, args.out, "acn-json")
+    stats: Counter = Counter()
+    parsed = 0
+    spooled: list[str] = []  # the EV of each spooled line
+    counts: Counter = Counter()
+    with tempfile.TemporaryFile(dir=os.path.dirname(args.out) or ".") as spool:
+        for session in iter_sessions(args.input, args.format, stats):
+            parsed += 1
+            if admissible(session, args.min_points):
+                spool.write(session_line(session).encode("utf-8"))
+                spooled.append(session.ev_label)
+                counts[session.ev_label] += 1
+        kept = kept_labels(counts, args.min_sessions)
+        spool.seek(0)
+        with _replace_on_success(args.out, "wb") as out:
+            for label, line in zip(spooled, spool):
+                if label in kept:
+                    out.write(line)
     manifest.stop("ingest")
-    prov = corpus.provenance
+    prov = Provenance(**stats)
     manifest.counts["ingest"] = {
-        "parsed": len(corpus), "kept": len(filtered),
-        "evs": len(filtered.labels()),
+        "parsed": parsed, "kept": sum(counts[label] for label in kept),
+        "evs": len(kept),
         "dropped_missing_field": prov.dropped_missing_field,
         "truncated_mismatched": prov.truncated_mismatched,
         "clamped_negative": prov.clamped_negative,
@@ -108,6 +150,8 @@ def _read_segments(path: str) -> Iterator[SegmentPair]:
         try:
             for where, rec in _records_from_json(fh):
                 yield _segment_from_record(rec)
+        except UnicodeDecodeError as exc:  # a ValueError, maybe before any line
+            raise undecodable(path, exc) from exc
         except ParseError as exc:  # not JSON or not an object; names its line
             raise ValueError(f"{path}: {exc}") from exc
         except KeyError as exc:
@@ -121,20 +165,25 @@ def _cmd_extract(args, cfg: dict, manifest: RunManifest) -> None:
     filter_params = params_from("filter", cfg)
     tail_params = params_from("tail", cfg)
     manifest.start("extract")
-    corpus = parse_sessions(args.sessions, "acn-json")
-    segments, rejected = segment_corpus(corpus, filter_params, tail_params)
-    with open(args.out, "w", encoding="utf-8") as fh:
+    segments, rejected = segment_corpus(
+        iter_sessions(args.sessions, "acn-json", Counter()),
+        filter_params, tail_params)
+    accepted = 0
+    # a duplicate session id surfaces after the last line, before the rename
+    with _replace_on_success(args.out, "w", encoding="utf-8") as fh:
         for seg in segments:
             fh.write(json.dumps(_segment_to_record(seg)) + "\n")
+            accepted += 1
     if args.rejects:
-        with open(args.rejects, "w", encoding="utf-8", newline="") as fh:
+        with _replace_on_success(args.rejects, "w", encoding="utf-8",
+                                 newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(("session_id", "code", "detail"))
             writer.writerows((sid, reason.code, reason.detail)
                              for sid, reason in rejected)
     manifest.stop("extract")
     manifest.counts["extract"] = {
-        "accepted": len(corpus) - len(rejected), "rejected": len(rejected),
+        "accepted": accepted, "rejected": len(rejected),
         "rejected_by_code": {code: sum(r.code == code for _, r in rejected)
                              for code in REJECTION_CODES}}
 

@@ -1,8 +1,11 @@
 """Charging-session corpus loading and admission filters.
 
-``parse_sessions`` takes the path of a session file and reads it record by
-record, so no copy of the whole file is held as one string. Two on-disk
-formats are supported:
+``iter_sessions`` is the one parser: it reads a session file record by
+record and yields each session as it is parsed, so a caller holds one record
+plus the session ids at a time. ``parse_sessions`` collects it into a
+``Corpus``. The admission rules (``admissible`` per session, ``kept_labels``
+per EV) serve both ``apply_primary_filters`` on a whole corpus and the
+streamed ``ingest`` command. Two on-disk formats are supported:
 
 * ``acn-json`` — newline-delimited JSON, one object per session:
   ``{"sessionID": str, "userID": str|null, "stationID": str,
@@ -19,7 +22,7 @@ import csv
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -84,6 +87,14 @@ class Provenance:
     clamped_negative: int = 0
 
 
+def _check_unique_ids(counts: Counter) -> None:
+    """Duplicate session ids are fatal: given each id's count, raise a
+    ParseError listing the first five duplicated ids in sorted order."""
+    dup = sorted(i for i, n in counts.items() if n > 1)
+    if dup:
+        raise ParseError(f"duplicate session_id(s): {dup[:5]}")
+
+
 @dataclass(frozen=True)
 class Corpus:
     sessions: tuple[ChargingSession, ...]
@@ -91,14 +102,14 @@ class Corpus:
 
     def __post_init__(self):
         sessions = tuple(self.sessions)
-        counts = Counter(s.session_id for s in sessions)
-        if len(counts) != len(sessions):
-            dup = sorted(i for i, n in counts.items() if n > 1)
-            raise ParseError(f"duplicate session_id(s): {dup[:5]}")
+        _check_unique_ids(Counter(s.session_id for s in sessions))
         object.__setattr__(self, "sessions", sessions)
 
     def __len__(self) -> int:
         return len(self.sessions)
+
+    def __iter__(self) -> Iterator[ChargingSession]:
+        return iter(self.sessions)
 
     def labels(self) -> list[str]:
         return sorted({s.ev_label for s in self.sessions if s.ev_label})
@@ -183,26 +194,47 @@ def _records_from_csv(lines: Iterable[str]) -> Iterable[tuple[str, dict]]:
         yield f"row {rowno}", rec
 
 
-def parse_sessions(path, fmt: str) -> Corpus:
-    """Parse the session file at ``path``, reading it record by record.
+def undecodable(path, exc: UnicodeDecodeError) -> ParseError:
+    """The error for a file whose bytes are not UTF-8 text. Decoding runs a
+    buffer ahead of the records, so the message names the file, not a line."""
+    return ParseError(f"{path}: not UTF-8 text ({exc.reason})")
 
-    Records missing the session id, pilot, or current series are dropped and
-    counted; mismatched pilot/current lengths are truncated to the shorter
-    series; negative current samples are clamped to zero. Duplicate session
-    ids are fatal.
+
+def iter_sessions(path, fmt: str, stats: Counter) -> Iterator[ChargingSession]:
+    """The sessions of the file at ``path`` in file order, parsed one record
+    at a time as the iterator is advanced.
+
+    Records missing the session id, pilot, or current series are dropped;
+    mismatched pilot/current lengths are truncated to the shorter series;
+    negative current samples are clamped to zero. Each repair adds to its
+    ``Provenance`` field name in ``stats``. Duplicate session ids are fatal:
+    the ParseError comes after the last record, so a consumer that writes as
+    it reads publishes its output only once the iterator is exhausted. An
+    unknown format, like a missing file, fails on the first read.
     """
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
-    stats = {"dropped_missing_field": 0, "truncated_mismatched": 0, "clamped_negative": 0}
-    sessions = []
+    ids: Counter = Counter()
     # csv reads its own line endings; JSON lines use universal newlines
     with open(path, "r", encoding="utf-8", newline="" if fmt == "csv" else None) as fh:
         records = _records_from_json(fh) if fmt == "acn-json" else _records_from_csv(fh)
-        for where, rec in records:
-            session = _session_from_record(rec, where, stats)
-            if session is not None:
-                sessions.append(session)
-    return Corpus(tuple(sessions), Provenance(**stats))
+        try:
+            for where, rec in records:
+                session = _session_from_record(rec, where, stats)
+                if session is not None:
+                    ids[session.session_id] += 1
+                    yield session
+        except UnicodeDecodeError as exc:
+            raise undecodable(path, exc) from exc
+    _check_unique_ids(ids)
+
+
+def parse_sessions(path, fmt: str) -> Corpus:
+    """Every session of the file at ``path`` (see ``iter_sessions``), with
+    the counts of what parsing dropped or repaired."""
+    stats: Counter = Counter()
+    sessions = tuple(iter_sessions(path, fmt, stats))
+    return Corpus(sessions, Provenance(**stats))
 
 
 def _session_record(s: ChargingSession) -> dict:
@@ -217,6 +249,11 @@ def _session_record(s: ChargingSession) -> dict:
     }
 
 
+def session_line(s: ChargingSession) -> str:
+    """The canonical ``acn-json`` line of a session."""
+    return json.dumps(_session_record(s)) + "\n"
+
+
 def write_sessions(corpus: Corpus, path: str, fmt: str = "acn-json") -> None:
     """Serialize a corpus; floats use repr so a round-trip is bit-exact."""
     if fmt not in FORMATS:
@@ -224,7 +261,7 @@ def write_sessions(corpus: Corpus, path: str, fmt: str = "acn-json") -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if fmt == "acn-json":
             for s in corpus.sessions:
-                fh.write(json.dumps(_session_record(s)) + "\n")
+                fh.write(session_line(s))
         else:
             writer = csv.writer(fh)
             writer.writerow(CSV_HEADER)
@@ -238,6 +275,18 @@ def write_sessions(corpus: Corpus, path: str, fmt: str = "acn-json") -> None:
                 ])
 
 
+def admissible(session: ChargingSession, min_points: int) -> bool:
+    """The per-session admission rule: labeled, with both series of at least
+    ``min_points`` samples."""
+    return bool(session.ev_label) and len(session.pilot) >= min_points
+
+
+def kept_labels(counts: Counter, min_sessions: int) -> set[str]:
+    """The per-EV admission rule: EVs with at least ``min_sessions``
+    admissible sessions, given each EV's count of them."""
+    return {label for label, n in counts.items() if n >= min_sessions}
+
+
 def apply_primary_filters(corpus: Corpus, min_points: int = 100,
                           min_sessions: int = 10) -> Corpus:
     """Admission rules: labeled sessions with both series of at least
@@ -245,10 +294,7 @@ def apply_primary_filters(corpus: Corpus, min_points: int = 100,
     sessions. The length filter runs first so unusable sessions do not count
     toward an EV's quota. Idempotent.
     """
-    long_enough = [s for s in corpus.sessions
-                   if s.ev_label and len(s.pilot) >= min_points]
-    counts: dict[str, int] = {}
-    for s in long_enough:
-        counts[s.ev_label] = counts.get(s.ev_label, 0) + 1
-    kept = tuple(s for s in long_enough if counts[s.ev_label] >= min_sessions)
-    return Corpus(kept, corpus.provenance)
+    long_enough = [s for s in corpus if admissible(s, min_points)]
+    kept = kept_labels(Counter(s.ev_label for s in long_enough), min_sessions)
+    return Corpus(tuple(s for s in long_enough if s.ev_label in kept),
+                  corpus.provenance)

@@ -5,17 +5,21 @@ Working backward from that region the current rises through the decaying CV
 tail and flattens onto the CC plateau; the walk below finds where the rise
 stops and uses that index both as the tail start and as the end of the CC
 phase for the delta series.
+
+``segment_corpus`` takes any iterable of sessions and segments each one as
+it is drawn, so a session iterator that parses a file record by record
+(``ingest.iter_sessions``) segments it without holding the corpus.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
 
 from .filters import FilterParams, delta_series_values, smooth_current
-from .ingest import ChargingSession, Corpus, TimeSeries
+from .ingest import ChargingSession, TimeSeries
 
 REJECTION_CODES = (
     "no-zero-anchor", "tail-too-short", "tail-too-long",
@@ -191,20 +195,22 @@ def segment_session(session: ChargingSession,
     )
 
 
-def segment_corpus(corpus: Corpus,
+def segment_corpus(sessions: Iterable[ChargingSession],
                    filter_params: Optional[FilterParams] = None,
                    tail_params: Optional[TailParams] = None,
                    ) -> tuple[Iterator[SegmentPair], list[tuple[str, RejectionReason]]]:
-    """Segment every session in corpus order; returns (segments, rejects).
+    """Segment every session in order (a ``Corpus`` or any iterable of
+    sessions); returns (segments, rejects).
 
-    ``segments`` is a one-pass iterator, so callers need not hold every
-    segment at once. ``rejects`` gets a (session_id, RejectionReason) pair per session
-    that fails, and is complete once ``segments`` is exhausted.
+    ``segments`` is a one-pass iterator that draws the next session only when
+    advanced, so callers need not hold every session or segment at once.
+    ``rejects`` gets a (session_id, RejectionReason) pair per session that
+    fails, and is complete once ``segments`` is exhausted.
     """
     rejects: list[tuple[str, RejectionReason]] = []
 
     def accepted() -> Iterator[SegmentPair]:
-        for session in corpus.sessions:
+        for session in sessions:
             result = segment_session(session, filter_params, tail_params)
             if isinstance(result, SegmentPair):
                 yield result

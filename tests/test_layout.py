@@ -3,6 +3,9 @@
 Code reachable only from tests belongs in the tests. A name counts as used
 when some package or benchmark module loads it, reads it as an attribute,
 or imports it; a mention in a docstring or a call from a test does not.
+The benchmark tracer's ``tracer.wrap(module, "name", ...)`` counts too: it
+reads that attribute by name and replaces it with a timing wrapper, so the
+benchmark fails without it.
 """
 
 import ast
@@ -40,7 +43,20 @@ def used_names(tree: ast.Module) -> set[str]:
             used.add(node.attr)
         elif isinstance(node, ast.alias):
             used.add(node.name)
+        elif _is_tracer_wrap(node):
+            used.add(node.args[1].value)
     return used
+
+
+def _is_tracer_wrap(node: ast.AST) -> bool:
+    """``tracer.wrap(<module>, "<name>", ...)``, and no other call."""
+    return (isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute) and node.func.attr == "wrap"
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "tracer"
+            and len(node.args) >= 2 and isinstance(node.args[0], ast.Name)
+            and isinstance(node.args[1], ast.Constant)
+            and isinstance(node.args[1].value, str))
 
 
 def test_every_package_name_has_a_caller_outside_tests():
