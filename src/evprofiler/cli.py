@@ -32,8 +32,8 @@ from .features import (N_FEATURES, featurize_segments, read_feature_csv,
                        write_feature_csv)
 from .ingest import (FORMATS, ParseError, Provenance, TimeSeries,
                      _records_from_json, admissible, iter_sessions,
-                     kept_labels, session_line, undecodable, write_sessions)
-from .synth import SEPARATIONS, SynthOptions, generate_corpus
+                     kept_labels, session_line, undecodable)
+from .synth import SEPARATIONS, SynthOptions, iter_corpus
 from .tail import REJECTION_CODES, SegmentPair, segment_corpus
 
 FAMILY_ALIASES = {"rf": "random-forest", "dt": "decision-tree", "knn": "knn",
@@ -85,10 +85,15 @@ def _cmd_synth(args, cfg: dict, manifest: RunManifest) -> None:
                            truncate_prob=args.truncate_prob,
                            noise_sigma=args.noise_sigma)
     manifest.start("synth")
-    corpus = generate_corpus(args.evs, args.sessions, args.seed, options)
-    write_sessions(corpus, args.out, "acn-json")
+    # each session's line is written as it is made: the bytes of
+    # write_sessions(generate_corpus(...)), without the whole corpus
+    sessions = 0
+    with _replace_on_success(args.out, "w", encoding="utf-8", newline="") as fh:
+        for session in iter_corpus(args.evs, args.sessions, args.seed, options):
+            fh.write(session_line(session))
+            sessions += 1
     manifest.stop("synth")
-    manifest.counts["synth"] = {"sessions": len(corpus), "evs": args.evs}
+    manifest.counts["synth"] = {"sessions": sessions, "evs": args.evs}
 
 
 def _cmd_ingest(args, cfg: dict, manifest: RunManifest) -> None:
@@ -164,6 +169,8 @@ def _cmd_extract(args, cfg: dict, manifest: RunManifest) -> None:
     manifest.add_input(args.sessions)
     filter_params = params_from("filter", cfg)
     tail_params = params_from("tail", cfg)
+    if args.rejects:
+        _ensure_dir(os.path.dirname(args.rejects) or ".")
     manifest.start("extract")
     segments, rejected = segment_corpus(
         iter_sessions(args.sessions, "acn-json", Counter()),
@@ -419,9 +426,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         cfg = _load_config(getattr(args, "config", None))
         manifest.config = {**cfg}
-        runners[args.command](args, cfg, manifest)
         out_dir = _manifest_dir(args)
-        _ensure_dir(out_dir)
+        # a stage writes beside its --out as it runs; experiment and report
+        # make their output directory once they have something to write
+        if args.command not in ("experiment", "report"):
+            _ensure_dir(out_dir)
+        runners[args.command](args, cfg, manifest)
         manifest.write(out_dir)
     except (DomainError, ConfigError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -207,10 +207,12 @@ def iter_sessions(path, fmt: str, stats: Counter) -> Iterator[ChargingSession]:
     Records missing the session id, pilot, or current series are dropped;
     mismatched pilot/current lengths are truncated to the shorter series;
     negative current samples are clamped to zero. Each repair adds to its
-    ``Provenance`` field name in ``stats``. Duplicate session ids are fatal:
-    the ParseError comes after the last record, so a consumer that writes as
-    it reads publishes its output only once the iterator is exhausted. An
-    unknown format, like a missing file, fails on the first read.
+    ``Provenance`` field name in ``stats``. A record that cannot be parsed
+    is a ParseError naming the file and the record's line or row. Duplicate
+    session ids are fatal: the ParseError comes after the last record, so a
+    consumer that writes as it reads publishes its output only once the
+    iterator is exhausted. An unknown format, like a missing file, fails on
+    the first read.
     """
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
@@ -226,6 +228,8 @@ def iter_sessions(path, fmt: str, stats: Counter) -> Iterator[ChargingSession]:
                     yield session
         except UnicodeDecodeError as exc:
             raise undecodable(path, exc) from exc
+        except ParseError as exc:  # names its line or row
+            raise ParseError(f"{path}: {exc}") from exc
     _check_unique_ids(ids)
 
 

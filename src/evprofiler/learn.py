@@ -6,19 +6,20 @@ classes are the sorted distinct labels kept as the caller's Python objects.
 Everything is deterministic for a given (data, spec, seed): tie-breaking is
 lexicographic on class labels, first-encountered on split costs and grid
 order, and forest tree seeds derive from the training seed by tree index.
-Grid search shares fits across combinations: per fold, one kNN fit with one
-nearest-neighbour ranking per metric, one full tree per criterion, and one
-lineage per forest tree index: the caps go from the largest down, and a cap
-regrows only the trees it cuts, all in lockstep. A regrowth follows the tree
-it was cut from, taking its splits without searching, until the cap first
-stops a node that tree searched. A forest tree's draws depend only on
-(seed, tree index, training rows), so a search draws each tree's bootstrap
-rows and each node's candidates once, into one draw stream that every cap
-and every fold with as many training rows reads; the refit draws its own.
-Each fold scores the whole grid in one ``_scores`` call over the stacked
-predicted class codes into one specs x folds score array. A training
-failure depends only on the fold's rows, so it fails the whole search with
-a ``TrainingError`` naming the fold.
+Grid search shares fits across combinations and folds: per fold, one kNN
+fit with one nearest-neighbour ranking per metric and one full tree per
+criterion; per search, one lineage per (fold, forest tree index): the caps
+go from the largest down, and a cap regrows only the trees it cuts, every
+fold's in one lockstep growth over the search matrix. A regrowth follows
+the tree it was cut from, taking its splits without searching, until the
+cap first stops a node that tree searched. A forest tree's draws depend
+only on (seed, tree index, training size), so a search draws each tree's
+bootstrap positions and each node's candidates once, into one draw stream
+that every cap and every fold with as many training rows reads; the refit
+draws its own. Each fold scores the whole grid in one ``_scores`` call over
+the predicted class codes into one specs x folds score array. A training
+failure depends only on the fold's rows, so the search checks every fold
+first and fails with a ``TrainingError`` naming the fold.
 
 kNN ranks only the K nearest training rows, K the largest k it reads: a
 partition at rank K, then a sort of the few candidates, gives the first K
@@ -36,10 +37,10 @@ Trees grow over row indices into the training matrix (through the
 bootstrap rows for a forest tree), several trees in lockstep: each step
 scores every node it pops in one ``_segment_splits`` call, each node a
 segment of its rows with its own candidate columns, and labels and
-partitions all their children in one pass. A forest tree still pops one
-node per step in depth-first order, so its k-th drawing node reads entry k
-of its draw stream, the candidates it would draw alone; a decision tree
-pops a whole level. Integer class prefix counts that restart at each
+partitions their children a group of rows at a time. A forest tree still
+pops one node per step in depth-first order, so its k-th drawing node
+reads entry k of its draw stream, the candidates it would draw alone; a
+decision tree pops a whole level. Integer class prefix counts that restart at each
 segment give exactly the costs, thresholds and tie-breaks of scoring one
 node and one column at a time, so every tree is the same as a per-feature
 search would grow; ``_segment_splits`` and ``_cut_costs`` say why.
@@ -47,7 +48,9 @@ Entropy never builds a class one-hot: one cumsum per slot of table lookups
 of n log2 n bounds every cut's cost, as cheaply as gini, and the exact
 expression runs only on the cuts that the float error bound leaves near
 each segment's minimum, on integer class counts from one ``bincount``.
-Prediction routes the rows down all of a cap's trees a level at a time.
+Prediction routes the rows down all of a cap's trees a level at a time,
+each tree's own rows, and a forest votes every tree count of a cap from
+one running count.
 """
 
 from __future__ import annotations
@@ -151,7 +154,8 @@ def _entropy(counts: np.ndarray, total: np.ndarray) -> np.ndarray:
 # node alone in chunks of columns, at least one column per chunk. Entropy's
 # exact step takes its candidate cuts in blocks of candidates x classes
 # under the same bound, at least one cut per block, and ``_ranks`` ranks
-# blocks of columns under it.
+# blocks of columns under it. Growth partitions split nodes' rows, and
+# prediction routes trees' rows, in groups of at most this many rows.
 _CHUNK_ELEMENTS = 1 << 15
 
 # The entropy bound assumes that float64 np.log2 is within this many ulps of
@@ -160,7 +164,8 @@ _LOG2_ULPS = 4
 
 # Upper bound on the elements of a kNN vote chunk, 8 MB of float64:
 # weightings x query rows x (ranks x slots for the votes, plus ks x classes
-# for the winners); each chunk holds at least one row.
+# for the winners); each chunk holds at least one row. A forest's vote
+# counts take rows x classes chunks under it.
 _VOTE_ELEMENTS = 1 << 20
 
 # Upper bound on the elements of a kNN distance scratch block, 128 KB of
@@ -406,6 +411,19 @@ def _cut_costs(order: np.ndarray, change: np.ndarray, codes: np.ndarray,
     return cost
 
 
+def _groups(sizes: Sequence[int], budget: int):
+    """(lo, hi) ranges that cut consecutive items into groups: from lo, the
+    most items whose ``sizes`` sum to at most ``budget``, at least one."""
+    lo, total = 0, 0
+    for hi, size in enumerate(sizes):
+        if hi > lo and total + size > budget:
+            yield lo, hi
+            lo, total = hi, 0
+        total += size
+    if lo < len(sizes):
+        yield lo, len(sizes)
+
+
 def _segment_splits(x: np.ndarray, ranks: np.ndarray, y: np.ndarray,
                     rows: np.ndarray, sizes: np.ndarray, columns: np.ndarray,
                     n_classes: int, criterion: str
@@ -440,12 +458,8 @@ def _segment_splits(x: np.ndarray, ranks: np.ndarray, y: np.ndarray,
         return feature, threshold
     flat_ranks = ranks.ravel()
     ends = sizes.cumsum()
-    lo = 0
-    while lo < n_seg:
-        # the most segments from lo whose rows fit the budget, at least one
+    for lo, hi in _groups(sizes.tolist(), _CHUNK_ELEMENTS // w):
         start = int(ends[lo] - sizes[lo])
-        hi = max(lo + 1, int(np.searchsorted(
-            ends, start + _CHUNK_ELEMENTS // w, side="right")))
         r = rows[start:ends[hi - 1]]
         seg = np.repeat(np.arange(hi - lo), sizes[lo:hi])
         first = ends[lo:hi] - sizes[lo:hi] - start
@@ -496,7 +510,6 @@ def _segment_splits(x: np.ndarray, ranks: np.ndarray, y: np.ndarray,
             feature[lo + won] = chosen
             threshold[lo + won] = (x[r[order[j, k]], chosen]
                                    + x[r[order[j, k + 1]], chosen]) / 2.0
-        lo = hi
     return feature, threshold
 
 
@@ -576,26 +589,32 @@ def _grow_trees(x: np.ndarray, ranks: np.ndarray, y: np.ndarray,
                 n_classes: int, criterion: str, max_depth: Optional[int],
                 rows: Sequence[np.ndarray],
                 streams: Optional[Sequence[_DrawStream]] = None,
-                guides: Optional[Sequence[Optional[_TreeNode]]] = None
+                guides: Optional[list[Optional[_TreeNode]]] = None
                 ) -> list[_TreeNode]:
     """Grow one tree per entry of ``rows``, row indices into ``x`` and ``y``
     (repeats allowed), all in lockstep; each root's ``reach`` records how
     deep its growth searched. ``ranks`` is ``_ranks`` of ``x``.
 
-    Nodes hold row indices. Each step makes one ``_segment_splits`` call for
-    every node it pops, then labels, stop-tests and partitions the children
-    of every split node in one pass. Tree i, given the draw stream
-    ``streams[i]`` with fewer candidates than columns (all streams alike),
-    keeps its own stack and pops one node per step, right child first, as a
-    one-tree, depth-first grower would. It counts the nodes it pops, all of
-    which pass the stop tests, and the k-th searches on the stream's entry k:
-    the candidates that a one-tree grower draws from the stream's generator
-    at its k-th such node. So a cap d with ``reach < d <= max_depth``
-    changes no stop test and no entry: growing with cap d gives this same
-    tree. After growth the stream holds an entry for every node the tree
-    popped, so its generator is where a one-tree grower's would be. A tree
-    that draws nothing pops its whole frontier: each split depends only on
-    the node's rows.
+    A node that the stop tests stop, other than a root, is the one leaf of
+    its label that all the call's trees share, so a tree's own nodes are
+    mostly its split nodes. Nodes hold row indices while they grow. Each
+    step makes one ``_segment_splits`` call for every node it pops, then
+    labels, stop-tests and partitions the children of the split nodes in
+    groups of at most ``_CHUNK_ELEMENTS`` rows, one pass per group. A forest
+    tree's stacked node keeps its own copy of its rows, in the narrowest
+    unsigned dtype for ``x``'s rows, so the stacks hold only the rows of
+    nodes still to pop, however many trees grow. Tree i, given the draw
+    stream ``streams[i]`` with fewer candidates than columns (all streams
+    alike), keeps its own stack and pops one node per step, right child
+    first, as a one-tree, depth-first grower would. It counts the nodes it
+    pops, all of which pass the stop tests, and the k-th searches on the
+    stream's entry k: the candidates that a one-tree grower draws from the
+    stream's generator at its k-th such node. So a cap d with
+    ``reach < d <= max_depth`` changes no stop test and no entry: growing
+    with cap d gives this same tree. After growth the stream holds an entry
+    for every node the tree popped, so its generator is where a one-tree
+    grower's would be. A tree that draws nothing pops its whole frontier:
+    each split depends only on the node's rows.
 
     ``guides[i]``, if given, is tree i grown from the same rows and stream
     at a larger cap. Both growths pop the same nodes with the same rows and
@@ -606,6 +625,11 @@ def _grow_trees(x: np.ndarray, ranks: np.ndarray, y: np.ndarray,
     candidates give the same search. From that node on, growth searches as
     without a guide, because the guide counted there and its later entries
     run ahead. A tree that draws nothing follows its guide down to the cap.
+    Growth empties the list ``guides`` once it has made the roots, and then
+    holds each guide node only until it has replayed it; so a caller that
+    keeps no other reference to a guide gets its memory back as its
+    regrowth grows, and the old and the new trees are not alive in full at
+    once.
     """
     if not rows:
         return []
@@ -616,29 +640,57 @@ def _grow_trees(x: np.ndarray, ranks: np.ndarray, y: np.ndarray,
     cap = _cap(max_depth)
     guided = [guide is not None for guide in guides or [None] * len(rows)]
     roots = [_TreeNode() for _ in rows]
+    # per label, the leaf that stands for every stopped node of that label
+    # in all the trees; a leaf is never changed once made, so trees share it
+    leaves: dict[int, _TreeNode] = {}
     # per tree: (node, rows, depth, twin) entries, and None where a node the
-    # guide searched stops at the cap
+    # guide searched stops at the cap; each entry holds its own rows
     stacks: list[list] = [[] for _ in rows]
-    # nodes made in the last step as (tree, node, depth, twin), their rows
-    # consecutive in ``part``
-    made = [(i, root, 0, guides[i] if guides else None)
-            for i, root in enumerate(roots)]
-    part = np.concatenate(rows, dtype=np.intp)
-    sizes = np.array([r.size for r in rows])
-    while True:
+    narrow = np.min_scalar_type(max(x.shape[0] - 1, 0))
+
+    def settle(made, part, sizes):
+        """Make the nodes ``made``, (tree, parent, side, depth, twin) each,
+        whose rows lie consecutive in ``part``: a root (no parent) is tree
+        i's, a node that stops is its label's leaf, any other a new node;
+        hang each on its parent's ``side`` and stack each that may split."""
         labels, impure = _node_labels(y, part, sizes, n_classes)
         ends = sizes.cumsum()
-        for (i, node, depth, twin), label, grows, end, size in zip(
+        for (i, parent, side, depth, twin), label, grows, end, size in zip(
                 made, labels.tolist(), impure.tolist(), ends.tolist(),
                 sizes.tolist()):
-            node.label = label
-            if not grows:
-                continue
-            if depth >= cap:
-                if drawing and guided[i]:
+            stops = not grows or depth >= cap
+            if parent is None:
+                node = roots[i]
+                node.label = label
+            elif stops:
+                node = leaves.get(label)
+                if node is None:
+                    node = leaves[label] = _TreeNode(label=label)
+                setattr(parent, side, node)
+            else:
+                node = _TreeNode(label=label)
+                setattr(parent, side, node)
+            if stops:
+                if grows and drawing and guided[i]:
                     stacks[i].append(None)
                 continue
-            stacks[i].append((node, part[end - size:end], depth, twin))
+            own = part[end - size:end]
+            # a forest tree's entry can wait many steps: a copy, so that it
+            # does not keep all of ``part`` alive; a decision tree pops it
+            # at the next step
+            stacks[i].append((node, own.astype(narrow) if drawing else own,
+                              depth, twin))
+
+    sizes = [r.size for r in rows]
+    for lo, hi in _groups(sizes, _CHUNK_ELEMENTS):
+        settle([(i, None, None, 0, guides[i] if guides else None)
+                for i in range(lo, hi)],
+               np.concatenate(rows[lo:hi]), np.array(sizes[lo:hi]))
+    if guides:
+        # from here on a guide node is held only until its twin has replayed
+        # it (see the docstring)
+        guides.clear()
+    while True:
         popped = []
         for i, stack in enumerate(stacks):
             if not drawing:
@@ -680,76 +732,99 @@ def _grow_trees(x: np.ndarray, ranks: np.ndarray, y: np.ndarray,
             split += [(*e, None, f, t) for e, f, t in
                       zip(searched, features.tolist(), thresholds.tolist())
                       if f >= 0]
-        made = []
-        if not split:
-            part, sizes = part[:0], sizes[:0]
-            continue
-        idx = np.concatenate([e[2] for e in split])
+        # the split nodes' children, partitioned and settled in groups of
+        # at most _CHUNK_ELEMENTS rows, at least one node per group
         sizes = [e[2].size for e in split]
-        # node k's rows go to child 2k if at most its threshold, else 2k + 1
-        child = np.repeat(np.arange(0, 2 * len(split), 2), sizes)
-        child += ~(x[idx, np.repeat([e[5] for e in split], sizes)]
-                   <= np.repeat([e[6] for e in split], sizes))
-        # a stable partition: each child keeps its rows in the parent's order
-        part = idx[child.astype(np.min_scalar_type(2 * len(split) - 1))
-                   .argsort(kind="stable")]
-        sizes = np.bincount(child, minlength=2 * len(split))
-        for i, node, _, depth, twin, f, t in split:
-            node.feature, node.threshold = f, t
-            node.left, node.right = _TreeNode(), _TreeNode()
-            made += [(i, node.left, depth + 1, twin and twin.left),
-                     (i, node.right, depth + 1, twin and twin.right)]
+        for lo, hi in _groups(sizes, _CHUNK_ELEMENTS):
+            group = split[lo:hi]
+            idx = np.concatenate([e[2] for e in group])
+            # node k's rows go to child 2k if at most its threshold, else 2k + 1
+            child = np.repeat(np.arange(0, 2 * len(group), 2), sizes[lo:hi])
+            child += ~(x[idx, np.repeat([e[5] for e in group], sizes[lo:hi])]
+                       <= np.repeat([e[6] for e in group], sizes[lo:hi]))
+            made = []
+            for i, node, _, depth, twin, f, t in group:
+                node.feature, node.threshold = f, t
+                made += [(i, node, "left", depth + 1, twin and twin.left),
+                         (i, node, "right", depth + 1, twin and twin.right)]
+            # a stable partition: each child keeps its rows in the parent's order
+            settle(made, idx[child.astype(np.min_scalar_type(2 * len(group) - 1))
+                             .argsort(kind="stable")],
+                   np.bincount(child, minlength=2 * len(group)))
 
 
 def _tree_predict(trees: Sequence[_TreeNode], x: np.ndarray,
+                  rows: Sequence[np.ndarray],
                   caps: Optional[Sequence[Optional[int]]] = None) -> np.ndarray:
-    """Leaf class codes of each tree for each row, a trees x rows array.
+    """Leaf class codes of tree i for the rows ``rows[i]`` of ``x``, each
+    tree's codes after the previous tree's, flat.
 
-    The rows go down every tree at once, a level per pass: one comparison
-    and one stable partition route all rows at split nodes to their
-    children. With ``caps``, a node at depth ``caps[i]`` of tree i answers
-    with its own label. A tree grown with that cap is the full tree cut
-    there, so this predicts exactly what the capped tree would.
+    Trees go in groups whose rows add up to at most ``_CHUNK_ELEMENTS``, at
+    least one tree per group. A group's rows go down all its trees at once,
+    a level per pass: one comparison and one stable partition route all rows
+    at split nodes to their children. With ``caps``, a node at depth
+    ``caps[i]`` of tree i answers with its own label. A tree grown with that
+    cap is the full tree cut there, so this predicts exactly what the capped
+    tree would.
     """
-    out = np.empty((len(trees), x.shape[0]), dtype=np.int64)
-    limit = np.array([_cap(cap) for cap in caps or [None] * len(trees)])
-    nodes, tree = list(trees), np.arange(len(trees))
-    rows = np.tile(np.arange(x.shape[0]), len(trees))
-    sizes = np.full(len(trees), x.shape[0])
-    depth = 0
-    while nodes:
-        owner = np.repeat(np.arange(len(nodes)), sizes)
-        feature = np.array([node.feature for node in nodes])
-        feature[depth >= limit[tree]] = _LEAF
-        answer = feature[owner] == _LEAF
-        out[tree[owner[answer]], rows[answer]] = np.array(
-            [node.label for node in nodes])[owner[answer]]
-        owner, rows = owner[~answer], rows[~answer]
-        threshold = np.array([node.threshold for node in nodes])
-        child = 2 * owner + ~(x[rows, feature[owner]] <= threshold[owner])
-        rows = rows[child.astype(np.min_scalar_type(2 * len(nodes) - 1))
-                    .argsort(kind="stable")]
-        counts = np.bincount(child, minlength=2 * len(nodes))
-        kept = np.flatnonzero(counts)
-        nodes = [nodes[c // 2].right if c % 2 else nodes[c // 2].left
-                 for c in kept.tolist()]
-        tree, sizes = tree[kept // 2], counts[kept]
-        depth += 1
+    sizes = [r.size for r in rows]
+    limits = [_cap(cap) for cap in caps or [None] * len(trees)]
+    out = np.empty(sum(sizes), dtype=np.int64)
+    start = 0
+    for lo, hi in _groups(sizes, _CHUNK_ELEMENTS):
+        at = np.concatenate(rows[lo:hi])
+        limit = np.array(limits[lo:hi])
+        nodes, tree = list(trees[lo:hi]), np.arange(hi - lo)
+        # each routed row's position in ``at``
+        pos = np.arange(at.size)
+        counts = np.array(sizes[lo:hi])
+        depth = 0
+        while nodes:
+            owner = np.repeat(np.arange(len(nodes)), counts)
+            feature = np.array([node.feature for node in nodes])
+            feature[depth >= limit[tree]] = _LEAF
+            answer = feature[owner] == _LEAF
+            out[start + pos[answer]] = np.array(
+                [node.label for node in nodes])[owner[answer]]
+            owner, pos = owner[~answer], pos[~answer]
+            threshold = np.array([node.threshold for node in nodes])
+            child = 2 * owner + ~(x[at[pos], feature[owner]] <= threshold[owner])
+            pos = pos[child.astype(np.min_scalar_type(2 * len(nodes) - 1))
+                      .argsort(kind="stable")]
+            counts = np.bincount(child, minlength=2 * len(nodes))
+            kept = np.flatnonzero(counts)
+            nodes = [nodes[c // 2].right if c % 2 else nodes[c // 2].left
+                     for c in kept.tolist()]
+            tree, counts = tree[kept // 2], counts[kept]
+            depth += 1
+        start += at.size
     return out
 
 
-def _forest_codes(tree_codes: Sequence[np.ndarray], n_classes: int,
+def _forest_codes(tree_codes: np.ndarray, n_classes: int,
                   sizes: set) -> dict[int, np.ndarray]:
-    """Majority-vote class codes of the first ``n`` trees, for each n in
-    ``sizes``, from each tree's predicted codes; vote ties go to the lowest
-    class code."""
-    rows = np.arange(tree_codes[0].size)
-    votes = np.zeros((rows.size, n_classes), dtype=np.int64)
-    out = {}
-    for n, codes in enumerate(tree_codes[:max(sizes)], 1):
-        votes[rows, codes] += 1
-        if n in sizes:
-            out[n] = np.argmax(votes, axis=1)
+    """Majority-vote class codes of the first n trees, for each n in
+    ``sizes``, from ``tree_codes``, each tree's predicted codes as a trees x
+    rows array; vote ties go to the lowest class code.
+
+    The vote counts of the sizes in ascending order are cumulative: each
+    size adds one ``bincount`` of the trees since the previous size. Rows
+    are taken in chunks whose rows x classes counts stay under
+    ``_VOTE_ELEMENTS``, at least one row per chunk.
+    """
+    n_rows = tree_codes.shape[1]
+    out = {n: np.empty(n_rows, dtype=np.int64) for n in sizes}
+    step = max(1, _VOTE_ELEMENTS // n_classes)
+    for lo in range(0, n_rows, step):
+        chunk = tree_codes[:, lo:lo + step]
+        cell = np.arange(0, chunk.shape[1] * n_classes, n_classes)
+        votes = np.zeros(cell.size * n_classes, dtype=np.int64)
+        done = 0
+        for n in sorted(sizes):
+            votes += np.bincount((chunk[done:n] + cell).ravel(),
+                                 minlength=votes.size)
+            done = n
+            out[n][lo:lo + step] = votes.reshape(-1, n_classes).argmax(axis=1)
     return out
 
 
@@ -774,13 +849,19 @@ def _training_codes(x: np.ndarray, labels: Sequence
     a TrainingError if the rows cannot be fitted."""
     x = np.asarray(x, dtype=np.float64)
     classes, y = _class_codes(labels)
-    if x.ndim != 2 or x.shape[0] != y.size or x.shape[0] == 0:
-        raise TrainingError("matrix must be rectangular with one label per row")
-    if len(classes) < 2:
-        raise TrainingError("need at least two classes")
-    if x.shape[0] < len(classes):
-        raise TrainingError("need at least as many rows as classes")
+    _check_training(x.shape, y.size, len(classes))
     return x, classes, y
+
+
+def _check_training(shape: tuple, n_labels: int, n_classes: int) -> None:
+    """A TrainingError if a matrix of ``shape`` with ``n_labels`` labels of
+    ``n_classes`` classes cannot be fitted."""
+    if len(shape) != 2 or shape[0] != n_labels or shape[0] == 0:
+        raise TrainingError("matrix must be rectangular with one label per row")
+    if n_classes < 2:
+        raise TrainingError("need at least two classes")
+    if shape[0] < n_classes:
+        raise TrainingError("need at least as many rows as classes")
 
 
 def train(spec: ClassifierSpec, x: np.ndarray, labels: Sequence,
@@ -796,9 +877,11 @@ def train(spec: ClassifierSpec, x: np.ndarray, labels: Sequence,
                                    spec.param("criterion"),
                                    spec.param("max_depth"), [np.arange(y.size)])
     else:
-        model.forest = _forest_trees(x, _ranks(x), y, len(classes), seed,
-                                     range(spec.param("n_estimators")),
-                                     spec.param("max_depth"), {})
+        everyone = np.arange(y.size, dtype=np.min_scalar_type(y.size - 1))
+        model.forest = _forest_trees(
+            x, _ranks(x), y, len(classes), seed,
+            [(t, everyone) for t in range(spec.param("n_estimators"))],
+            spec.param("max_depth"), {})
     return model
 
 
@@ -807,32 +890,35 @@ def _cap(max_depth: Optional[int]) -> float:
 
 
 def _forest_trees(x: np.ndarray, ranks: np.ndarray, y: np.ndarray,
-                  n_classes: int, seed: int, indices: Sequence[int],
+                  n_classes: int, seed: int,
+                  trees: Sequence[tuple[int, np.ndarray]],
                   max_depth: Optional[int], streams: dict,
-                  guides: Optional[Sequence[Optional[_TreeNode]]] = None
+                  guides: Optional[list[Optional[_TreeNode]]] = None
                   ) -> list[_TreeNode]:
-    """Trees ``indices`` of a forest, grown in lockstep: each a bootstrap
-    gini tree on ceil(sqrt(d)) candidate features per split, grown over the
-    bootstrap rows of ``x``, never a copy.
+    """Forest trees grown in lockstep, one per (t, training rows) pair of
+    ``trees``: tree t of the forest fitted on those rows of ``x``, a
+    bootstrap gini tree on ceil(sqrt(d)) candidate features per split,
+    grown over row indices of ``x``, never a copy.
 
     Tree t's generator is seeded by ``SeedSequence(seed, spawn_key=(t,))``,
     which is ``SeedSequence(seed).spawn(n)[t]`` for any n > t; it draws the
-    tree's n bootstrap rows, then its candidates. So its draws depend only
-    on (seed, t, n, d) for an n x d matrix, and ``streams`` maps that key
-    to tree t's draw stream (``_DrawStream.forest``): a stream is derived
-    once, on first use, and serves every later growth of its tree, at any
-    cap and on any matrix of the same shape. ``ranks`` is ``_ranks`` of
-    ``x``; ``guides`` holds each tree grown at a larger cap, if any (see
-    ``_grow_trees``).
+    tree's n bootstrap positions among its n training rows, then its
+    candidates. So its draws depend only on (seed, t, n, d), and ``streams``
+    maps that key to tree t's draw stream (``_DrawStream.forest``): a stream
+    is derived once, on first use, and serves every later growth of its
+    tree, at any cap and on any n training rows. ``ranks`` is ``_ranks`` of
+    ``x``; ``guides`` holds each tree grown at a larger cap, if any, and
+    growth empties it (see ``_grow_trees``).
     """
-    lineage = []
-    for t in indices:
-        key = (seed, t, *x.shape)
+    lineage, rows = [], []
+    for t, training in trees:
+        key = (seed, t, training.size, x.shape[1])
         if key not in streams:
             streams[key] = _DrawStream.forest(*key)
         lineage.append(streams[key])
-    return _grow_trees(x, ranks, y, n_classes, "gini", max_depth,
-                       [stream.rows for stream in lineage], lineage, guides)
+        rows.append(training[streams[key].rows])
+    return _grow_trees(x, ranks, y, n_classes, "gini", max_depth, rows,
+                       lineage, guides)
 
 
 def _distances(metric: str, queries: np.ndarray, train_x: np.ndarray) -> np.ndarray:
@@ -998,10 +1084,11 @@ def predict(model: TrainedModel, x: np.ndarray) -> np.ndarray:
         dist, nearest = _neighbours(spec.param("metric"), x, model.knn_x, k)
         codes = _knn_codes(dist, nearest, model.knn_y, n_classes, {vote})[vote]
     elif spec.family == "decision-tree":
-        [codes] = _tree_predict([model.tree], x)
+        codes = _tree_predict([model.tree], x, [np.arange(x.shape[0])])
     else:
         n = len(model.forest)
-        codes = _forest_codes(_tree_predict(model.forest, x), n_classes, {n})[n]
+        codes = _tree_predict(model.forest, x, [np.arange(x.shape[0])] * n)
+        codes = _forest_codes(codes.reshape(n, x.shape[0]), n_classes, {n})[n]
     return np.array(model.classes, dtype=object)[codes]
 
 
@@ -1123,36 +1210,44 @@ def _group(specs: Sequence[ClassifierSpec], param: str) -> list[list[int]]:
     return list(groups.values())
 
 
-# A fold predictor takes (specs, train x, train class codes, test x, seed),
-# and what the search shares between its folds as keyword arguments, and
-# returns the fitted classes (the codes present in the training rows)
-# and, per spec, the predicted test rows' indices into them. Each one fits
-# as little as the grid allows; a TrainingError depends only on the rows, so
-# it fails the whole fold, and with it the search.
+# A search predictor takes (specs, x, class codes, class count, fold of
+# each row, seed) and returns a specs x rows array: each spec's predicted
+# class code for every row of x, by that spec fitted on the rows of the
+# other folds. Each one fits as little as the grid allows. ``grid_search``
+# has checked that every fold's training rows can be fitted.
 
-def _knn_fold(specs, x_train, y_train, x_test, seed, manhattan=None):
-    """One fit, and per metric one ranking of each test row's K nearest
-    training rows, K the metric's largest k. ``manhattan``, if given, yields
-    the folds' Manhattan rankings in fold order (see ``_fold_manhattan``),
-    and this fold takes the next one."""
-    model = train(specs[0], x_train, y_train, seed)
-    n_train = model.knn_x.shape[0]
-    out: list = [None] * len(specs)
-    for members in _group(specs, "metric"):
-        metric = specs[members[0]].param("metric")
-        votes = {i: (min(specs[i].param("n_neighbors"), n_train),
-                     specs[i].param("weights") == "distance")
-                 for i in members}
-        if metric == "manhattan" and manhattan is not None:
-            dist, nearest = next(manhattan)
-        else:
-            dist, nearest = _neighbours(metric, x_test, model.knn_x,
-                                        max(k for k, _ in votes.values()))
-        codes = _knn_codes(dist, nearest, model.knn_y, len(model.classes),
-                           set(votes.values()))
-        for i, vote in votes.items():
-            out[i] = codes[vote]
-    return model.classes, out
+def _knn_search(specs, x, y, n_classes, fold_of, seed):
+    """Per fold one fit, and per metric one ranking of each test row's K
+    nearest training rows, K the metric's largest k; the Manhattan rankings
+    of all folds come from ``_fold_manhattan``."""
+    out = np.empty((len(specs), y.size), dtype=np.int64)
+    manhattan_ks = [spec.param("n_neighbors") for spec in specs
+                    if spec.param("metric") == "manhattan"]
+    manhattan = (_fold_manhattan(x, fold_of, max(manhattan_ks))
+                 if manhattan_ks else None)
+    for j in range(int(fold_of.max()) + 1):
+        test = np.flatnonzero(fold_of == j)
+        train_rows = np.flatnonzero(fold_of != j)
+        model = train(specs[0], x[train_rows], y[train_rows], seed)
+        n_train = model.knn_x.shape[0]
+        # each spec's predicted indices into the fold's classes
+        fold_codes = np.empty((len(specs), test.size), dtype=np.int64)
+        for members in _group(specs, "metric"):
+            metric = specs[members[0]].param("metric")
+            votes = {i: (min(specs[i].param("n_neighbors"), n_train),
+                         specs[i].param("weights") == "distance")
+                     for i in members}
+            if metric == "manhattan":
+                dist, nearest = next(manhattan)
+            else:
+                dist, nearest = _neighbours(metric, x[test], model.knn_x,
+                                            max(k for k, _ in votes.values()))
+            codes = _knn_codes(dist, nearest, model.knn_y, len(model.classes),
+                               set(votes.values()))
+            for i, vote in votes.items():
+                fold_codes[i] = codes[vote]
+        out[:, test] = np.take(model.classes, fold_codes)
+    return out
 
 
 def _fold_manhattan(x: np.ndarray, fold_of: np.ndarray, top: int):
@@ -1193,63 +1288,101 @@ def _fold_manhattan(x: np.ndarray, fold_of: np.ndarray, top: int):
                rows - np.searchsorted(rows_a, rows))
 
 
-def _tree_fold(specs, x_train, y_train, x_test, seed):
-    """One unlimited-depth tree per criterion, predicted at each depth cap;
-    the value ranks of the training matrix serve both criteria."""
-    x, classes, y = _training_codes(x_train, y_train)
-    ranks = _ranks(x)
-    out: list = [None] * len(specs)
-    for members in _group(specs, "criterion"):
-        [tree] = _grow_trees(x, ranks, y, len(classes),
-                             specs[members[0]].param("criterion"), None,
-                             [np.arange(y.size)])
-        codes = _tree_predict([tree] * len(members), x_test,
-                              [specs[i].param("max_depth") for i in members])
-        for i, row in zip(members, codes):
-            out[i] = row
-    return classes, out
+def _tree_search(specs, x, y, n_classes, fold_of, seed):
+    """Per fold, one unlimited-depth tree per criterion, predicted at each
+    depth cap; the value ranks of the fold's training matrix serve both
+    criteria.
 
-
-def _forest_fold(specs, x_train, y_train, x_test, seed, streams):
-    """Each depth's forest, as large as its largest tree count, from one
-    lineage of trees per tree index.
-
-    Tree t depends only on (seed, t, cap), so a cap's first n trees are its
-    n-tree forest. The caps go from the largest down, ``None`` first. Index
-    t's lineage holds its latest tree, from the nearest larger cap whose
-    largest forest has more than t trees. A cap above that tree's reach
-    keeps it, since it is the tree that cap grows, and its codes; a cap that
-    cuts it regrows it, guided by it (see ``_grow_trees``). Each cap grows
-    all its regrowths in lockstep, and each grown tree predicts the test
-    rows once. The value ranks of the training matrix serve every cap.
-    ``streams`` holds the search's draw streams (see ``_forest_trees``):
-    every cap of this fold, and every fold with as many training rows, reads
-    tree t's bootstrap rows and candidates from one stream.
+    Each fold grows on its own matrix and class codes: entropy sums its
+    terms over the fold's classes, and a class column the fold lacks could
+    change how ``np.sum`` groups them, and with that the last bits.
     """
-    x, classes, y = _training_codes(x_train, y_train)
+    out = np.empty((len(specs), y.size), dtype=np.int64)
+    for j in range(int(fold_of.max()) + 1):
+        test = np.flatnonzero(fold_of == j)
+        fx = x[fold_of != j]
+        classes, fy = _class_codes(y[fold_of != j])
+        ranks = _ranks(fx)
+        for members in _group(specs, "criterion"):
+            [tree] = _grow_trees(fx, ranks, fy, len(classes),
+                                 specs[members[0]].param("criterion"), None,
+                                 [np.arange(fy.size)])
+            codes = _tree_predict([tree] * len(members), x,
+                                  [test] * len(members),
+                                  [specs[i].param("max_depth") for i in members])
+            out[np.ix_(members, test)] = np.take(classes, codes).reshape(
+                len(members), test.size)
+    return out
+
+
+def _forest_search(specs, x, y, n_classes, fold_of, seed):
+    """Each depth's forests for every fold, as large as the depth's largest
+    tree count, from one lineage of trees per (fold, tree index).
+
+    Tree t of fold j depends only on (seed, t, cap, fold j's training rows),
+    so a cap's first n trees are its n-tree forest. The caps go from the
+    largest down, ``None`` first. Lineage (j, t) holds its latest tree, from
+    the nearest larger cap whose largest forest has more than t trees. A cap
+    above that tree's reach keeps it, since it is the tree that cap grows,
+    and its codes; a cap that cuts it regrows it, guided by it (see
+    ``_grow_trees``). Each cap grows the regrowths of every fold in one
+    lockstep growth over row indices of x, whose value ranks serve every
+    cap and fold: a segment's ranks keep the order of its rows' values
+    within any row subset. Fold j's tree t maps its bootstrap positions
+    through fold j's training rows and reads the draw stream keyed by its
+    training size (see ``_forest_trees``), shared by every cap and every
+    fold of that size.
+
+    Trees take the search's class codes, not the fold's. The codes keep the
+    classes' order, and a class that a fold lacks only adds zero counts to
+    gini's integer partial sums, so every split, tie and leaf is the fold's
+    own, in the search's codes. Each cap sends each fold's test rows down
+    that fold's new trees in one pass, and votes every tree count of the cap
+    over all rows at once (``_forest_codes``).
+    """
+    n_folds = int(fold_of.max()) + 1
+    narrow = np.min_scalar_type(max(y.size - 1, 0))
+    train_rows = [np.flatnonzero(fold_of != j).astype(narrow)
+                  for j in range(n_folds)]
+    tests = [np.flatnonzero(fold_of == j) for j in range(n_folds)]
     ranks = _ranks(x)
     groups = sorted(_group(specs, "max_depth"),
                     key=lambda members: -_cap(specs[members[0]].param("max_depth")))
-    trees: list = [None] * max(spec.param("n_estimators") for spec in specs)
-    predicted: list = [None] * len(trees)
-    out: list = [None] * len(specs)
+    n_trees = max(spec.param("n_estimators") for spec in specs)
+    trees: list = [[None] * n_trees for _ in range(n_folds)]
+    # each lineage's latest tree's codes, tree by tree, of its fold's test rows
+    predicted = np.empty((n_trees, y.size),
+                         dtype=np.min_scalar_type(max(n_classes - 1, 0)))
+    streams: dict = {}
+    out = np.empty((len(specs), y.size), dtype=np.int64)
     for members in groups:
         cap = specs[members[0]].param("max_depth")
         group_sizes = [specs[i].param("n_estimators") for i in members]
-        regrow = [t for t in range(max(group_sizes))
-                  if trees[t] is None or trees[t].reach >= _cap(cap)]
-        grown = _forest_trees(x, ranks, y, len(classes), seed, regrow, cap,
-                              streams, [trees[t] for t in regrow])
-        for t, tree, codes in zip(regrow, grown, _tree_predict(grown, x_test)):
-            trees[t], predicted[t] = tree, codes
-        votes = _forest_codes(predicted, len(classes), set(group_sizes))
+        regrow = [(j, t) for j in range(n_folds) for t in range(max(group_sizes))
+                  if trees[j][t] is None or trees[j][t].reach >= _cap(cap)]
+        if regrow:
+            # the growth alone holds the trees it regrows (see _grow_trees)
+            guides = []
+            for j, t in regrow:
+                guides.append(trees[j][t])
+                trees[j][t] = None
+            grown = _forest_trees(x, ranks, y, n_classes, seed,
+                                  [(t, train_rows[j]) for j, t in regrow], cap,
+                                  streams, guides)
+            codes = _tree_predict(grown, x, [tests[j] for j, _ in regrow])
+            start = 0
+            for (j, t), tree in zip(regrow, grown):
+                trees[j][t] = tree
+                predicted[t, tests[j]] = codes[start:start + tests[j].size]
+                start += tests[j].size
+        votes = _forest_codes(predicted, n_classes, set(group_sizes))
         for i, n in zip(members, group_sizes):
             out[i] = votes[n]
-    return classes, out
+    return out
 
 
-_FOLD_PREDICTORS = {"knn": _knn_fold, "decision-tree": _tree_fold,
-                    "random-forest": _forest_fold}
+_SEARCH_PREDICTORS = {"knn": _knn_search, "decision-tree": _tree_search,
+                      "random-forest": _forest_search}
 
 
 def grid_search(family: str, grid: dict, x: np.ndarray, labels: Sequence[str],
@@ -1258,10 +1391,11 @@ def grid_search(family: str, grid: dict, x: np.ndarray, labels: Sequence[str],
     """Best grid combination by mean k-fold CV score, refitted on all rows.
 
     The score is the F1 of ``positive_label`` when one is given, else
-    accuracy. Each fold shares fits across the grid; the scores equal
-    fitting every combination on its own. A fit that raises TrainingError
-    fails the search with ``TrainingError("CV fold j: ...")``, j counting
-    the non-empty folds; ties keep the earliest grid combination.
+    accuracy. The search shares fits across the grid and its folds; the
+    scores equal fitting every combination on every fold on its own. A fold
+    whose training rows cannot be fitted fails the search with
+    ``TrainingError("CV fold j: ...")``, j counting the non-empty folds, the
+    first such fold in fold order; ties keep the earliest grid combination.
     """
     if not grid:
         raise ValueError("empty grid")
@@ -1272,25 +1406,20 @@ def grid_search(family: str, grid: dict, x: np.ndarray, labels: Sequence[str],
     fold_of = np.empty(y.size, dtype=np.int64)
     for j, fold in enumerate(folds):
         fold_of[fold] = j
-    shared = {}
-    manhattan_ks = [spec.param("n_neighbors") for spec in specs
-                    if family == "knn" and spec.param("metric") == "manhattan"]
-    if manhattan_ks:
-        shared["manhattan"] = _fold_manhattan(x, fold_of, max(manhattan_ks))
-    if family == "random-forest":
-        # every fold reads its trees' draws from these, and the search's
-        # end drops them
-        shared["streams"] = {}
-    scores = np.empty((len(specs), len(folds)))
-    for j, fold in enumerate(folds):
-        train_rows = np.flatnonzero(fold_of != j)
+    for j in range(len(folds)):
+        # train's checks on fold j's training rows: the shape and labels of
+        # x[fold_of != j], without copying it
+        train_y = y[fold_of != j]
         try:
-            fold_classes, predicted = _FOLD_PREDICTORS[family](
-                specs, x[train_rows], y[train_rows], x[fold], seed, **shared)
+            _check_training((train_y.size, *x.shape[1:]), train_y.size,
+                            np.unique(train_y).size)
         except TrainingError as exc:
             raise TrainingError(f"CV fold {j}: {exc}") from exc
-        accuracy, f1, _ = _scores(
-            y[fold], np.take(fold_classes, np.stack(predicted)), len(classes))
+    predicted = _SEARCH_PREDICTORS[family](specs, x, y, len(classes), fold_of,
+                                           seed)
+    scores = np.empty((len(specs), len(folds)))
+    for j, fold in enumerate(folds):
+        accuracy, f1, _ = _scores(y[fold], predicted[:, fold], len(classes))
         scores[:, j] = (accuracy if positive_label is None
                         else f1[:, classes.index(positive_label)])
     # np.mean of each spec's fold scores: a row reduction adds in the same order

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -183,14 +183,14 @@ def generate_session(signature: SyntheticSignature, session_seed,
     )
 
 
-def generate_corpus(n_evs: int, sessions_per_ev: int, seed: int,
-                    options: Optional[SynthOptions] = None) -> Corpus:
-    """Labeled synthetic corpus, deterministic for (n_evs, sessions_per_ev, seed)."""
+def iter_corpus(n_evs: int, sessions_per_ev: int, seed: int,
+                options: Optional[SynthOptions] = None) -> Iterator[ChargingSession]:
+    """The sessions of ``generate_corpus``, in its order, each made as the
+    iterator is advanced."""
     if n_evs < 1 or sessions_per_ev < 1:
         raise ValueError("need n_evs >= 1 and sessions_per_ev >= 1")
     options = options or SynthOptions()
     lo, hi = LENGTH_BOUNDS
-    sessions = []
     for i in range(n_evs):
         sig = generate_signature(i, seed, options.separation)
         if options.noise_sigma is not None:
@@ -199,9 +199,14 @@ def generate_corpus(n_evs: int, sessions_per_ev: int, seed: int,
         for k in range(sessions_per_ev):
             rng = np.random.default_rng(np.random.SeedSequence([seed, i, k]))
             length = int(rng.integers(lo, hi + 1))
-            sessions.append(generate_session(
+            yield generate_session(
                 sig, rng, length, options.truncate_prob,
                 session_id=f"{label}-{k:04d}", ev_label=label,
                 connect_time=f"2021-{1 + k % 12:02d}-01T08:00:00",
-            ))
-    return Corpus(tuple(sessions))
+            )
+
+
+def generate_corpus(n_evs: int, sessions_per_ev: int, seed: int,
+                    options: Optional[SynthOptions] = None) -> Corpus:
+    """Labeled synthetic corpus, deterministic for (n_evs, sessions_per_ev, seed)."""
+    return Corpus(tuple(iter_corpus(n_evs, sessions_per_ev, seed, options)))

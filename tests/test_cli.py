@@ -325,6 +325,82 @@ class TestExitCodes:
             f"error: ValueError: {segments}: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("stage", ["ingest", "extract"])
+    @pytest.mark.parametrize("lines, message", [
+        (["{broken"], "line 2: invalid JSON (Expecting property name "
+                      "enclosed in double quotes)"),
+        (["", "[1, 2]"], "line 3: expected a JSON object"),
+        (['{"sessionID": "b", "pilotSignal": [1.0], "chargingCurrent": "x"}'],
+         "line 2: bad numeric list (a str, not a JSON array)"),
+    ], ids=["broken-json", "not-an-object", "bad-series"])
+    def test_bad_session_line_names_the_file(self, pipeline, tmp_path, capsys,
+                                             stage, lines, message):
+        # one good session line, then the lines under test
+        sessions = tmp_path / "sessions.jsonl"
+        good = open(pipeline["corpus"]).readline()
+        sessions.write_text(good + "\n".join(lines) + "\n")
+        out = tmp_path / "out.jsonl"
+        args = (["ingest", "--input", str(sessions), "--format", "acn-json"]
+                if stage == "ingest" else ["extract", "--sessions", str(sessions)])
+        assert run_cli(*args, "--out", str(out)) == 1
+        assert capsys.readouterr().err == \
+            f"error: ParseError: {sessions}: {message}\n"
+        assert not out.exists()
+
+    def test_bad_csv_row_names_the_file(self, tmp_path, capsys):
+        from evprofiler.ingest import CSV_HEADER
+
+        raw = tmp_path / "raw.csv"
+        raw.write_text(",".join(CSV_HEADER) + "\n"
+                       + "S1,EV1,ST,t0,1.0,1.0;abc,1.0;2.0\n")
+        assert run_cli("ingest", "--input", str(raw), "--format", "csv",
+                       "--out", str(tmp_path / "corpus.jsonl")) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: ParseError: {raw}: row 2: bad numeric list")
+
+    @pytest.mark.parametrize("stage", ["synth", "ingest", "extract", "featurize"])
+    def test_missing_out_directory_is_created(self, pipeline, tmp_path, stage):
+        """Every stage makes the directory of its --out, and extract that of
+        its --rejects, as experiment makes its --out; the outputs equal
+        those written into existing directories."""
+        out = tmp_path / "new" / "dir" / "out"
+        args = {
+            "synth": ["synth", "--evs", "4", "--sessions", "14", "--seed", "5"],
+            "ingest": ["ingest", "--input", pipeline["raw"], "--format",
+                       "acn-json", "--min-sessions", "10"],
+            "extract": ["extract", "--sessions", pipeline["corpus"],
+                        "--rejects", str(tmp_path / "other" / "rejects.csv")],
+            "featurize": ["featurize", "--segments", pipeline["segments"]],
+        }[stage]
+        want = {"synth": "raw", "ingest": "corpus", "extract": "segments",
+                "featurize": "features"}[stage]
+        assert run_cli(*args, "--out", str(out)) == 0
+        assert out.read_bytes() == open(pipeline[want], "rb").read()
+        assert sorted(os.listdir(out.parent)) == ["manifest.json", "out"]
+        if stage == "extract":
+            assert ((tmp_path / "other" / "rejects.csv").read_bytes()
+                    == open(pipeline["rejects"], "rb").read())
+
+    def test_synth_streams_the_corpus_bytes(self, tmp_path, monkeypatch):
+        """synth writes each session as it is made, the bytes that
+        write_sessions gives for generate_corpus, and never builds the
+        corpus."""
+        from evprofiler import cli, synth
+        from evprofiler.ingest import write_sessions
+
+        options = synth.SynthOptions("overlapping", truncate_prob=0.3)
+        want = tmp_path / "want.jsonl"
+        write_sessions(synth.generate_corpus(5, 7, 11, options), str(want))
+        monkeypatch.setattr(synth, "generate_corpus", None)
+        out = tmp_path / "raw.jsonl"
+        assert run_cli("synth", "--evs", "5", "--sessions", "7", "--seed", "11",
+                       "--separation", "overlapping", "--truncate-prob", "0.3",
+                       "--out", str(out)) == 0
+        assert out.read_bytes() == want.read_bytes()
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["counts"]["synth"] == {"sessions": 35, "evs": 5}
+        assert not hasattr(cli, "generate_corpus")
+
     def test_output_file_without_extension(self, tmp_path):
         out = tmp_path / "raw"
         assert run_cli("synth", "--evs", "2", "--sessions", "2",

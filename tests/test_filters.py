@@ -248,6 +248,28 @@ class TestProperties:
 
         check()
 
+    def test_long_runs_are_moving_median_fixed_points(self):
+        """A piecewise-constant series whose runs each hold at least
+        n // 2 + 1 samples comes back unchanged, so a second pass changes
+        nothing: in every window, truncated or not, the run at the centre
+        holds more than half the samples. The moving average has no such
+        fixed points, and no such property."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(data=st.data(), n=st.sampled_from([3, 5, 7, 9, 11]))
+        def check(data, n):
+            values = st.floats(-1e300, 1e300, exclude_min=True, exclude_max=True)
+            runs = data.draw(st.lists(st.tuples(values, st.integers(n // 2 + 1, 2 * n)),
+                                      min_size=1, max_size=10))
+            x = np.repeat([v for v, _ in runs], [k for _, k in runs])
+            once = moving_median_values(x, n)
+            assert np.array_equal(once, x)
+            assert np.array_equal(moving_median_values(once, n), once)
+
+        check()
+
     def test_shift_commutes(self):
         rng = np.random.default_rng(8)
         for _ in range(25):

@@ -32,13 +32,18 @@ held a copy of every column of its rows.
 replaced: tree t drew from ``SeedSequence(seed).spawn(n)[t]``. ``train``
 must grow the same forests.
 
-The forest fold keeps one lineage per tree index and walks the depth caps
-from the largest down. A cap above the reach of an index's latest tree keeps
-that tree, and a cap that cuts it regrows it, guided by that tree; each cap
-grows its regrowths in lockstep. The walk order, the regrowths and the
-fold's tree and predict counts are pinned per fold, each cap's forest is
-pinned to ``train``, and the reach argument and the guided regrowth each to
-a property test.
+The forest search keeps one lineage per (fold, tree index) and walks the
+depth caps from the largest down. A cap above the reach of a lineage's
+latest tree keeps that tree, and a cap that cuts it regrows it, guided by
+that tree; each cap grows every fold's regrowths in one lockstep growth
+over the search matrix. The walk order, the regrowths and the tree and
+predict counts are pinned per fold, each fold's forest at each cap is
+pinned to ``train`` on the fold's rows, and the reach argument and the
+guided regrowth each to a property test. ``tree_oracles`` keeps the
+per-fold search that search-level growth replaced, and its tree-by-tree
+vote; the search-level predictor and the cumulative vote must give the
+same codes, also where a fold lacks a class, where folds differ in size,
+and where the search matrix's ranks take wider split keys than a fold's.
 
 Each forest tree reads its bootstrap rows and candidates from a draw stream
 that one search shares across caps and across folds with as many training
@@ -62,8 +67,9 @@ from evprofiler.learn import (DEFAULT_GRIDS, ClassifierSpec,
                               expand_grid, grid_search, predict,
                               score_predictions, stratified_kfold, train)
 
-from tree_oracles import (node_best_split, reference_entropy,
-                          stack_grow_tree, stack_tree_predict)
+from tree_oracles import (fold_by_fold_forest, forest_votes, node_best_split,
+                          reference_entropy, stack_grow_tree,
+                          stack_tree_predict)
 
 
 # ---------------------------------------------------------------------------
@@ -344,46 +350,61 @@ def assert_same_failure(family, grid, x, labels, **kwargs):
     return str(got.value)
 
 
-def record_forest_growth(monkeypatch):
-    """Per forest fold: (tree index, cap, guide, tree) of every tree
-    ``_forest_trees`` grew, in growth order, the trees ``_tree_predict``
-    predicted with, in call order, and the number of trees ``_grow_trees``
-    grew."""
-    grown, predicted, grow_calls, per_fold = [], [], [], []
+def record_forest_growth(monkeypatch, labels, seed, search):
+    """Runs ``search()``, a forest search on ``labels`` with ``seed`` and 5
+    folds, and returns, per fold: (tree index, cap, guide, tree) of every
+    tree ``_forest_trees`` grew for the fold, in growth order; the fold's
+    trees that ``_tree_predict`` predicted, in call order; and the fold's
+    trees that ``_grow_trees`` grew, in growth order. Also returns the
+    number of trees each ``_grow_trees`` call grew, the refit's included.
+
+    A tree belongs to the fold whose training rows it was grown on, and
+    must predict that fold's test rows.
+    """
+    folds = [f for f in stratified_kfold(labels, 5, seed) if f.size]
+    train_rows = [np.setdiff1d(np.arange(len(labels)), f) for f in folds]
+    grown_log, predicted_log, growths = [], [], []
     forest_trees, grow_trees = learn._forest_trees, learn._grow_trees
     tree_predict = learn._tree_predict
-    forest_fold = learn._FOLD_PREDICTORS["random-forest"]
 
-    def logged_forest_trees(x, ranks, y, n_classes, seed, indices, cap,
+    def logged_forest_trees(x, ranks, y, n_classes, seed, trees, cap,
                             streams, guides=None):
-        trees = forest_trees(x, ranks, y, n_classes, seed, indices, cap,
+        given = list(guides or [None] * len(trees))  # growth empties guides
+        grown = forest_trees(x, ranks, y, n_classes, seed, trees, cap,
                              streams, guides)
-        grown.extend(zip(indices, [cap] * len(trees),
-                         guides or [None] * len(trees), trees))
-        return trees
+        grown_log.extend((rows, t, cap, guide, tree) for (t, rows), guide, tree
+                         in zip(trees, given, grown))
+        return grown
 
-    def logged_grow_trees(x, ranks, y, n_classes, criterion, max_depth, rows,
-                          *args):
-        grow_calls.extend(rows)
-        return grow_trees(x, ranks, y, n_classes, criterion, max_depth, rows,
-                          *args)
+    def logged_grow_trees(*args):
+        growths.append(grow_trees(*args))
+        return growths[-1]
 
-    def logged_predict(trees, *args):
-        predicted.extend(trees)
-        return tree_predict(trees, *args)
+    def logged_predict(trees, x, rows, caps=None):
+        predicted_log.extend(zip(trees, rows))
+        return tree_predict(trees, x, rows, caps)
 
-    def logged_fold(*args, **kwargs):
-        starts = len(grown), len(predicted), len(grow_calls)
-        result = forest_fold(*args, **kwargs)
-        per_fold.append((grown[starts[0]:], predicted[starts[1]:],
-                         len(grow_calls) - starts[2]))
-        return result
-
-    monkeypatch.setattr(learn, "_forest_trees", logged_forest_trees)
-    monkeypatch.setattr(learn, "_grow_trees", logged_grow_trees)
-    monkeypatch.setattr(learn, "_tree_predict", logged_predict)
-    monkeypatch.setitem(learn._FOLD_PREDICTORS, "random-forest", logged_fold)
-    return per_fold
+    with monkeypatch.context() as patch:
+        patch.setattr(learn, "_forest_trees", logged_forest_trees)
+        patch.setattr(learn, "_grow_trees", logged_grow_trees)
+        patch.setattr(learn, "_tree_predict", logged_predict)
+        search()
+    per_fold = [([], [], []) for _ in folds]
+    fold_of_tree = {}
+    for rows, t, cap, guide, tree in grown_log:
+        # the refit's trees grow on every row, and belong to no fold
+        for j, want in enumerate(train_rows):
+            if np.array_equal(rows, want):
+                fold_of_tree[id(tree)] = j
+                per_fold[j][0].append((t, cap, guide, tree))
+    for tree, rows in predicted_log:
+        j = fold_of_tree[id(tree)]
+        assert np.array_equal(rows, folds[j])
+        per_fold[j][1].append(tree)
+    for tree in (tree for grown in growths for tree in grown):
+        if id(tree) in fold_of_tree:
+            per_fold[fold_of_tree[id(tree)]][2].append(tree)
+    return per_fold, [len(grown) for grown in growths]
 
 
 SCORINGS = [("accuracy", {}),
@@ -462,8 +483,10 @@ def test_depth_capped_prediction_equals_capped_tree(depth, criterion):
                                   {"criterion": criterion, "max_depth": depth}),
                    x, labels)
     probe = np.random.default_rng(12).normal(0.6, 1.2, (60, x.shape[1]))
-    np.testing.assert_array_equal(learn._tree_predict([full.tree], probe, [depth]),
-                                  learn._tree_predict([capped.tree], probe))
+    everyone = [np.arange(len(probe))]
+    np.testing.assert_array_equal(
+        learn._tree_predict([full.tree], probe, everyone, [depth]),
+        learn._tree_predict([capped.tree], probe, everyone))
 
 
 @pytest.mark.parametrize("family", ["knn", "decision-tree", "random-forest"])
@@ -485,14 +508,25 @@ def test_shared_fits_per_fold(monkeypatch):
 
     monkeypatch.setattr(learn, "train", counting)
     x, labels = overlapping(seed=14)
-    per_fold = record_forest_growth(monkeypatch)
-    learn.grid_search("random-forest", DEFAULT_GRIDS["random-forest"], x, labels)
+    results = []
+    per_fold, calls = record_forest_growth(
+        monkeypatch, labels, 0,
+        lambda: results.append(learn.grid_search(
+            "random-forest", DEFAULT_GRIDS["random-forest"], x, labels)))
     assert len(fits) == 1  # the refit; the folds grow their own trees
     assert len(per_fold) == 5
-    for grown, predicted, grow_calls in per_fold:
-        assert grow_calls == len(grown)
-        # each tree the fold grows predicts the test rows once, right after
-        # its cap's growth
+    # one growth per cap that regrows a tree, for every fold at once, then
+    # the refit's
+    assert calls[:-1] == [sum(len([g for g in grown if g[1] == cap])
+                              for grown, _, _ in per_fold)
+                          for cap in (None, 25, 15, 10, 5, 3)
+                          if any(g[1] == cap for grown, _, _ in per_fold
+                                 for g in grown)]
+    assert calls[-1] == results[0].best_spec.param("n_estimators")
+    for grown, predicted, grew in per_fold:
+        assert grew == [tree for *_, tree in grown]
+        # each tree the fold grows predicts the fold's test rows once, right
+        # after its cap's growth
         assert len(predicted) == len(grown)
         assert all(p is tree for p, (*_, tree) in zip(predicted, grown))
         # the caps from the largest down, tree index by tree index within a
@@ -534,12 +568,14 @@ def test_shared_fits_per_fold(monkeypatch):
 def test_forest_fold_work_is_unchanged(monkeypatch, data_seed, seed, work):
     """Trees grown and trees predicted per fold of the default grid, as
     counted on the depth-group fold that the per-index lineages replaced,
-    and on the tree-by-tree lineage walk that lockstep growth replaced."""
+    on the tree-by-tree lineage walk that lockstep growth replaced, and on
+    the fold-by-fold search that search-level growth replaced."""
     x, labels = overlapping(seed=data_seed)
-    per_fold = record_forest_growth(monkeypatch)
-    grid_search("random-forest", DEFAULT_GRIDS["random-forest"], x, labels,
-                seed=seed)
-    assert [grow_calls for _, _, grow_calls in per_fold] == work
+    per_fold, _ = record_forest_growth(
+        monkeypatch, labels, seed,
+        lambda: grid_search("random-forest", DEFAULT_GRIDS["random-forest"],
+                            x, labels, seed=seed))
+    assert [len(grew) for _, _, grew in per_fold] == work
     assert [len(predicted) for _, predicted, _ in per_fold] == work
 
 
@@ -1130,14 +1166,19 @@ def test_entropy_near_ties_equal_per_feature_search(n_classes):
 
 @pytest.mark.parametrize("family", ["decision-tree", "random-forest"])
 def test_ranks_once_per_fold(monkeypatch, family):
-    """A fold ranks its training matrix once for both criteria and every
-    cap, and the refit once, and the search is the per-spec oracle's."""
+    """A decision-tree fold ranks its training matrix once for both
+    criteria, and a forest search ranks the search matrix once for every
+    cap and fold; the refit ranks once, and the search is the per-spec
+    oracle's."""
     shapes, ranks = [], learn._ranks
     monkeypatch.setattr(learn, "_ranks", lambda x: shapes.append(x.shape) or ranks(x))
     x, labels = overlapping(seed=14)
     grid_search(family, DEFAULT_GRIDS[family], x, labels, seed=3)
     folds = [f for f in stratified_kfold(labels, 5, 3) if f.size]
-    assert shapes == [(len(labels) - f.size, 5) for f in folds] + [x.shape]
+    if family == "decision-tree":
+        assert shapes == [(len(labels) - f.size, 5) for f in folds] + [x.shape]
+    else:
+        assert shapes == [x.shape, x.shape]
     monkeypatch.undo()
     assert_same_search(family, DEFAULT_GRIDS[family], x, labels, seed=3)
 
@@ -1271,7 +1312,7 @@ def assert_lockstep_equals_stack(x, y, n_classes, criterion, cap, rows, seeds,
     rngs = [np.random.default_rng(seed) for seed in seeds]
     got = learn._grow_trees(x, learn._ranks(x), y, n_classes, criterion, cap,
                             rows, draw_streams(rngs, x.shape[1], n_candidates),
-                            guides)
+                            None if guides is None else list(guides))
     assert len(got) == len(rows)
     for i, tree in enumerate(got):
         rng = np.random.default_rng(seeds[i])
@@ -1352,10 +1393,50 @@ def test_lockstep_growth_property():
     check()
 
 
-def test_batched_prediction_equals_tree_by_tree():
+def test_growth_shares_leaves_and_lets_go_of_guides():
+    """On distinct values every impure node splits, so every leaf but a
+    root is a node the stop tests stopped: the growth's one leaf of its
+    label, shared by all its trees. A regrowth empties its list of guides
+    and leaves the guide trees as they were."""
+    x, labels = overlapping(seed=14)
+    assert all(np.unique(column).size == column.size for column in x.T)
+    classes, y = learn._class_codes(labels)
+    rng = np.random.default_rng(55)
+    rows = [rng.integers(0, y.size, y.size) for _ in range(8)]
+
+    def grow(cap, guides=None):
+        rngs = [np.random.default_rng(seed) for seed in range(len(rows))]
+        return learn._grow_trees(x, learn._ranks(x), y, len(classes), "gini",
+                                 cap, rows, draw_streams(rngs, x.shape[1], 2),
+                                 guides)
+
+    full = grow(None)
+    for trees in (full, grow(3)):
+        leaves: dict = {}
+        for tree in trees:
+            stack = [tree]
+            while stack:
+                node = stack.pop()
+                if node.feature != learn._LEAF:
+                    stack += [node.left, node.right]
+                elif node is not tree:
+                    leaves.setdefault(node.label, set()).add(id(node))
+        assert len(leaves) > 1
+        assert all(len(ids) == 1 for ids in leaves.values())
+    documents = [_node_document(tree) for tree in full]
+    guides = list(full)
+    regrown = grow(3, guides)
+    assert guides == []
+    assert [_node_document(tree) for tree in full] == documents
+    assert ([_node_document(tree) for tree in regrown]
+            == [_node_document(tree) for tree in grow(3)])
+
+
+def test_batched_prediction_equals_tree_by_tree(monkeypatch):
     """``_tree_predict`` routes rows down many trees at once, each at its
     own cap, as the per-tree predictor routes them: a forest, a leaf-only
-    tree, rows sitting exactly on thresholds, and no rows at all."""
+    tree, rows sitting exactly on thresholds, and no rows at all; also in
+    groups of trees, one tree or a few per group."""
     x, labels = overlapping(seed=51)
     model = train(ClassifierSpec("random-forest", {"n_estimators": 20}), x,
                   labels, seed=52)
@@ -1372,14 +1453,30 @@ def test_batched_prediction_equals_tree_by_tree():
             stack += [node.left, node.right]
     rng = np.random.default_rng(54)
     caps = [[None, 1, 2, 3, 6, 50][int(i)] for i in rng.integers(0, 6, len(trees))]
-    for tree_caps in (caps, None):
-        got = learn._tree_predict(trees, probe, tree_caps)
-        assert got.shape == (len(trees), len(probe))
-        for i, tree in enumerate(trees):
-            cap = None if tree_caps is None else tree_caps[i]
-            np.testing.assert_array_equal(got[i], stack_tree_predict(tree, probe, cap))
-    assert learn._tree_predict(trees, probe[:0]).shape == (len(trees), 0)
-    assert learn._tree_predict([], probe).shape == (0, len(probe))
+    # each tree on rows of its own, repeats and no rows among them
+    rows = [rng.integers(0, len(probe), int(size))
+            for size in rng.integers(0, 2 * len(probe), len(trees))]
+    rows[3] = rows[3][:0]
+    for budget in (1, 500, learn._CHUNK_ELEMENTS):
+        monkeypatch.setattr(learn, "_CHUNK_ELEMENTS", budget)
+        for tree_caps in (caps, None):
+            got = learn._tree_predict(trees, probe,
+                                      [np.arange(len(probe))] * len(trees),
+                                      tree_caps)
+            assert got.shape == (len(trees) * len(probe),)
+            got = got.reshape(len(trees), len(probe))
+            for i, tree in enumerate(trees):
+                cap = None if tree_caps is None else tree_caps[i]
+                np.testing.assert_array_equal(got[i],
+                                              stack_tree_predict(tree, probe, cap))
+            got = learn._tree_predict(trees, probe, rows, tree_caps)
+            want = [stack_tree_predict(tree, probe[r],
+                                       None if tree_caps is None else tree_caps[i])
+                    for i, (tree, r) in enumerate(zip(trees, rows))]
+            np.testing.assert_array_equal(got, np.concatenate(want))
+        assert learn._tree_predict(trees, probe[:0],
+                                   [np.arange(0)] * len(trees)).shape == (0,)
+        assert learn._tree_predict([], probe, []).shape == (0,)
 
 
 # ---------------------------------------------------------------------------
@@ -1396,31 +1493,55 @@ def tree_depths(root):
     return depths
 
 
+def labelled_document(node, classes):
+    """``_node_document`` with each leaf's class code replaced by its class."""
+    if node.feature == learn._LEAF:
+        return {"label": classes[node.label]}
+    return {"feature": node.feature, "threshold": node.threshold,
+            "left": labelled_document(node.left, classes),
+            "right": labelled_document(node.right, classes)}
+
+
 @pytest.mark.parametrize("n_classes", [2, 10])
 @pytest.mark.parametrize("data", ["overlapping", "rounded"])
 def test_fold_forests_equal_trained_forests(monkeypatch, n_classes, data):
+    """Each fold's forest at each cap, grown in the search's one growth on
+    the search's class codes, is the forest that ``train`` fits on the
+    fold's training rows, leaf for leaf once codes become classes."""
     x, labels = overlapping(n_per_class=60 // n_classes, n_classes=n_classes,
                             d=9, seed=23)
     if data == "rounded":
         x = np.round(x, 0)
-    per_fold = record_forest_growth(monkeypatch)
+    classes, y = learn._class_codes(labels)
     specs = expand_grid("random-forest", DEFAULT_GRIDS["random-forest"])
-    learn._FOLD_PREDICTORS["random-forest"](specs, x, labels, x[:5], 24, {})
-    monkeypatch.undo()
-    [(grown, _, grow_calls)] = per_fold
-    assert grow_calls == len(grown)
-    assert len(grown) < 6 * 50  # some caps reused a tree
-    assert len(grown) > 50  # some cap cut a tree and regrew it
-    for cap in (None, 25, 15, 10, 5, 3):
-        # the cap's tree t is the last one its lineage grew at this cap or
-        # a larger one
-        forest = {t: tree for t, grown_cap, _, tree in grown
-                  if learn._cap(grown_cap) >= learn._cap(cap)}
-        assert sorted(forest) == list(range(50))
-        for n in (5, 50):
-            spec = ClassifierSpec("random-forest", {"n_estimators": n, "max_depth": cap})
-            want = model_document(train(spec, x, labels, seed=24))["forest"]
-            assert [_node_document(forest[t]) for t in range(n)] == want
+    folds = [f for f in stratified_kfold(y, 5, 24) if f.size]
+    fold_of = np.empty(y.size, dtype=np.int64)
+    for j, fold in enumerate(folds):
+        fold_of[fold] = j
+    per_fold, calls = record_forest_growth(
+        monkeypatch, labels, 24,
+        lambda: learn._forest_search(specs, x, y, len(classes), fold_of, 24))
+    assert len(calls) == len({cap for grown, _, _ in per_fold
+                              for _, cap, _, _ in grown})
+    for j, (grown, _, grew) in enumerate(per_fold):
+        assert grew == [tree for *_, tree in grown]
+        assert len(grown) < 6 * 50  # some caps reused a tree
+        assert len(grown) > 50  # some cap cut a tree and regrew it
+        rows = np.flatnonzero(fold_of != j)
+        fold_labels = [labels[i] for i in rows]
+        for cap in (None, 25, 15, 10, 5, 3):
+            # the cap's tree t is the last one its lineage grew at this cap
+            # or a larger one
+            forest = {t: tree for t, grown_cap, _, tree in grown
+                      if learn._cap(grown_cap) >= learn._cap(cap)}
+            assert sorted(forest) == list(range(50))
+            for n in (5, 50):
+                spec = ClassifierSpec("random-forest",
+                                      {"n_estimators": n, "max_depth": cap})
+                model = train(spec, x[rows], fold_labels, seed=24)
+                assert ([labelled_document(forest[t], classes) for t in range(n)]
+                        == [labelled_document(tree, model.classes)
+                            for tree in model.forest])
 
 
 def reference_grow_forest(x, y, n_classes, seed, n_estimators, max_depth,
@@ -1472,18 +1593,132 @@ def test_forest_grid_orders_match_oracle(grid, data):
 
 def test_forest_groups_with_different_tree_counts():
     x, labels = overlapping(n_per_class=10, n_classes=4, d=6, seed=27)
-    test = stratified_kfold(labels, 5, 28)[0]
-    rows = np.setdiff1d(np.arange(len(labels)), test)
-    train_labels = [labels[i] for i in rows]
+    classes, y = learn._class_codes(labels)
+    fold_of = np.empty(y.size, dtype=np.int64)
+    for j, fold in enumerate(stratified_kfold(labels, 5, 28)):
+        fold_of[fold] = j
     # groups past the first grow more trees than any group before them
     specs = [ClassifierSpec("random-forest", {"n_estimators": n, "max_depth": cap})
              for n, cap in [(3, None), (7, 4), (5, 2), (2, 6), (7, 1), (1, 2)]]
-    classes, codes = learn._forest_fold(specs, x[rows], train_labels, x[test],
-                                        29, {})
-    for spec, spec_codes in zip(specs, codes):
-        model = train(spec, x[rows], train_labels, seed=29)
-        np.testing.assert_array_equal(np.array(classes)[spec_codes],
-                                      oracle_predict(model, x[test]))
+    codes = learn._forest_search(specs, x, y, len(classes), fold_of, 29)
+    for j in range(5):
+        test, rows = np.flatnonzero(fold_of == j), np.flatnonzero(fold_of != j)
+        for spec, spec_codes in zip(specs, codes):
+            model = train(spec, x[rows], [labels[i] for i in rows], seed=29)
+            np.testing.assert_array_equal(np.array(classes)[spec_codes[test]],
+                                          oracle_predict(model, x[test]))
+
+
+def search_folds(labels, seed):
+    """Each row's fold, counting the non-empty folds, as ``grid_search``
+    numbers them."""
+    fold_of = np.empty(len(labels), dtype=np.int64)
+    for j, fold in enumerate(f for f in stratified_kfold(labels, 5, seed) if f.size):
+        fold_of[fold] = j
+    return fold_of
+
+
+def forest_search_data(data):
+    """(x, labels, extra class) for the search-level forest checks."""
+    if data == "lacking-class":
+        # one row of EV9: fold 0 tests it, so its training rows lack it
+        x, labels = overlapping(n_per_class=10, n_classes=4, d=6, seed=71)
+        return np.vstack([x, x[:1] + 0.5]), labels + ["EV9"], None
+    if data == "unequal-folds":
+        return (*stream_data("accuracy"), None)
+    if data == "positive-absent":
+        # the positive label is a class of the search that no row holds
+        x, labels = overlapping(n_per_class=9, n_classes=3, d=4, seed=72)
+        return x, labels, "absent"
+    x, labels = overlapping(n_per_class=10, n_classes=4, d=6, seed=73)
+    return np.round(x, 1), labels, None
+
+
+FOREST_SEARCH_GRIDS = ([DEFAULT_GRIDS["random-forest"], *FOREST_GRIDS]
+                       + [grid for family, grid in AWKWARD_GRIDS
+                          if family == "random-forest"])
+
+
+@pytest.mark.parametrize("grid", FOREST_SEARCH_GRIDS)
+@pytest.mark.parametrize("data", ["rounded", "lacking-class", "unequal-folds",
+                                  "positive-absent"])
+def test_forest_search_equals_fold_by_fold(grid, data):
+    """The search-level forest predictor gives the codes of the per-fold
+    path it replaced: each fold on its own matrix, ranks and class codes."""
+    x, labels, extra = forest_search_data(data)
+    classes, y = learn._class_codes(labels, extra)
+    fold_of = search_folds(y, 74)
+    if data == "lacking-class":
+        assert np.unique(y[fold_of != 0]).size < len(classes)
+    if data == "unequal-folds":
+        assert len(np.unique(np.bincount(fold_of))) > 1
+    specs = expand_grid("random-forest", grid)
+    got = learn._forest_search(specs, x, y, len(classes), fold_of, 74)
+    want = fold_by_fold_forest(specs, x, y, len(classes), fold_of, 74)
+    np.testing.assert_array_equal(got, want)
+
+
+def test_failing_fold_fails_as_fold_by_fold():
+    """A search whose fold 0 trains on one class fails as the per-fold path
+    fails, with the same message."""
+    # the one-row class sits in fold 0, so that fold trains on one class
+    x, labels = overlapping(n_per_class=10, n_classes=2, d=4, seed=75)
+    x, labels = x[:11], labels[:11]
+    classes, y = learn._class_codes(labels)
+    grid = DEFAULT_GRIDS["random-forest"]
+    with pytest.raises(TrainingError) as want:
+        fold_by_fold_forest(expand_grid("random-forest", grid), x, y,
+                            len(classes), search_folds(y, 76), 76)
+    with pytest.raises(TrainingError) as got:
+        grid_search("random-forest", grid, x, labels, seed=76)
+    assert str(got.value) == str(want.value) == "CV fold 0: need at least two classes"
+
+
+def test_search_ranks_take_wide_keys_where_fold_ranks_do_not(monkeypatch):
+    """At a budget that scores each step in one group, the search matrix's
+    ranks give ``_segment_splits`` keys wider than 16 bits while each fold's
+    own ranks do not, and both paths give the same codes."""
+    monkeypatch.setattr(learn, "_CHUNK_ELEMENTS", 1 << 22)
+    x, labels = overlapping(n_per_class=100, n_classes=4, d=4, seed=77)
+    classes, y = learn._class_codes(labels)
+    fold_of = search_folds(y, 78)
+    specs = expand_grid("random-forest", {"n_estimators": [50], "max_depth": [None, 2]})
+    wide, segment_splits = [], learn._segment_splits
+
+    def logged(x, ranks, y, rows, sizes, columns, *args):
+        # one group, one chunk of columns: the key spans every segment's
+        # ranks on its candidate columns
+        seg = np.repeat(np.arange(sizes.size), sizes)
+        span = int(ranks[columns[seg].T.astype(np.intp), rows].max()) + 1
+        wide.append(sizes.size * span > 1 << 16)
+        return segment_splits(x, ranks, y, rows, sizes, columns, *args)
+
+    monkeypatch.setattr(learn, "_segment_splits", logged)
+    got = learn._forest_search(specs, x, y, len(classes), fold_of, 78)
+    assert any(wide)
+    wide.clear()
+    want = fold_by_fold_forest(specs, x, y, len(classes), fold_of, 78)
+    assert wide and not any(wide)
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("budget", [1, 5, 64, 1 << 20])
+def test_cumulative_votes_equal_tree_by_tree(monkeypatch, budget):
+    """``_forest_codes`` votes every requested tree count from one running
+    count per row chunk, as adding one tree's votes at a time does."""
+    monkeypatch.setattr(learn, "_VOTE_ELEMENTS", budget)
+    rng = np.random.default_rng(79)
+    for n_classes, n_trees, n_rows in [(2, 50, 37), (7, 12, 200), (60, 30, 9),
+                                       (3, 1, 1), (4, 6, 0)]:
+        # few classes per row, so votes often tie
+        codes = rng.integers(0, n_classes, (n_trees, n_rows))
+        for sizes in ({n_trees}, {1, n_trees}, set(rng.integers(1, n_trees + 1, 4))):
+            got = learn._forest_codes(codes, n_classes, sizes)
+            want = forest_votes(list(codes), n_classes, sizes) if n_rows else {
+                n: np.empty(0, dtype=np.int64) for n in sizes}
+            assert sorted(got) == sorted(want)
+            for n in sizes:
+                np.testing.assert_array_equal(got[n], want[n])
 
 
 def test_reach_property():
@@ -1576,10 +1811,14 @@ def test_guided_regrowth_property():
 
 
 def test_guided_regrowth_searches_less(monkeypatch):
-    """The forest fold's regrowths follow their guides, so the fold makes
-    fewer split searches than regrowing every cut tree from scratch, and
-    predicts the same codes."""
+    """The forest search's regrowths follow their guides, so the search
+    makes fewer split searches than regrowing every cut tree from scratch,
+    and predicts the same codes."""
     x, labels = overlapping(n_per_class=15, n_classes=4, d=9, seed=31)
+    classes, y = learn._class_codes(labels)
+    fold_of = np.empty(y.size, dtype=np.int64)
+    for j, fold in enumerate(stratified_kfold(labels, 5, 32)):
+        fold_of[fold] = j
     specs = expand_grid("random-forest", DEFAULT_GRIDS["random-forest"])
     searches = []
     segment_splits = learn._segment_splits
@@ -1588,19 +1827,19 @@ def test_guided_regrowth_searches_less(monkeypatch):
         searches.append(args[4].size)  # one search per segment
         return segment_splits(*args)
 
-    def fold():
+    def search():
         searches.clear()
-        _, codes = learn._forest_fold(specs, x, labels, x[::3], 32, {})
+        codes = learn._forest_search(specs, x, y, len(classes), fold_of, 32)
         return sum(searches), codes
 
     monkeypatch.setattr(learn, "_segment_splits", counted)
-    guided, guided_codes = fold()
+    guided, guided_codes = search()
     grow_trees = learn._grow_trees
     # the same growth with the guides dropped
     monkeypatch.setattr(learn, "_grow_trees", lambda *args: grow_trees(*args[:8]))
-    unguided, unguided_codes = fold()
+    unguided, unguided_codes = search()
     assert guided < unguided
-    assert all(np.array_equal(a, b) for a, b in zip(guided_codes, unguided_codes))
+    assert np.array_equal(guided_codes, unguided_codes)
 
 
 # ---------------------------------------------------------------------------

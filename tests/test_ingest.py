@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -106,8 +107,9 @@ class TestParseSessions:
         assert corpus.sessions[0].ev_label is None
 
     def test_invalid_json_names_line(self, as_file):
-        with pytest.raises(ParseError, match="line 2"):
-            parse_sessions(as_file(jsonl(record()) + "{broken\n"), "acn-json")
+        path = as_file(jsonl(record()) + "{broken\n")
+        with pytest.raises(ParseError, match=rf"^{re.escape(path)}: line 2: invalid JSON"):
+            parse_sessions(path, "acn-json")
 
     def test_unknown_format(self, as_file):
         with pytest.raises(ValueError):
@@ -154,15 +156,17 @@ class TestNumericLists:
                                   "int-past-float"])
     def test_bad_element_names_the_record(self, as_file, bad):
         rec = record(sid="S2", chargingCurrent=[30.0] * 60 + [bad] + [30.0] * 59)
-        with pytest.raises(ParseError, match=r"^line 2: bad numeric list"):
-            parse_sessions(as_file(jsonl(record(), rec)), "acn-json")
+        path = as_file(jsonl(record(), rec))
+        with pytest.raises(ParseError, match=rf"^{re.escape(path)}: line 2: bad numeric list"):
+            parse_sessions(path, "acn-json")
 
     # iterated, a string would give its characters and an object its keys
     @pytest.mark.parametrize("bad", [5, True, "1234", {"1": 2.0, "3": 4.0}],
                              ids=["number", "bool", "string", "object"])
     def test_non_list_series_names_the_record(self, as_file, bad):
-        with pytest.raises(ParseError, match=r"^line 1: bad numeric list"):
-            parse_sessions(as_file(jsonl(record(pilotSignal=bad))), "acn-json")
+        path = as_file(jsonl(record(pilotSignal=bad)))
+        with pytest.raises(ParseError, match=rf"^{re.escape(path)}: line 1: bad numeric list"):
+            parse_sessions(path, "acn-json")
 
     def test_numeric_strings_and_booleans_parse_as_float_does(self, as_file):
         raw = ["1.5", " 2 ", "1_000", "-0", True, False, 3, -0.0, "1e-400"]
@@ -186,7 +190,7 @@ class TestNumericLists:
         path.write_text(",".join(CSV_HEADER) + "\n"
                         + 'S1,EV1,ST,t0,1.0,1.0;2.0,1.0;2.0\n'
                         + f'S2,EV1,ST,t0,1.0,"1.0;{cell}",1.0;2.0\n')
-        with pytest.raises(ParseError, match=r"^row 3: bad numeric list"):
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: row 3: bad numeric list"):
             parse_sessions(str(path), "csv")
 
     def test_csv_cells_parse_as_float_does(self, tmp_path):

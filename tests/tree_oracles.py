@@ -1,4 +1,5 @@
-"""The one-node tree code that lockstep growth replaced, kept as oracles.
+"""The one-node tree code that lockstep growth replaced, and the per-fold
+forest search that search-level growth replaced, kept as oracles.
 
 ``stack_grow_tree`` grows one tree depth first from an explicit stack, one
 split search per node, right child first; ``node_best_split`` is that search,
@@ -7,6 +8,12 @@ rows of one tree node by node. ``learn._grow_trees``, ``learn._segment_splits``
 and ``learn._tree_predict`` must give exactly what these give: the same trees
 down to each root's reach and each generator's state, the same splits and the
 same codes.
+
+``fold_by_fold_forest`` is the forest search one CV fold at a time, each fold
+on its own training matrix, value ranks and class codes, through
+``forest_fold``; ``forest_votes`` is its vote, one tree at a time.
+``learn._forest_search`` and ``learn._forest_codes`` must give exactly what
+these give.
 """
 
 from typing import Optional
@@ -164,4 +171,66 @@ def stack_tree_predict(node, x, max_depth: Optional[int] = None):
         mask = x[idx, cur.feature] <= cur.threshold
         stack.append((cur.left, idx[mask], depth + 1))
         stack.append((cur.right, idx[~mask], depth + 1))
+    return out
+
+
+def forest_votes(tree_codes, n_classes, sizes):
+    """Majority-vote class codes of the first n trees, for each n in
+    ``sizes``, adding one tree's votes at a time; vote ties go to the lowest
+    class code."""
+    rows = np.arange(tree_codes[0].size)
+    votes = np.zeros((rows.size, n_classes), dtype=np.int64)
+    out = {}
+    for n, codes in enumerate(tree_codes[:max(sizes)], 1):
+        votes[rows, codes] += 1
+        if n in sizes:
+            out[n] = np.argmax(votes, axis=1)
+    return out
+
+
+def forest_fold(specs, x_train, y_train, x_test, seed, streams):
+    """The fitted classes, and per spec the test rows' predicted indices
+    into them, of one fold's forests, from one lineage of trees per tree
+    index: the caps go from the largest down, and a cap regrows, guided by
+    it, each lineage tree whose reach it cuts. ``streams`` holds the draw
+    streams of the search."""
+    x, classes, y = learn._training_codes(x_train, y_train)
+    ranks = learn._ranks(x)
+    everyone = np.arange(y.size, dtype=np.min_scalar_type(y.size - 1))
+    groups = sorted(learn._group(specs, "max_depth"),
+                    key=lambda members: -learn._cap(specs[members[0]].param("max_depth")))
+    trees: list = [None] * max(spec.param("n_estimators") for spec in specs)
+    predicted: list = [None] * len(trees)
+    out: list = [None] * len(specs)
+    for members in groups:
+        cap = specs[members[0]].param("max_depth")
+        group_sizes = [specs[i].param("n_estimators") for i in members]
+        regrow = [t for t in range(max(group_sizes))
+                  if trees[t] is None or trees[t].reach >= learn._cap(cap)]
+        grown = learn._forest_trees(x, ranks, y, len(classes), seed,
+                                    [(t, everyone) for t in regrow], cap,
+                                    streams, [trees[t] for t in regrow])
+        for t, tree in zip(regrow, grown):
+            trees[t], predicted[t] = tree, stack_tree_predict(tree, x_test)
+        votes = forest_votes(predicted, len(classes), set(group_sizes))
+        for i, n in zip(members, group_sizes):
+            out[i] = votes[n]
+    return classes, out
+
+
+def fold_by_fold_forest(specs, x, y, n_classes, fold_of, seed):
+    """The forest search predictor's specs x rows codes, one fold after
+    another through ``forest_fold``; a fold that cannot be fitted raises
+    ``TrainingError("CV fold j: ...")``."""
+    streams: dict = {}
+    out = np.empty((len(specs), y.size), dtype=np.int64)
+    for j in range(int(fold_of.max()) + 1):
+        test = np.flatnonzero(fold_of == j)
+        train_rows = np.flatnonzero(fold_of != j)
+        try:
+            classes, codes = forest_fold(specs, x[train_rows], y[train_rows],
+                                         x[test], seed, streams)
+        except learn.TrainingError as exc:
+            raise learn.TrainingError(f"CV fold {j}: {exc}") from exc
+        out[:, test] = np.take(classes, np.stack(codes))
     return out
