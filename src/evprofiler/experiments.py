@@ -99,6 +99,8 @@ class ExperimentConfig:
                 raise ValueError(f"balance value {value} must be in [1, 5]")
         if len(set(self.balance_values)) < len(self.balance_values):
             raise ValueError(f"balance values repeat: {self.balance_values}")
+        if len(set(self.families)) < len(self.families):
+            raise ValueError(f"classifier families repeat: {self.families}")
         for fam in self.families:
             if fam not in DEFAULT_GRIDS:
                 raise ValueError(f"unknown classifier family {fam!r}")

@@ -6,9 +6,10 @@ classes are the sorted distinct labels kept as the caller's Python objects.
 Everything is deterministic for a given (data, spec, seed): tie-breaking is
 lexicographic on class labels, first-encountered on split costs and grid
 order, and forest tree seeds derive from the training seed by tree index.
-Grid search shares fits across combinations and folds: per fold, one kNN
-fit with one nearest-neighbour ranking per metric and one full tree per
-criterion; per search, one lineage per (fold, forest tree index): the caps
+Grid search shares fits across combinations and folds: per fold, one
+nearest-neighbour ranking per metric, on rows read from the search matrix,
+and one full tree per criterion; per search, one kNN vote pass over every
+fold and metric, and one lineage per (fold, forest tree index): the caps
 go from the largest down, and a cap regrows only the trees it cuts, every
 fold's in one lockstep growth over the search matrix. A regrowth follows
 the tree it was cut from, taking its splits without searching, until the
@@ -27,11 +28,12 @@ columns of a stable ``argsort``. Manhattan distances are summed in blocks
 of row pairs along the contiguous feature axis, the same pairwise sum as one
 row at a time, and grid search computes each pair of rows in different CV
 folds once, for both folds. Euclidean and cosine keep one BLAS product per
-fold, whose bits can depend on its shape, and finish it in place. Votes for
-every neighbour rank come from one cumsum along the ranks of a (row, rank,
-slot) vote array, one slot per class among a row's nearest neighbours, so
-one pass gives each k's winners with the same running sums as adding the
-neighbours one at a time.
+fold, whose bits can depend on its shape, and finish it in place. A
+trained model's Manhattan predict ranks its queries a block of rows at a
+time. Votes for every neighbour rank come from one cumsum along the ranks
+of a (row, rank, slot) vote array, one slot per class among a row's nearest
+neighbours, so one pass gives each k's winners with the same running sums
+as adding the neighbours one at a time.
 
 Trees grow over row indices into the training matrix (through the
 bootstrap rows for a forest tree), several trees in lockstep: each step
@@ -1001,15 +1003,30 @@ def _nearest(dist: np.ndarray, top: int,
 def _neighbours(metric: str, x: np.ndarray, train_x: np.ndarray,
                 top: int) -> tuple[np.ndarray, np.ndarray]:
     """Each query's K = min(top, training rows) nearest training rows in
-    stable nearest-first order, as (distances, row indices)."""
+    stable nearest-first order, as (distances, row indices).
+
+    Manhattan distances are computed in blocks of query rows under
+    ``_DIST_ELEMENTS``, at least one row per block, and each block keeps
+    only its rows' K nearest, so no query x training matrix is ever whole.
+    A row's distances and ranking depend on that row alone. Euclidean and
+    cosine keep their one BLAS product, whose bits can depend on its shape.
+    """
     if x.shape[1] != train_x.shape[1]:
         raise ValueError("query columns do not match the training matrix")
-    return _nearest(_distances(metric, x, train_x), top,
-                    np.arange(train_x.shape[0]))
+    columns = np.arange(train_x.shape[0])
+    if metric != "manhattan":
+        return _nearest(_distances(metric, x, train_x), top, columns)
+    step = max(1, _DIST_ELEMENTS // max(1, train_x.shape[0]))
+    # at least one block, so that no query rows give a 0 x K ranking
+    parts = [_nearest(_distances(metric, x[lo:lo + step], train_x), top, columns)
+             for lo in range(0, max(1, x.shape[0]), step)]
+    return (np.concatenate([d for d, _ in parts]),
+            np.concatenate([r for _, r in parts]))
 
 
 def _knn_codes(dist: np.ndarray, nearest: np.ndarray, train_y: np.ndarray,
-               n_classes: int, votes: set) -> dict[tuple, np.ndarray]:
+               n_classes: int, votes: set,
+               present: Optional[np.ndarray] = None) -> dict[tuple, np.ndarray]:
     """Vote winners among the k nearest neighbours for each (k, weighted)
     pair in ``votes``, keyed by the pair.
 
@@ -1026,6 +1043,14 @@ def _knn_codes(dist: np.ndarray, nearest: np.ndarray, train_y: np.ndarray,
     0.0 for classes no neighbour has, whose argmax gives vote ties to the
     lowest class code. Query rows are taken in chunks under
     ``_VOTE_ELEMENTS``.
+
+    ``present``, a rows x classes boolean array, names the classes each
+    row's vote may go to, as if the others had no column; without it every
+    class may win. The others total -inf, so they lose to any neighbour
+    total, which can be negative (a cosine distance of -1 ulp under distance
+    weights), and to the 0.0 of a class no neighbour has. Where every class
+    the row may take totals -inf, the lowest of them wins, as over those
+    columns alone.
     """
     weightings = sorted({w for _, w in votes})
     ks = sorted({k for k, _ in votes})
@@ -1051,7 +1076,8 @@ def _knn_codes(dist: np.ndarray, nearest: np.ndarray, train_y: np.ndarray,
         for i, weighted in enumerate(weightings):
             if weighted:
                 nd = dist[lo:lo + step, :top]
-                with np.errstate(divide="ignore"):
+                # a subnormal distance's vote overflows to +-inf
+                with np.errstate(divide="ignore", over="ignore"):
                     tally[i][cell] = 1.0 / nd
             else:
                 tally[i][cell] = 1.0
@@ -1067,8 +1093,15 @@ def _knn_codes(dist: np.ndarray, nearest: np.ndarray, train_y: np.ndarray,
         rows, at = np.nonzero(new)
         rows, classes, slots = rows[:, None], ranked[rows, at, None], dense[rows, at, None]
         final = np.zeros((len(weightings), idx.shape[0], len(ks), n_classes))
+        if present is not None:
+            allowed = present[lo:lo + step]
+            np.copyto(final, -np.inf, where=~allowed[:, None, :])
         final[:, rows, np.arange(len(ks)), classes] = tally[:, rows, ends, slots]
-        out[:, lo:lo + step] = np.argmax(final, axis=3)
+        won = np.argmax(final, axis=3)
+        if present is not None:
+            np.copyto(won, allowed.argmax(axis=1)[:, None],
+                      where=~allowed[np.arange(idx.shape[0])[:, None], won])
+        out[:, lo:lo + step] = won
     return {(k, w): out[weightings.index(w), :, ks.index(k)] for k, w in votes}
 
 
@@ -1217,43 +1250,87 @@ def _group(specs: Sequence[ClassifierSpec], param: str) -> list[list[int]]:
 # has checked that every fold's training rows can be fitted.
 
 def _knn_search(specs, x, y, n_classes, fold_of, seed):
-    """Per fold one fit, and per metric one ranking of each test row's K
-    nearest training rows, K the metric's largest k; the Manhattan rankings
-    of all folds come from ``_fold_manhattan``."""
-    out = np.empty((len(specs), y.size), dtype=np.int64)
-    manhattan_ks = [spec.param("n_neighbors") for spec in specs
-                    if spec.param("metric") == "manhattan"]
-    manhattan = (_fold_manhattan(x, fold_of, max(manhattan_ks))
-                 if manhattan_ks else None)
+    """Per fold and metric, one ranking of each test row's K nearest
+    training rows, K the grid's largest k, as rows of ``x``; then one vote
+    pass over them all (``_knn_votes``). The Manhattan rankings of all folds
+    come from ``_fold_manhattan``; euclidean and cosine make one BLAS
+    product per fold, on the fold's rows read from ``x``."""
+    metrics = [spec.param("metric") for spec in specs]
+    ks = [spec.param("n_neighbors") for spec in specs]
+    weighted = [spec.param("weights") == "distance" for spec in specs]
+    top = max(ks)
+    ranked = list(dict.fromkeys(metrics))
+    manhattan = (_fold_manhattan(x, fold_of, top) if "manhattan" in ranked
+                 else None)
+    rankings = []
     for j in range(int(fold_of.max()) + 1):
         test = np.flatnonzero(fold_of == j)
         train_rows = np.flatnonzero(fold_of != j)
-        model = train(specs[0], x[train_rows], y[train_rows], seed)
-        n_train = model.knn_x.shape[0]
-        # each spec's predicted indices into the fold's classes
-        fold_codes = np.empty((len(specs), test.size), dtype=np.int64)
-        for members in _group(specs, "metric"):
-            metric = specs[members[0]].param("metric")
-            votes = {i: (min(specs[i].param("n_neighbors"), n_train),
-                         specs[i].param("weights") == "distance")
-                     for i in members}
-            if metric == "manhattan":
-                dist, nearest = next(manhattan)
-            else:
-                dist, nearest = _neighbours(metric, x[test], model.knn_x,
-                                            max(k for k, _ in votes.values()))
-            codes = _knn_codes(dist, nearest, model.knn_y, len(model.classes),
-                               set(votes.values()))
-            for i, vote in votes.items():
-                fold_codes[i] = codes[vote]
-        out[:, test] = np.take(model.classes, fold_codes)
+        train_x = x[train_rows] if ranked != ["manhattan"] else None
+        rankings.append([next(manhattan) if metric == "manhattan"
+                         else _nearest(_distances(metric, x[test], train_x),
+                                       top, train_rows)
+                         for metric in ranked])
+    return _knn_votes(rankings, fold_of, y, n_classes,
+                      [ranked.index(metric) for metric in metrics], ks,
+                      weighted)
+
+
+def _knn_votes(rankings, fold_of: np.ndarray, y: np.ndarray, n_classes: int,
+               ranking_of: Sequence[int], ks: Sequence[int],
+               weighted: Sequence[bool]) -> np.ndarray:
+    """Each spec's predicted class code for every row of the search, spec i
+    the vote of its ``ks[i]`` nearest, weighted by distance if
+    ``weighted[i]``, on ranking ``rankings[j][ranking_of[i]]`` for the rows
+    of fold j (``fold_of`` gives each row's fold).
+
+    A ranking is fold j's (distances, rows of the search) for its test rows
+    in row order, the first min(K, the fold's training rows) of each, K the
+    largest k. The votes are those of each fold's own ``_knn_codes`` on its
+    training rows' class codes, in one ``_knn_codes`` call over the
+    search's codes ``y`` for all folds whose training rows clip each k to
+    the same min(k, training rows). The search's codes keep the classes'
+    order, so ties go to the same class; a class the fold's training rows
+    lack had no column there, so ``present`` masks it for the fold's rows.
+    Each (fold, ranking) writes its specs' codes in one indexed write.
+    """
+    n_folds = len(rankings)
+    tests = [np.flatnonzero(fold_of == j) for j in range(n_folds)]
+    counts = np.bincount(fold_of * n_classes + y,
+                         minlength=n_folds * n_classes).reshape(n_folds, n_classes)
+    # per fold, the classes of its training rows
+    present = counts.sum(axis=0) - counts > 0
+    members = [np.flatnonzero(np.equal(ranking_of, r))
+               for r in range(len(rankings[0]))]
+    groups: dict = {}
+    for j, test in enumerate(tests):
+        n_train = fold_of.size - test.size
+        groups.setdefault(tuple((min(k, n_train), w) for k, w in zip(ks, weighted)),
+                          []).append(j)
+    out = np.empty((len(ks), fold_of.size), dtype=np.int64)
+    for votes, folds in groups.items():
+        parts = [(j, r) for j in folds for r in range(len(members))]
+        sizes = [tests[j].size for j, _ in parts]
+        mask = (None if present[folds].all()
+                else np.repeat(present[[j for j, _ in parts]], sizes, axis=0))
+        codes = _knn_codes(np.concatenate([rankings[j][r][0] for j, r in parts]),
+                           np.concatenate([rankings[j][r][1] for j, r in parts]),
+                           y, n_classes, set(votes), mask)
+        distinct = list(dict.fromkeys(votes))
+        table = np.stack([codes[vote] for vote in distinct])
+        which = np.array([distinct.index(vote) for vote in votes])
+        start = 0
+        for (j, r), size in zip(parts, sizes):
+            out[np.ix_(members[r], tests[j])] = table[which[members[r]],
+                                                      start:start + size]
+            start += size
     return out
 
 
 def _fold_manhattan(x: np.ndarray, fold_of: np.ndarray, top: int):
     """Each fold's Manhattan ranking as ``_neighbours`` gives it on the
-    fold's own test and training matrices, fold by fold; ``fold_of`` holds
-    each row's fold.
+    fold's own test and training matrices, fold by fold, with each training
+    position given as its row of ``x``; ``fold_of`` holds each row's fold.
 
     Fold a computes one block of distances, from its rows to the rows of
     every later fold, so each pair of rows in different folds is computed
@@ -1282,10 +1359,8 @@ def _fold_manhattan(x: np.ndarray, fold_of: np.ndarray, top: int):
         rows = np.hstack([r for _, r in parts[a]])
         parts[a] = None
         order = np.lexsort((rows, dist))[:, :top]
-        rows = np.take_along_axis(rows, order, axis=1)
-        # a row's training position: the row less fold a's rows before it
         yield (np.take_along_axis(dist, order, axis=1),
-               rows - np.searchsorted(rows_a, rows))
+               np.take_along_axis(rows, order, axis=1))
 
 
 def _tree_search(specs, x, y, n_classes, fold_of, seed):

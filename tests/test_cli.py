@@ -263,9 +263,15 @@ class TestExitCodes:
          "DomainError: --evs values repeat: 2,2"),
         (["grid", "--evs", "2", "--samples", "8,8"],
          "DomainError: --samples values repeat: 8,8"),
+        (["multiclass", "--classifiers", "knn,knn"],
+         "ValueError: classifier families repeat: ('knn', 'knn')"),
+        (["multiclass", "--classifiers", "rf,random-forest"],
+         "ValueError: classifier families repeat: "
+         "('random-forest', 'random-forest')"),
     ], ids=["binary-value-7", "binary-q-value-0.5", "bins-0", "per-bin-0",
             "normal-n-evs-0", "grid-evs-0", "grid-samples-0",
-            "binary-values-repeat", "grid-evs-repeat", "grid-samples-repeat"])
+            "binary-values-repeat", "grid-evs-repeat", "grid-samples-repeat",
+            "classifiers-repeat", "classifier-aliases-repeat"])
     def test_bad_suite_argument_is_1_before_any_cell(self, pipeline, tmp_path,
                                                      capsys, args, message):
         out = tmp_path / "exp"

@@ -12,7 +12,10 @@ cannot be fitted.
 ``reference_manhattan`` is the per-row Manhattan loop that blocked
 distances replaced; the oracle ranks with it and a full stable ``argsort``,
 so the top-K ranking, the blocks and their sharing between CV folds are all
-pinned to the code they replaced.
+pinned to the code they replaced. A kNN search votes every fold and metric
+in one pass over the search's class codes; a property pins it to each
+fold's own vote on its training rows' codes, and oracle cases cover folds
+whose training rows lack a class and folds that clip k differently.
 
 ``reference_best_split`` is the per-feature split search that the one-pass
 search replaced; ``learn._segment_splits`` must pick the same (feature,
@@ -557,8 +560,16 @@ def test_shared_fits_per_fold(monkeypatch):
     assert len(grown_trees) == 2 * 5 + 1
     assert grown_trees[:-1] == [("gini", None), ("entropy", None)] * 5
     fits.clear()
-    learn.grid_search("knn", DEFAULT_GRIDS["knn"], x, labels)
-    assert len(fits) == 5 + 1  # one training copy per fold serves every spec
+    votes, knn_codes = [], learn._knn_codes
+    monkeypatch.setattr(learn, "_knn_codes",
+                        lambda dist, *args: votes.append(dist.shape[0])
+                        or knn_codes(dist, *args))
+    result = learn.grid_search("knn", DEFAULT_GRIDS["knn"], x, labels)
+    assert len(fits) == 1  # the refit; the folds read their rows from x
+    predict(result.model, x)
+    # one vote pass over every fold's test rows under each of the 3
+    # metrics, then the refit's, here on its own training rows
+    assert votes == [3 * len(labels), len(labels)]
 
 
 @pytest.mark.parametrize("data_seed,seed,work", [
@@ -579,16 +590,15 @@ def test_forest_fold_work_is_unchanged(monkeypatch, data_seed, seed, work):
     assert [len(predicted) for _, predicted, _ in per_fold] == work
 
 
-def test_column_mismatch_propagates(monkeypatch):
-    original = learn.train
-
-    def narrow(spec, x, *args, **kwargs):
-        return original(spec, x[:, :1], *args, **kwargs)
-
-    monkeypatch.setattr(learn, "train", narrow)
+def test_column_mismatch_propagates():
+    # a search reads every fold's rows from one matrix, so only a predict
+    # can meet a query of other columns than its training matrix
     x, labels = overlapping(seed=15)
-    with pytest.raises(ValueError, match="query columns"):
-        learn.grid_search("knn", {"n_neighbors": [3]}, x, labels)
+    for metric in ("euclidean", "manhattan", "cosine"):
+        model = train(ClassifierSpec("knn", {"n_neighbors": 3, "metric": metric}),
+                      x, labels)
+        with pytest.raises(ValueError, match="query columns"):
+            predict(model, x[:, :1])
 
 
 @pytest.mark.parametrize("positive", [None, "L0", "L3", "absent"])
@@ -779,13 +789,154 @@ def test_fold_manhattan_equals_each_folds_own_ranking(monkeypatch, top, data):
         fold_of[fold] = j
     shared = learn._fold_manhattan(x, fold_of, top)
     for fold in folds:
-        train_x = np.delete(x, fold, axis=0)
-        dist = reference_manhattan(x[fold], train_x)
+        train_rows = np.setdiff1d(np.arange(len(labels)), fold)
+        dist = reference_manhattan(x[fold], x[train_rows])
         want = np.argsort(dist, axis=1, kind="stable")[:, :top]
         near, at = next(shared)
-        np.testing.assert_array_equal(at, want)
+        # each training position as its row of x
+        np.testing.assert_array_equal(at, train_rows[want])
         np.testing.assert_array_equal(near, np.take_along_axis(dist, want, axis=1))
     assert next(shared, None) is None
+
+
+@pytest.mark.parametrize("top", [1, 3, 40])
+@pytest.mark.parametrize("n_train", [1, 6, 7, 8, 13])
+def test_blocked_manhattan_predict_equals_whole_matrix(monkeypatch, top,
+                                                       n_train):
+    # a budget of 20 takes blocks of 20 // n_train query rows, at least
+    # one: query counts one short of a block edge, on it and just over it
+    monkeypatch.setattr(learn, "_DIST_ELEMENTS", 20)
+    rng = np.random.default_rng(n_train)
+    step = max(1, 20 // n_train)
+    b = np.round(rng.normal(0.0, 1.0, (n_train, 4)), 1)
+    for n_query in sorted({0, 1, step - 1, step, step + 1, 2 * step + 1}):
+        a = np.round(rng.normal(0.0, 1.0, (n_query, 4)), 1)
+        if n_query:
+            a[0] = b[0]  # an exact zero; rounded values tie
+        got = learn._neighbours("manhattan", a, b, top)
+        want = learn._nearest(learn._distances("manhattan", a, b), top,
+                              np.arange(n_train))
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            np.testing.assert_array_equal(g, w)
+
+
+def test_one_vote_pass_equals_fold_by_fold_votes():
+    """``_knn_votes`` equals each fold's own ``_knn_codes`` on its training
+    rows' class codes, mapped back to the search's codes: random rankings,
+    fold layouts whose training rows lack classes, folds that clip k
+    differently, both weightings, and distances of both signs, zeros of
+    both signs among them, and some so small that a vote overflows to
+    +-inf."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    hnp = pytest.importorskip("hypothesis.extra.numpy")
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(data=st.data(), n_folds=st.integers(2, 4),
+                      n_rows=st.integers(0, 10), n_classes=st.integers(2, 6),
+                      n_rankings=st.integers(1, 3), budget=st.integers(1, 400))
+    def check(data, n_folds, n_rows, n_classes, n_rankings, budget):
+        fold_of = np.array(data.draw(st.permutations(
+            [*range(n_folds), *data.draw(st.lists(
+                st.integers(0, n_folds - 1), min_size=n_rows,
+                max_size=n_rows))])))
+        y = data.draw(hnp.arrays(np.int64, fold_of.size,
+                                 elements=st.integers(0, n_classes - 1)))
+        specs = data.draw(st.lists(st.tuples(
+            st.integers(1, fold_of.size + 1), st.booleans(),
+            st.integers(0, n_rankings - 1)), min_size=1, max_size=6))
+        ks, weighted, ranking_of = (list(v) for v in zip(*specs))
+        values = st.sampled_from([-5e-324, -1e-16, -0.0, 0.0, 5e-324, 1e-300,
+                                  0.5, 1.0, 2.0])
+        rankings = []
+        for j in range(n_folds):
+            test = np.flatnonzero(fold_of == j)
+            train_rows = np.flatnonzero(fold_of != j)
+            shape = (test.size, min(max(ks), train_rows.size))
+            rankings.append([
+                (data.draw(hnp.arrays(np.float64, shape, elements=values)),
+                 train_rows[data.draw(hnp.arrays(
+                     np.int64, shape,
+                     elements=st.integers(0, train_rows.size - 1)))])
+                for _ in range(n_rankings)])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(learn, "_VOTE_ELEMENTS", budget)
+            got = learn._knn_votes(rankings, fold_of, y, n_classes,
+                                   ranking_of, ks, weighted)
+        for j in range(n_folds):
+            test = np.flatnonzero(fold_of == j)
+            train_rows = np.flatnonzero(fold_of != j)
+            classes, codes = np.unique(y[train_rows], return_inverse=True)
+            votes = [(min(k, train_rows.size), w) for k, w in zip(ks, weighted)]
+            for r, (dist, nearest) in enumerate(rankings[j]):
+                want = learn._knn_codes(
+                    dist, np.searchsorted(train_rows, nearest), codes,
+                    classes.size, set(votes))
+                for i in np.flatnonzero(np.equal(ranking_of, r)):
+                    np.testing.assert_array_equal(got[i, test],
+                                                  classes[want[votes[i]]])
+
+    check()
+
+
+def parallel_rows():
+    """Rows of one vector v, whose cosine distance to itself rounds to -1
+    ulp: a lone class "A" on v, five copies of v among class "B", and
+    overlapping rows of "B" and "C". Under distance weights every vote
+    near v is negative, below the 0.0 of a class no neighbour has."""
+    rng = np.random.default_rng(40)
+    v = next(row for row in rng.normal(0.0, 1.0, (100, 3))
+             if learn._distances("cosine", row[None], row[None])[0, 0] < 0)
+    x, labels = overlapping(n_per_class=10, n_classes=2, d=3, seed=41)
+    x = np.vstack([v, np.repeat(v[None], 5, axis=0), x[5:]])
+    labels = ["A"] + ["B"] * 10 + ["C"] * 10
+    return x, labels
+
+
+@pytest.mark.parametrize("case", ["lone-class", "absent-positive",
+                                  "parallel-rows"])
+def test_classes_a_fold_lacks_match_oracle(case):
+    # a fold whose training rows lack a class votes only over the classes
+    # they hold; the one vote pass masks the others for that fold's rows
+    grid = DEFAULT_GRIDS["knn"]
+    extra = {}
+    if case == "lone-class":
+        x, labels = overlapping(seed=42)
+        x, labels = np.vstack([x, x[:1] + 0.5]), labels + ["EV"]
+    elif case == "absent-positive":
+        x, labels = binary(seed=43)
+        extra = {"positive_label": "absent"}
+    else:
+        x, labels = parallel_rows()
+        grid = {"n_neighbors": [1, 2, 3], "metric": ["cosine"],
+                "weights": ["distance", "uniform"]}
+        # the premise: a copy of v sits at a negative distance from v in
+        # the search's own product
+        assert learn._distances("cosine", x, x)[0, 1] < 0
+    assert_same_search("knn", grid, x, labels, seed=44, **extra)
+
+
+def test_folds_that_clip_k_differently_match_oracle(monkeypatch):
+    # 23 rows in 5 folds of 3 to 6 rows: k 18 and 19 clip to a fold's
+    # training rows in some folds only, and folds vote together only where
+    # they clip every k alike, here where they hold as many training rows
+    x, labels = overlapping(n_per_class=8, n_classes=3, seed=45)
+    x, labels = x[:23], labels[:23]
+    folds = [f for f in stratified_kfold(labels, 5, 46) if f.size]
+    sizes = sorted({len(labels) - f.size for f in folds})
+    assert len(sizes) == 3 and sizes[0] < 18 and sizes[-1] > 19
+    passes, knn_codes = [], learn._knn_codes
+    monkeypatch.setattr(learn, "_knn_codes",
+                        lambda dist, *args: passes.append(dist.shape[1])
+                        or knn_codes(dist, *args))
+    grid = {"n_neighbors": [3, 18, 19, 40], "metric": ["manhattan", "cosine"],
+            "weights": ["uniform", "distance"]}
+    grid_search("knn", grid, x, labels, seed=46)
+    # each pass ranks as many neighbours as its folds' training rows
+    assert sorted(passes) == sizes
+    monkeypatch.undo()
+    assert_same_search("knn", grid, x, labels, seed=46)
 
 
 # ---------------------------------------------------------------------------
