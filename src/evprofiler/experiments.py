@@ -81,7 +81,6 @@ class ExperimentConfig:
     min_target_samples: int = 50
     repetitions: int = 5
     master_seed: int = 0
-    cv_folds: int = 5
     workers: int = 1
 
     def __post_init__(self):
@@ -379,8 +378,7 @@ def run_cell(job: CellJob, dataset: FeatureMatrix,
     for family in config.families:
         try:
             search = grid_search(family, config.grids[family], x_train,
-                                 train.labels, config.cv_folds, search_seed,
-                                 positive_label)
+                                 train.labels, search_seed, positive_label)
             predicted = predict(search.model, x_test)
             scores = score_predictions(test.labels, predicted, positive_label)
             results.append(CellResult(

@@ -1,5 +1,5 @@
 """From-scratch classifiers (kNN, decision tree, random forest), stratified
-splitting, grid search with k-fold cross-validation, and metrics.
+splitting, grid search with stratified 5-fold cross-validation, and metrics.
 
 Labels become int64 class codes in one place, ``_class_codes``, whose
 classes are the sorted distinct labels kept as the caller's Python objects.
@@ -7,9 +7,10 @@ Everything is deterministic for a given (data, spec, seed): tie-breaking is
 lexicographic on class labels, first-encountered on split costs and grid
 order, and forest tree seeds derive from the training seed by tree index.
 Grid search shares fits across combinations and folds: per fold, one
-nearest-neighbour ranking per metric, on rows read from the search matrix,
-and one full tree per criterion; per search, one kNN vote pass over every
-fold and metric, and one lineage per (fold, forest tree index): the caps
+nearest-neighbour ranking per metric and one full tree per criterion (on
+the fold's own class codes), on rows read from the search matrix; per
+search, one value ranking for every fold's trees, one kNN vote pass over
+every fold and metric, and one lineage per (fold, forest tree index): the caps
 go from the largest down, and a cap regrows only the trees it cuts, every
 fold's in one lockstep growth over the search matrix. A regrowth follows
 the tree it was cut from, taking its splits without searching, until the
@@ -1138,6 +1139,7 @@ def _round_half_up(v: float) -> int:
 
 # Share of each class's rows held out by ``stratified_split``.
 _TEST_FRACTION = 0.2
+_CV_FOLDS = 5  # stratified folds of a grid search's cross-validation
 
 
 def stratified_split(labels: Sequence, seed: int = 0
@@ -1365,28 +1367,27 @@ def _fold_manhattan(x: np.ndarray, fold_of: np.ndarray, top: int):
 
 def _tree_search(specs, x, y, n_classes, fold_of, seed):
     """Per fold, one unlimited-depth tree per criterion, predicted at each
-    depth cap; the value ranks of the fold's training matrix serve both
-    criteria.
-
-    Each fold grows on its own matrix and class codes: entropy sums its
-    terms over the fold's classes, and a class column the fold lacks could
-    change how ``np.sum`` groups them, and with that the last bits.
-    """
+    depth cap, grown over the fold's rows of x on x's one value ranking (a
+    node's ranks keep its rows' value order in any row subset) and on the
+    fold's own class codes: entropy sums over the fold's classes, and a
+    column for a class the fold lacks could change how ``np.sum`` groups
+    them, and with that the last bits. ``searchsorted`` on the fold's
+    classes, in the search's order, codes the training rows growth reads."""
+    ranks = _ranks(x)
     out = np.empty((len(specs), y.size), dtype=np.int64)
     for j in range(int(fold_of.max()) + 1):
         test = np.flatnonzero(fold_of == j)
-        fx = x[fold_of != j]
-        classes, fy = _class_codes(y[fold_of != j])
-        ranks = _ranks(fx)
+        train_rows = np.flatnonzero(fold_of != j)
+        classes = np.unique(y[train_rows])
+        fy = np.searchsorted(classes, y)
         for members in _group(specs, "criterion"):
-            [tree] = _grow_trees(fx, ranks, fy, len(classes),
+            [tree] = _grow_trees(x, ranks, fy, classes.size,
                                  specs[members[0]].param("criterion"), None,
-                                 [np.arange(fy.size)])
+                                 [train_rows])
             codes = _tree_predict([tree] * len(members), x,
                                   [test] * len(members),
                                   [specs[i].param("max_depth") for i in members])
-            out[np.ix_(members, test)] = np.take(classes, codes).reshape(
-                len(members), test.size)
+            out[np.ix_(members, test)] = classes[codes].reshape(len(members), test.size)
     return out
 
 
@@ -1461,9 +1462,9 @@ _SEARCH_PREDICTORS = {"knn": _knn_search, "decision-tree": _tree_search,
 
 
 def grid_search(family: str, grid: dict, x: np.ndarray, labels: Sequence[str],
-                k: int = 5, seed: int = 0,
+                seed: int = 0,
                 positive_label: Optional[str] = None) -> GridSearchResult:
-    """Best grid combination by mean k-fold CV score, refitted on all rows.
+    """Best grid combination by mean stratified CV score, refitted on all rows.
 
     The score is the F1 of ``positive_label`` when one is given, else
     accuracy. The search shares fits across the grid and its folds; the
@@ -1477,7 +1478,7 @@ def grid_search(family: str, grid: dict, x: np.ndarray, labels: Sequence[str],
     specs = expand_grid(family, grid)
     x = np.asarray(x, dtype=np.float64)
     classes, y = _class_codes(labels, positive_label)
-    folds = [f for f in stratified_kfold(y, k, seed) if f.size]
+    folds = [f for f in stratified_kfold(y, _CV_FOLDS, seed) if f.size]
     fold_of = np.empty(y.size, dtype=np.int64)
     for j, fold in enumerate(folds):
         fold_of[fold] = j

@@ -28,7 +28,7 @@ def tiny_config(**overrides):
         grids={"random-forest": {"n_estimators": [10], "max_depth": [None]},
                "decision-tree": {"max_depth": [6]},
                "knn": {"n_neighbors": [3]}},
-        nof=20, repetitions=2, master_seed=3, cv_folds=2,
+        nof=20, repetitions=2, master_seed=3,
     )
     defaults.update(overrides)
     return ExperimentConfig(**defaults)

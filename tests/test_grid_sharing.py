@@ -47,6 +47,10 @@ per-fold search that search-level growth replaced, and its tree-by-tree
 vote; the search-level predictor and the cumulative vote must give the
 same codes, also where a fold lacks a class, where folds differ in size,
 and where the search matrix's ranks take wider split keys than a fold's.
+The decision-tree search grows every fold over the search matrix too, on
+the fold's own class codes; the per-spec oracle pins it where a fold's
+training rows lack classes under entropy and where its ranks take wider
+split keys than a fold's.
 
 Each forest tree reads its bootstrap rows and candidates from a draw stream
 that one search shares across caps and across folds with as many training
@@ -894,27 +898,49 @@ def parallel_rows():
     return x, labels
 
 
+def entropy_fold_classes():
+    """38 classes of one to a few rows each on few distinct values, so
+    fold 0's training rows lack five classes; a decision tree's entropy
+    grown over the search's 38 class columns there scores otherwise."""
+    rng = np.random.default_rng(7)
+    c = rng.integers(9, 40)
+    n = rng.integers(c + 10, 160)
+    d = rng.integers(1, 6)
+    codes = np.r_[np.arange(c), rng.integers(0, c, n - c)]
+    x = rng.integers(0, rng.integers(2, 6), (n, d)) + 0.3 * (codes[:, None] % 3)
+    return x, [f"c{v:02d}" for v in codes]
+
+
 @pytest.mark.parametrize("case", ["lone-class", "absent-positive",
-                                  "parallel-rows"])
+                                  "parallel-rows", "entropy-tree"])
 def test_classes_a_fold_lacks_match_oracle(case):
     # a fold whose training rows lack a class votes only over the classes
-    # they hold; the one vote pass masks the others for that fold's rows
-    grid = DEFAULT_GRIDS["knn"]
-    extra = {}
+    # they hold; the one vote pass masks the others for that fold's rows,
+    # and a decision tree grows that fold on its own class codes
+    family, grid = "knn", DEFAULT_GRIDS["knn"]
+    extra = {"seed": 44}
     if case == "lone-class":
         x, labels = overlapping(seed=42)
         x, labels = np.vstack([x, x[:1] + 0.5]), labels + ["EV"]
     elif case == "absent-positive":
         x, labels = binary(seed=43)
-        extra = {"positive_label": "absent"}
-    else:
+        extra["positive_label"] = "absent"
+    elif case == "parallel-rows":
         x, labels = parallel_rows()
         grid = {"n_neighbors": [1, 2, 3], "metric": ["cosine"],
                 "weights": ["distance", "uniform"]}
         # the premise: a copy of v sits at a negative distance from v in
         # the search's own product
         assert learn._distances("cosine", x, x)[0, 1] < 0
-    assert_same_search("knn", grid, x, labels, seed=44, **extra)
+    else:
+        x, labels = entropy_fold_classes()
+        family = "decision-tree"
+        grid = {"criterion": ["entropy"], "max_depth": [None, 2, 3, 4]}
+        extra = {"seed": 7}
+        # the premise: fold 0's training rows lack classes of the search
+        fold_of = search_folds(labels, 7)
+        assert len(set(labels)) - len(set(np.array(labels)[fold_of != 0])) == 5
+    assert_same_search(family, grid, x, labels, **extra)
 
 
 def test_folds_that_clip_k_differently_match_oracle(monkeypatch):
@@ -1317,19 +1343,14 @@ def test_entropy_near_ties_equal_per_feature_search(n_classes):
 
 @pytest.mark.parametrize("family", ["decision-tree", "random-forest"])
 def test_ranks_once_per_fold(monkeypatch, family):
-    """A decision-tree fold ranks its training matrix once for both
-    criteria, and a forest search ranks the search matrix once for every
-    cap and fold; the refit ranks once, and the search is the per-spec
+    """A tree search ranks the search matrix once for every criterion or
+    cap and every fold; the refit ranks once, and the search is the per-spec
     oracle's."""
     shapes, ranks = [], learn._ranks
     monkeypatch.setattr(learn, "_ranks", lambda x: shapes.append(x.shape) or ranks(x))
     x, labels = overlapping(seed=14)
     grid_search(family, DEFAULT_GRIDS[family], x, labels, seed=3)
-    folds = [f for f in stratified_kfold(labels, 5, 3) if f.size]
-    if family == "decision-tree":
-        assert shapes == [(len(labels) - f.size, 5) for f in folds] + [x.shape]
-    else:
-        assert shapes == [x.shape, x.shape]
+    assert shapes == [x.shape, x.shape]
     monkeypatch.undo()
     assert_same_search(family, DEFAULT_GRIDS[family], x, labels, seed=3)
 
@@ -1825,15 +1846,36 @@ def test_failing_fold_fails_as_fold_by_fold():
     assert str(got.value) == str(want.value) == "CV fold 0: need at least two classes"
 
 
-def test_search_ranks_take_wide_keys_where_fold_ranks_do_not(monkeypatch):
+def per_spec_codes(specs, x, y, fold_of, seed):
+    """Each spec's predicted class code for every row, fitted by ``train``
+    on the rows of the other folds: the per-spec oracle's fits, each fold on
+    its own matrix, value ranks and class codes."""
+    out = np.empty((len(specs), y.size), dtype=np.int64)
+    for i, spec in enumerate(specs):
+        for j in range(int(fold_of.max()) + 1):
+            model = train(spec, x[fold_of != j], y[fold_of != j], seed)
+            out[i, fold_of == j] = oracle_predict(model, x[fold_of == j])
+    return out
+
+
+@pytest.mark.parametrize("family,grid,data", [
+    ("random-forest", {"n_estimators": [50], "max_depth": [None, 2]}, (100, 4, 77)),
+    ("decision-tree", {"criterion": ["gini"], "max_depth": [None, 2]}, (110, 10, 78)),
+    ("decision-tree", {"criterion": ["entropy"], "max_depth": [None, 2]}, (110, 10, 78)),
+], ids=["random-forest", "gini", "entropy"])
+def test_search_ranks_take_wide_keys_where_fold_ranks_do_not(monkeypatch, family,
+                                                              grid, data):
     """At a budget that scores each step in one group, the search matrix's
     ranks give ``_segment_splits`` keys wider than 16 bits while each fold's
-    own ranks do not, and both paths give the same codes."""
+    own ranks do not, and both paths give the same codes: the forest's per
+    fold path, and a decision tree's per-spec oracle."""
     monkeypatch.setattr(learn, "_CHUNK_ELEMENTS", 1 << 22)
-    x, labels = overlapping(n_per_class=100, n_classes=4, d=4, seed=77)
+    n_per_class, n_classes, data_seed = data
+    x, labels = overlapping(n_per_class=n_per_class, n_classes=n_classes, d=4,
+                            seed=data_seed)
     classes, y = learn._class_codes(labels)
     fold_of = search_folds(y, 78)
-    specs = expand_grid("random-forest", {"n_estimators": [50], "max_depth": [None, 2]})
+    specs = expand_grid(family, grid)
     wide, segment_splits = [], learn._segment_splits
 
     def logged(x, ranks, y, rows, sizes, columns, *args):
@@ -1845,10 +1887,12 @@ def test_search_ranks_take_wide_keys_where_fold_ranks_do_not(monkeypatch):
         return segment_splits(x, ranks, y, rows, sizes, columns, *args)
 
     monkeypatch.setattr(learn, "_segment_splits", logged)
-    got = learn._forest_search(specs, x, y, len(classes), fold_of, 78)
+    got = learn._SEARCH_PREDICTORS[family](specs, x, y, len(classes), fold_of, 78)
     assert any(wide)
     wide.clear()
-    want = fold_by_fold_forest(specs, x, y, len(classes), fold_of, 78)
+    want = (fold_by_fold_forest(specs, x, y, len(classes), fold_of, 78)
+            if family == "random-forest"
+            else per_spec_codes(specs, x, y, fold_of, 78))
     assert wide and not any(wide)
     np.testing.assert_array_equal(got, want)
 
