@@ -111,9 +111,6 @@ class Corpus:
     def __iter__(self) -> Iterator[ChargingSession]:
         return iter(self.sessions)
 
-    def labels(self) -> list[str]:
-        return sorted({s.ev_label for s in self.sessions if s.ev_label})
-
 
 def _parse_float_list(raw, where: str) -> np.ndarray:
     """One float64 array from a list of numbers or numeric strings, each

@@ -31,10 +31,10 @@ row at a time, and grid search computes each pair of rows in different CV
 folds once, for both folds. Euclidean and cosine keep one BLAS product per
 fold, whose bits can depend on its shape, and finish it in place. A
 trained model's Manhattan predict ranks its queries a block of rows at a
-time. Votes for every neighbour rank come from one cumsum along the ranks
-of a (row, rank, slot) vote array, one slot per class among a row's nearest
-neighbours, so one pass gives each k's winners with the same running sums
-as adding the neighbours one at a time.
+time. Votes run over the neighbour ranks once, each rank adding every
+row's neighbour vote to per-class totals in one indexed add, and each k
+reads its winners from the running totals: the same sums, in the same
+order, as voting one row and one neighbour at a time.
 
 Trees grow over row indices into the training matrix (through the
 bootstrap rows for a forest tree), several trees in lockstep: each step
@@ -166,9 +166,9 @@ _CHUNK_ELEMENTS = 1 << 15
 _LOG2_ULPS = 4
 
 # Upper bound on the elements of a kNN vote chunk, 8 MB of float64:
-# weightings x query rows x (ranks x slots for the votes, plus ks x classes
-# for the winners); each chunk holds at least one row. A forest's vote
-# counts take rows x classes chunks under it.
+# (weightings, plus one for the exact-zero counts) x query rows x classes;
+# each chunk holds at least one row. A forest's vote counts take rows x
+# classes chunks under it.
 _VOTE_ELEMENTS = 1 << 20
 
 # Upper bound on the elements of a kNN distance scratch block, 128 KB of
@@ -1032,17 +1032,15 @@ def _knn_codes(dist: np.ndarray, nearest: np.ndarray, train_y: np.ndarray,
     pair in ``votes``, keyed by the pair.
 
     ``dist`` and ``nearest`` hold each row's nearest neighbours in rank
-    order, at least the largest k of them. That many neighbours hold at most
-    that many distinct classes, each given a slot, so the vote arrays do not
-    grow with the class count. Each neighbour's vote goes to a (weighting,
-    row, rank, slot) array and one cumsum along the ranks gives every
-    prefix's totals at once, under both weightings. The cumsum adds in rank
-    order and a slot not hit at a rank gets +0.0, so the running sum at rank
-    k is bit-identical to adding the first k votes one by one. Under
-    distance weights, a prefix that holds exact-zero distances counts only
-    those neighbours. Each k's slot totals go back to a row x class array,
-    0.0 for classes no neighbour has, whose argmax gives vote ties to the
-    lowest class code. Query rows are taken in chunks under
+    order, at least the largest k of them. One loop over the ranks adds
+    each rank's votes (1.0, or 1/d under distance weights) to per
+    (weighting, row, class) totals, one indexed add per weighting, as a
+    row has one neighbour per rank. So each total is the row's votes for
+    the class summed in rank order from 0.0, and at each k in ``votes`` one
+    argmax over the classes reads the winners, giving vote ties to the
+    lowest class code. Under distance weights, exact-zero neighbours are
+    counted beside the totals, and a row whose first k neighbours hold one
+    counts only those neighbours. Query rows are taken in chunks under
     ``_VOTE_ELEMENTS``.
 
     ``present``, a rows x classes boolean array, names the classes each
@@ -1051,59 +1049,50 @@ def _knn_codes(dist: np.ndarray, nearest: np.ndarray, train_y: np.ndarray,
     total, which can be negative (a cosine distance of -1 ulp under distance
     weights), and to the 0.0 of a class no neighbour has. Where every class
     the row may take totals -inf, the lowest of them wins, as over those
-    columns alone.
+    columns alone. Every neighbour's class must be one its row may take, as
+    in a search, whose rows have their fold's training rows as neighbours:
+    a vote added to the -inf of a class the row may not take stays -inf.
     """
     weightings = sorted({w for _, w in votes})
-    ks = sorted({k for k, _ in votes})
-    top, ends = ks[-1], np.array(ks) - 1
-    width = min(top, n_classes)
-    out = np.empty((len(weightings), dist.shape[0], len(ks)), dtype=np.int64)
-    step = max(1, _VOTE_ELEMENTS // (len(weightings)
-                                     * (top * width + len(ks) * n_classes)))
+    top = max(k for k, _ in votes)
+    out = {vote: np.empty(dist.shape[0], dtype=np.int64) for vote in votes}
+    step = max(1, _VOTE_ELEMENTS // ((len(weightings) + 1) * n_classes))
     for lo in range(0, dist.shape[0], step):
-        idx = nearest[lo:lo + step, :top]
-        row = np.arange(idx.shape[0])[:, None]
-        ny = train_y[idx]
-        # slots number the classes among a row's neighbours in class order
-        order = np.argsort(ny, axis=1, kind="stable")
-        ranked = ny[row, order]
-        new = np.ones(ranked.shape, dtype=bool)
-        new[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
-        dense = np.cumsum(new, axis=1) - 1
-        slot = np.empty_like(dense)
-        slot[row, order] = dense
-        cell = (row, np.arange(top), slot)
-        tally = np.zeros((len(weightings), idx.shape[0], top, width))
-        for i, weighted in enumerate(weightings):
-            if weighted:
-                nd = dist[lo:lo + step, :top]
-                # a subnormal distance's vote overflows to +-inf
-                with np.errstate(divide="ignore", over="ignore"):
-                    tally[i][cell] = 1.0 / nd
-            else:
-                tally[i][cell] = 1.0
-        # +0 and -0 distances sum to inf - inf, in rows that exact counts decide
-        with np.errstate(invalid="ignore"):
-            tally = np.cumsum(tally, axis=2)
-        if weightings[-1] and (zero := nd == 0.0).any():
-            exact = np.zeros(tally.shape[1:], dtype=np.int64)
-            exact[cell] = zero
-            any_exact = np.logical_or.accumulate(zero, axis=1)
-            tally[-1] = np.where(any_exact[:, :, None], np.cumsum(exact, axis=1),
-                                 tally[-1])
-        rows, at = np.nonzero(new)
-        rows, classes, slots = rows[:, None], ranked[rows, at, None], dense[rows, at, None]
-        final = np.zeros((len(weightings), idx.shape[0], len(ks), n_classes))
+        idx, nd = nearest[lo:lo + step, :top], dist[lo:lo + step, :top]
+        row = np.arange(idx.shape[0])
+        totals = np.zeros((len(weightings), row.size, n_classes))
         if present is not None:
             allowed = present[lo:lo + step]
-            np.copyto(final, -np.inf, where=~allowed[:, None, :])
-        final[:, rows, np.arange(len(ks)), classes] = tally[:, rows, ends, slots]
-        won = np.argmax(final, axis=3)
-        if present is not None:
-            np.copyto(won, allowed.argmax(axis=1)[:, None],
-                      where=~allowed[np.arange(idx.shape[0])[:, None], won])
-        out[:, lo:lo + step] = won
-    return {(k, w): out[weightings.index(w), :, ks.index(k)] for k, w in votes}
+            totals[:, ~allowed] = -np.inf
+        zero = nd == 0.0
+        counting = zero.any()
+        exact = np.zeros((row.size, n_classes), dtype=np.int64)
+        seen = np.zeros(row.size, dtype=bool)
+        for rank in range(top):
+            ny = train_y[idx[:, rank]]
+            for i, weighted in enumerate(weightings):
+                if weighted:
+                    # a subnormal distance's vote overflows to +-inf, and +0
+                    # and -0 distances sum to inf - inf, in rows that exact
+                    # counts decide
+                    with np.errstate(divide="ignore", over="ignore",
+                                     invalid="ignore"):
+                        totals[i, row, ny] += 1.0 / nd[:, rank]
+                    if counting:
+                        exact[row, ny] += zero[:, rank]
+                        seen |= zero[:, rank]
+                else:
+                    totals[i, row, ny] += 1.0
+                if (rank + 1, weighted) not in votes:
+                    continue
+                won = totals[i].argmax(axis=1)
+                if weighted:
+                    won[seen] = exact[seen].argmax(axis=1)
+                if present is not None:
+                    np.copyto(won, allowed.argmax(axis=1),
+                              where=~allowed[row, won])
+                out[rank + 1, weighted][lo:lo + step] = won
+    return out
 
 
 def predict(model: TrainedModel, x: np.ndarray) -> np.ndarray:

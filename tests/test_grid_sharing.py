@@ -631,11 +631,16 @@ def test_scores_equal_reference_loop(positive):
                 assert float(f1[i, classes.index(positive)]) == want.positive_f1
 
 
-def reference_knn_codes(dist, nearest, train_y, n_classes, ks, weighted):
-    """The rank loop that cumulative voting replaced: votes added neighbour
-    by neighbour, winners read at each k in ``ks``."""
+def reference_knn_codes(dist, nearest, train_y, n_classes, ks, weighted,
+                        present=None):
+    """The plain rank loop: votes added neighbour by neighbour over every
+    row at once, winners read at each k in ``ks``. A class that
+    ``present`` (rows x classes) forbids a row totals -inf, and where every
+    class the row may take totals -inf, the lowest of them wins."""
     rows = np.arange(dist.shape[0])
     votes = np.zeros((dist.shape[0], n_classes))
+    if present is not None:
+        votes[~present] = -np.inf
     exact = np.zeros_like(votes)
     any_exact = np.zeros(dist.shape[0], dtype=bool)
     out = {}
@@ -652,18 +657,23 @@ def reference_knn_codes(dist, nearest, train_y, n_classes, ks, weighted):
             votes[rows, ny] += 1.0
         if rank + 1 in ks:
             final = np.where(any_exact[:, None], exact, votes)
-            out[rank + 1] = np.argmax(final, axis=1)
+            won = np.argmax(final, axis=1)
+            if present is not None:
+                won = np.where(present[rows, won], won, present.argmax(axis=1))
+            out[rank + 1] = won
     return out
 
 
 @pytest.mark.parametrize("weighted", [False, True])
 @pytest.mark.parametrize("ks", [{1}, {15}, set(range(3, 16, 2))])
-@pytest.mark.parametrize("n_classes", [2, 12, 40])
+@pytest.mark.parametrize("n_classes", [2, 12, 40, 530])
 def test_knn_codes_equal_rank_loop(monkeypatch, weighted, ks, n_classes):
-    # several chunks run: 13 query rows each at most, one row at 15 ranks
-    # of 12 or 40 classes
+    # several chunks run: a chunk holds 40 // ((weightings + 1) x classes)
+    # query rows, at least one, so up to 10 rows at 2 classes and one row
+    # at 12, 40 or 530
     monkeypatch.setattr(learn, "_VOTE_ELEMENTS", 40)
     rng = np.random.default_rng(21)
+    masks = np.random.default_rng(22)
     for _ in range(30):
         n_query, n_train = int(rng.integers(1, 40)), int(rng.integers(15, 40))
         # few distinct values: repeated distances, ties, exact zeros of both
@@ -674,17 +684,24 @@ def test_knn_codes_equal_rank_loop(monkeypatch, weighted, ks, n_classes):
         dist[:, :3] = rng.random((n_query, 3))
         nearest = np.argsort(dist, axis=1, kind="stable")
         train_y = rng.integers(0, n_classes, n_train)
-        want = reference_knn_codes(dist, nearest, train_y, n_classes, ks, weighted)
         # K-wide inputs, K the largest k, alone and with the other
-        # weighting's votes sharing the slotting and the cumsum
+        # weighting's votes sharing the rank loop
         top = nearest[:, :max(ks)]
         near = np.take_along_axis(dist, top, axis=1)
         alone = {(k, weighted) for k in ks}
-        for votes in (alone, alone | {(k, not weighted) for k in ks}):
-            got = learn._knn_codes(near, top, train_y, n_classes, votes)
-            assert got.keys() == votes
-            for k in ks:
-                np.testing.assert_array_equal(got[k, weighted], want[k])
+        # as in a search, whose neighbours are the fold's training rows, the
+        # neighbours' classes are allowed and other classes masked at random
+        mask = masks.random((n_query, n_classes)) < 0.5
+        mask[np.arange(n_query)[:, None], train_y[top]] = True
+        for present in (None, mask):
+            want = reference_knn_codes(dist, nearest, train_y, n_classes, ks,
+                                       weighted, present)
+            for votes in (alone, alone | {(k, not weighted) for k in ks}):
+                got = learn._knn_codes(near, top, train_y, n_classes, votes,
+                                       present)
+                assert got.keys() == votes
+                for k in ks:
+                    np.testing.assert_array_equal(got[k, weighted], want[k])
 
 
 def test_nearest_equals_stable_argsort_prefix():

@@ -264,7 +264,7 @@ class TestAdmissionRules:
                 prov = corpus.provenance
                 assert counts(os.path.dirname(out), "ingest") == {
                     "parsed": len(corpus), "kept": len(once),
-                    "evs": len(once.labels()),
+                    "evs": len({s.ev_label for s in once if s.ev_label}),
                     "dropped_missing_field": prov.dropped_missing_field,
                     "truncated_mismatched": prov.truncated_mismatched,
                     "clamped_negative": prov.clamped_negative}
