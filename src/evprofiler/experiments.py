@@ -91,6 +91,8 @@ class ExperimentConfig:
             raise ValueError("nof must be >= 1")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
         if self.balance_mode not in BALANCE_MODES:
             raise ValueError(f"unknown balance mode {self.balance_mode!r}")
         for value in self.balance_values:

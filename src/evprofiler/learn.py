@@ -6,13 +6,14 @@ classes are the sorted distinct labels kept as the caller's Python objects.
 Everything is deterministic for a given (data, spec, seed): tie-breaking is
 lexicographic on class labels, first-encountered on split costs and grid
 order, and forest tree seeds derive from the training seed by tree index.
-Grid search shares fits across combinations and folds: per fold, one
-nearest-neighbour ranking per metric and one full tree per criterion (on
-the fold's own class codes), on rows read from the search matrix; per
-search, one value ranking for every fold's trees, one kNN vote pass over
-every fold and metric, and one lineage per (fold, forest tree index): the caps
-go from the largest down, and a cap regrows only the trees it cuts, every
-fold's in one lockstep growth over the search matrix. A regrowth follows
+Grid search shares fits across combinations and folds: per fold, one full
+tree per criterion (on the fold's own class codes), on rows read from the
+search matrix; per search, one value ranking for every fold's trees, one
+rows x K nearest-neighbour ranking per metric, each row among its fold's
+training rows (padded where a fold has fewer than K), all voted in one
+call, and one lineage per (fold, forest tree index): the caps go from the
+largest down, and a cap regrows only the trees it cuts, every fold's in
+one lockstep growth over the search matrix. A regrowth follows
 the tree it was cut from, taking its splits without searching, until the
 cap first stops a node that tree searched. A forest tree's draws depend
 only on (seed, tree index, training size), so a search draws each tree's
@@ -1049,9 +1050,10 @@ def _knn_codes(dist: np.ndarray, nearest: np.ndarray, train_y: np.ndarray,
     total, which can be negative (a cosine distance of -1 ulp under distance
     weights), and to the 0.0 of a class no neighbour has. Where every class
     the row may take totals -inf, the lowest of them wins, as over those
-    columns alone. Every neighbour's class must be one its row may take, as
-    in a search, whose rows have their fold's training rows as neighbours:
-    a vote added to the -inf of a class the row may not take stays -inf.
+    columns alone. A neighbour may be of a class its row may not take only
+    at distance +inf, as a search's pad columns are: its vote, 1.0 or
+    1/inf = 0.0, leaves that class's -inf as it was, and +inf is never an
+    exact zero.
     """
     weightings = sorted({w for _, w in votes})
     top = max(k for k, _ in votes)
@@ -1241,87 +1243,76 @@ def _group(specs: Sequence[ClassifierSpec], param: str) -> list[list[int]]:
 # has checked that every fold's training rows can be fitted.
 
 def _knn_search(specs, x, y, n_classes, fold_of, seed):
-    """Per fold and metric, one ranking of each test row's K nearest
-    training rows, K the grid's largest k, as rows of ``x``; then one vote
-    pass over them all (``_knn_votes``). The Manhattan rankings of all folds
-    come from ``_fold_manhattan``; euclidean and cosine make one BLAS
-    product per fold, on the fold's rows read from ``x``."""
-    metrics = [spec.param("metric") for spec in specs]
-    ks = [spec.param("n_neighbors") for spec in specs]
-    weighted = [spec.param("weights") == "distance" for spec in specs]
-    top = max(ks)
-    ranked = list(dict.fromkeys(metrics))
-    manhattan = (_fold_manhattan(x, fold_of, top) if "manhattan" in ranked
-                 else None)
-    rankings = []
+    """Per metric, every row's K nearest among its fold's training rows, K
+    the grid's largest k, named by their rows of ``x`` in one (metrics,
+    rows, K) pair of arrays padded as ``_knn_votes`` says; then one vote
+    over them all. The Manhattan rankings come from ``_fold_manhattan``;
+    euclidean and cosine make one BLAS product per fold, on the fold's rows
+    read from ``x``."""
+    ranked = list(dict.fromkeys(spec.param("metric") for spec in specs))
+    top = max(spec.param("n_neighbors") for spec in specs)
+    dist = np.full((len(ranked), fold_of.size, top), np.inf)
+    near = np.full(dist.shape, fold_of.size, dtype=np.int64)
+    if "manhattan" in ranked:
+        m = ranked.index("manhattan")
+        _fold_manhattan(x, fold_of, dist[m], near[m])
+    products = [m for m, metric in enumerate(ranked) if metric != "manhattan"]
     for j in range(int(fold_of.max()) + 1):
         test = np.flatnonzero(fold_of == j)
         train_rows = np.flatnonzero(fold_of != j)
-        train_x = x[train_rows] if ranked != ["manhattan"] else None
-        rankings.append([next(manhattan) if metric == "manhattan"
-                         else _nearest(_distances(metric, x[test], train_x),
-                                       top, train_rows)
-                         for metric in ranked])
-    return _knn_votes(rankings, fold_of, y, n_classes,
-                      [ranked.index(metric) for metric in metrics], ks,
-                      weighted)
+        train_x = x[train_rows] if products else None
+        for m in products:
+            d, r = _nearest(_distances(ranked[m], x[test], train_x), top,
+                            train_rows)
+            dist[m, test, :d.shape[1]], near[m, test, :d.shape[1]] = d, r
+    return _knn_votes(dist, near, fold_of, y, n_classes,
+                      [(ranked.index(spec.param("metric")),
+                        spec.param("n_neighbors"),
+                        spec.param("weights") == "distance") for spec in specs])
 
 
-def _knn_votes(rankings, fold_of: np.ndarray, y: np.ndarray, n_classes: int,
-               ranking_of: Sequence[int], ks: Sequence[int],
-               weighted: Sequence[bool]) -> np.ndarray:
-    """Each spec's predicted class code for every row of the search, spec i
-    the vote of its ``ks[i]`` nearest, weighted by distance if
-    ``weighted[i]``, on ranking ``rankings[j][ranking_of[i]]`` for the rows
-    of fold j (``fold_of`` gives each row's fold).
+def _knn_votes(dist: np.ndarray, near: np.ndarray, fold_of: np.ndarray,
+               y: np.ndarray, n_classes: int, votes: Sequence[tuple]
+               ) -> np.ndarray:
+    """Each spec's predicted class code for every row of the search: spec i
+    votes ``votes[i]`` = (r, k, weighted), the row's k nearest in ranking r
+    of ``dist`` and ``near``, weighted by distance if ``weighted``.
 
-    A ranking is fold j's (distances, rows of the search) for its test rows
-    in row order, the first min(K, the fold's training rows) of each, K the
-    largest k. The votes are those of each fold's own ``_knn_codes`` on its
-    training rows' class codes, in one ``_knn_codes`` call over the
-    search's codes ``y`` for all folds whose training rows clip each k to
-    the same min(k, training rows). The search's codes keep the classes'
-    order, so ties go to the same class; a class the fold's training rows
-    lack had no column there, so ``present`` masks it for the fold's rows.
-    Each (fold, ranking) writes its specs' codes in one indexed write.
+    A ranking names each row's K nearest among its fold's training rows
+    (``fold_of`` gives each row's fold) by their rows of the search, K the
+    largest k; a fold with fewer than K training rows pads its other
+    columns with row n, one past the last, at distance +inf. One
+    ``_knn_codes`` call over the search's codes ``y`` gives each fold's own
+    votes on its training rows' class codes, k clipped to its training
+    rows: the codes keep the classes' order, so ties go to the same class,
+    and ``present`` masks the classes a fold's training rows lack, which
+    had no column there. Row n is of class ``n_classes``, masked for every
+    row, whose -inf a pad's vote (1.0, or 1/inf = 0.0) leaves as it is.
     """
-    n_folds = len(rankings)
-    tests = [np.flatnonzero(fold_of == j) for j in range(n_folds)]
+    n_rankings, n, top = dist.shape
+    n_folds = int(fold_of.max()) + 1
     counts = np.bincount(fold_of * n_classes + y,
                          minlength=n_folds * n_classes).reshape(n_folds, n_classes)
     # per fold, the classes of its training rows
     present = counts.sum(axis=0) - counts > 0
-    members = [np.flatnonzero(np.equal(ranking_of, r))
-               for r in range(len(rankings[0]))]
-    groups: dict = {}
-    for j, test in enumerate(tests):
-        n_train = fold_of.size - test.size
-        groups.setdefault(tuple((min(k, n_train), w) for k, w in zip(ks, weighted)),
-                          []).append(j)
-    out = np.empty((len(ks), fold_of.size), dtype=np.int64)
-    for votes, folds in groups.items():
-        parts = [(j, r) for j in folds for r in range(len(members))]
-        sizes = [tests[j].size for j, _ in parts]
-        mask = (None if present[folds].all()
-                else np.repeat(present[[j for j, _ in parts]], sizes, axis=0))
-        codes = _knn_codes(np.concatenate([rankings[j][r][0] for j, r in parts]),
-                           np.concatenate([rankings[j][r][1] for j, r in parts]),
-                           y, n_classes, set(votes), mask)
-        distinct = list(dict.fromkeys(votes))
-        table = np.stack([codes[vote] for vote in distinct])
-        which = np.array([distinct.index(vote) for vote in votes])
-        start = 0
-        for (j, r), size in zip(parts, sizes):
-            out[np.ix_(members[r], tests[j])] = table[which[members[r]],
-                                                      start:start + size]
-            start += size
-    return out
+    if (n - counts.sum(axis=1)).min() < top:  # some fold pads
+        y = np.append(y, n_classes)
+        present = np.c_[present, np.zeros(n_folds, dtype=bool)]
+    mask = (None if present.all()
+            else np.tile(present[fold_of], (n_rankings, 1)))
+    codes = _knn_codes(dist.reshape(-1, top), near.reshape(-1, top), y,
+                       present.shape[1], {(k, w) for _, k, w in votes}, mask)
+    return np.stack([codes[k, w].reshape(n_rankings, n)[r]
+                     for r, k, w in votes])
 
 
-def _fold_manhattan(x: np.ndarray, fold_of: np.ndarray, top: int):
-    """Each fold's Manhattan ranking as ``_neighbours`` gives it on the
-    fold's own test and training matrices, fold by fold, with each training
-    position given as its row of ``x``; ``fold_of`` holds each row's fold.
+def _fold_manhattan(x: np.ndarray, fold_of: np.ndarray, dist: np.ndarray,
+                    near: np.ndarray) -> None:
+    """Fills each row's Manhattan ranking among its fold's training rows
+    into its row of ``dist`` and ``near``, as ``_neighbours`` gives it on
+    the fold's own test and training matrices, with each training position
+    given as its row of ``x``: the first min(K, training rows) columns, K
+    the arrays' width; ``fold_of`` holds each row's fold.
 
     Fold a computes one block of distances, from its rows to the rows of
     every later fold, so each pair of rows in different folds is computed
@@ -1333,6 +1324,7 @@ def _fold_manhattan(x: np.ndarray, fold_of: np.ndarray, top: int):
     training rows are the other folds' rows in ascending order, so ties by
     row are ties by training position, as in the fold's own matrix.
     """
+    top = dist.shape[1]
     n_folds = int(fold_of.max()) + 1
     parts: list = [[] for _ in range(n_folds)]
     for a in range(n_folds):
@@ -1341,17 +1333,17 @@ def _fold_manhattan(x: np.ndarray, fold_of: np.ndarray, top: int):
         if later.size:
             block = _distances("manhattan", x[rows_a], x[later])
             parts[a].append(_nearest(block, top, later))
-            dist, rows = _nearest(block.T, top, rows_a)
+            d, r = _nearest(block.T, top, rows_a)
             del block  # before the next fold's block is computed
             owner = fold_of[later]
             for b in range(a + 1, n_folds):
-                parts[b].append((dist[owner == b], rows[owner == b]))
-        dist = np.hstack([d for d, _ in parts[a]])
-        rows = np.hstack([r for _, r in parts[a]])
+                parts[b].append((d[owner == b], r[owner == b]))
+        d = np.hstack([d for d, _ in parts[a]])
+        r = np.hstack([r for _, r in parts[a]])
         parts[a] = None
-        order = np.lexsort((rows, dist))[:, :top]
-        yield (np.take_along_axis(dist, order, axis=1),
-               np.take_along_axis(rows, order, axis=1))
+        order = np.lexsort((r, d))[:, :top]
+        dist[rows_a, :order.shape[1]] = np.take_along_axis(d, order, axis=1)
+        near[rows_a, :order.shape[1]] = np.take_along_axis(r, order, axis=1)
 
 
 def _tree_search(specs, x, y, n_classes, fold_of, seed):

@@ -242,6 +242,15 @@ class TestExitCodes:
         assert "error: ValueError: nof must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_workers_below_one_is_1(self, pipeline, tmp_path, capsys):
+        # not a quiet in-process run on one core
+        out = tmp_path / "exp"
+        assert run_cli("experiment", "multiclass", "--features",
+                       pipeline["features"], "--classifiers", "dt",
+                       "--workers", "0", "--reps", "1", "--out", str(out)) == 1
+        assert "error: ValueError: workers must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("args, message", [
         (["binary", "--values", "7", "--min-target", "10"],
          "ValueError: balance value 7.0 must be in [1, 5]"),

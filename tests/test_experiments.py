@@ -155,6 +155,11 @@ class TestBuildBinaryDataset:
         with pytest.raises(ValueError, match="unknown balance mode"):
             ExperimentConfig(balance_mode="p")
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            ExperimentConfig(workers=workers)
+
 
 class TestSubsampleMulticlass:
     def test_small_preset(self, feature_matrix_builder):

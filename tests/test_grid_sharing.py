@@ -808,16 +808,23 @@ def test_fold_manhattan_equals_each_folds_own_ranking(monkeypatch, top, data):
     fold_of = np.empty(len(labels), dtype=np.int64)
     for j, fold in enumerate(folds):
         fold_of[fold] = j
-    shared = learn._fold_manhattan(x, fold_of, top)
+    # the search's arrays: every column a pad until a fold's ranking fills it
+    near = np.full((len(labels), top), np.inf)
+    at = np.full(near.shape, len(labels), dtype=np.int64)
+    learn._fold_manhattan(x, fold_of, near, at)
     for fold in folds:
         train_rows = np.setdiff1d(np.arange(len(labels)), fold)
         dist = reference_manhattan(x[fold], x[train_rows])
         want = np.argsort(dist, axis=1, kind="stable")[:, :top]
-        near, at = next(shared)
         # each training position as its row of x
-        np.testing.assert_array_equal(at, train_rows[want])
-        np.testing.assert_array_equal(near, np.take_along_axis(dist, want, axis=1))
-    assert next(shared, None) is None
+        np.testing.assert_array_equal(at[fold, :want.shape[1]], train_rows[want])
+        np.testing.assert_array_equal(near[fold, :want.shape[1]],
+                                      np.take_along_axis(dist, want, axis=1))
+        # the columns past the fold's training rows stay pads; top 200 is
+        # above every fold's training rows
+        assert want.shape[1] < top or top != 200
+        assert (near[fold, want.shape[1]:] == np.inf).all()
+        assert (at[fold, want.shape[1]:] == len(labels)).all()
 
 
 @pytest.mark.parametrize("top", [1, 3, 40])
@@ -844,11 +851,11 @@ def test_blocked_manhattan_predict_equals_whole_matrix(monkeypatch, top,
 
 def test_one_vote_pass_equals_fold_by_fold_votes():
     """``_knn_votes`` equals each fold's own ``_knn_codes`` on its training
-    rows' class codes, mapped back to the search's codes: random rankings,
-    fold layouts whose training rows lack classes, folds that clip k
-    differently, both weightings, and distances of both signs, zeros of
-    both signs among them, and some so small that a vote overflows to
-    +-inf."""
+    rows' class codes, mapped back to the search's codes: random rankings
+    padded past each fold's training rows, fold layouts whose training rows
+    lack classes, folds that clip k differently, both weightings, and
+    distances of both signs, zeros of both signs among them, and some so
+    small that a vote overflows to +-inf."""
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
     hnp = pytest.importorskip("hypothesis.extra.numpy")
@@ -864,39 +871,41 @@ def test_one_vote_pass_equals_fold_by_fold_votes():
                 max_size=n_rows))])))
         y = data.draw(hnp.arrays(np.int64, fold_of.size,
                                  elements=st.integers(0, n_classes - 1)))
-        specs = data.draw(st.lists(st.tuples(
-            st.integers(1, fold_of.size + 1), st.booleans(),
-            st.integers(0, n_rankings - 1)), min_size=1, max_size=6))
-        ks, weighted, ranking_of = (list(v) for v in zip(*specs))
+        votes = data.draw(st.lists(st.tuples(
+            st.integers(0, n_rankings - 1), st.integers(1, fold_of.size + 1),
+            st.booleans()), min_size=1, max_size=6))
         values = st.sampled_from([-5e-324, -1e-16, -0.0, 0.0, 5e-324, 1e-300,
                                   0.5, 1.0, 2.0])
-        rankings = []
+        # the search's layout: row n at distance +inf past each fold's
+        # training rows
+        top = max(k for _, k, _ in votes)
+        dist = np.full((n_rankings, fold_of.size, top), np.inf)
+        near = np.full(dist.shape, fold_of.size, dtype=np.int64)
         for j in range(n_folds):
             test = np.flatnonzero(fold_of == j)
             train_rows = np.flatnonzero(fold_of != j)
-            shape = (test.size, min(max(ks), train_rows.size))
-            rankings.append([
-                (data.draw(hnp.arrays(np.float64, shape, elements=values)),
-                 train_rows[data.draw(hnp.arrays(
-                     np.int64, shape,
-                     elements=st.integers(0, train_rows.size - 1)))])
-                for _ in range(n_rankings)])
+            shape = (n_rankings, test.size, min(top, train_rows.size))
+            dist[:, test, :shape[2]] = data.draw(
+                hnp.arrays(np.float64, shape, elements=values))
+            near[:, test, :shape[2]] = train_rows[data.draw(hnp.arrays(
+                np.int64, shape, elements=st.integers(0, train_rows.size - 1)))]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(learn, "_VOTE_ELEMENTS", budget)
-            got = learn._knn_votes(rankings, fold_of, y, n_classes,
-                                   ranking_of, ks, weighted)
+            got = learn._knn_votes(dist, near, fold_of, y, n_classes, votes)
         for j in range(n_folds):
             test = np.flatnonzero(fold_of == j)
             train_rows = np.flatnonzero(fold_of != j)
             classes, codes = np.unique(y[train_rows], return_inverse=True)
-            votes = [(min(k, train_rows.size), w) for k, w in zip(ks, weighted)]
-            for r, (dist, nearest) in enumerate(rankings[j]):
+            width = min(top, train_rows.size)
+            clipped = [(min(k, train_rows.size), w) for _, k, w in votes]
+            for r in range(n_rankings):
                 want = learn._knn_codes(
-                    dist, np.searchsorted(train_rows, nearest), codes,
-                    classes.size, set(votes))
-                for i in np.flatnonzero(np.equal(ranking_of, r)):
+                    dist[r, test, :width],
+                    np.searchsorted(train_rows, near[r, test, :width]), codes,
+                    classes.size, set(clipped))
+                for i in np.flatnonzero([v[0] == r for v in votes]):
                     np.testing.assert_array_equal(got[i, test],
-                                                  classes[want[votes[i]]])
+                                                  classes[want[clipped[i]]])
 
     check()
 
@@ -962,8 +971,8 @@ def test_classes_a_fold_lacks_match_oracle(case):
 
 def test_folds_that_clip_k_differently_match_oracle(monkeypatch):
     # 23 rows in 5 folds of 3 to 6 rows: k 18 and 19 clip to a fold's
-    # training rows in some folds only, and folds vote together only where
-    # they clip every k alike, here where they hold as many training rows
+    # training rows in some folds only; every fold ranks 40 columns, its
+    # training rows and then pads, and all vote in one pass
     x, labels = overlapping(n_per_class=8, n_classes=3, seed=45)
     x, labels = x[:23], labels[:23]
     folds = [f for f in stratified_kfold(labels, 5, 46) if f.size]
@@ -976,10 +985,13 @@ def test_folds_that_clip_k_differently_match_oracle(monkeypatch):
     grid = {"n_neighbors": [3, 18, 19, 40], "metric": ["manhattan", "cosine"],
             "weights": ["uniform", "distance"]}
     grid_search("knn", grid, x, labels, seed=46)
-    # each pass ranks as many neighbours as its folds' training rows
-    assert sorted(passes) == sizes
+    # one pass over the grid's largest k, whichever k a fold clips
+    assert passes == [40]
     monkeypatch.undo()
     assert_same_search("knn", grid, x, labels, seed=46)
+    # row 0 of the minority class: a pad that voted for a real row would
+    # move the full uniform vote, which the lowest class wins above
+    assert_same_search("knn", grid, x[::-1], labels[::-1], seed=46)
 
 
 # ---------------------------------------------------------------------------
