@@ -8,7 +8,7 @@ distribution-shaped sub-sampling) with from-scratch classifiers.
 
 Importing the package defaults ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``
 and ``MKL_NUM_THREADS`` to 1, before any of its modules imports numpy, so
-each process runs one BLAS thread and ``--workers`` is the only
+each process runs one BLAS thread and ``experiment --workers`` is the only
 parallelism; worker processes inherit the setting. A variable already set
 keeps its value. BLAS reads these when numpy first loads, so a program
 that imports numpy before evprofiler gets no effect from them.

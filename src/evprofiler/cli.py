@@ -1,5 +1,10 @@
 """Command-line entry point wiring synth -> ingest -> extract -> featurize ->
-experiment -> report, with a config file and a reproducibility manifest.
+experiment -> report, with a reproducibility manifest beside every output.
+
+Each stage accepts only the options it reads. ``extract`` alone takes
+``--config``; ``--workers`` is the experiment suites' process count, and the
+one-process stages accept only ``--workers 1``. ``main`` times each stage as
+a whole, its input digests, reads and writes included.
 
 Exit codes: 0 success, 1 domain error (typed message on stderr), 2 usage.
 """
@@ -15,6 +20,7 @@ import json
 import os
 import sys
 import tempfile
+import time
 from collections import Counter
 from typing import Iterator, Optional, Sequence
 
@@ -46,14 +52,6 @@ class DomainError(RuntimeError):
     pass
 
 
-def _load_config(path: Optional[str]) -> dict:
-    if not path:
-        return {}
-    if not os.path.exists(path):
-        raise DomainError(f"config file not found: {path}")
-    return parse_config_file(path)
-
-
 def _ensure_dir(path: str) -> None:
     os.makedirs(path, exist_ok=True)
 
@@ -80,11 +78,10 @@ def _replace_on_success(path: str, mode: str, **open_kwargs):
 # ---------------------------------------------------------------------------
 # stage runners
 
-def _cmd_synth(args, cfg: dict, manifest: RunManifest) -> None:
+def _cmd_synth(args, manifest: RunManifest) -> None:
     options = SynthOptions(separation=args.separation,
                            truncate_prob=args.truncate_prob,
                            noise_sigma=args.noise_sigma)
-    manifest.start("synth")
     # each session's line is written as it is made: the bytes of
     # write_sessions(generate_corpus(...)), without the whole corpus
     sessions = 0
@@ -92,18 +89,16 @@ def _cmd_synth(args, cfg: dict, manifest: RunManifest) -> None:
         for session in iter_corpus(args.evs, args.sessions, args.seed, options):
             fh.write(session_line(session))
             sessions += 1
-    manifest.stop("synth")
     manifest.counts["synth"] = {"sessions": sessions, "evs": args.evs}
 
 
-def _cmd_ingest(args, cfg: dict, manifest: RunManifest) -> None:
+def _cmd_ingest(args, manifest: RunManifest) -> None:
     """One pass over the input: each admissible session's canonical line goes
     to an unnamed spool beside ``--out`` as it is parsed. Once every EV's
     count is known, the lines of EVs that reach ``--min-sessions`` are copied
     to ``--out`` in file order; the same output as ``write_sessions`` of
     ``apply_primary_filters`` of ``parse_sessions``."""
     manifest.add_input(args.input)
-    manifest.start("ingest")
     stats: Counter = Counter()
     parsed = 0
     spooled: list[str] = []  # the EV of each spooled line
@@ -121,7 +116,6 @@ def _cmd_ingest(args, cfg: dict, manifest: RunManifest) -> None:
             for label, line in zip(spooled, spool):
                 if label in kept:
                     out.write(line)
-    manifest.stop("ingest")
     prov = Provenance(**stats)
     manifest.counts["ingest"] = {
         "parsed": parsed, "kept": sum(counts[label] for label in kept),
@@ -165,13 +159,15 @@ def _read_segments(path: str) -> Iterator[SegmentPair]:
             raise ValueError(f"{path}: {where}: {exc}") from exc
 
 
-def _cmd_extract(args, cfg: dict, manifest: RunManifest) -> None:
+def _cmd_extract(args, manifest: RunManifest) -> None:
+    if args.config and not os.path.exists(args.config):
+        raise DomainError(f"config file not found: {args.config}")
+    manifest.config = parse_config_file(args.config) if args.config else {}
+    filter_params = params_from("filter", manifest.config)
+    tail_params = params_from("tail", manifest.config)
     manifest.add_input(args.sessions)
-    filter_params = params_from("filter", cfg)
-    tail_params = params_from("tail", cfg)
     if args.rejects:
         _ensure_dir(os.path.dirname(args.rejects) or ".")
-    manifest.start("extract")
     segments, rejected = segment_corpus(
         iter_sessions(args.sessions, "acn-json", Counter()),
         filter_params, tail_params)
@@ -188,19 +184,16 @@ def _cmd_extract(args, cfg: dict, manifest: RunManifest) -> None:
             writer.writerow(("session_id", "code", "detail"))
             writer.writerows((sid, reason.code, reason.detail)
                              for sid, reason in rejected)
-    manifest.stop("extract")
     manifest.counts["extract"] = {
         "accepted": accepted, "rejected": len(rejected),
         "rejected_by_code": {code: sum(r.code == code for _, r in rejected)
                              for code in REJECTION_CODES}}
 
 
-def _cmd_featurize(args, cfg: dict, manifest: RunManifest) -> None:
+def _cmd_featurize(args, manifest: RunManifest) -> None:
     manifest.add_input(args.segments)
-    manifest.start("featurize")
     matrix = featurize_segments(_read_segments(args.segments))
     write_feature_csv(matrix, args.out)
-    manifest.stop("featurize")
     manifest.counts["featurize"] = {"rows": matrix.n_rows,
                                     "features": len(matrix.names)}
 
@@ -222,21 +215,9 @@ def _distinct_ints(raw: str, flag: str) -> list[int]:
     return values
 
 
-def _write_report(report: ExperimentReport, out_dir: str,
-                  manifest: RunManifest, stage: str) -> None:
-    _ensure_dir(out_dir)
-    write_cells_csv(report, os.path.join(out_dir, "cells.csv"))
-    write_summary_csv(report, os.path.join(out_dir, "summary.csv"))
-    write_summary_md(report, os.path.join(out_dir, "summary.md"))
-    ok = sum(1 for c in report.cells if c.status == "ok")
-    manifest.counts[stage] = {"cells": len(report.cells), "ok": ok,
-                              "failed": len(report.cells) - ok}
-
-
-def _cmd_experiment(args, cfg: dict, manifest: RunManifest) -> None:
+def _cmd_experiment(args, manifest: RunManifest) -> None:
     manifest.add_input(args.features)
     features = read_feature_csv(args.features)
-    manifest.start("experiment")
     config = ExperimentConfig(
         families=_parse_families(args.classifiers),
         nof=args.nof, repetitions=args.reps, master_seed=args.seed,
@@ -266,8 +247,13 @@ def _cmd_experiment(args, cfg: dict, manifest: RunManifest) -> None:
         jobs = multiclass_jobs(config, features, "distribution", rows,
                                distribution=args.shape)
     report = run_cells(config, features, jobs)
-    manifest.stop("experiment")
-    _write_report(report, args.out, manifest, "experiment")
+    _ensure_dir(args.out)
+    write_cells_csv(report, os.path.join(args.out, "cells.csv"))
+    write_summary_csv(report, os.path.join(args.out, "summary.csv"))
+    write_summary_md(report, os.path.join(args.out, "summary.md"))
+    ok = sum(1 for c in report.cells if c.status == "ok")
+    manifest.counts["experiment"] = {"cells": len(report.cells), "ok": ok,
+                                     "failed": len(report.cells) - ok}
 
 
 PIVOTS = (  # (metric, group dims, file name, header)
@@ -298,7 +284,7 @@ def _write_pivot(path: str, header: Sequence[str], rows: Sequence[tuple]) -> Non
                               for v in row) + "\n")
 
 
-def _cmd_report(args, cfg: dict, manifest: RunManifest) -> None:
+def _cmd_report(args, manifest: RunManifest) -> None:
     cells_path = os.path.join(args.in_dir, "cells.csv")
     if not os.path.exists(cells_path):
         raise DomainError(f"missing cells.csv in {args.in_dir}")
@@ -306,7 +292,6 @@ def _cmd_report(args, cfg: dict, manifest: RunManifest) -> None:
     if not cells:
         raise DomainError("cells.csv is empty")
     manifest.add_input(cells_path)
-    manifest.start("report")
     out = args.out or args.in_dir
     _ensure_dir(out)
     report = ExperimentReport(tuple(cells), summarize_cells(cells))
@@ -317,7 +302,6 @@ def _cmd_report(args, cfg: dict, manifest: RunManifest) -> None:
             _write_pivot(os.path.join(out, name), header, rows)
             written += 1
     write_summary_md(report, os.path.join(out, "summary.md"))
-    manifest.stop("report")
     manifest.counts["report"] = {"pivots": written}
 
 
@@ -330,12 +314,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="EV charging-session profiling toolkit")
     parser.add_argument("--version", action="version", version=__version__)
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=None, help="flat key=value config file")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--workers", type=int, default=1)
+    one_process = argparse.ArgumentParser(add_help=False, parents=[common])
+    one_process.add_argument("--workers", type=int, default=1, choices=(1,),
+                             help="this stage runs in one process")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", parents=[common],
+    p = sub.add_parser("synth", parents=[one_process],
                        help="generate a labeled synthetic corpus")
     p.add_argument("--evs", type=int, required=True)
     p.add_argument("--sessions", type=int, required=True)
@@ -345,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise-sigma", type=float, default=None)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("ingest", parents=[common],
+    p = sub.add_parser("ingest", parents=[one_process],
                        help="parse and filter a charging-session corpus")
     p.add_argument("--input", required=True)
     p.add_argument("--format", required=True, choices=FORMATS)
@@ -353,13 +338,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-sessions", type=int, default=10)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("extract", parents=[common],
+    p = sub.add_parser("extract", parents=[one_process],
                        help="segment sessions into tail/delta pairs")
     p.add_argument("--sessions", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--rejects", default=None)
+    p.add_argument("--config", default=None, help="flat key=value config file")
 
-    p = sub.add_parser("featurize", parents=[common],
+    p = sub.add_parser("featurize", parents=[one_process],
                        help="compute the feature catalog over segments")
     p.add_argument("--segments", required=True)
     p.add_argument("--out", required=True)
@@ -367,6 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp = sub.add_parser("experiment", help="run an experiment suite")
     exp_sub = exp.add_subparsers(dest="mode", required=True)
     suite = argparse.ArgumentParser(add_help=False, parents=[common])
+    suite.add_argument("--workers", type=int, default=1)
     suite.add_argument("--features", required=True)
     suite.add_argument("--reps", type=int, default=5)
     suite.add_argument("--out", required=True)
@@ -397,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bins", type=int, default=20)
     p.add_argument("--per-bin", type=int, default=6)
 
-    p = sub.add_parser("report", parents=[common],
+    p = sub.add_parser("report", parents=[one_process],
                        help="pivot cells.csv into figure-shaped tables")
     p.add_argument("--in", dest="in_dir", required=True)
     p.add_argument("--out", default=None)
@@ -422,16 +409,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     runners = {"synth": _cmd_synth, "ingest": _cmd_ingest,
                "extract": _cmd_extract, "featurize": _cmd_featurize,
                "experiment": _cmd_experiment, "report": _cmd_report}
-    manifest = RunManifest(command=command, seed=getattr(args, "seed", None))
+    manifest = RunManifest(command=command, seed=args.seed)
     try:
-        cfg = _load_config(getattr(args, "config", None))
-        manifest.config = {**cfg}
         out_dir = _manifest_dir(args)
         # a stage writes beside its --out as it runs; experiment and report
         # make their output directory once they have something to write
         if args.command not in ("experiment", "report"):
             _ensure_dir(out_dir)
-        runners[args.command](args, cfg, manifest)
+        start = time.perf_counter()
+        runners[args.command](args, manifest)
+        manifest.timings[args.command] = time.perf_counter() - start
         manifest.write(out_dir)
     except (DomainError, ConfigError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -1,9 +1,11 @@
 """Flat key=value config file handling and the run manifest.
 
 Config files hold one ``section.key = value`` pair per line; ``#`` starts a
-comment. Command-line flags override file values. The manifest written next
-to every output records the tool version, the resolved configuration, seeds,
-input digests, per-stage counts, and wall-clock timings.
+comment. Only ``extract`` reads one (``--config``): its filter and tail
+parameters. The manifest written next to every output records the tool
+version, the resolved configuration (empty for every other stage), the seed,
+input digests, per-stage counts, and the stage's wall-clock time, which
+covers the whole stage: input digests, reads and writes.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import time
 from dataclasses import dataclass, field, fields
 from typing import Any, Optional
 
@@ -72,16 +73,9 @@ class RunManifest:
     counts: dict = field(default_factory=dict)    # stage -> row/reject counts
     timings: dict = field(default_factory=dict)   # stage -> seconds
     version: str = __version__
-    _started: dict = field(default_factory=dict, repr=False)
 
     def add_input(self, path: str) -> None:
         self.inputs[os.path.basename(path)] = file_digest(path)
-
-    def start(self, stage: str) -> None:
-        self._started[stage] = time.perf_counter()
-
-    def stop(self, stage: str) -> None:
-        self.timings[stage] = time.perf_counter() - self._started.pop(stage)
 
     def write(self, out_dir: str, name: str = "manifest.json") -> str:
         doc = {"version": self.version, "command": self.command,

@@ -214,8 +214,10 @@ def iter_sessions(path, fmt: str, stats: Counter) -> Iterator[ChargingSession]:
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
     ids: Counter = Counter()
-    # csv reads its own line endings; JSON lines use universal newlines
-    with open(path, "r", encoding="utf-8", newline="" if fmt == "csv" else None) as fh:
+    # csv reads its own line endings; JSON lines use universal newlines.
+    # utf-8-sig drops a leading byte-order mark and reads the rest as utf-8
+    with open(path, "r", encoding="utf-8-sig",
+              newline="" if fmt == "csv" else None) as fh:
         records = _records_from_json(fh) if fmt == "acn-json" else _records_from_csv(fh)
         try:
             for where, rec in records:

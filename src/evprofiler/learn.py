@@ -1151,19 +1151,17 @@ def stratified_split(labels: Sequence, seed: int = 0
     return np.array(sorted(train_idx)), np.array(sorted(test_idx))
 
 
-def stratified_kfold(labels: Sequence, k: int = 5,
-                     seed: int = 0) -> list[np.ndarray]:
-    """k disjoint folds; per-class counts across folds differ by at most 1."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
+def stratified_kfold(labels: Sequence, seed: int = 0) -> list[np.ndarray]:
+    """``_CV_FOLDS`` disjoint folds; per-class counts across folds differ by
+    at most 1."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xF01D]))
     classes, y = _class_codes(labels)
-    folds: list[list[int]] = [[] for _ in range(k)]
+    folds: list[list[int]] = [[] for _ in range(_CV_FOLDS)]
     for code in range(len(classes)):
         idx = np.flatnonzero(y == code)
         rng.shuffle(idx)
         for j, row in enumerate(idx):
-            folds[j % k].append(int(row))
+            folds[j % _CV_FOLDS].append(int(row))
     return [np.array(sorted(f)) for f in folds]
 
 
@@ -1459,7 +1457,7 @@ def grid_search(family: str, grid: dict, x: np.ndarray, labels: Sequence[str],
     specs = expand_grid(family, grid)
     x = np.asarray(x, dtype=np.float64)
     classes, y = _class_codes(labels, positive_label)
-    folds = [f for f in stratified_kfold(y, _CV_FOLDS, seed) if f.size]
+    folds = [f for f in stratified_kfold(y, seed) if f.size]
     fold_of = np.empty(y.size, dtype=np.int64)
     for j, fold in enumerate(folds):
         fold_of[fold] = j

@@ -42,6 +42,138 @@ def pipeline(tmp_path_factory):
     return paths
 
 
+@pytest.fixture(scope="module")
+def experiment_dir(pipeline):
+    """A one-cell multiclass run over the pipeline's features, for
+    ``report``."""
+    assert run_cli("experiment", "multiclass", "--features",
+                   pipeline["features"], "--classifiers", "dt", "--reps", "1",
+                   "--out", pipeline["exp"]) == 0
+    return pipeline["exp"]
+
+
+ONE_PROCESS_STAGES = ("synth", "ingest", "extract", "featurize", "report")
+
+
+def stage_args(stage, pipeline, experiment_dir, out):
+    """A run of ``stage`` on the pipeline's files whose manifest goes into
+    the directory ``out``."""
+    return {
+        "synth": ["synth", "--evs", "2", "--sessions", "3",
+                  "--out", str(out / "raw.jsonl")],
+        "ingest": ["ingest", "--input", pipeline["raw"], "--format",
+                   "acn-json", "--out", str(out / "corpus.jsonl")],
+        "extract": ["extract", "--sessions", pipeline["corpus"],
+                    "--out", str(out / "segments.jsonl")],
+        "featurize": ["featurize", "--segments", pipeline["segments"],
+                      "--out", str(out / "features.csv")],
+        "experiment": ["experiment", "multiclass", "--features",
+                       pipeline["features"], "--classifiers", "dt",
+                       "--reps", "1", "--out", str(out)],
+        "report": ["report", "--in", experiment_dir, "--out", str(out)],
+    }[stage]
+
+
+class TestStageOptions:
+    """Each stage accepts only the options it reads: ``--workers`` is the
+    experiment suites' process count and the other stages take only 1;
+    ``extract`` alone takes ``--config``."""
+
+    @pytest.mark.parametrize("stage", ONE_PROCESS_STAGES + ("experiment",))
+    def test_manifest_times_the_stage(self, pipeline, experiment_dir,
+                                      tmp_path, stage):
+        # --workers 1 as the benchmark passes it to every stage
+        out = tmp_path / "out"
+        args = stage_args(stage, pipeline, experiment_dir, out)
+        assert run_cli(*args, "--seed", "3", "--workers", "1") == 0
+        timings = json.loads((out / "manifest.json").read_text())["timings"]
+        assert list(timings) == [stage]
+        assert isinstance(timings[stage], float) and timings[stage] >= 0
+
+    @pytest.mark.parametrize("workers", ["0", "2"])
+    @pytest.mark.parametrize("stage", ONE_PROCESS_STAGES)
+    def test_one_process_stage_refuses_other_workers(
+            self, pipeline, experiment_dir, tmp_path, capsys, stage, workers):
+        out = tmp_path / "out"
+        args = stage_args(stage, pipeline, experiment_dir, out)
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*args, "--workers", workers)
+        assert exc.value.code == 2
+        assert "argument --workers: invalid choice" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("stage", ["synth", "ingest", "featurize",
+                                       "experiment", "report"])
+    def test_config_is_extracts_alone(self, pipeline, experiment_dir,
+                                      tmp_path, capsys, stage):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tail.min_len = 10\n")
+        out = tmp_path / "out"
+        args = stage_args(stage, pipeline, experiment_dir, out)
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*args, "--config", str(cfg))
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_extract_records_its_config(self, pipeline, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("filter.window = 7\ntail.min_len = 10\n")
+        out = tmp_path / "out"
+        args = stage_args("extract", pipeline, None, out)
+        assert run_cli(*args, "--config", str(cfg)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"] == {"filter.window": 7, "tail.min_len": 10}
+
+    def test_missing_config_is_1(self, pipeline, tmp_path, capsys):
+        missing = tmp_path / "nope.cfg"
+        args = stage_args("extract", pipeline, None, tmp_path / "out")
+        assert run_cli(*args, "--config", str(missing)) == 1
+        assert (f"error: DomainError: config file not found: {missing}"
+                in capsys.readouterr().err)
+
+
+class TestByteOrderMark:
+    """A leading UTF-8 byte-order mark is dropped: the input reads as the
+    same file without it."""
+
+    @staticmethod
+    def _with_and_without_bom(tmp_path, fmt):
+        import codecs
+
+        from evprofiler.ingest import write_sessions
+        from evprofiler.synth import SynthOptions, generate_corpus
+
+        plain = tmp_path / "plain.in"
+        corpus = generate_corpus(2, 4, 9, SynthOptions(truncate_prob=0.5))
+        write_sessions(corpus, str(plain), fmt)
+        bom = tmp_path / "bom.in"
+        bom.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+        return plain, bom
+
+    @pytest.mark.parametrize("fmt", ["acn-json", "csv"])
+    def test_ingest(self, tmp_path, fmt):
+        outputs = []
+        for path in self._with_and_without_bom(tmp_path, fmt):
+            out = tmp_path / path.stem / "corpus.jsonl"
+            assert run_cli("ingest", "--input", str(path), "--format", fmt,
+                           "--min-sessions", "1", "--out", str(out)) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] and outputs[0] == outputs[1]
+
+    def test_extract(self, tmp_path):
+        outputs = []
+        for path in self._with_and_without_bom(tmp_path, "acn-json"):
+            out = tmp_path / path.stem
+            assert run_cli("extract", "--sessions", str(path),
+                           "--out", str(out / "segments.jsonl"),
+                           "--rejects", str(out / "rejects.csv")) == 0
+            outputs.append(((out / "segments.jsonl").read_bytes(),
+                            (out / "rejects.csv").read_bytes()))
+        assert outputs[0][0] and outputs[0][1].count(b"\n") > 1
+        assert outputs[0] == outputs[1]
+
+
 class TestStages:
     def test_synth_output_and_manifest(self, pipeline):
         lines = open(pipeline["raw"]).read().splitlines()

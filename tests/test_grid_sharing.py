@@ -172,14 +172,14 @@ def oracle_predict(model, x):
     return np.array([model.classes[c] for c in codes])
 
 
-def oracle_grid_search(family, grid, x, labels, k=5, seed=0,
+def oracle_grid_search(family, grid, x, labels, seed=0,
                        positive_label=None):
     specs = expand_grid(family, grid)
     x = np.asarray(x, dtype=np.float64)
     labels = list(labels)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        folds = [f for f in stratified_kfold(labels, k, seed) if f.size]
+        folds = [f for f in stratified_kfold(labels, seed) if f.size]
     all_rows = np.arange(len(labels))
     table = []
     best_spec, best_mean = None, -np.inf
@@ -368,7 +368,7 @@ def record_forest_growth(monkeypatch, labels, seed, search):
     A tree belongs to the fold whose training rows it was grown on, and
     must predict that fold's test rows.
     """
-    folds = [f for f in stratified_kfold(labels, 5, seed) if f.size]
+    folds = [f for f in stratified_kfold(labels, seed) if f.size]
     train_rows = [np.setdiff1d(np.arange(len(labels)), f) for f in folds]
     grown_log, predicted_log, growths = [], [], []
     forest_trees, grow_trees = learn._forest_trees, learn._grow_trees
@@ -804,7 +804,7 @@ def test_fold_manhattan_equals_each_folds_own_ranking(monkeypatch, top, data):
         x = np.round(x)
     else:
         x, labels = with_duplicates(seed=32)
-    folds = [f for f in stratified_kfold(labels, 5, 33) if f.size]
+    folds = [f for f in stratified_kfold(labels, 33) if f.size]
     fold_of = np.empty(len(labels), dtype=np.int64)
     for j, fold in enumerate(folds):
         fold_of[fold] = j
@@ -975,7 +975,7 @@ def test_folds_that_clip_k_differently_match_oracle(monkeypatch):
     # training rows and then pads, and all vote in one pass
     x, labels = overlapping(n_per_class=8, n_classes=3, seed=45)
     x, labels = x[:23], labels[:23]
-    folds = [f for f in stratified_kfold(labels, 5, 46) if f.size]
+    folds = [f for f in stratified_kfold(labels, 46) if f.size]
     sizes = sorted({len(labels) - f.size for f in folds})
     assert len(sizes) == 3 and sizes[0] < 18 and sizes[-1] > 19
     passes, knn_codes = [], learn._knn_codes
@@ -1715,7 +1715,7 @@ def test_fold_forests_equal_trained_forests(monkeypatch, n_classes, data):
         x = np.round(x, 0)
     classes, y = learn._class_codes(labels)
     specs = expand_grid("random-forest", DEFAULT_GRIDS["random-forest"])
-    folds = [f for f in stratified_kfold(y, 5, 24) if f.size]
+    folds = [f for f in stratified_kfold(y, 24) if f.size]
     fold_of = np.empty(y.size, dtype=np.int64)
     for j, fold in enumerate(folds):
         fold_of[fold] = j
@@ -1796,7 +1796,7 @@ def test_forest_groups_with_different_tree_counts():
     x, labels = overlapping(n_per_class=10, n_classes=4, d=6, seed=27)
     classes, y = learn._class_codes(labels)
     fold_of = np.empty(y.size, dtype=np.int64)
-    for j, fold in enumerate(stratified_kfold(labels, 5, 28)):
+    for j, fold in enumerate(stratified_kfold(labels, 28)):
         fold_of[fold] = j
     # groups past the first grow more trees than any group before them
     specs = [ClassifierSpec("random-forest", {"n_estimators": n, "max_depth": cap})
@@ -1814,7 +1814,7 @@ def search_folds(labels, seed):
     """Each row's fold, counting the non-empty folds, as ``grid_search``
     numbers them."""
     fold_of = np.empty(len(labels), dtype=np.int64)
-    for j, fold in enumerate(f for f in stratified_kfold(labels, 5, seed) if f.size):
+    for j, fold in enumerate(f for f in stratified_kfold(labels, seed) if f.size):
         fold_of[fold] = j
     return fold_of
 
@@ -2041,7 +2041,7 @@ def test_guided_regrowth_searches_less(monkeypatch):
     x, labels = overlapping(n_per_class=15, n_classes=4, d=9, seed=31)
     classes, y = learn._class_codes(labels)
     fold_of = np.empty(y.size, dtype=np.int64)
-    for j, fold in enumerate(stratified_kfold(labels, 5, 32)):
+    for j, fold in enumerate(stratified_kfold(labels, 32)):
         fold_of[fold] = j
     specs = expand_grid("random-forest", DEFAULT_GRIDS["random-forest"])
     searches = []
@@ -2149,7 +2149,7 @@ def stream_data(scoring):
 @pytest.mark.parametrize("scoring,extra", SCORINGS)
 def test_streams_shared_by_folds_of_one_size_match_oracle(scoring, extra):
     x, labels = stream_data(scoring)
-    sizes = [len(labels) - f.size for f in stratified_kfold(labels, 5, 62)]
+    sizes = [len(labels) - f.size for f in stratified_kfold(labels, 62)]
     assert 1 < len(set(sizes)) < len(sizes)
     for grid in (STREAM_GRID, DEFAULT_GRIDS["random-forest"]):
         assert_same_search("random-forest", grid, x, labels, seed=62, **extra)
@@ -2169,7 +2169,7 @@ def test_each_draw_once_per_search(monkeypatch):
     # the nodes a lineage draws for: those of its most drawing cap, and of
     # its most drawing fold among folds of one size
     positions, per_fold = {}, 0
-    for fold in stratified_kfold(labels, 5, seed):
+    for fold in stratified_kfold(labels, seed):
         train_rows = np.setdiff1d(np.arange(len(labels)), fold)
         fx, fy = x[train_rows], learn._class_codes(y[train_rows])[1]
         for t in range(trees):

@@ -221,33 +221,22 @@ class TestStratifiedSplit:
 class TestStratifiedKfold:
     def test_even_division(self):
         labels = ["A"] * 10 + ["B"] * 10
-        folds = stratified_kfold(labels, 5, seed=0)
+        folds = stratified_kfold(labels, seed=0)
         for fold in folds:
             fold_labels = [labels[i] for i in fold]
             assert fold_labels.count("A") == 2 and fold_labels.count("B") == 2
 
     def test_remainder_spreading(self):
         labels = ["A"] * 11
-        folds = stratified_kfold(labels, 5, seed=0)
+        folds = stratified_kfold(labels, seed=0)
         sizes = sorted(len(f) for f in folds)
         assert sizes == [2, 2, 2, 2, 3]
 
-    def test_two_folds(self):
-        labels = ["A"] * 4 + ["B"] * 4
-        folds = stratified_kfold(labels, 2, seed=0)
-        for fold in folds:
-            fold_labels = [labels[i] for i in fold]
-            assert fold_labels.count("A") == 2 and fold_labels.count("B") == 2
-
     def test_folds_partition_rows(self):
         labels = [f"C{i % 3}" for i in range(17)]
-        folds = stratified_kfold(labels, 5, seed=3)
+        folds = stratified_kfold(labels, seed=3)
         joined = np.concatenate(folds)
         assert sorted(joined) == list(range(17))
-
-    def test_bad_k(self):
-        with pytest.raises(ValueError):
-            stratified_kfold(["A", "B"], 1, seed=0)
 
 
 class TestMetrics:
@@ -341,7 +330,7 @@ class TestCvTable:
         assert result.scores.shape == (2, 5)  # 2 combos x 5 folds
         # row i, column j: combination i trained without fold j, scored on it
         rows = np.arange(len(y))
-        for j, fold in enumerate(stratified_kfold(y, 5, 0)):
+        for j, fold in enumerate(stratified_kfold(y, 0)):
             train_rows = np.setdiff1d(rows, fold)
             for i, depth in enumerate(depths):
                 model = train(ClassifierSpec("decision-tree", {"max_depth": depth}),
