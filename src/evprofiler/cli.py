@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, RunManifest, params_from, parse_config_file
 from .experiments import (BALANCE_MODES, DISTRIBUTION_SHAPES, SIZE_PRESETS,
-                          ExperimentConfig, ExperimentReport, SummaryRow,
+                          ExperimentConfig, SummaryRow,
                           binary_jobs, grid_rows, multiclass_jobs,
                           read_cells_csv, run_cells, subsample_distribution,
                           subsample_multiclass, summarize_cells,
@@ -246,14 +246,15 @@ def _cmd_experiment(args, manifest: RunManifest) -> None:
                                       per_bin=args.per_bin)
         jobs = multiclass_jobs(config, features, "distribution", rows,
                                distribution=args.shape)
-    report = run_cells(config, features, jobs)
+    cells = run_cells(config, features, jobs)
+    summary = summarize_cells(cells)
     _ensure_dir(args.out)
-    write_cells_csv(report, os.path.join(args.out, "cells.csv"))
-    write_summary_csv(report, os.path.join(args.out, "summary.csv"))
-    write_summary_md(report, os.path.join(args.out, "summary.md"))
-    ok = sum(1 for c in report.cells if c.status == "ok")
-    manifest.counts["experiment"] = {"cells": len(report.cells), "ok": ok,
-                                     "failed": len(report.cells) - ok}
+    write_cells_csv(cells, os.path.join(args.out, "cells.csv"))
+    write_summary_csv(summary, os.path.join(args.out, "summary.csv"))
+    write_summary_md(summary, os.path.join(args.out, "summary.md"))
+    ok = sum(1 for c in cells if c.status == "ok")
+    manifest.counts["experiment"] = {"cells": len(cells), "ok": ok,
+                                     "failed": len(cells) - ok}
 
 
 PIVOTS = (  # (metric, group dims, file name, header)
@@ -294,14 +295,14 @@ def _cmd_report(args, manifest: RunManifest) -> None:
     manifest.add_input(cells_path)
     out = args.out or args.in_dir
     _ensure_dir(out)
-    report = ExperimentReport(tuple(cells), summarize_cells(cells))
+    summary = summarize_cells(cells)
     written = 1  # summary.md
     for metric, dims, name, header in PIVOTS:
-        rows = _pivot_rows(report.summary, metric, dims)
+        rows = _pivot_rows(summary, metric, dims)
         if rows:
             _write_pivot(os.path.join(out, name), header, rows)
             written += 1
-    write_summary_md(report, os.path.join(out, "summary.md"))
+    write_summary_md(summary, os.path.join(out, "summary.md"))
     manifest.counts["report"] = {"pivots": written}
 
 

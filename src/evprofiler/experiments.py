@@ -3,7 +3,8 @@ scaling suites, fixed EV-by-samples grids, and distribution-shaped
 sub-sampling, with repetition and aggregation.
 
 A suite's settings live in one ``ExperimentConfig``, checked when it is
-built, so a bad balance mode or value stops the suite before any cell runs;
+built, so a bad balance mode or value, or a family grid that is missing or
+yields no valid spec, stops the suite before any cell runs;
 the sub-samplers check their sizes on entry the same way. Each sub-sampler
 (``subsample_multiclass``, ``grid_rows``, ``subsample_distribution``) takes
 the suite's feature matrix and integer seed, derives its own generator from
@@ -11,9 +12,11 @@ that seed, and returns rows of the matrix. Every mode is a list of
 ``CellJob``s over that one matrix: ``binary_jobs`` builds the one-vs-all
 cells, ``multiclass_jobs`` the repetitions of one multi-class dataset, named
 by its rows (a fixed grid adds one such list per grid point). ``run_cells``
-runs any list through one job function and at most one worker pool, in job
-order, and ``run_cell`` reads a cell's group, target EV and repetition from
-its job.
+runs any list through one job function and at most one worker pool and
+returns the cells in job order, and ``run_cell`` reads a cell's group,
+target EV and repetition from its job. ``summarize_cells`` aggregates the
+cells; ``write_cells_csv`` takes the cells and the two summary writers the
+summary rows.
 
 Every cell ((target EV, balance value, repetition) or (dataset, repetition))
 derives its own seed from the master seed, so cells are independent,
@@ -37,7 +40,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .features import FeatureMatrix, fit_selection
-from .learn import (DEFAULT_GRIDS, grid_search, predict,
+from .learn import (DEFAULT_GRIDS, expand_grid, grid_search, predict,
                     score_predictions, stratified_split)
 
 SIZE_PRESETS = {"small": 25, "medium": 75, "large": 140, "complete": None}
@@ -105,6 +108,11 @@ class ExperimentConfig:
         for fam in self.families:
             if fam not in DEFAULT_GRIDS:
                 raise ValueError(f"unknown classifier family {fam!r}")
+            if fam not in self.grids:
+                raise ValueError(f"no hyper-parameter grid for {fam!r}")
+            # each spec checks its hyper-parameters as it is built
+            if not expand_grid(fam, self.grids[fam]):
+                raise ValueError(f"the {fam} grid has an empty value list")
 
 
 @dataclass(frozen=True)
@@ -132,12 +140,6 @@ class SummaryRow:
     std: float
     n_runs: int
     n_failed: int
-
-
-@dataclass(frozen=True)
-class ExperimentReport:
-    cells: tuple[CellResult, ...]
-    summary: tuple[SummaryRow, ...]
 
 
 def _cell_seed(master: int, repetition: int, tag: str) -> np.random.SeedSequence:
@@ -468,8 +470,8 @@ def _cell_job(job: CellJob) -> list[CellResult]:
 
 
 def run_cells(config: ExperimentConfig, features: FeatureMatrix,
-              jobs: Sequence[CellJob]) -> ExperimentReport:
-    """Run ``jobs`` over ``features`` in one worker pool; cells keep job order."""
+              jobs: Sequence[CellJob]) -> tuple[CellResult, ...]:
+    """Run ``jobs`` over ``features`` in one worker pool; cells in job order."""
     if config.workers <= 1:
         _init_worker(features, config)
         try:
@@ -480,8 +482,7 @@ def run_cells(config: ExperimentConfig, features: FeatureMatrix,
         with multiprocessing.Pool(config.workers, initializer=_init_worker,
                                   initargs=(features, config)) as pool:
             nested = pool.map(_cell_job, jobs, chunksize=1)
-    cells = tuple(cell for batch in nested for cell in batch)
-    return ExperimentReport(cells, summarize_cells(cells))
+    return tuple(cell for batch in nested for cell in batch)
 
 
 # ---------------------------------------------------------------------------
@@ -534,11 +535,11 @@ CELL_COLUMNS = ("suite", "group", "target_ev", "repetition", "classifier",
                 "n_train", "n_test", "status", "error")
 
 
-def write_cells_csv(report: ExperimentReport, path: str) -> None:
+def write_cells_csv(cells: Sequence[CellResult], path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CELL_COLUMNS)
-        for c in report.cells:
+        for c in cells:
             writer.writerow([
                 c.group.get("suite", ""), _group_token(c.group), c.target_ev,
                 c.repetition, c.classifier, json.dumps(c.best_params, sort_keys=True),
@@ -565,21 +566,21 @@ def read_cells_csv(path: str) -> list[CellResult]:
     return cells
 
 
-def write_summary_csv(report: ExperimentReport, path: str) -> None:
+def write_summary_csv(summary: Sequence[SummaryRow], path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["group", "classifier", "metric", "mean", "std",
                          "n_runs", "n_failed"])
-        for row in report.summary:
+        for row in summary:
             writer.writerow([_group_token(row.group), row.classifier,
                              row.metric, repr(row.mean), repr(row.std),
                              row.n_runs, row.n_failed])
 
 
-def write_summary_md(report: ExperimentReport, path: str) -> None:
+def write_summary_md(summary: Sequence[SummaryRow], path: str) -> None:
     lines = ["# Experiment summary", ""]
     by_group: dict[str, list[SummaryRow]] = {}
-    for row in report.summary:
+    for row in summary:
         by_group.setdefault(_group_token(row.group), []).append(row)
     for token in sorted(by_group):
         lines.append(f"## {token}")

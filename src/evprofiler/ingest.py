@@ -19,6 +19,7 @@ streamed ``ingest`` command. Two on-disk formats are supported:
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 from collections import Counter
 from dataclasses import dataclass, field
@@ -209,17 +210,21 @@ def iter_sessions(path, fmt: str, stats: Counter) -> Iterator[ChargingSession]:
     session ids are fatal: the ParseError comes after the last record, so a
     consumer that writes as it reads publishes its output only once the
     iterator is exhausted. An unknown format, like a missing file, fails on
-    the first read.
+    the first read. The file is read as UTF-8 with any leading byte-order
+    mark dropped; bytes that are not UTF-8, such as a file cut off inside
+    that mark, are a ParseError naming the file.
     """
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
     ids: Counter = Counter()
-    # csv reads its own line endings; JSON lines use universal newlines.
-    # utf-8-sig drops a leading byte-order mark and reads the rest as utf-8
-    with open(path, "r", encoding="utf-8-sig",
+    # csv reads its own line endings; JSON lines use universal newlines
+    with open(path, "r", encoding="utf-8",
               newline="" if fmt == "csv" else None) as fh:
-        records = _records_from_json(fh) if fmt == "acn-json" else _records_from_csv(fh)
         try:
+            # strict utf-8 still fails a file cut off inside a byte-order mark
+            lines = itertools.chain([fh.readline().removeprefix("\ufeff")], fh)
+            records = (_records_from_json(lines) if fmt == "acn-json"
+                       else _records_from_csv(lines))
             for where, rec in records:
                 session = _session_from_record(rec, where, stats)
                 if session is not None:

@@ -13,7 +13,8 @@ import pytest
 
 from evprofiler.experiments import (ExperimentConfig, binary_jobs,
                                     multiclass_jobs, run_cells,
-                                    grid_rows, build_binary_dataset)
+                                    summarize_cells, grid_rows,
+                                    build_binary_dataset)
 from evprofiler.features import FeatureMatrix, chi2_scores, featurize_corpus
 from evprofiler.filters import (FilterParams, low_pass_values,
                                 moving_average_values, moving_median_values,
@@ -167,10 +168,10 @@ def test_criterion_4_multiclass_accuracy():
     config = ExperimentConfig(families=("random-forest",),
                               grids=RF_GRID, nof=200, repetitions=2,
                               master_seed=100)
-    report = quiet(run_cells, config, features,
-                   multiclass_jobs(config, features, "multiclass",
-                                   range(features.n_rows)))
-    mean_accuracy = float(np.mean([c.accuracy for c in report.cells]))
+    cells = quiet(run_cells, config, features,
+                  multiclass_jobs(config, features, "multiclass",
+                                  range(features.n_rows)))
+    mean_accuracy = float(np.mean([c.accuracy for c in cells]))
     elapsed = time.perf_counter() - start
     assert mean_accuracy >= 0.90, f"RF accuracy {mean_accuracy:.3f} < 0.90"
     assert elapsed < 300.0, f"criterion 4 took {elapsed:.1f}s (budget 300s)"
@@ -188,8 +189,8 @@ def _fixed_grid_accuracy(features, n_evs, samples_per_ev, seed):
     jobs = multiclass_jobs(config, features, "fixed-grid",
                            grid_rows(features, n_evs, samples_per_ev, seed),
                            n_evs=n_evs, samples_per_ev=samples_per_ev)
-    report = quiet(run_cells, config, features, jobs)
-    cell = report.cells[0]
+    cells = quiet(run_cells, config, features, jobs)
+    cell = cells[0]
     assert cell.status == "ok", cell.error
     return cell.accuracy
 
@@ -258,10 +259,11 @@ def test_criterion_7_q_prime_trend():
                               balance_values=(1.0, 2.0, 3.0, 4.0, 5.0),
                               min_target_samples=50, repetitions=5,
                               master_seed=400)
-    report = quiet(run_cells, config, features, binary_jobs(config, features))
-    assert all(c.status == "ok" for c in report.cells)
+    cells = quiet(run_cells, config, features, binary_jobs(config, features))
+    assert all(c.status == "ok" for c in cells)
     f1_by_value = {row.group["balance_value"]: row.mean
-                   for row in report.summary if row.metric == "positive_f1"}
+                   for row in summarize_cells(cells)
+                   if row.metric == "positive_f1"}
     points = sorted(f1_by_value.items())
     assert f1_by_value[1.0] >= 0.9, f"Q'=1 F1 {f1_by_value[1.0]:.3f} < 0.9"
     _assert_trend(points, "non-increasing")

@@ -174,6 +174,31 @@ class TestByteOrderMark:
         assert outputs[0] == outputs[1]
 
 
+class TestCutOffByteOrderMark:
+    """A file holding only the first bytes of a byte-order mark is not UTF-8
+    text: exit 1, and nothing written."""
+
+    @pytest.mark.parametrize("content", [b"\xef", b"\xef\xbb"],
+                             ids=["1-byte", "2-byte"])
+    @pytest.mark.parametrize("stage", ["ingest-acn-json", "ingest-csv",
+                                       "extract"])
+    def test_is_1(self, tmp_path, capsys, content, stage):
+        path = tmp_path / "cut.in"
+        path.write_bytes(content)
+        if stage == "extract":
+            args = ["extract", "--sessions", str(path),
+                    "--out", str(tmp_path / "segments.jsonl")]
+        else:
+            args = ["ingest", "--input", str(path),
+                    "--format", stage.removeprefix("ingest-"),
+                    "--out", str(tmp_path / "corpus.jsonl")]
+        assert run_cli(*args) == 1
+        assert capsys.readouterr().err == (f"error: ParseError: {path}: "
+                                           "not UTF-8 text (unexpected end "
+                                           "of data)\n")
+        assert os.listdir(tmp_path) == ["cut.in"]
+
+
 class TestStages:
     def test_synth_output_and_manifest(self, pipeline):
         lines = open(pipeline["raw"]).read().splitlines()
@@ -258,6 +283,21 @@ class TestStages:
         pivot = open(os.path.join(out, "f1_vs_balance.csv")).read().splitlines()
         assert pivot[0] == "balance_mode,balance_value,classifier,mean_f1,std_f1"
         assert len(pivot) == 2
+
+    def test_report_rewrites_the_experiments_summary_md(self, pipeline,
+                                                        tmp_path):
+        # report summarizes the cells it reads back as experiment did
+        out = str(tmp_path / "exp")
+        assert run_cli("experiment", "binary", "--features", pipeline["features"],
+                       "--values", "1,2", "--classifiers", "dt,knn",
+                       "--reps", "2", "--min-target", "10", "--seed", "4",
+                       "--out", out) == 0
+        summary_md = os.path.join(out, "summary.md")
+        written = open(summary_md, "rb").read()
+        os.remove(summary_md)
+        assert run_cli("report", "--in", out) == 0
+        assert written.count(b"\n## ") == 2
+        assert open(summary_md, "rb").read() == written
 
     def test_multiclass_default_nof_keeps_every_column_without_warning(
             self, pipeline, tmp_path):

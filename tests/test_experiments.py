@@ -160,6 +160,21 @@ class TestBuildBinaryDataset:
         with pytest.raises(ValueError, match="workers must be >= 1"):
             ExperimentConfig(workers=workers)
 
+    @pytest.mark.parametrize("grid, message", [
+        (None, "no hyper-parameter grid for 'knn'"),
+        ({"n_neighbours": [3]},
+         r"unknown hyperparameters for knn: \['n_neighbours'\]"),
+        ({"n_neighbors": []}, "the knn grid has an empty value list"),
+    ], ids=["missing-family", "misspelt-name", "empty-values"])
+    def test_every_family_grid_is_checked(self, grid, message):
+        # the random-forest grid alone is fine; knn's fails before any cell
+        grids = {"random-forest": {"n_estimators": [10]}}
+        if grid is not None:
+            grids["knn"] = grid
+        ExperimentConfig(families=("random-forest",), grids=grids)
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(families=("random-forest", "knn"), grids=grids)
+
 
 class TestSubsampleMulticlass:
     def test_small_preset(self, feature_matrix_builder):
@@ -424,12 +439,12 @@ class TestSuites:
             {"T": 60, "U": 60, "V": 60, "W": 60}, seed=5)
         config = tiny_config(balance_values=(1.0, 2.0), repetitions=2,
                              min_target_samples=50)
-        report = run_cells(config, features, binary_jobs(config, features))
+        cells = run_cells(config, features, binary_jobs(config, features))
         # 4 EVs x 2 values x 2 reps x 1 family
-        assert len(report.cells) == 16
-        assert all(c.status == "ok" for c in report.cells)
-        assert all(c.positive_f1 is not None for c in report.cells)
-        values = {c.group["balance_value"] for c in report.cells}
+        assert len(cells) == 16
+        assert all(c.status == "ok" for c in cells)
+        assert all(c.positive_f1 is not None for c in cells)
+        values = {c.group["balance_value"] for c in cells}
         assert values == {1.0, 2.0}
 
     def test_binary_cells_share_one_label_index(self, feature_matrix_builder,
@@ -444,8 +459,8 @@ class TestSuites:
             config = tiny_config(families=("knn",), balance_values=(1.0, 2.0),
                                  repetitions=reps, min_target_samples=50)
             calls.clear()
-            report = run_cells(config, features, binary_jobs(config, features))
-            assert len(report.cells) == 8 * reps
+            cells = run_cells(config, features, binary_jobs(config, features))
+            assert len(cells) == 8 * reps
             assert len(calls) == 2
 
     def test_binary_suite_needs_two_qualifying(self, feature_matrix_builder):
@@ -456,18 +471,18 @@ class TestSuites:
     def test_multiclass_suite_runs(self, feature_matrix_builder):
         features = feature_matrix_builder({f"EV{i}": 12 for i in range(5)},
                                           seed=6)
-        report = run_multiclass(tiny_config(), features)
-        assert len(report.cells) == 2
-        assert all(c.accuracy > 0.9 for c in report.cells)
+        cells = run_multiclass(tiny_config(), features)
+        assert len(cells) == 2
+        assert all(c.accuracy > 0.9 for c in cells)
 
     def test_failed_cells_are_visible_not_dropped(self, feature_matrix_builder):
         features = feature_matrix_builder({"T": 60, "U": 51, "V": 51}, seed=7)
         # Q'=5 needs 300 negatives; only 102 available -> every cell fails
         config = tiny_config(balance_values=(5.0,), repetitions=1)
-        report = run_cells(config, features, binary_jobs(config, features))
-        assert len(report.cells) == 3
-        assert all(c.status == "failed" for c in report.cells)
-        assert all("pool" in c.error for c in report.cells)
+        cells = run_cells(config, features, binary_jobs(config, features))
+        assert len(cells) == 3
+        assert all(c.status == "failed" for c in cells)
+        assert all("pool" in c.error for c in cells)
 
     def test_failed_cv_fold_fails_the_cell(self):
         # T keeps one training row, so CV fold 0 trains on "other" alone
@@ -477,8 +492,8 @@ class TestSuites:
                                  rng.random((26, len(FEATURE_NAMES))))
         config = ExperimentConfig(families=("knn",), min_target_samples=2,
                                   balance_values=(5.0,), repetitions=1)
-        report = run_cells(config, features, binary_jobs(config, features))
-        cell, = [c for c in report.cells if c.target_ev == "T"]
+        cells = run_cells(config, features, binary_jobs(config, features))
+        cell, = [c for c in cells if c.target_ev == "T"]
         assert cell.status == "failed"
         assert cell.error.startswith("CV fold 0: need at least two classes")
         assert cell.best_params == {}
@@ -500,8 +515,7 @@ class TestNoLeakageAudit:
         features = feature_matrix_builder({f"EV{i}": 14 for i in range(4)},
                                           seed=9)
         config = tiny_config(repetitions=2)
-        report = run_multiclass(config, features)
-        assert report.cells
+        assert run_multiclass(config, features)
         cells = cell_recorder.cells
         assert len(cells) == config.repetitions
         stages = {s for cell in cells for s, _ in cell["fits"]}
@@ -532,10 +546,10 @@ class TestNoLeakageAudit:
                                           seed=11)
         config = tiny_config(repetitions=1)
         rows = list(range(features.n_rows)) + [5]
-        report = run_cells(config, features,
-                           multiclass_jobs(config, features, "multiclass", rows))
-        assert [c.status for c in report.cells] == ["failed"]
-        assert report.cells[0].error == (
+        cells = run_cells(config, features,
+                          multiclass_jobs(config, features, "multiclass", rows))
+        assert [c.status for c in cells] == ["failed"]
+        assert cells[0].error == (
             "1 session id(s) repeat in one cell, first 'EV0-0005'")
         dataset = features.take(rows)
         with pytest.raises(LeakageError):

@@ -144,8 +144,8 @@ class TestSeparabilityMonotonicity:
                 nof=134, repetitions=2, master_seed=55)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                report = run_cells(config, features, multiclass_jobs(
+                cells = run_cells(config, features, multiclass_jobs(
                     config, features, "multiclass", range(features.n_rows)))
-            scores[separation] = np.mean([c.accuracy for c in report.cells])
+            scores[separation] = np.mean([c.accuracy for c in cells])
         assert scores["well-separated"] >= scores["overlapping"] - 1e-9
         assert scores["well-separated"] >= 0.9
